@@ -494,11 +494,6 @@ def _patch_matrix(xp: np.ndarray, kshape, stride, out_dims) -> np.ndarray:
     return buf.reshape(n, c * k3, to * ho * wo)
 
 
-def _im2col(xp: np.ndarray, kshape, stride, out_dims):
-    """[N, C, Tp, Hp, Wp] padded input -> [N, P, C*kt*kh*kw] patch matrix."""
-    return np.ascontiguousarray(_patch_matrix(xp, kshape, stride, out_dims).transpose(0, 2, 1))
-
-
 def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
            stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     """Cross-correlation of [N,C,T,H,W] input with [O,C,kt,kh,kw] kernels.

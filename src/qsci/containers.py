@@ -2,14 +2,17 @@
 
 Checkpoints carry a config fingerprint plus named little-endian parameter
 records; save/load round trips are bit-exact and a fingerprint mismatch on
-load is rejected. The experiment config is a ``section.key = value`` text
+load is rejected. The readers shared with the packed-model container check
+every length against the bytes left, so a truncated or corrupt file raises
+FormatError. The experiment config is a ``section.key = value`` text
 file with a fixed key schema; unknown keys are rejected and the parsed
 values are echoed into the run directory for provenance.
 """
 
 from __future__ import annotations
 
-import struct
+import io
+import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -24,81 +27,81 @@ _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<i8"): 1, np.dtype("<u8"): 2}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
-def _write_u16(fh, v):
-    fh.write(struct.pack("<H", v))
+def _write_uint(fh, v: int, nbytes: int):
+    fh.write(int(v).to_bytes(nbytes, "little"))
 
 
-def _write_u32(fh, v):
-    fh.write(struct.pack("<I", v))
+def _read_exact(fh, n: int) -> bytes:
+    """The next ``n`` bytes; a file that ends first is truncated."""
+    if n > fh.size - fh.tell():
+        raise FormatError(f"truncated file: {n} bytes expected at offset {fh.tell()}")
+    return fh.read(n)
 
 
-def _write_u64(fh, v):
-    fh.write(struct.pack("<Q", v))
-
-
-def _read_u16(fh):
-    return struct.unpack("<H", fh.read(2))[0]
-
-
-def _read_u32(fh):
-    return struct.unpack("<I", fh.read(4))[0]
-
-
-def _read_u64(fh):
-    return struct.unpack("<Q", fh.read(8))[0]
+def _read_uint(fh, nbytes: int) -> int:
+    return int.from_bytes(_read_exact(fh, nbytes), "little")
 
 
 def _write_str(fh, s: str):
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise FormatError("string field too long")
-    _write_u16(fh, len(raw))
+    _write_uint(fh, len(raw), 2)
     fh.write(raw)
 
 
 def _read_str(fh) -> str:
-    n = _read_u16(fh)
-    return fh.read(n).decode("utf-8")
+    try:
+        return _read_exact(fh, _read_uint(fh, 2)).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"string field is not UTF-8: {exc}") from exc
 
 
 def _write_array(fh, arr: np.ndarray):
     arr = np.asarray(arr)
-    if arr.dtype == np.float32:
-        le = arr.astype("<f4", copy=False)
-    elif arr.dtype == np.int64:
-        le = arr.astype("<i8", copy=False)
-    elif arr.dtype == np.uint64:
-        le = arr.astype("<u8", copy=False)
-    else:
+    le = arr.dtype.newbyteorder("<")
+    if le not in _DTYPE_TAGS:
         raise FormatError(f"unsupported array dtype {arr.dtype}")
-    fh.write(bytes([_DTYPE_TAGS[le.dtype]]))
-    fh.write(bytes([arr.ndim]))
+    fh.write(bytes([_DTYPE_TAGS[le], arr.ndim]))
     for d in arr.shape:
-        _write_u32(fh, d)
-    fh.write(np.ascontiguousarray(le).tobytes())
+        _write_uint(fh, d, 4)
+    fh.write(np.ascontiguousarray(arr, dtype=le).tobytes())
 
 
 def _read_array(fh) -> np.ndarray:
-    tag = fh.read(1)[0]
+    tag = _read_uint(fh, 1)
     dtype = _TAG_DTYPES.get(tag)
     if dtype is None:
         raise FormatError(f"unknown dtype tag {tag}")
-    ndim = fh.read(1)[0]
-    shape = tuple(_read_u32(fh) for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(count * dtype.itemsize)
-    if len(raw) != count * dtype.itemsize:
-        raise FormatError("truncated array payload")
+    shape = tuple(_read_uint(fh, 4) for _ in range(_read_uint(fh, 1)))
+    raw = _read_exact(fh, math.prod(shape) * dtype.itemsize)
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def _open_container(path, magic: bytes, version: int, what: str):
+    """The whole file in memory, positioned after its magic and version,
+    which must be the given ones. ``size`` lets every read be checked
+    against the bytes left, so a corrupt length is never allocated."""
+    with open(path, "rb") as raw:
+        data = raw.read()
+    fh = io.BytesIO(data)
+    fh.size = len(data)
+    got = fh.read(len(magic))
+    if got != magic:
+        raise FormatError(f"bad {what} magic {got!r}")
+    got = _read_uint(fh, 2)
+    if got != version:
+        raise FormatError(f"unsupported {what} version {got}")
+    return fh
 
 
 def save_checkpoint(path, fingerprint: str, state: dict):
     """Write named parameter arrays under the given config fingerprint."""
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
-        _write_u16(fh, CKPT_VERSION)
+        _write_uint(fh, CKPT_VERSION, 2)
         _write_str(fh, fingerprint)
-        _write_u32(fh, len(state))
+        _write_uint(fh, len(state), 4)
         for name in sorted(state):
             _write_str(fh, name)
             _write_array(fh, np.asarray(state[name]))
@@ -106,23 +109,17 @@ def save_checkpoint(path, fingerprint: str, state: dict):
 
 def load_checkpoint(path, expect_fingerprint: str | None = None):
     """Read (fingerprint, state); rejects wrong magic, version or fingerprint."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CKPT_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}")
-        version = _read_u16(fh)
-        if version != CKPT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        fingerprint = _read_str(fh)
-        if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-            raise FormatError(
-                f"checkpoint fingerprint '{fingerprint}' does not match "
-                f"expected '{expect_fingerprint}'"
-            )
-        state = {}
-        for _ in range(_read_u32(fh)):
-            name = _read_str(fh)
-            state[name] = _read_array(fh)
+    fh = _open_container(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+    fingerprint = _read_str(fh)
+    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
+        raise FormatError(
+            f"checkpoint fingerprint '{fingerprint}' does not match "
+            f"expected '{expect_fingerprint}'"
+        )
+    state = {}
+    for _ in range(_read_uint(fh, 4)):
+        name = _read_str(fh)
+        state[name] = _read_array(fh)
     return fingerprint, state
 
 

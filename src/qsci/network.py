@@ -143,8 +143,8 @@ def parse_fingerprint(fp: str) -> QNetConfig:
             enh_bits=opt(kv["enhb"]),
             vrm_bits=opt(kv["vrmb"]),
         )
-    except KeyError as exc:
-        raise ConfigError(f"fingerprint missing field {exc}") from exc
+    except (KeyError, ValueError) as exc:   # a missing or non-integer field
+        raise ConfigError(f"malformed config fingerprint '{fp}': {exc!r}") from exc
 
 
 VARIANT_NAMES = ("fp32", "q8", "q4", "q3", "q2", "q4_baseline", "q3_baseline", "q2_baseline")

@@ -141,3 +141,31 @@ def forward(stack, p, cfg):
         y = y + conv3d(u, p["vrm.short_out.weight"], p["vrm.short_out.bias"])
     base = x[:, 0:1]
     return np.clip(y + base, 0.0, 1.0).reshape(n, t, h, w)
+
+
+def int_conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """Integer cross-correlation of code tensors in int64 arithmetic, one
+    kernel tap at a time (no float and no patch matrix anywhere)."""
+    x = np.asarray(x).astype(np.int64)
+    w = np.asarray(w).astype(np.int64)
+    n, c, t, h, wd = x.shape
+    o, _, kt, kh, kw = w.shape
+    st, sh, sw = stride
+    pt, ph, pw = padding
+    xp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, wd + 2 * pw), dtype=np.int64)
+    xp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd] = x
+    to = (t + 2 * pt - kt) // st + 1
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (wd + 2 * pw - kw) // sw + 1
+    out = np.zeros((n, o, to, ho, wo), dtype=np.int64)
+    for it in range(kt):
+        for ih in range(kh):
+            for iw in range(kw):
+                window = xp[:, :, it:it + to * st:st, ih:ih + ho * sh:sh, iw:iw + wo * sw:sw]
+                out += np.einsum("nctij,oc->notij", window, w[:, :, it, ih, iw])
+    return out
+
+
+def int_linear(x, w):
+    """[..., in] int64 codes times [in, out] int64 codes."""
+    return np.asarray(x).astype(np.int64) @ np.asarray(w).astype(np.int64)

@@ -1,0 +1,187 @@
+"""Integer inference path: bit packing, exact code contractions on float BLAS,
+the accumulator guard, and agreement with the fake-quant layers."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_impl as ref
+from qsci.autodiff import Tensor
+from qsci.errors import ConfigError
+from qsci.network import VARIANT_NAMES, QConv3d
+from qsci.packed import (IntKernel, PackedLayer, pack_model, pack_weights, packed_net,
+                         unpack_weights)
+from qsci.quantize import ActQuantizer
+from small_models import calibrated_net, small_inputs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+QUANTIZED = [v for v in VARIANT_NAMES if v != "fp32"]
+
+
+def code_range(bits):
+    return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+
+
+def random_layer(rng, kind, bits, shape, stride=(1, 1, 1), padding=(0, 0, 0)):
+    lo, hi = code_range(bits)
+    codes = rng.integers(lo, hi + 1, size=shape)
+    layer = PackedLayer(name=kind, kind=kind, bits=bits, shape=shape, stride=stride,
+                        padding=padding, words=pack_weights(codes, bits))
+    return layer, codes
+
+
+@st.composite
+def code_vectors(draw):
+    bits = draw(st.sampled_from((2, 3, 4, 8)))
+    lo, hi = code_range(bits)
+    # lengths around word boundaries, and the range ends always present
+    n = draw(st.integers(0, 3 * (64 // bits) + 1))
+    codes = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+    return bits, np.array(codes + [lo, hi], dtype=np.int64)
+
+
+class TestPacking:
+    @settings(max_examples=200, deadline=None)
+    @given(code_vectors())
+    def test_round_trip(self, case):
+        bits, codes = case
+        words = pack_weights(codes, bits)
+        assert words.dtype == np.uint64
+        assert words.size == -(-codes.size // (64 // bits))
+        np.testing.assert_array_equal(unpack_weights(words, bits, codes.size), codes)
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    def test_out_of_range_rejected(self, bits):
+        lo, hi = code_range(bits)
+        for bad in (lo - 1, hi + 1):
+            with pytest.raises(ConfigError, match="outside"):
+                pack_weights(np.array([0, bad]), bits)
+
+    def test_padding_bits_are_zero(self):
+        words = pack_weights(np.full(5, -1), 3)   # 5 of 21 fields used
+        assert int(words[0]) == (1 << 15) - 1
+
+
+class TestExactContraction:
+    # 3x3x3 at 8 bits: K = 12*27 = 324 -> bound 5.3M < 2^24 (float32);
+    # K = 40*27 = 1080 -> bound 17.7M >= 2^24 (float64)
+    @pytest.mark.parametrize("channels,dtype", [(12, np.float32), (40, np.float64)])
+    def test_conv_equals_int64_reference(self, channels, dtype):
+        rng = np.random.default_rng(channels)
+        layer, codes = random_layer(rng, "conv3d", 8, (5, channels, 3, 3, 3),
+                                    stride=(1, 2, 2), padding=(1, 1, 1))
+        kernel = IntKernel(layer, ActQuantizer(8), None)
+        assert kernel.dtype is dtype
+        x = rng.integers(-128, 128, size=(2, channels, 3, 6, 5))
+        acc = kernel.contract(x)
+        assert acc.dtype == dtype
+        want = ref.int_conv3d(x, codes, layer.stride, layer.padding)
+        np.testing.assert_array_equal(acc.astype(np.int64), want)
+
+    @pytest.mark.parametrize("inputs,dtype", [(300, np.float32), (1100, np.float64)])
+    def test_linear_equals_int64_reference(self, inputs, dtype):
+        rng = np.random.default_rng(inputs)
+        layer, codes = random_layer(rng, "linear", 8, (inputs, 7))
+        kernel = IntKernel(layer, ActQuantizer(8), None)
+        assert kernel.dtype is dtype
+        x = rng.integers(-128, 128, size=(3, 4, inputs))
+        np.testing.assert_array_equal(kernel.contract(x).astype(np.int64),
+                                      ref.int_linear(x, codes))
+
+    @pytest.mark.parametrize("bits,channels", [(8, 16), (8, 40), (4, 16), (2, 3)])
+    def test_worst_case_reaches_bound_exactly(self, bits, channels):
+        lo, _ = code_range(bits)
+        shape = (2, channels, 3, 3, 3)
+        layer = PackedLayer(name="worst", kind="conv3d", bits=bits, shape=shape,
+                            words=pack_weights(np.full(shape, lo), bits))
+        kernel = IntKernel(layer, ActQuantizer(bits), None)
+        acc = kernel.contract(np.full((1, channels, 3, 4, 4), lo))
+        bound = layer.accumulator_bound(bits)
+        assert bound == channels * 27 * lo * lo
+        assert np.all(acc == bound)
+
+    def test_presets_select_float32_and_wide_q8_float64(self):
+        for variant in QUANTIZED:
+            model = pack_model(calibrated_net(variant, base_channels=16, heads=2))
+            assert all(pl.code_dtype(pl.bits) is np.float32 for pl in model.layers)
+        wide = pack_model(calibrated_net("q8", base_channels=64, heads=2))
+        chosen = {pl.name: pl.code_dtype(pl.bits) for pl in wide.layers}
+        assert chosen["block0.cf0.conv"] is np.float64     # 64*27 * 2^14 >= 2^24
+        assert chosen["block0.cf0.fuse"] is np.float32
+
+
+class TestAccumulatorGuard:
+    @staticmethod
+    def linear(inputs, bits):
+        return PackedLayer(name="huge", kind="linear", bits=bits, shape=(inputs, 1))
+
+    def test_dtype_boundaries(self):
+        # 2-bit codes: bound = 4 * K
+        assert self.linear((1 << 22) - 1, 2).code_dtype(2) is np.float32
+        assert self.linear(1 << 22, 2).code_dtype(2) is np.float64
+        assert self.linear((1 << 51) - 1, 2).code_dtype(2) is np.float64
+        with pytest.raises(ConfigError, match="not exact in float64"):
+            self.linear(1 << 51, 2).code_dtype(2)
+
+    def test_kernel_construction_raises(self):
+        layer = PackedLayer(name="huge", kind="conv3d", bits=8, shape=(1, 1 << 40, 1, 1, 1))
+        assert layer.accumulator_bound(8) >= 1 << 53
+        with pytest.raises(ConfigError, match="huge"):
+            IntKernel(layer, ActQuantizer(8), None)
+
+    def test_kernel_construction_raises_under_python_O(self):
+        code = (
+            "from qsci.errors import ConfigError\n"
+            "from qsci.packed import IntKernel, PackedLayer\n"
+            "from qsci.quantize import ActQuantizer\n"
+            "assert False, 'asserts must be stripped'\n"
+            "layer = PackedLayer(name='huge', kind='conv3d', bits=8,"
+            " shape=(1, 1 << 40, 1, 1, 1))\n"
+            "try:\n"
+            "    IntKernel(layer, ActQuantizer(8), None)\n"
+            "except ConfigError:\n"
+            "    print('raised')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "raised"
+
+
+class TestAgreementWithFakeQuant:
+    @pytest.mark.parametrize("variant", QUANTIZED)
+    def test_every_layer_within_1e5_relative(self, variant):
+        net = calibrated_net(variant)
+        packed = packed_net(pack_model(net))
+        fq_layers = dict(net.named_modules())
+        seen = []
+
+        class Recording:
+            def __init__(self, name, kernel):
+                self.name, self.kernel = name, kernel
+
+            def __call__(self, x):
+                out = self.kernel(x)
+                seen.append((self.name, x, out))
+                return out
+
+        for name, layer in packed.quant_layers():
+            if layer.int_kernel is not None:
+                layer.int_kernel = Recording(name, layer.int_kernel)
+        masks, _, meas = small_inputs()
+        packed.reconstruct(meas[0], masks, packed=True)
+
+        assert {name for name, _, _ in seen} == {pl.name for pl in pack_model(net).layers}
+        for name, x, out in seen:
+            want = fq_layers[name].forward(Tensor(x)).data
+            if isinstance(fq_layers[name], QConv3d) and ("conv_out" in name or "short_" in name):
+                assert np.abs(want).max() > 0, f"{name} does not reach the output"
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(out - want).max()) / scale <= 1e-5, name
