@@ -3,8 +3,8 @@
 A :class:`Tape` records every operation executed while it is active; calling
 :func:`backward` on a scalar loss walks the recording once in reverse and
 accumulates gradients into the ``grad`` field of every ``requires_grad`` leaf.
-Tapes are single-use: ``backward`` consumes the tape and a second call is
-rejected. Gradients add across fan-out and across successive backward passes,
+Tapes are single-use: ``backward`` consumes the tape, releasing what each
+node saved as it goes, and a second call is rejected. Gradients add across fan-out and across successive backward passes,
 so callers must zero them between optimizer steps.
 
 Every forward op checks its output for NaN/Inf and raises
@@ -156,8 +156,7 @@ def _coerce(x) -> Tensor:
 
 def _finish(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn, name: str) -> Tensor:
     """Wrap an op result, scan for non-finite values, and record on the tape."""
-    # a float64 sum propagates any NaN/Inf and avoids a full boolean temp
-    if FINITE_CHECKS and not np.isfinite(float(out_data.sum(dtype=np.float64))):
+    if FINITE_CHECKS and not np.isfinite(out_data).all():
         raise NumericError(f"non-finite value produced by op '{name}'")
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -483,14 +482,24 @@ def _kernel_slices(kshape, stride, out_dims):
     return slices
 
 
-def _patch_matrix(xp: np.ndarray, kshape, stride, out_dims) -> np.ndarray:
-    """[N, C, Tp, Hp, Wp] padded input -> [N, C*kt*kh*kw, P] patch matrix."""
-    n, c = xp.shape[:2]
+def conv_patches(x: np.ndarray, kshape, stride, padding, out_dims) -> np.ndarray:
+    """[N, C, T, H, W] input -> [N, C*kt*kh*kw, P] patch matrix of the input
+    zero-padded by ``padding`` on both sides of each spatial axis.
+
+    A 1x1x1 unit-stride kernel sees every voxel once, so its patch matrix is
+    a view of the (padded) input and a conv is a plain channel GEMM.
+    """
+    if any(padding):
+        pt, ph, pw = padding
+        x = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    n, c = x.shape[:2]
+    if tuple(kshape) == (1, 1, 1) and tuple(stride) == (1, 1, 1):
+        return x.reshape(n, c, -1)
     to, ho, wo = out_dims
     k3 = int(np.prod(kshape))
-    buf = np.empty((n, c, k3, to, ho, wo), dtype=xp.dtype)
+    buf = np.empty((n, c, k3, to, ho, wo), dtype=x.dtype)
     for k, sl in enumerate(_kernel_slices(kshape, stride, out_dims)):
-        buf[:, :, k] = xp[:, :, sl[0], sl[1], sl[2]]
+        buf[:, :, k] = x[:, :, sl[0], sl[1], sl[2]]
     return buf.reshape(n, c * k3, to * ho * wo)
 
 
@@ -499,8 +508,9 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     """Cross-correlation of [N,C,T,H,W] input with [O,C,kt,kh,kw] kernels.
 
     Implemented as one GEMM against a patch matrix assembled per kernel
-    offset; the backward pass reuses the patch matrix for the weight gradient
-    and scatter-adds the transposed GEMM back into the padded input.
+    offset (for a 1x1x1 unit-stride kernel, the input itself); the backward
+    pass reuses the patch matrix for the weight gradient and scatter-adds the
+    transposed GEMM back into the padded input.
     """
     stride = tuple(int(s) for s in stride)
     padding = tuple(int(p) for p in padding)
@@ -509,10 +519,8 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     pt, ph, pw = padding
     k3 = kt * kh * kw
     p_count = to * ho * wo
-    slices = _kernel_slices((kt, kh, kw), stride, (to, ho, wo))
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    patches = _patch_matrix(xp, (kt, kh, kw), stride, (to, ho, wo))
+    patches = conv_patches(x.data, (kt, kh, kw), stride, padding, (to, ho, wo))
     w2 = w.data.reshape(o, c * k3)
     out = (w2 @ patches).reshape(n, o, to, ho, wo)
     if bias is not None:
@@ -520,27 +528,31 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
 
     inputs = (x, w) if bias is None else (x, w, bias)
     t, h, wd = x.shape[2:]
+    crop = (slice(None), slice(None), slice(pt, pt + t), slice(ph, ph + h), slice(pw, pw + wd))
     # the input gradient of a unit-stride conv is itself a conv of the
     # (re-padded) output gradient with the channel-transposed flipped kernel,
     # which beats the scatter-add path when o <= c
-    dx_as_conv = (stride == (1, 1, 1) and o <= c and k3 > 1
+    unit_stride = stride == (1, 1, 1)
+    dx_as_conv = (unit_stride and o <= c and k3 > 1
                   and pt <= kt - 1 and ph <= kh - 1 and pw <= kw - 1)
 
     def bwd(g):
         gm = g.reshape(n, o, p_count)
         dw = np.matmul(gm, patches.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        if dx_as_conv:
+        if unit_stride and k3 == 1:
+            # channel GEMM: the patch gradient is the padded-input gradient
+            dx = (w2.T @ gm).reshape(n, c, to, ho, wo)[crop]
+        elif dx_as_conv:
             wflip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            gp = np.pad(g, ((0, 0), (0, 0), (kt - 1 - pt,) * 2,
-                            (kh - 1 - ph,) * 2, (kw - 1 - pw,) * 2))
-            gpatches = _patch_matrix(gp, (kt, kh, kw), (1, 1, 1), (t, h, wd))
+            gpatches = conv_patches(g, (kt, kh, kw), (1, 1, 1),
+                                    (kt - 1 - pt, kh - 1 - ph, kw - 1 - pw), (t, h, wd))
             dx = (wflip.reshape(c, o * k3) @ gpatches).reshape(x.shape)
         else:
             dpatch = (w2.T @ gm).reshape(n, c, k3, to, ho, wo)
-            dxp = np.zeros_like(xp)
-            for k, sl in enumerate(slices):
+            dxp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, wd + 2 * pw), dtype=x.data.dtype)
+            for k, sl in enumerate(_kernel_slices((kt, kh, kw), stride, (to, ho, wo))):
                 dxp[:, :, sl[0], sl[1], sl[2]] += dpatch[:, :, k]
-            dx = dxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
+            dx = dxp[crop]
         if bias is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3, 4))
@@ -571,10 +583,16 @@ def backward(loss: Tensor):
 
     for node in reversed(tape.nodes):
         g = slots[node.index]
+        slots[node.index] = None
+        # drop the rule and its saved arrays once used (or never needed):
+        # this breaks the tensor -> node -> rule -> tensor cycles, so the
+        # step's activations are freed by reference counting
+        backward_fn, inputs = node.backward_fn, node.inputs
+        node.backward_fn = node.inputs = None
         if g is None:
             continue
-        grads = node.backward_fn(g)
-        for inp, gin in zip(node.inputs, grads):
+        grads = backward_fn(g)
+        for inp, gin in zip(inputs, grads):
             if gin is None:
                 continue
             if inp.node is not None and inp.node.tape is tape:
@@ -585,4 +603,4 @@ def backward(loss: Tensor):
                     slots[idx] = slots[idx] + gin
             elif inp.requires_grad:
                 inp.accumulate_grad(np.asarray(gin, dtype=np.float32))
-        slots[node.index] = None  # free as we go
+    tape.nodes.clear()

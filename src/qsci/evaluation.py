@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import ShapeError
 
@@ -57,6 +56,10 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         raise ShapeError(f"ssim expects 2-D frames or 3-D stacks, got {a.ndim}-D")
     if min(a.shape) < SSIM_WINDOW:
         raise ShapeError(f"frame {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
+
+    # imported here: scipy.signal takes most of a second to import, and only
+    # SSIM needs it
+    from scipy.signal import convolve2d
 
     win = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     c1 = SSIM_K1 ** 2

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import _patch_matrix, conv3d_output_shape
+from .autodiff import conv3d_output_shape, conv_patches
 from .containers import (_open_container, _read_array, _read_exact, _read_str, _read_uint,
                          _write_array, _write_str, _write_uint)
 from .errors import ConfigError, FormatError
@@ -156,9 +156,8 @@ class IntKernel:
         layer = self.layer
         n, o, to, ho, wo = conv3d_output_shape(x_codes.shape, layer.shape,
                                                layer.stride, layer.padding)
-        pt, ph, pw = layer.padding
-        xp = np.pad(x_codes, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-        patches = _patch_matrix(xp, layer.shape[2:], layer.stride, (to, ho, wo))
+        patches = conv_patches(x_codes, layer.shape[2:], layer.stride, layer.padding,
+                               (to, ho, wo))
         return (self.w_codes @ patches).reshape(n, o, to, ho, wo)
 
     def _correction(self, in_shape) -> np.ndarray:

@@ -174,20 +174,25 @@ def fake_quant(x: Tensor, q) -> Tensor:
     arr = x.data
     if ad.FINITE_CHECKS:
         _check_input(arr, "fake_quant input")
-    v = (arr - np.float32(z)) / np.float32(alpha)
-    lo = v < -q_n
-    hi = v > q_p
-    mid = ~(lo | hi)
-    codes = np.rint(np.clip(v, -q_n, q_p)).astype(np.float32)
-    out = codes * np.float32(alpha) + np.float32(z)
+    v = arr - np.float32(z)
+    v /= np.float32(alpha)
+    codes = np.clip(v, -q_n, q_p)
+    np.rint(codes, out=codes)
+    out = codes * np.float32(alpha)
+    out += np.float32(z)
 
     def bwd(g):
+        clipped = v < -q_n
+        clipped |= v > q_p
+        mid = ~clipped
         dx = g * mid
-        dalpha_field = np.where(mid, codes - v, np.where(hi, np.float32(q_p), np.float32(-q_n)))
+        # codes - v in range; where clipped, the code itself (q_p or -q_n)
+        dalpha_field = v * mid
+        np.subtract(codes, dalpha_field, out=dalpha_field)
         dalpha = np.array([(g * dalpha_field).sum()], dtype=np.float32)
         if not is_act:
             return dx, dalpha
-        dz = np.array([(g * ~mid).sum()], dtype=np.float32)
+        dz = np.array([(g * clipped).sum()], dtype=np.float32)
         return dx, dalpha, dz
 
     inputs = (x, q.alpha, q.z) if is_act else (x, q.alpha)

@@ -169,3 +169,52 @@ def int_conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0)):
 def int_linear(x, w):
     """[..., in] int64 codes times [in, out] int64 codes."""
     return np.asarray(x).astype(np.int64) @ np.asarray(w).astype(np.int64)
+
+
+def fake_quant_masked(x, alpha, z, bits, g):
+    """Fake quantization with explicit clip masks and a nested ``np.where``
+    for the scale gradient: (out, dx, dalpha, dz) for upstream gradient ``g``,
+    float32 throughout (the formula the mask-free version must reproduce)."""
+    q_n, q_p = 1 << (bits - 1), (1 << (bits - 1)) - 1
+    v = (x - np.float32(z)) / np.float32(alpha)
+    lo = v < -q_n
+    hi = v > q_p
+    mid = ~(lo | hi)
+    codes = np.rint(np.clip(v, -q_n, q_p)).astype(np.float32)
+    out = codes * np.float32(alpha) + np.float32(z)
+    dx = g * mid
+    field = np.where(mid, codes - v, np.where(hi, np.float32(q_p), np.float32(-q_n)))
+    dalpha = np.array([(g * field).sum()], dtype=np.float32)
+    dz = np.array([(g * ~mid).sum()], dtype=np.float32)
+    return out, dx, dalpha, dz
+
+
+def conv3d_im2col(x, w, b, g, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """General im2col route of a float32 conv for any kernel: zero-pad, copy
+    one patch slab per kernel tap, one GEMM; backward scatter-adds the
+    transposed GEMM into a zero buffer of the padded input.
+    Returns (out, dx, dw, db) for upstream gradient ``g``."""
+    n, c, t, h, wd = x.shape
+    o, _, kt, kh, kw = w.shape
+    st, sh, sw = stride
+    pt, ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    to = (t + 2 * pt - kt) // st + 1
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (wd + 2 * pw - kw) // sw + 1
+    taps = [(slice(a, a + to * st, st), slice(bb, bb + ho * sh, sh), slice(d, d + wo * sw, sw))
+            for a in range(kt) for bb in range(kh) for d in range(kw)]
+    buf = np.empty((n, c, len(taps), to, ho, wo), dtype=x.dtype)
+    for k, sl in enumerate(taps):
+        buf[:, :, k] = xp[:, :, sl[0], sl[1], sl[2]]
+    patches = buf.reshape(n, c * len(taps), to * ho * wo)
+    w2 = w.reshape(o, -1)
+    out = (w2 @ patches).reshape(n, o, to, ho, wo) + b.reshape(1, o, 1, 1, 1)
+    gm = g.reshape(n, o, -1)
+    dw = np.matmul(gm, patches.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    dpatch = (w2.T @ gm).reshape(n, c, len(taps), to, ho, wo)
+    dxp = np.zeros_like(xp)
+    for k, sl in enumerate(taps):
+        dxp[:, :, sl[0], sl[1], sl[2]] += dpatch[:, :, k]
+    dx = dxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
+    return out, dx, dw, g.sum(axis=(0, 2, 3, 4))

@@ -1,9 +1,13 @@
 """Tensor/tape engine: value oracles and finite-difference gradient checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import qsci.autodiff as ad
+import reference_impl
 from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import NumericError, ShapeError
 
@@ -132,6 +136,30 @@ class TestConv3d:
         w = Tensor(np.zeros((1, 1, 3, 1, 1), np.float32))
         with pytest.raises(ShapeError, match="temporal"):
             ad.conv3d(x, w)
+
+
+class TestPointwiseConv:
+    """A 1x1x1 unit-stride conv runs as a channel GEMM on the input itself;
+    it must match the general im2col route bit for bit."""
+
+    @pytest.mark.parametrize("c,o", [(5, 3), (3, 6)])
+    @pytest.mark.parametrize("padding", [(0, 0, 0), (0, 1, 1)])
+    def test_matches_im2col_route(self, c, o, padding):
+        rng = np.random.default_rng(c * 10 + o)
+        x_arr = rng.standard_normal((2, c, 3, 4, 5)).astype(np.float32)
+        w_arr = rng.standard_normal((o, c, 1, 1, 1)).astype(np.float32)
+        b_arr = rng.standard_normal(o).astype(np.float32)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x_arr, w_arr, b_arr))
+        out_shape = ad.conv3d_output_shape(x_arr.shape, w_arr.shape, (1, 1, 1), padding)
+        g = rng.standard_normal(out_shape).astype(np.float32)
+        with Tape():
+            out = ad.conv3d(x, w, b, padding=padding)
+            loss = ad.sum_(out * Tensor(g))
+        backward(loss)
+        ref = reference_impl.conv3d_im2col(x_arr, w_arr, b_arr, g, padding=padding)
+        for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestMatmul:
@@ -291,6 +319,33 @@ class TestBackwardBasics:
         with pytest.raises(RuntimeError, match="consumed"):
             backward(loss)
 
+    def test_backward_frees_tape_without_gc(self):
+        # backward drops every node's rule and inputs, so the tape's saved
+        # arrays go with the last reference, not at the next cyclic collection
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((1, 2, 2, 3, 3)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2, 1, 1, 1)).astype(np.float32), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with Tape():
+                hidden = ad.conv3d(x, w)
+                act = ad.gelu(hidden)
+                unused = ad.scale(hidden, 2.0)    # recorded, reached by no gradient
+                loss = ad.sum_(act * act)
+            hidden_data = weakref.ref(hidden.data)
+            del hidden, unused
+            assert hidden_data() is not None      # held by the recorded nodes
+            backward(loss)
+            with pytest.raises(RuntimeError, match="consumed"):
+                backward(loss)
+            del loss, act
+            assert hidden_data() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert x.grad is not None and w.grad is not None
+
     def test_fanout_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape():
@@ -359,6 +414,12 @@ class TestFiniteDifferences:
         w = self._rand((2, 2, 1, 3, 3), scale=0.5)
         b = self._rand((2,))
         fd_check(lambda: weighted(ad.conv3d(x, w, b), np.random.default_rng(11)), [x, w, b])
+
+    def test_conv3d_pointwise_with_bias(self):
+        x = self._rand((2, 3, 2, 3, 3))
+        w = self._rand((4, 3, 1, 1, 1), scale=0.5)
+        b = self._rand((4,))
+        fd_check(lambda: weighted(ad.conv3d(x, w, b), np.random.default_rng(16)), [x, w, b])
 
     def test_conv3d_strided_padded(self):
         x = self._rand((1, 2, 3, 4, 4))

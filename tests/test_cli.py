@@ -1,13 +1,18 @@
-"""CLI behaviour on the integer path: malformed containers and data dirs end
-in exit code 3, and ``infer-int`` reruns are byte-identical."""
+"""CLI behaviour: malformed containers and data dirs end in exit code 3, and
+``train``, ``eval``, ``pack`` and ``infer-int`` reruns are byte-identical."""
 
 import contextlib
 import io
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsci
 from qsci import cli
 from qsci.containers import load_checkpoint, save_checkpoint
 from qsci.errors import FormatError
@@ -139,3 +144,58 @@ class TestInferIntDeterminism:
         for idx, _, meas in entries:
             one_shot = infer_packed(model, meas, masks).frames
             assert np.array_equal(np.load(outs[0] / f"recon_{idx:04d}.npy"), one_shot)
+
+
+TRAIN_CFG = """\
+net.variant = {variant}
+net.base_channels = 8
+net.cformer_per_block = 1
+net.cr = {t}
+train.epochs_phase1 = 1
+train.epochs_phase2 = 1
+train.batch_size = 2
+train.crop = 16
+data.count = 4
+data.holdout = 2
+data.clip_hw = 16
+out.dir = {out}
+"""
+
+
+class TestRerunDeterminism:
+    def test_train_reruns_byte_identical(self, tmp_path):
+        init = []
+        for variant in ("fp32", "q4"):
+            (tmp_path / f"{variant}.cfg").write_text(
+                TRAIN_CFG.format(variant=variant, t=T, out=variant), encoding="ascii")
+            outputs = []
+            for _ in range(2):
+                assert run("--workdir", tmp_path, "train", "--config", f"{variant}.cfg",
+                           *init)[0] == 0
+                outputs.append([(tmp_path / variant / f).read_bytes()
+                                for f in ("loss.csv", "checkpoint.qsc")])
+            assert outputs[0] == outputs[1]
+            init = ["--init", f"{variant}/checkpoint.qsc"]
+
+    def test_eval_reruns_byte_identical(self, work):
+        outs = [work / "eval_a", work / "eval_b"]
+        for out in outs:
+            assert run("--workdir", work, "eval", "--ckpt", "q4.qsc", "--data", "data",
+                       "--out", out, "--dump-frames")[0] == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert "metrics.csv" in files and len(files) == 1 + 2 * T
+        for f in files:
+            assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+    def test_pack_reruns_byte_identical(self, work):
+        assert run("--workdir", work, "pack", "--ckpt", "q4.qsc", "--out", "again.pack")[0] == 0
+        assert (work / "again.pack").read_bytes() == (work / "q4.pack").read_bytes()
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs most of a second to import; only SSIM (eval) needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(qsci.__file__).parents[1]))
+    code = "import sys, qsci.cli; print('scipy.signal' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "False"

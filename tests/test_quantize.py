@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsci.autodiff as ad
+import reference_impl
 from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import ConfigError, NumericError
 from qsci.quantize import (ActQuantizer, BitWidth, WeightQuantizer, act_dequantize,
@@ -243,6 +244,42 @@ class TestFakeQuant:
         backward(loss)
         assert q.alpha.grad is not None
         assert not hasattr(q, "z")
+
+
+class TestMatchesMaskedFormula:
+    """The mask-free fake_quant reproduces the masked formula bit for bit."""
+
+    @pytest.mark.parametrize("bits", LOW_BITS)
+    @pytest.mark.parametrize("kind", ["act", "weight"])
+    def test_out_and_grads_bit_exact(self, bits, kind):
+        rng = np.random.default_rng(bits)
+        bw = BitWidth(bits)
+        # a scale and zero-point exact in binary, so x = z + alpha * k lands
+        # exactly on code k (and on the rounding tie k + 0.5)
+        alpha, z = 0.375, (0.625 if kind == "act" else 0.0)
+        q = make_act(bits, alpha, z) if kind == "act" else make_weight(bits, alpha)
+        exact = np.arange(-bw.q_n - 2, bw.q_p + 3, 0.5, dtype=np.float32)
+        spread = rng.uniform(-3.0 * bw.q_n, 3.0 * bw.q_p, 500).astype(np.float32)
+        x_arr = np.float32(z) + np.float32(alpha) * np.concatenate([exact, spread])
+        v = (x_arr - np.float32(z)) / np.float32(alpha)
+        assert (v < -bw.q_n).any() and (v > bw.q_p).any()
+        assert (v == -bw.q_n).any() and (v == bw.q_p).any()
+
+        g = rng.standard_normal(x_arr.size).astype(np.float32)
+        x = Tensor(x_arr, requires_grad=True)
+        with Tape():
+            out = fake_quant(x, q)
+            loss = ad.sum_(out * Tensor(g))
+        backward(loss)
+
+        ref_out, ref_dx, ref_dalpha, ref_dz = reference_impl.fake_quant_masked(
+            x_arr, alpha, z, bits, g)
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(fake_quant(Tensor(x_arr), q).data, ref_out)
+        assert np.array_equal(x.grad, ref_dx)
+        assert np.array_equal(q.alpha.grad, ref_dalpha)
+        if kind == "act":
+            assert np.array_equal(q.z.grad, ref_dz)
 
 
 class TestQLinear:
