@@ -6,13 +6,13 @@ bit-packed integer inference path, and bit-adjusted efficiency accounting.
 
 from .autodiff import Tape, Tensor, backward
 from .network import QNet, QNetConfig, make_variant
-from .quantize import ActQuantizer, BitWidth, WeightQuantizer, fake_quant, q_linear
+from .quantize import ActQuantizer, BitWidth, WeightQuantizer, fake_quant
 from .sci import MaskSet, Measurement, VideoClip, encode, generate_masks, initial_estimate, synth_video
 
 __all__ = [
     "Tape", "Tensor", "backward",
     "QNet", "QNetConfig", "make_variant",
-    "ActQuantizer", "BitWidth", "WeightQuantizer", "fake_quant", "q_linear",
+    "ActQuantizer", "BitWidth", "WeightQuantizer", "fake_quant",
     "MaskSet", "Measurement", "VideoClip", "encode", "generate_masks",
     "initial_estimate", "synth_video",
 ]

@@ -20,9 +20,6 @@ from scipy.special import erf
 
 from .errors import NumericError, ShapeError
 
-# Toggle for the per-op NaN/Inf scan (kept on by default; tests rely on it).
-FINITE_CHECKS = True
-
 _INV_SQRT2 = 1.0 / np.sqrt(2.0).astype(np.float32)
 _INV_SQRT2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
 
@@ -156,7 +153,7 @@ def _coerce(x) -> Tensor:
 
 def _finish(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn, name: str) -> Tensor:
     """Wrap an op result, scan for non-finite values, and record on the tape."""
-    if FINITE_CHECKS and not np.isfinite(out_data).all():
+    if not np.isfinite(out_data).all():
         raise NumericError(f"non-finite value produced by op '{name}'")
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)

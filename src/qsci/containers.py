@@ -1,12 +1,15 @@
 """Binary checkpoint container and the plain-text experiment config.
 
-Checkpoints carry a config fingerprint plus named little-endian parameter
-records; save/load round trips are bit-exact and a fingerprint mismatch on
-load is rejected. The readers shared with the packed-model container check
-every length against the bytes left, so a truncated or corrupt file raises
-FormatError. The experiment config is a ``section.key = value`` text
-file with a fixed key schema; unknown keys are rejected and the parsed
-values are echoed into the run directory for provenance.
+Checkpoints carry a config fingerprint plus named little-endian arrays
+(float32, int64 or uint64); save/load round trips are bit-exact and a
+fingerprint mismatch on load is rejected. The same container holds trained
+networks and packed models (whose state carries uint64 weight codes, see
+:mod:`qsci.packed`); the code that loads a state into a network checks which
+one it was given. The reader checks every length against the bytes left, so
+a truncated or corrupt file raises FormatError. The experiment config is a
+``section.key = value`` text file with a fixed key schema; unknown keys are
+rejected and the parsed values are echoed into the run directory for
+provenance.
 """
 
 from __future__ import annotations
@@ -78,23 +81,6 @@ def _read_array(fh) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
-def _open_container(path, magic: bytes, version: int, what: str):
-    """The whole file in memory, positioned after its magic and version,
-    which must be the given ones. ``size`` lets every read be checked
-    against the bytes left, so a corrupt length is never allocated."""
-    with open(path, "rb") as raw:
-        data = raw.read()
-    fh = io.BytesIO(data)
-    fh.size = len(data)
-    got = fh.read(len(magic))
-    if got != magic:
-        raise FormatError(f"bad {what} magic {got!r}")
-    got = _read_uint(fh, 2)
-    if got != version:
-        raise FormatError(f"unsupported {what} version {got}")
-    return fh
-
-
 def save_checkpoint(path, fingerprint: str, state: dict):
     """Write named parameter arrays under the given config fingerprint."""
     with open(path, "wb") as fh:
@@ -108,8 +94,20 @@ def save_checkpoint(path, fingerprint: str, state: dict):
 
 
 def load_checkpoint(path, expect_fingerprint: str | None = None):
-    """Read (fingerprint, state); rejects wrong magic, version or fingerprint."""
-    fh = _open_container(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+    """Read (fingerprint, state); rejects wrong magic, version or fingerprint.
+
+    The whole file is read into memory; ``size`` lets every read be checked
+    against the bytes left, so a corrupt length is never allocated."""
+    with open(path, "rb") as raw:
+        data = raw.read()
+    fh = io.BytesIO(data)
+    fh.size = len(data)
+    got = fh.read(len(CKPT_MAGIC))
+    if got != CKPT_MAGIC:
+        raise FormatError(f"bad checkpoint magic {got!r}")
+    got = _read_uint(fh, 2)
+    if got != CKPT_VERSION:
+        raise FormatError(f"unsupported checkpoint version {got}")
     fingerprint = _read_str(fh)
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:
         raise FormatError(

@@ -278,14 +278,14 @@ class QConv3d(Module):
             if bias else None
         self.aq = self.register_quantizer("aq", ActQuantizer(bits))
         self.wq = self.register_quantizer("wq", WeightQuantizer(bits))
-        self.int_kernel = None       # installed by the packed inference path
+        self.int_kernel = None       # set by packed.install_packed; forward then runs it
         self.last_io = None          # (input shape, output shape) for the audit
 
-    def forward(self, x: Tensor, packed: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if _CALIBRATING and self.bits < 32:
             self.aq.calibrate(x.data)
             self.wq.calibrate(self.weight.data)
-        if packed and self.int_kernel is not None:
+        if self.int_kernel is not None:
             out = Tensor(self.int_kernel(x.data))
         else:
             xq = fake_quant(x, self.aq)
@@ -318,11 +318,11 @@ class QLinear(Module):
         self.int_kernel = None
         self.last_io = None
 
-    def forward(self, x: Tensor, packed: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if _CALIBRATING and self.bits < 32:
             self.aq.calibrate(x.data)
             self.wq.calibrate(self.weight.data)
-        if packed and self.int_kernel is not None:
+        if self.int_kernel is not None:
             out = Tensor(self.int_kernel(x.data))
         else:
             xq = fake_quant(x, self.aq)
@@ -394,13 +394,13 @@ class ShiftedAttention(Module):
         x = ad.reshape(x, (b, t, self.heads, self.head_dim))
         return ad.transpose(x, (0, 2, 1, 3))
 
-    def forward(self, tokens: Tensor, packed: bool = False) -> Tensor:
+    def forward(self, tokens: Tensor) -> Tensor:
         b, t, c = tokens.shape
         if c != self.channels:
             raise ShapeError(f"token channels {c} do not match layer channels {self.channels}")
-        q = self.q_proj.forward(tokens, packed)
-        k = self.k_proj.forward(tokens, packed)
-        v = self.v_proj.forward(tokens, packed)
+        q = self.q_proj.forward(tokens)
+        k = self.k_proj.forward(tokens)
+        v = self.v_proj.forward(tokens)
         if self.shift:
             q = q + self.beta_q
             k = k + self.beta_k
@@ -417,7 +417,7 @@ class ShiftedAttention(Module):
             self.pq.calibrate(probs.data)
         mixed = ad.matmul(fake_quant(probs, self.pq), vh)
         merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, t, c))
-        return self.out_proj.forward(merged, packed)
+        return self.out_proj.forward(merged)
 
 
 def _to_tokens(x: Tensor):
@@ -455,14 +455,14 @@ class CFormerBlock(Module):
         self.mlp_out = self.register_module(
             "mlp_out", QConv3d(rng, hidden, c, (1, 1, 1), bits=bits))
 
-    def forward(self, x: Tensor, packed: bool = False) -> Tensor:
-        conv_branch = ad.leaky_relu(self.conv.forward(x, packed))
+    def forward(self, x: Tensor) -> Tensor:
+        conv_branch = ad.leaky_relu(self.conv.forward(x))
         tokens, shape = _to_tokens(x)
-        attn_tokens = self.attn.forward(self.norm.forward(tokens), packed)
+        attn_tokens = self.attn.forward(self.norm.forward(tokens))
         attn_branch = _from_tokens(attn_tokens, shape)
-        fused = self.fuse.forward(ad.concat([conv_branch, attn_branch], axis=1), packed)
-        hidden = ad.gelu(self.mlp_in.forward(fused, packed))
-        return x + self.mlp_out.forward(hidden, packed)
+        fused = self.fuse.forward(ad.concat([conv_branch, attn_branch], axis=1))
+        hidden = ad.gelu(self.mlp_in.forward(fused))
+        return x + self.mlp_out.forward(hidden)
 
 
 class ResDNetBlock(Module):
@@ -477,11 +477,11 @@ class ResDNetBlock(Module):
         self.tail = self.register_module(
             "tail", QConv3d(rng, channels, channels, (1, 1, 1), bits=bits))
 
-    def forward(self, x: Tensor, packed: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         h = x
         for blk in self.cformers:
-            h = blk.forward(h, packed)
-        return x + self.tail.forward(h, packed)
+            h = blk.forward(h)
+        return x + self.tail.forward(h)
 
 
 class FeatureExtraction(Module):
@@ -508,19 +508,19 @@ class FeatureExtraction(Module):
             self.short_b = self.register_module(
                 "short_b", QConv3d(rng, 4 * c, c, (1, 1, 1), bits=sb, zero_init=True))
 
-    def forward(self, x: Tensor, packed: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         n, ch, t, h, w = x.shape
         if ch != self.IN_CH:
             raise ShapeError(f"estimate stack must have {self.IN_CH} channels, got {ch}")
         if h % 2 or w % 2:
             raise ShapeError(f"spatial extents must be even for the strided stage, got {h}x{w}")
-        h1 = self.conv_a.forward(x, packed)
+        h1 = self.conv_a.forward(x)
         if self.use_shortcuts:
-            h1 = h1 + self.short_a.forward(x, packed)
+            h1 = h1 + self.short_a.forward(x)
         h1 = ad.leaky_relu(h1)
-        h2 = self.conv_b.forward(h1, packed)
+        h2 = self.conv_b.forward(h1)
         if self.use_shortcuts:
-            h2 = h2 + self.short_b.forward(ad.pixel_unshuffle_spatial(h1, 2), packed)
+            h2 = h2 + self.short_b.forward(ad.pixel_unshuffle_spatial(h1, 2))
         return ad.leaky_relu(h2)
 
 
@@ -551,14 +551,14 @@ class VideoReconstruction(Module):
             self.short_out = self.register_module(
                 "short_out", QConv3d(rng, c, 1, (1, 1, 1), bits=sb, zero_init=True))
 
-    def forward(self, x: Tensor, base: Tensor, packed: bool = False) -> Tensor:
-        u = self.conv_up.forward(x, packed)
+    def forward(self, x: Tensor, base: Tensor) -> Tensor:
+        u = self.conv_up.forward(x)
         if self.use_shortcuts:
-            u = u + self.short_up.forward(x, packed)
+            u = u + self.short_up.forward(x)
         u = ad.leaky_relu(ad.pixel_shuffle_spatial(u, 2))
-        y = self.conv_out.forward(u, packed)
+        y = self.conv_out.forward(u)
         if self.use_shortcuts:
-            y = y + self.short_out.forward(u, packed)
+            y = y + self.short_out.forward(u)
         return ad.clamp(y + base, 0.0, 1.0)
 
 
@@ -581,21 +581,21 @@ class QNet(Module):
         ]
         self.vrm = self.register_module("vrm", VideoReconstruction(rng, cfg))
 
-    def forward_stack(self, stack: Tensor, packed: bool = False) -> Tensor:
+    def forward_stack(self, stack: Tensor) -> Tensor:
         """[B, 2, T, H, W] estimate stacks -> [B, T, H, W] frames."""
         b, _, t, h, w = stack.shape
         if t != self.cfg.cr:
             raise ShapeError(f"stack has T={t}, model expects T={self.cfg.cr}")
-        feat = self.fem.forward(stack, packed)
+        feat = self.fem.forward(stack)
         for blk in self.blocks:
-            feat = blk.forward(feat, packed)
+            feat = blk.forward(feat)
         base = ad.narrow(stack, 1, 0, 1)   # the broadcast estimate channel
-        y = self.vrm.forward(feat, base, packed)
+        y = self.vrm.forward(feat, base)
         return ad.reshape(y, (b, t, h, w))
 
-    def reconstruct(self, meas: Measurement, masks: MaskSet, packed: bool = False) -> VideoClip:
+    def reconstruct(self, meas: Measurement, masks: MaskSet) -> VideoClip:
         stack = Tensor(initial_estimate(meas, masks))
-        out = self.forward_stack(stack, packed)
+        out = self.forward_stack(stack)
         return VideoClip(frames=out.data[0].copy())
 
     # -- initialization / calibration -------------------------------------

@@ -1,8 +1,15 @@
 """Deployment-style integer inference: bit-packed weights and integer
 accumulation kernels numerically matched to the fake-quant float path.
 
-Weight codes are stored as b-bit two's-complement fields packed little-endian
-into 64-bit words (no field straddles a word; leftover bits are zero).
+A packed model is a ``QSCICKPT`` checkpoint (see :mod:`qsci.containers`):
+the network's parameters, with each sub-32-bit layer's float weight replaced
+by a ``<layer>.words`` entry that holds its weight codes as b-bit
+two's-complement fields packed little-endian into uint64 words (no field
+straddles a word; leftover bits are zero). Quantizer scales and zero-points
+stay float32 entries. :func:`install_packed` checks every entry against the
+network and gives each packed layer an :class:`IntKernel`, which the layer's
+forward then runs in place of its fake-quant contraction.
+
 Contractions multiply activation codes with weight codes on float BLAS: both
 are small integers, so every product and partial sum is an integer bounded by
 the layer's worst-case accumulator, which the chosen float type holds exactly.
@@ -17,7 +24,6 @@ residuals, the attention products) runs in float on dequantized values.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,11 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import conv3d_output_shape, conv_patches
-from .containers import (_open_container, _read_array, _read_exact, _read_str, _read_uint,
-                         _write_array, _write_str, _write_uint)
+from .containers import load_checkpoint
 from .errors import ConfigError, FormatError
 from .evaluation import bit_adjusted_ops
-from .network import QConv3d, QLinear, QNet, parse_fingerprint
+from .network import QConv3d, QNet, parse_fingerprint
 from .quantize import ActQuantizer, act_quantize, weight_quantize
 from .sci import MaskSet, Measurement, VideoClip
 
@@ -92,8 +97,6 @@ class PackedLayer:
     stride: tuple = (1, 1, 1)
     padding: tuple = (0, 0, 0)
     alpha_w: float = 1.0
-    alpha_x: float = 1.0
-    z: float = 0.0
     words: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint64))
 
     @property
@@ -128,7 +131,8 @@ class PackedLayer:
 class IntKernel:
     """Integer-path forward for one layer; callable on float activations.
 
-    Activation codes (``act_quantize``, clipped to a bits) and weight codes
+    Activation codes (``act_quantize`` with ``aq``, whose scale and
+    zero-point also enter the epilogue; clipped to a bits) and weight codes
     (b bits) are contracted as floats of :meth:`PackedLayer.code_dtype`.
     Every product and every partial sum is an integer of magnitude at most
     ``accumulator_bound`` = K * 2^(a-1) * 2^(b-1), and float32 (float64)
@@ -170,13 +174,13 @@ class IntKernel:
         return self._corr[key]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        layer = self.layer
         x_codes = act_quantize(x, self.aq)
+        alpha_x, z = float(self.aq.alpha.data[0]), float(self.aq.z.data[0])
         # in place, the same float64 roundings as
         # alpha_x * alpha_w * (acc + (z / alpha_x) * corr) + bias
         out = self.contract(x_codes).astype(np.float64, copy=False)
-        out += (layer.z / layer.alpha_x) * self._correction(x_codes.shape)
-        out *= layer.alpha_x * layer.alpha_w
+        out += (z / alpha_x) * self._correction(x_codes.shape)
+        out *= alpha_x * self.layer.alpha_w
         if self.bias is not None:
             out += self.bias
         return out.astype(np.float32)
@@ -184,9 +188,11 @@ class IntKernel:
 
 @dataclass
 class PackedModel:
+    """The contents of a packed-model checkpoint: a config fingerprint and
+    its named entries (``<layer>.words`` uint64 codes, float32 parameters)."""
+
     fingerprint: str
-    layers: list                 # PackedLayer, forward order
-    blobs: dict                  # name -> float32 array (biases, shifts, norms, ...)
+    state: dict
 
 
 def _geometry(layer) -> dict:
@@ -197,66 +203,61 @@ def _geometry(layer) -> dict:
     return dict(kind="linear", shape=tuple(layer.weight.shape))
 
 
+def packed_layers(net: QNet) -> list:
+    """(name, layer) of every weight layer whose codes are packed: those
+    below 32 bits, forward order."""
+    return [(name, layer) for name, layer in net.quant_layers() if layer.bits < 32]
+
+
 def pack_model(net: QNet) -> PackedModel:
-    """Quantize and bit-pack every sub-32-bit weight layer; everything else
-    (biases, shifts, norms, 32-bit weights, remaining quantizer params) goes
-    into the float blob section."""
-    layers = []
-    packed_param_names = set()
-    for name, layer in net.quant_layers():
-        if layer.bits >= 32:
-            continue
-        codes = weight_quantize(layer.weight.data, layer.wq)
-        layers.append(PackedLayer(
-            name=name, bits=layer.bits, **_geometry(layer),
-            alpha_w=float(layer.wq.alpha.data[0]),
-            alpha_x=float(layer.aq.alpha.data[0]),
-            z=float(layer.aq.z.data[0]),
-            words=pack_weights(codes, layer.bits),
-        ))
-        packed_param_names.update({
-            f"{name}.weight", f"{name}.wq.alpha", f"{name}.aq.alpha", f"{name}.aq.z",
-        })
-    blobs = {pname: p.data.copy() for pname, p in net.named_params()
-             if pname not in packed_param_names}
-    return PackedModel(fingerprint=net.cfg.fingerprint(), layers=layers, blobs=blobs)
+    """The network's parameters with every sub-32-bit weight replaced by its
+    bit-packed codes."""
+    state = net.state_dict()
+    for name, layer in packed_layers(net):
+        codes = weight_quantize(state.pop(f"{name}.weight"), layer.wq)
+        state[f"{name}.words"] = pack_weights(codes, layer.bits)
+    return PackedModel(fingerprint=net.cfg.fingerprint(), state=state)
+
+
+def read_packed(path) -> PackedModel:
+    """Read a packed model; a truncated or corrupt file raises FormatError.
+    Whether its entries fit a network is checked by :func:`install_packed`."""
+    return PackedModel(*load_checkpoint(path))
 
 
 def install_packed(net: QNet, model: PackedModel):
-    """Attach integer kernels and float blobs to a network skeleton."""
+    """Load a packed model into a network skeleton and attach an integer
+    kernel to every packed layer. A missing or unknown entry, or one of the
+    wrong dtype or shape (for words: the wrong count), raises FormatError."""
     if net.cfg.fingerprint() != model.fingerprint:
         raise FormatError(
             f"packed model fingerprint '{model.fingerprint}' does not match "
             f"network '{net.cfg.fingerprint()}'"
         )
-    modules = dict(net.named_modules())
     own = dict(net.named_params())
-    audit_count = sum(1 for _, l in net.quant_layers() if l.bits < 32)
-    if audit_count != len(model.layers):
-        raise FormatError(
-            f"packed model has {len(model.layers)} layers, network expects {audit_count}"
-        )
-    for pl in model.layers:
-        layer = modules.get(pl.name)
-        if layer is None or not isinstance(layer, (QConv3d, QLinear)):
-            raise FormatError(f"packed layer '{pl.name}' not found in network")
-        if layer.bits != pl.bits:
-            raise FormatError(f"layer '{pl.name}' bits {layer.bits} vs packed {pl.bits}")
-        for key, want in _geometry(layer).items():
-            if getattr(pl, key) != want:
-                raise FormatError(f"layer '{pl.name}' {key} {want} vs packed {getattr(pl, key)}")
-        # act quantizer params come from the packed record
-        layer.aq.alpha.data[0] = pl.alpha_x
-        layer.aq.z.data[0] = pl.z
-        layer.wq.alpha.data[0] = pl.alpha_w
-        bias = model.blobs.get(f"{pl.name}.bias")
+    expect = {pname: (np.dtype(np.float32), p.data.shape) for pname, p in own.items()}
+    for name, layer in packed_layers(net):
+        del expect[f"{name}.weight"]
+        n_words = packed_word_count(layer.weight_count(), layer.bits)
+        expect[f"{name}.words"] = (np.dtype(np.uint64), (n_words,))
+    for entry, (dtype, shape) in expect.items():
+        arr = model.state.get(entry)
+        if arr is None:
+            raise FormatError(f"packed model has no entry '{entry}'")
+        if arr.dtype != dtype or arr.shape != shape:
+            raise FormatError(f"packed model entry '{entry}' is {arr.dtype} {arr.shape}, "
+                              f"network expects {dtype} {shape}")
+        if entry in own:
+            own[entry].data = arr
+    unknown = sorted(set(model.state) - set(expect))
+    if unknown:
+        raise FormatError(f"packed model entry '{unknown[0]}' has no counterpart in network")
+    for name, layer in packed_layers(net):
+        pl = PackedLayer(name=name, bits=layer.bits, **_geometry(layer),
+                         alpha_w=float(layer.wq.alpha.data[0]),
+                         words=model.state[f"{name}.words"])
+        bias = None if layer.bias is None else layer.bias.data
         layer.int_kernel = IntKernel(pl, layer.aq, bias)
-    for pname, arr in model.blobs.items():
-        if pname not in own:
-            raise FormatError(f"blob '{pname}' has no counterpart in network")
-        if own[pname].data.shape != arr.shape:
-            raise FormatError(f"blob '{pname}' shape {arr.shape} vs {own[pname].data.shape}")
-        own[pname].data = np.ascontiguousarray(arr, dtype=np.float32)
 
 
 def packed_net(model: PackedModel) -> QNet:
@@ -270,82 +271,7 @@ def packed_net(model: PackedModel) -> QNet:
 def infer_packed(model: PackedModel, meas: Measurement, masks: MaskSet) -> VideoClip:
     """Full-network inference over the integer path (one-shot: builds the
     network each call; reuse :func:`packed_net` for many clips)."""
-    return packed_net(model).reconstruct(meas, masks, packed=True)
-
-
-# ---------------------------------------------------------------------------
-# container format: magic "QSCIPACK"
-# ---------------------------------------------------------------------------
-
-PACK_MAGIC = b"QSCIPACK"
-PACK_VERSION = 1
-
-_KIND_TAGS = {"conv3d": 0, "linear": 1}
-_KIND_NAMES = {v: k for k, v in _KIND_TAGS.items()}
-_KIND_NDIM = {"conv3d": 5, "linear": 2}
-
-
-def write_packed(model: PackedModel, path):
-    with open(path, "wb") as fh:
-        fh.write(PACK_MAGIC)
-        _write_uint(fh, PACK_VERSION, 2)
-        _write_str(fh, model.fingerprint)
-        _write_uint(fh, len(model.blobs), 4)
-        for name in sorted(model.blobs):
-            _write_str(fh, name)
-            _write_array(fh, model.blobs[name])
-        _write_uint(fh, len(model.layers), 4)
-        for pl in model.layers:
-            _write_str(fh, pl.name)
-            fh.write(bytes([_KIND_TAGS[pl.kind], pl.bits]))
-            _write_uint(fh, len(pl.shape), 2)
-            for d in (*pl.shape, *pl.stride, *pl.padding):
-                _write_uint(fh, d, 4)
-            fh.write(np.array([pl.alpha_w, pl.alpha_x, pl.z], dtype="<f4").tobytes())
-            _write_uint(fh, pl.code_count, 8)
-            _write_uint(fh, pl.words.size, 8)
-            fh.write(pl.words.astype("<u8").tobytes())
-
-
-def _read_packed_layer(fh) -> PackedLayer:
-    name = _read_str(fh)
-    tag, bits = _read_uint(fh, 1), _read_uint(fh, 1)
-    kind = _KIND_NAMES.get(tag)
-    if kind is None:
-        raise FormatError(f"layer '{name}': unknown kind tag {tag}")
-    if bits not in PACK_BITS:
-        raise FormatError(f"layer '{name}': {bits}-bit codes are not packable")
-    ndim = _read_uint(fh, 2)
-    if ndim != _KIND_NDIM[kind]:
-        raise FormatError(f"layer '{name}': {kind} weights cannot have {ndim} dims")
-    shape = tuple(_read_uint(fh, 4) for _ in range(ndim))
-    stride = tuple(_read_uint(fh, 4) for _ in range(3))
-    padding = tuple(_read_uint(fh, 4) for _ in range(3))
-    if min(stride) < 1:
-        raise FormatError(f"layer '{name}': stride {stride}")
-    alpha_w, alpha_x, z = np.frombuffer(_read_exact(fh, 12), dtype="<f4")
-    code_count = _read_uint(fh, 8)
-    if code_count != math.prod(shape):
-        raise FormatError(f"layer '{name}' code count {code_count} vs shape {shape}")
-    n_words = _read_uint(fh, 8)
-    if n_words != packed_word_count(code_count, bits):
-        raise FormatError(f"layer '{name}': {n_words} words for {code_count} {bits}-bit codes")
-    words = np.frombuffer(_read_exact(fh, 8 * n_words), dtype="<u8").copy()
-    return PackedLayer(name=name, kind=kind, bits=bits, shape=shape, stride=stride,
-                       padding=padding, alpha_w=float(alpha_w), alpha_x=float(alpha_x),
-                       z=float(z), words=words)
-
-
-def read_packed(path) -> PackedModel:
-    """Read a packed model; a truncated or corrupt file raises FormatError."""
-    fh = _open_container(path, PACK_MAGIC, PACK_VERSION, "packed-model")
-    fingerprint = _read_str(fh)
-    blobs = {}
-    for _ in range(_read_uint(fh, 4)):
-        name = _read_str(fh)
-        blobs[name] = _read_array(fh)
-    layers = [_read_packed_layer(fh) for _ in range(_read_uint(fh, 4))]
-    return PackedModel(fingerprint=fingerprint, layers=layers, blobs=blobs)
+    return packed_net(model).reconstruct(meas, masks)
 
 
 # ---------------------------------------------------------------------------

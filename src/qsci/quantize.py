@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 
 VALID_BITS = (2, 3, 4, 8, 32)
 
@@ -159,6 +159,12 @@ def fake_quant(x: Tensor, q) -> Tensor:
     residual (code - pre-clip value) in range, saturated code (+q_p / -q_n)
     where clipped. Zero-point gradient: 1 where clipped, 0 in range. A 32-bit
     quantizer returns the input unchanged.
+
+    LSQ (Esser et al., arXiv 1902.08153) also multiplies the scale gradient
+    by 1/sqrt(N * q_p); that factor is omitted on purpose. Every scale is its
+    own parameter of the trainer's Adam, which divides each gradient by its
+    running RMS, so a constant per-quantizer factor cancels except against
+    Adam's ``eps``.
     """
     if q.bitwidth.passthrough:
         return x
@@ -172,8 +178,7 @@ def fake_quant(x: Tensor, q) -> Tensor:
     q_n, q_p = bw.q_n, bw.q_p
 
     arr = x.data
-    if ad.FINITE_CHECKS:
-        _check_input(arr, "fake_quant input")
+    _check_input(arr, "fake_quant input")
     v = arr - np.float32(z)
     v /= np.float32(alpha)
     codes = np.clip(v, -q_n, q_p)
@@ -197,34 +202,3 @@ def fake_quant(x: Tensor, q) -> Tensor:
 
     inputs = (x, q.alpha, q.z) if is_act else (x, q.alpha)
     return ad._finish(out, inputs, bwd, "fake_quant")
-
-
-def q_linear(x, w, aq: ActQuantizer, wq: WeightQuantizer) -> np.ndarray:
-    """Quantized matmul in the code domain:
-    alpha_x * alpha_w * ((Q_a(x) + z/alpha_x) @ Q_w(w)).
-
-    Numerically equal to contracting the fake-quantized operands; this is the
-    identity the bit-packed integer path relies on. Pass-through quantizers
-    degrade to the plain product.
-    """
-    xa = _as_array(x)
-    wa = _as_array(w)
-    if xa.shape[-1] != wa.shape[-2 if wa.ndim > 1 else 0]:
-        raise ShapeError(f"q_linear contraction mismatch: {xa.shape} vs {wa.shape}")
-    a_pass = aq.bitwidth.passthrough
-    w_pass = wq.bitwidth.passthrough
-    if a_pass and w_pass:
-        return xa @ wa
-    xs = xa if a_pass else (act_quantize(xa, aq) * np.float32(float(aq.alpha.data[0]))
-                            + np.float32(float(aq.z.data[0])))
-    ws = wa if w_pass else weight_dequantize(weight_quantize(wa, wq), wq)
-    if a_pass or w_pass:
-        return xs @ ws
-    # full code-domain form
-    alpha_x = float(aq.alpha.data[0])
-    alpha_w = float(wq.alpha.data[0])
-    z = float(aq.z.data[0])
-    cx = act_quantize(xa, aq)
-    cw = weight_quantize(wa, wq)
-    acc = (cx + np.float32(z / alpha_x)) @ cw
-    return (np.float32(alpha_x * alpha_w) * acc).astype(np.float32)

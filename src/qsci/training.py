@@ -156,8 +156,7 @@ def make_synth_dataset(seed: int, n_train: int, n_holdout: int, t: int,
     return Dataset(train_clips=train, holdout_clips=hold, masks=masks)
 
 
-def evaluate_psnr(net: QNet, dataset: Dataset, packed: bool = False,
-                  batch_size: int = 8) -> float:
+def evaluate_psnr(net: QNet, dataset: Dataset, batch_size: int = 8) -> float:
     """Mean held-out PSNR of noiseless reconstructions (batched forwards)."""
     clips = dataset.holdout_clips
     if not clips:
@@ -166,7 +165,7 @@ def evaluate_psnr(net: QNet, dataset: Dataset, packed: bool = False,
     for start in range(0, len(clips), batch_size):
         chunk = clips[start:start + batch_size]
         stacks, gts = _batch_stacks(chunk, dataset.masks, 0.0, 0)
-        out = net.forward_stack(Tensor(stacks), packed=packed).data
+        out = net.forward_stack(Tensor(stacks)).data
         vals.extend(psnr(out[i], gts[i]) for i in range(len(chunk)))
     return float(np.mean(vals))
 

@@ -1,10 +1,11 @@
-"""CLI behaviour: malformed containers and data dirs end in exit code 3, and
-``train``, ``eval``, ``pack`` and ``infer-int`` reruns are byte-identical."""
+"""CLI behaviour: malformed containers and data dirs end in exit code 3, a
+file of the wrong kind ends in an error code, ``train``, ``eval``, ``pack``
+and ``infer-int`` reruns are byte-identical, and threaded ``eval`` matches
+serial ``eval``."""
 
 import contextlib
 import io
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from qsci import cli
 from qsci.containers import load_checkpoint, save_checkpoint
 from qsci.errors import FormatError
 from qsci.network import QNet, make_variant
-from qsci.packed import infer_packed, pack_model, read_packed, write_packed
+from qsci.packed import infer_packed, pack_model, read_packed
 from small_models import calibrated_net
 
 T, HW = 4, 16
@@ -55,10 +56,8 @@ class TestCorruptContainers:
         net = QNet(make_variant("q4", base_channels=2, heads=1, resdnet_blocks=1,
                                 cformer_per_block=1, cr=2), seed=0)
         whole = tmp_path / f"whole.{suffix}"
-        if suffix == "pack":
-            write_packed(pack_model(net), whole)
-        else:
-            save_checkpoint(whole, net.cfg.fingerprint(), net.state_dict())
+        state = pack_model(net).state if suffix == "pack" else net.state_dict()
+        save_checkpoint(whole, net.cfg.fingerprint(), state)
         data = whole.read_bytes()
         reader(whole)
         cut_path = tmp_path / f"cut.{suffix}"
@@ -78,20 +77,38 @@ class TestCorruptContainers:
             assert rc == 3, (cut, err)
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field,value", [("kind", 2), ("kind", 1), ("kind", 255),
-                                             ("bits", 0), ("bits", 5), ("bits", 8),
-                                             ("bits", 16)])
-    def test_flipped_kind_or_bits_exits_3(self, work, tmp_path, field, value):
-        data = bytearray((work / "q4.pack").read_bytes())
-        first = read_packed(work / "q4.pack").layers[0]
-        assert first.kind == "conv3d" and first.bits == 4
-        name = first.name.encode()
-        at = data.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
-        data[at + (field == "bits")] = value
-        (tmp_path / "bad.pack").write_bytes(bytes(data))
+    @pytest.mark.parametrize("fault", ["missing", "length", "dtype"])
+    def test_bad_words_entry_exits_3(self, work, tmp_path, fault):
+        fingerprint, state = load_checkpoint(work / "q4.pack")
+        entry = "fem.conv_a.words"
+        words = state.pop(entry)
+        assert words.dtype == np.uint64
+        if fault == "length":
+            state[entry] = words[:-1]
+        elif fault == "dtype":
+            state[entry] = words.view(np.int64)
+        save_checkpoint(tmp_path / "bad.pack", fingerprint, state)
         rc, err = run("--workdir", tmp_path, "infer-int", "--packed", "bad.pack",
                       "--data", work / "data", "--out", "out")
         assert rc == 3, err
+        assert entry in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["infer-int", "--packed", "q4.qsc", "--data", "data", "--out", "out"],
+        ["eval", "--ckpt", "q4.pack", "--data", "data", "--out", "out"],
+        ["train", "--config", "q4.cfg", "--init", "q4.pack"],
+    ], ids=["infer-int-of-checkpoint", "eval-of-packed", "train-init-from-packed"])
+    def test_packed_and_checkpoint_are_not_interchangeable(self, work, tmp_path, argv):
+        # both are QSCICKPT files; their entries tell them apart
+        for name in ("q4.qsc", "q4.pack"):
+            (tmp_path / name).write_bytes((work / name).read_bytes())
+        (tmp_path / "data").symlink_to(work / "data")
+        (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),
+                                         encoding="ascii")
+        rc, err = run("--workdir", tmp_path, *argv)
+        assert rc in (2, 3), err
+        assert err.startswith("error:") and ".words" in err
+        assert "Traceback" not in err
 
 
     def test_non_numeric_fingerprint_field_is_a_config_error(self, work, tmp_path):
@@ -190,6 +207,21 @@ class TestRerunDeterminism:
     def test_pack_reruns_byte_identical(self, work):
         assert run("--workdir", work, "pack", "--ckpt", "q4.qsc", "--out", "again.pack")[0] == 0
         assert (work / "again.pack").read_bytes() == (work / "q4.pack").read_bytes()
+
+    def test_threaded_eval_matches_serial(self, work, monkeypatch):
+        outs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QSCI_THREADS", threads)
+            assert cli.worker_count() == int(threads)
+            assert run("--workdir", work, "eval", "--ckpt", "q4.qsc", "--data", "data",
+                       "--out", f"eval_threads{threads}")[0] == 0
+            outs[threads] = (work / f"eval_threads{threads}" / "metrics.csv").read_bytes()
+        assert outs["1"] == outs["2"]
+
+
+def test_all_exports_resolve():
+    missing = [name for name in qsci.__all__ if not hasattr(qsci, name)]
+    assert not missing and len(set(qsci.__all__)) == len(qsci.__all__)
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -1,5 +1,6 @@
 """Integer inference path: bit packing, exact code contractions on float BLAS,
-the accumulator guard, and agreement with the fake-quant layers."""
+the accumulator guard, the checks on a packed model's entries, and agreement
+with the fake-quant layers."""
 
 import os
 import subprocess
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 
 import reference_impl as ref
 from qsci.autodiff import Tensor
-from qsci.errors import ConfigError
-from qsci.network import VARIANT_NAMES, QConv3d
-from qsci.packed import (IntKernel, PackedLayer, pack_model, pack_weights, packed_net,
-                         unpack_weights)
+from qsci.errors import ConfigError, FormatError
+from qsci.network import VARIANT_NAMES, QConv3d, QNet, make_variant
+from qsci.packed import (IntKernel, PackedLayer, install_packed, pack_model, pack_weights,
+                         packed_layers, packed_net, unpack_weights)
 from qsci.quantize import ActQuantizer
 from small_models import calibrated_net, small_inputs
 
@@ -106,12 +107,16 @@ class TestExactContraction:
         assert bound == channels * 27 * lo * lo
         assert np.all(acc == bound)
 
+    @staticmethod
+    def kernel_dtypes(net):
+        packed = packed_net(pack_model(net))
+        return {name: layer.int_kernel.dtype for name, layer in packed_layers(packed)}
+
     def test_presets_select_float32_and_wide_q8_float64(self):
         for variant in QUANTIZED:
-            model = pack_model(calibrated_net(variant, base_channels=16, heads=2))
-            assert all(pl.code_dtype(pl.bits) is np.float32 for pl in model.layers)
-        wide = pack_model(calibrated_net("q8", base_channels=64, heads=2))
-        chosen = {pl.name: pl.code_dtype(pl.bits) for pl in wide.layers}
+            chosen = self.kernel_dtypes(calibrated_net(variant, base_channels=16, heads=2))
+            assert chosen and all(d is np.float32 for d in chosen.values())
+        chosen = self.kernel_dtypes(calibrated_net("q8", base_channels=64, heads=2))
         assert chosen["block0.cf0.conv"] is np.float64     # 64*27 * 2^14 >= 2^24
         assert chosen["block0.cf0.fuse"] is np.float32
 
@@ -155,6 +160,59 @@ class TestAccumulatorGuard:
         assert done.stdout.strip() == "raised"
 
 
+def tiny_q4():
+    return QNet(make_variant("q4", base_channels=2, heads=1, resdnet_blocks=1,
+                             cformer_per_block=1, cr=2), seed=0)
+
+
+class TestInstallChecks:
+    """install_packed is the only check that a checkpoint's entries form a
+    packed model of the network; each fault is a FormatError naming the entry."""
+
+    @staticmethod
+    def faulty(fault):
+        model = pack_model(tiny_q4())
+        state = model.state
+        words = state["fem.conv_a.words"]
+        if fault == "missing":
+            del state["fem.conv_a.words"]
+        elif fault == "count":
+            state["fem.conv_a.words"] = np.append(words, np.uint64(0))
+        elif fault == "dtype":
+            state["fem.conv_a.words"] = words.view(np.int64)
+        elif fault == "float weight":
+            state["fem.conv_a.weight"] = np.zeros((2, 2, 3, 3, 3), np.float32)
+        elif fault == "unknown":
+            state["fem.extra"] = np.zeros(1, np.float32)
+        elif fault == "shape":
+            state["fem.conv_a.bias"] = np.zeros(3, np.float32)
+        elif fault == "float dtype":
+            state["fem.conv_a.bias"] = state["fem.conv_a.bias"].astype(np.int64)
+        elif fault == "fingerprint":
+            model.fingerprint = model.fingerprint.replace("body=4", "body=3")
+        return model
+
+    @pytest.mark.parametrize("fault,match", [
+        ("missing", "no entry 'fem.conv_a.words'"),
+        ("count", "'fem.conv_a.words' is uint64 \\(8,\\)"),
+        ("dtype", "'fem.conv_a.words' is int64"),
+        ("float weight", "'fem.conv_a.weight' has no counterpart"),
+        ("unknown", "'fem.extra' has no counterpart"),
+        ("shape", "'fem.conv_a.bias' is float32 \\(3,\\)"),
+        ("float dtype", "'fem.conv_a.bias' is int64"),
+        ("fingerprint", "fingerprint"),
+    ])
+    def test_fault_is_a_format_error(self, fault, match):
+        with pytest.raises(FormatError, match=match):
+            install_packed(tiny_q4(), self.faulty(fault))
+
+    def test_intact_model_installs_a_kernel_per_packed_layer(self):
+        net = tiny_q4()
+        install_packed(net, pack_model(tiny_q4()))
+        with_kernel = {name for name, layer in net.quant_layers() if layer.int_kernel}
+        assert with_kernel == {name for name, _ in packed_layers(net)} != set()
+
+
 class TestAgreementWithFakeQuant:
     @pytest.mark.parametrize("variant", QUANTIZED)
     def test_every_layer_within_1e5_relative(self, variant):
@@ -176,9 +234,9 @@ class TestAgreementWithFakeQuant:
             if layer.int_kernel is not None:
                 layer.int_kernel = Recording(name, layer.int_kernel)
         masks, _, meas = small_inputs()
-        packed.reconstruct(meas[0], masks, packed=True)
+        packed.reconstruct(meas[0], masks)
 
-        assert {name for name, _, _ in seen} == {pl.name for pl in pack_model(net).layers}
+        assert {name for name, _, _ in seen} == {name for name, _ in packed_layers(net)}
         for name, x, out in seen:
             want = fq_layers[name].forward(Tensor(x)).data
             if isinstance(fq_layers[name], QConv3d) and ("conv_out" in name or "short_" in name):

@@ -9,9 +9,9 @@ import qsci.autodiff as ad
 import reference_impl
 from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import ConfigError, NumericError
+from qsci.packed import IntKernel, PackedLayer, pack_weights
 from qsci.quantize import (ActQuantizer, BitWidth, WeightQuantizer, act_dequantize,
-                           act_quantize, fake_quant, q_linear, weight_dequantize,
-                           weight_quantize)
+                           act_quantize, fake_quant, weight_dequantize, weight_quantize)
 
 LOW_BITS = (2, 3, 4, 8)
 
@@ -283,19 +283,23 @@ class TestMatchesMaskedFormula:
 
 
 class TestQLinear:
+    """The code-domain identity of a quantized linear layer, through the
+    integer kernel that runs it:
+    alpha_x * alpha_w * ((Q_a(x) + z/alpha_x) @ Q_w(w)) + bias."""
+
+    @staticmethod
+    def q_linear(x, w, aq, wq):
+        layer = PackedLayer(name="linear", kind="linear", bits=wq.bits, shape=w.shape,
+                            alpha_w=float(wq.alpha.data[0]),
+                            words=pack_weights(weight_quantize(w, wq), wq.bits))
+        return IntKernel(layer, aq, None)(x)
+
     def test_integral_exact(self):
         aq, wq = make_act(8), make_weight(8)
         x = np.float32([[3.0, -2.0]])
         w = np.float32([[4.0], [5.0]])
-        out = q_linear(x, w, aq, wq)
+        out = self.q_linear(x, w, aq, wq)
         np.testing.assert_array_equal(out, [[2.0]])   # 3*4 + (-2)*5
-
-    def test_passthrough_is_plain_matmul(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((3, 4)).astype(np.float32)
-        w = rng.standard_normal((4, 2)).astype(np.float32)
-        out = q_linear(x, w, ActQuantizer(32), WeightQuantizer(32))
-        np.testing.assert_array_equal(out, x @ w)
 
     @pytest.mark.parametrize("bits", LOW_BITS)
     def test_matches_fake_quant_contraction(self, bits):
@@ -306,7 +310,7 @@ class TestQLinear:
         w = rng.standard_normal((8, 3)).astype(np.float32)
         oracle = (act_dequantize(act_quantize(x, aq), aq)
                   @ weight_dequantize(weight_quantize(w, wq), wq))
-        out = q_linear(x, w, aq, wq)
+        out = self.q_linear(x, w, aq, wq)
         np.testing.assert_allclose(out, oracle, rtol=1e-5, atol=1e-6)
 
 
