@@ -23,11 +23,7 @@ from .evaluation import count_efficiency, psnr, ssim
 from .network import QNet, QNetConfig, make_variant, parse_fingerprint
 from .packed import kernel_bench, pack_model, packed_layers, packed_net, read_packed
 from .sci import MaskSet, Measurement, VideoClip, encode, generate_masks, synth_video
-from .training import Dataset, TrainConfig, make_synth_dataset, train
-
-# seed offsets shared with training.make_synth_dataset
-MASK_SEED_OFFSET = 99_000
-HOLDOUT_SEED_OFFSET = 50_000
+from .training import MASK_SEED_OFFSET, Dataset, TrainConfig, make_synth_dataset, train
 
 
 def worker_count() -> int:

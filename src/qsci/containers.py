@@ -1,15 +1,16 @@
 """Binary checkpoint container and the plain-text experiment config.
 
 Checkpoints carry a config fingerprint plus named little-endian arrays
-(float32, int64 or uint64); save/load round trips are bit-exact and a
-fingerprint mismatch on load is rejected. The same container holds trained
-networks and packed models (whose state carries uint64 weight codes, see
-:mod:`qsci.packed`); the code that loads a state into a network checks which
-one it was given. The reader checks every length against the bytes left, so
-a truncated or corrupt file raises FormatError. The experiment config is a
-``section.key = value`` text file with a fixed key schema; unknown keys are
-rejected and the parsed values are echoed into the run directory for
-provenance.
+(float32, int64 or uint64); save/load round trips are bit-exact. The reader
+returns the fingerprint as stored: callers compare it with the network they
+build (``install_packed``, ``init_from_backbone`` through its backbone
+geometry). The same container holds trained networks and packed models
+(whose state carries uint64 weight codes, see :mod:`qsci.packed`); the code
+that loads a state into a network checks which one it was given. The
+reader checks every length against the bytes left, so a truncated or corrupt
+file raises FormatError. The experiment config is a ``section.key = value``
+text file with a fixed key schema; unknown keys are rejected and the parsed
+values are echoed into the run directory for provenance.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def save_checkpoint(path, fingerprint: str, state: dict):
             _write_array(fh, np.asarray(state[name]))
 
 
-def load_checkpoint(path, expect_fingerprint: str | None = None):
-    """Read (fingerprint, state); rejects wrong magic, version or fingerprint.
+def load_checkpoint(path):
+    """Read (fingerprint, state); rejects a wrong magic or version.
 
     The whole file is read into memory; ``size`` lets every read be checked
     against the bytes left, so a corrupt length is never allocated."""
@@ -109,11 +110,6 @@ def load_checkpoint(path, expect_fingerprint: str | None = None):
     if got != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {got}")
     fingerprint = _read_str(fh)
-    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-        raise FormatError(
-            f"checkpoint fingerprint '{fingerprint}' does not match "
-            f"expected '{expect_fingerprint}'"
-        )
     state = {}
     for _ in range(_read_uint(fh, 4)):
         name = _read_str(fh)

@@ -11,37 +11,24 @@ clamps the output to [0, 1].
 
 Every weight-bearing layer in the body carries one activation quantizer and
 one weight quantizer at its assigned bit-width; a 32-bit assignment disables
-quantization for that layer.
+quantization for that layer. A forward writes nothing to the modules:
+calibration and the structural audit see the data reaching each quantizer
+through its one-shot ``on_next`` hook (see :mod:`qsci.quantize`).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .autodiff import Tensor, conv3d_output_shape
+from .errors import ConfigError, FormatError, ShapeError
 from .quantize import VALID_BITS, ActQuantizer, WeightQuantizer, fake_quant
 from .sci import MaskSet, Measurement, VideoClip, initial_estimate
-
-_CALIBRATING = False
-
-
-@contextmanager
-def calibration_mode():
-    """While active, quantized layers refit their scale/zero-point from the
-    data flowing through them before quantizing."""
-    global _CALIBRATING
-    _CALIBRATING = True
-    try:
-        yield
-    finally:
-        _CALIBRATING = False
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +171,7 @@ class Module:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._modules: dict[str, Module] = {}
+        self._quantizers: list = []
 
     def register_param(self, name: str, tensor: Tensor):
         tensor.requires_grad = True
@@ -197,6 +185,7 @@ class Module:
     def register_quantizer(self, name: str, q):
         for pname, p in q.params():
             self.register_param(f"{name}.{pname}", p)
+        self._quantizers.append(q)
         return q
 
     def named_params(self, prefix: str = ""):
@@ -213,6 +202,10 @@ class Module:
     def params(self):
         return [p for _, p in self.named_params()]
 
+    def quantizers(self):
+        """Every quantizer, this module's first, then its children's."""
+        return [q for _, m in self.named_modules() for q in m._quantizers]
+
     def state_dict(self) -> dict:
         return {name: p.data.copy() for name, p in self.named_params()}
 
@@ -221,7 +214,7 @@ class Module:
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
         if missing or extra:
-            raise ConfigError(
+            raise FormatError(
                 f"state mismatch: missing {missing[:4]}..., unexpected {extra[:4]}..."
                 if len(missing) > 4 or len(extra) > 4
                 else f"state mismatch: missing {missing}, unexpected {extra}"
@@ -229,7 +222,7 @@ class Module:
         for name, p in own.items():
             arr = np.asarray(state[name], dtype=np.float32)
             if arr.shape != p.data.shape:
-                raise ConfigError(
+                raise FormatError(
                     f"parameter '{name}' shape {arr.shape} does not match model {p.data.shape}"
                 )
             p.data = np.ascontiguousarray(arr)
@@ -242,16 +235,6 @@ class Module:
 def _he_weight(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     std = math.sqrt(2.0 / fan_in)
     return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-# Parameter-name fragments that a quantized model may add on top of its
-# full-precision backbone; init-from-checkpoint leaves these at their
-# defaults instead of failing.
-_QUANT_ADDITIONS = ("aq.", "wq.", "qq.", "kq.", "pq.", "beta_q", "beta_k", "short_")
-
-
-def _is_quant_addition(name: str) -> bool:
-    return any(frag in name for frag in _QUANT_ADDITIONS)
 
 
 class QConv3d(Module):
@@ -279,20 +262,13 @@ class QConv3d(Module):
         self.aq = self.register_quantizer("aq", ActQuantizer(bits))
         self.wq = self.register_quantizer("wq", WeightQuantizer(bits))
         self.int_kernel = None       # set by packed.install_packed; forward then runs it
-        self.last_io = None          # (input shape, output shape) for the audit
 
     def forward(self, x: Tensor) -> Tensor:
-        if _CALIBRATING and self.bits < 32:
-            self.aq.calibrate(x.data)
-            self.wq.calibrate(self.weight.data)
         if self.int_kernel is not None:
-            out = Tensor(self.int_kernel(x.data))
-        else:
-            xq = fake_quant(x, self.aq)
-            wq = fake_quant(self.weight, self.wq)
-            out = ad.conv3d(xq, wq, self.bias, self.stride, self.padding)
-        self.last_io = (x.shape, out.shape)
-        return out
+            return Tensor(self.int_kernel(x.data))
+        xq = fake_quant(x, self.aq)
+        wq = fake_quant(self.weight, self.wq)
+        return ad.conv3d(xq, wq, self.bias, self.stride, self.padding)
 
     def weight_count(self) -> int:
         return int(np.prod(self.weight.shape))
@@ -316,21 +292,15 @@ class QLinear(Module):
         self.aq = self.register_quantizer("aq", ActQuantizer(bits))
         self.wq = self.register_quantizer("wq", WeightQuantizer(bits))
         self.int_kernel = None
-        self.last_io = None
 
     def forward(self, x: Tensor) -> Tensor:
-        if _CALIBRATING and self.bits < 32:
-            self.aq.calibrate(x.data)
-            self.wq.calibrate(self.weight.data)
         if self.int_kernel is not None:
-            out = Tensor(self.int_kernel(x.data))
-        else:
-            xq = fake_quant(x, self.aq)
-            wq = fake_quant(self.weight, self.wq)
-            out = ad.matmul(xq, wq)
-            if self.bias is not None:
-                out = out + self.bias
-        self.last_io = (x.shape, out.shape)
+            return Tensor(self.int_kernel(x.data))
+        xq = fake_quant(x, self.aq)
+        wq = fake_quant(self.weight, self.wq)
+        out = ad.matmul(xq, wq)
+        if self.bias is not None:
+            out = out + self.bias
         return out
 
     def weight_count(self) -> int:
@@ -404,17 +374,12 @@ class ShiftedAttention(Module):
         if self.shift:
             q = q + self.beta_q
             k = k + self.beta_k
-        if _CALIBRATING:
-            self.qq.calibrate(q.data)
-            self.kq.calibrate(k.data)
         qh = self._split_heads(fake_quant(q, self.qq), b, t)
         kh = self._split_heads(fake_quant(k, self.kq), b, t)
         vh = self._split_heads(v, b, t)
         logits = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
                           1.0 / math.sqrt(self.head_dim))
         probs = ad.softmax(logits, axis=-1)
-        if _CALIBRATING:
-            self.pq.calibrate(probs.data)
         mixed = ad.matmul(fake_quant(probs, self.pq), vh)
         merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, t, c))
         return self.out_proj.forward(merged)
@@ -601,43 +566,58 @@ class QNet(Module):
     # -- initialization / calibration -------------------------------------
 
     def init_from_backbone(self, state: dict, backbone_geometry: str):
-        """Load a full-precision checkpoint into a (possibly quantized) model.
+        """Load a checkpoint of the same backbone geometry into a (possibly
+        quantized) model.
 
-        Every checkpoint parameter must exist in the model with the same
-        shape; model parameters absent from the checkpoint are only tolerated
-        when they are quantization additions (quantizer scales/zero-points,
-        query/key shifts, zero-initialized shortcut convs).
+        The checkpoint must hold every full-precision backbone parameter, and
+        each of its entries must be one that a network of this geometry can
+        carry (the backbone plus quantizer scales/zero-points, query/key
+        shifts and shortcut convs), with that network's shape. Entries this
+        model has are loaded; the others are skipped, and model parameters
+        absent from the checkpoint keep their initial values. A geometry
+        mismatch is a ConfigError; entries that do not fit are a FormatError.
         """
         if backbone_geometry != self.cfg.backbone_geometry():
             raise ConfigError(
                 f"init checkpoint geometry '{backbone_geometry}' does not match "
                 f"model geometry '{self.cfg.backbone_geometry()}'"
             )
-        own = dict(self.named_params())
-        for name, arr in state.items():
-            if name not in own:
-                if _is_quant_addition(name):
-                    continue   # e.g. initializing from a shifted/shortcut model
-                raise ConfigError(f"checkpoint parameter '{name}' has no counterpart in model")
-            arr = np.asarray(arr, dtype=np.float32)
-            if arr.shape != own[name].data.shape:
-                raise ConfigError(
-                    f"parameter '{name}' shape {arr.shape} vs model {own[name].data.shape}"
-                )
-            own[name].data = np.ascontiguousarray(arr)
-        for name in own:
-            if name not in state and not _is_quant_addition(name):
-                raise ConfigError(f"model parameter '{name}' missing from init checkpoint")
+        geometry = {f: getattr(self.cfg, f) for f in
+                    ("base_channels", "resdnet_blocks", "cformer_per_block", "heads", "cr")}
+        # q4 carries every quantizer, query/key shift and shortcut conv there is
+        carried = {n: p.data.shape for n, p in QNet(make_variant("q4", **geometry)).named_params()}
+        state = {n: np.asarray(arr, dtype=np.float32) for n, arr in state.items()}
+        for name, arr in sorted(state.items()):
+            if name not in carried:
+                raise FormatError(f"checkpoint parameter '{name}' has no counterpart in model")
+            if arr.shape != carried[name]:
+                raise FormatError(f"parameter '{name}' shape {arr.shape} vs model {carried[name]}")
+        for name, _ in QNet(make_variant("fp32", **geometry)).named_params():
+            if name not in state:
+                raise FormatError(f"model parameter '{name}' missing from init checkpoint")
+        for name, p in self.named_params():
+            if name in state:
+                p.data = np.ascontiguousarray(state[name])
+
+    def _forward_with_hooks(self, stack: np.ndarray, hooks):
+        """One forward of ``stack`` with each (quantizer, hook) pair armed;
+        every hook is cleared afterwards, also when the forward raises."""
+        try:
+            for q, hook in hooks:
+                q.on_next = hook
+            self.forward_stack(Tensor(np.asarray(stack, dtype=np.float32)))
+        finally:
+            for q in self.quantizers():
+                q.on_next = None
 
     def calibrate_quantizers(self, stack: np.ndarray):
-        """One forward pass that refits every quantizer range to the data."""
-        with calibration_mode():
-            self.forward_stack(Tensor(np.asarray(stack, dtype=np.float32)))
+        """One forward pass that refits every quantizer range to the data
+        reaching it."""
+        self._forward_with_hooks(stack, [(q, q.calibrate) for q in self.quantizers()])
 
     def alpha_params(self):
         """Learnable quantizer scales (clamped positive after each step)."""
-        return [p for name, p in self.named_params()
-                if name.endswith(("aq.alpha", "wq.alpha", "qq.alpha", "kq.alpha", "pq.alpha"))]
+        return [q.alpha for q in self.quantizers() if not q.bitwidth.passthrough]
 
     def quant_layers(self):
         """(name, layer) for every weight-bearing layer, forward order."""
@@ -648,18 +628,29 @@ class QNet(Module):
         """Structural table: every weight-bearing layer with its bit
         assignment, parameter count and MAC-based FLOPs for the given input.
 
-        Runs one dummy forward to resolve data-dependent shapes.
+        Runs one dummy forward that records each layer's input shape to
+        resolve data-dependent shapes.
         """
         h, w = input_hw
-        stack = np.zeros((1, 2, self.cfg.cr, h, w), dtype=np.float32)
-        self.forward_stack(Tensor(stack))
+        layers = self.quant_layers()
+        in_shapes = {}
+
+        def recorder(name):
+            def record(x):
+                in_shapes[name] = x.shape
+            return record
+
+        self._forward_with_hooks(np.zeros((1, 2, self.cfg.cr, h, w), dtype=np.float32),
+                                 [(layer.aq, recorder(name)) for name, layer in layers])
         rows = []
-        for name, layer in self.quant_layers():
-            if layer.last_io is None:
+        for name, layer in layers:
+            if name not in in_shapes:
                 raise ShapeError(f"layer '{name}' not exercised by audit forward")
-            in_shape, out_shape = layer.last_io
+            in_shape = in_shapes[name]
             if isinstance(layer, QConv3d):
                 kt, kh, kw = layer.kernel
+                out_shape = conv3d_output_shape(in_shape, layer.weight.shape,
+                                                layer.stride, layer.padding)
                 positions = int(np.prod(out_shape[2:])) * out_shape[0]
                 macs = positions * layer.out_ch * layer.in_ch * kt * kh * kw
                 kind = "conv3d"

@@ -35,7 +35,7 @@ from .containers import load_checkpoint
 from .errors import ConfigError, FormatError
 from .evaluation import bit_adjusted_ops
 from .network import QConv3d, QNet, parse_fingerprint
-from .quantize import ActQuantizer, act_quantize, weight_quantize
+from .quantize import ActQuantizer, act_quantize
 from .sci import MaskSet, Measurement, VideoClip
 
 # float types that hold every integer of magnitude below the limit exactly
@@ -214,7 +214,7 @@ def pack_model(net: QNet) -> PackedModel:
     bit-packed codes."""
     state = net.state_dict()
     for name, layer in packed_layers(net):
-        codes = weight_quantize(state.pop(f"{name}.weight"), layer.wq)
+        codes = act_quantize(state.pop(f"{name}.weight"), layer.wq)
         state[f"{name}.words"] = pack_weights(codes, layer.bits)
     return PackedModel(fingerprint=net.cfg.fingerprint(), state=state)
 

@@ -1,13 +1,20 @@
 """Learnable fake quantizers with straight-through gradients.
 
-Scheme: asymmetric activation quantization (scale ``alpha`` plus real-valued
-zero-point ``z``) and symmetric weight quantization (scale only). Codes are
-produced by scale/shift, clip to the signed b-bit range, then round half to
-even; dequantization maps codes back to real values. ``fake_quant`` is the
-tape-recorded quantize-then-dequantize used during training: its input
-gradient passes through where the pre-clip value lies inside the clip range
-and is zero outside, and the scale/zero-point gradients treat the rounding
-as identity (clipped elements contribute the saturated code instead).
+One quantizer serves both kinds: asymmetric activation quantization (scale
+``alpha`` plus real-valued zero-point ``z``) and symmetric weight
+quantization (:class:`WeightQuantizer`, whose ``z`` stays pinned at 0 and is
+neither learned nor saved). Codes are produced by scale/shift, clip to the
+signed b-bit range, then round half to even; dequantization maps codes back
+to real values. ``fake_quant`` is the tape-recorded quantize-then-dequantize
+used during training: its input gradient passes through where the pre-clip
+value lies inside the clip range and is zero outside, and the
+scale/zero-point gradients treat the rounding as identity (clipped elements
+contribute the saturated code instead).
+
+Each quantizer can carry a one-shot hook, ``on_next``: the next
+``fake_quant`` or ``act_quantize`` through it clears the hook and calls it
+with its input array. Calibration and the structural audit use it to see the
+data reaching a quantizer without any mode flag or per-forward record.
 """
 
 from __future__ import annotations
@@ -56,12 +63,17 @@ class BitWidth:
 
 
 class ActQuantizer:
-    """Asymmetric activation quantizer: learnable scale and zero-point."""
+    """Learnable scale ``alpha`` and zero-point ``z`` (asymmetric, for
+    activations); with ``symmetric`` set, ``z`` stays 0 and is not a
+    parameter."""
+
+    symmetric = False
 
     def __init__(self, bits: int):
         self.bitwidth = BitWidth(bits)
         self.alpha = Tensor([1.0], requires_grad=True)
-        self.z = Tensor([0.0], requires_grad=True)
+        self.z = Tensor([0.0], requires_grad=not self.symmetric)
+        self.on_next = None     # one-shot hook, see _run_hook
 
     @property
     def bits(self) -> int:
@@ -70,38 +82,30 @@ class ActQuantizer:
     def params(self):
         if self.bitwidth.passthrough:
             return []
+        if self.symmetric:
+            return [("alpha", self.alpha)]
         return [("alpha", self.alpha), ("z", self.z)]
 
     def calibrate(self, samples: np.ndarray):
-        """Fit alpha/z so the observed range maps inside the clip interval."""
+        """Fit the scale (and zero-point) so the observed range maps inside
+        the clip interval: max|w|/q_p when symmetric, else the min/max midpoint
+        and half-range/q_p."""
         if self.bitwidth.passthrough:
+            return
+        q_p = self.bitwidth.q_p
+        if self.symmetric:
+            self.alpha.data[0] = max(float(np.abs(samples).max()) / q_p, ALPHA_FLOOR)
             return
         lo = float(samples.min())
         hi = float(samples.max())
         self.z.data[0] = 0.5 * (hi + lo)
-        self.alpha.data[0] = max(0.5 * (hi - lo) / self.bitwidth.q_p, ALPHA_FLOOR)
+        self.alpha.data[0] = max(0.5 * (hi - lo) / q_p, ALPHA_FLOOR)
 
 
-class WeightQuantizer:
-    """Symmetric weight quantizer: learnable scale, no zero-point."""
+class WeightQuantizer(ActQuantizer):
+    """Symmetric weight quantizer: learnable scale, zero-point fixed at 0."""
 
-    def __init__(self, bits: int):
-        self.bitwidth = BitWidth(bits)
-        self.alpha = Tensor([1.0], requires_grad=True)
-
-    @property
-    def bits(self) -> int:
-        return self.bitwidth.bits
-
-    def params(self):
-        if self.bitwidth.passthrough:
-            return []
-        return [("alpha", self.alpha)]
-
-    def calibrate(self, w: np.ndarray):
-        if self.bitwidth.passthrough:
-            return
-        self.alpha.data[0] = max(float(np.abs(w).max()) / self.bitwidth.q_p, ALPHA_FLOOR)
+    symmetric = True
 
 
 def _check_input(x: np.ndarray, what: str):
@@ -113,10 +117,20 @@ def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
 
 
+def _run_hook(q: ActQuantizer, arr: np.ndarray):
+    """Clear the quantizer's one-shot hook, then call it on ``arr``: the input
+    of the fake_quant or act_quantize that reached the quantizer."""
+    hook = q.on_next
+    if hook is not None:
+        q.on_next = None
+        hook(arr)
+
+
 def act_quantize(x, q: ActQuantizer) -> np.ndarray:
     """Integer codes round(clip((x - z)/alpha, -q_n, q_p)), half to even."""
     arr = _as_array(x)
-    _check_input(arr, "activation")
+    _run_hook(q, arr)
+    _check_input(arr, "input")
     if q.bitwidth.passthrough:
         raise ConfigError("act_quantize on a pass-through quantizer")
     alpha = float(q.alpha.data[0])
@@ -133,24 +147,6 @@ def act_dequantize(codes, q: ActQuantizer) -> np.ndarray:
     return (arr * np.float32(float(q.alpha.data[0])) + np.float32(float(q.z.data[0]))).astype(np.float32)
 
 
-def weight_quantize(w, q: WeightQuantizer) -> np.ndarray:
-    """Integer codes round(clip(w/alpha, -q_n, q_p)), half to even."""
-    arr = _as_array(w)
-    _check_input(arr, "weight")
-    if q.bitwidth.passthrough:
-        raise ConfigError("weight_quantize on a pass-through quantizer")
-    alpha = float(q.alpha.data[0])
-    if alpha <= 0:
-        raise ConfigError(f"quantizer scale must be positive, got {alpha}")
-    bw = q.bitwidth
-    return np.rint(np.clip(arr / np.float32(alpha), -bw.q_n, bw.q_p)).astype(np.float32)
-
-
-def weight_dequantize(codes, q: WeightQuantizer) -> np.ndarray:
-    arr = _as_array(codes)
-    return (arr * np.float32(float(q.alpha.data[0]))).astype(np.float32)
-
-
 def fake_quant(x: Tensor, q) -> Tensor:
     """Quantize-then-dequantize with straight-through gradients.
 
@@ -158,7 +154,8 @@ def fake_quant(x: Tensor, q) -> Tensor:
     in [-q_n, q_p] (inclusive), zero where clipped. Scale gradient: rounding
     residual (code - pre-clip value) in range, saturated code (+q_p / -q_n)
     where clipped. Zero-point gradient: 1 where clipped, 0 in range. A 32-bit
-    quantizer returns the input unchanged.
+    quantizer returns the input unchanged. A hook set in ``q.on_next`` is
+    cleared, then called with the input array, before anything else.
 
     LSQ (Esser et al., arXiv 1902.08153) also multiplies the scale gradient
     by 1/sqrt(N * q_p); that factor is omitted on purpose. Every scale is its
@@ -166,14 +163,14 @@ def fake_quant(x: Tensor, q) -> Tensor:
     running RMS, so a constant per-quantizer factor cancels except against
     Adam's ``eps``.
     """
+    _run_hook(q, x.data)
     if q.bitwidth.passthrough:
         return x
 
-    is_act = isinstance(q, ActQuantizer)
     alpha = float(q.alpha.data[0])
     if alpha <= 0:
         raise ConfigError(f"quantizer scale must be positive, got {alpha}")
-    z = float(q.z.data[0]) if is_act else 0.0
+    z = float(q.z.data[0])
     bw = q.bitwidth
     q_n, q_p = bw.q_n, bw.q_p
 
@@ -195,10 +192,7 @@ def fake_quant(x: Tensor, q) -> Tensor:
         dalpha_field = v * mid
         np.subtract(codes, dalpha_field, out=dalpha_field)
         dalpha = np.array([(g * dalpha_field).sum()], dtype=np.float32)
-        if not is_act:
-            return dx, dalpha
         dz = np.array([(g * clipped).sum()], dtype=np.float32)
         return dx, dalpha, dz
 
-    inputs = (x, q.alpha, q.z) if is_act else (x, q.alpha)
-    return ad._finish(out, inputs, bwd, "fake_quant")
+    return ad._finish(out, (x, q.alpha, q.z), bwd, "fake_quant")

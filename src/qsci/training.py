@@ -101,6 +101,10 @@ class TrainConfig:
 
 SCALE_RANGE = (0.75, 1.25)
 
+# seed offsets of the mask set and of the held-out clips from the data seed
+MASK_SEED_OFFSET = 99_000
+HOLDOUT_SEED_OFFSET = 50_000
+
 
 def _apply_flips(frames: np.ndarray, do_h: bool, do_v: bool) -> np.ndarray:
     if do_h:
@@ -150,9 +154,9 @@ class Dataset:
 
 def make_synth_dataset(seed: int, n_train: int, n_holdout: int, t: int,
                        train_hw: int, crop: int, mask_p: float = 0.5) -> Dataset:
-    masks = generate_masks(seed + 99_000, t, crop, crop, mask_p)
+    masks = generate_masks(seed + MASK_SEED_OFFSET, t, crop, crop, mask_p)
     train = [synth_video(seed + i, t, train_hw, train_hw) for i in range(n_train)]
-    hold = [synth_video(seed + 50_000 + i, t, crop, crop) for i in range(n_holdout)]
+    hold = [synth_video(seed + HOLDOUT_SEED_OFFSET + i, t, crop, crop) for i in range(n_holdout)]
     return Dataset(train_clips=train, holdout_clips=hold, masks=masks)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
-from qsci.autodiff import Tensor
-from qsci.errors import ConfigError, ShapeError
+from qsci.autodiff import Tape, Tensor
+from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
 from qsci.network import (CFormerBlock, QNet, QNetConfig, ShiftedAttention, make_variant,
                           parse_fingerprint)
 from qsci.sci import encode, generate_masks, initial_estimate, synth_video
@@ -249,8 +249,37 @@ class TestCheckpointInit:
         state = fp32.state_dict()
         del state["fem.conv_a.weight"]
         q8 = QNet(make_variant("q8", **TINY), seed=0)
-        with pytest.raises(ConfigError, match="fem.conv_a.weight"):
+        with pytest.raises(FormatError, match="fem.conv_a.weight"):
             q8.init_from_backbone(state, fp32.cfg.backbone_geometry())
+
+    @pytest.mark.parametrize("name,shape", [
+        ("fem.short_a.wieght", (3,)),       # misspelt: no network carries it
+        ("vrm.conv_out.aq.bogus", (5,)),    # unknown quantizer entry
+        ("fem.short_a.weight", (3,)),       # a shortcut weight of the wrong shape
+    ])
+    def test_entry_no_network_carries_rejected(self, name, shape):
+        state = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=1).state_dict()
+        state[name] = np.zeros(shape, np.float32)
+        net = QNet(make_variant("q4_baseline", **TINY), seed=0)
+        with pytest.raises(FormatError, match=name):
+            net.init_from_backbone(state, net.cfg.backbone_geometry())
+
+    def test_baseline_init_from_shortcut_shift_checkpoint(self):
+        q4 = QNet(make_variant("q4", **TINY), seed=1)
+        q4.fem.conv_a.aq.alpha.data[0] = 0.25
+        q2 = QNet(make_variant("q2_baseline", **TINY), seed=0)
+        q2.init_from_backbone(q4.state_dict(), q4.cfg.backbone_geometry())
+        np.testing.assert_array_equal(q2.vrm.conv_up.weight.data, q4.vrm.conv_up.weight.data)
+        assert q2.fem.conv_a.aq.alpha.data[0] == 0.25
+
+    def test_load_state_mismatch_is_format_error(self):
+        net = QNet(make_variant("q8", **TINY), seed=0)
+        state = net.state_dict()
+        with pytest.raises(FormatError, match="unexpected"):
+            net.load_state({**state, "fem.conv_a.words": np.zeros(3, np.uint64)})
+        state["fem.conv_a.bias"] = np.zeros(3, np.float32)
+        with pytest.raises(FormatError, match="fem.conv_a.bias"):
+            net.load_state(state)
 
     def test_load_state_round_trip(self):
         net = QNet(make_variant("q8", **TINY), seed=4)
@@ -260,3 +289,68 @@ class TestCheckpointInit:
         for (n1, p1), (n2, p2) in zip(net.named_params(), other.named_params()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
+
+
+class TestQuantizerHooks:
+    """Calibration and the audit see each quantizer's input through a one-shot
+    hook; nothing stays armed and a forward writes nothing to the modules."""
+
+    @staticmethod
+    def stack():
+        masks, _, meas = tiny_inputs()
+        return initial_estimate(meas, masks)
+
+    @staticmethod
+    def scales(net):
+        return [(float(q.alpha.data[0]), float(q.z.data[0])) for q in net.quantizers()]
+
+    def test_calibration_is_one_shot(self):
+        net = QNet(make_variant("q4", **TINY), seed=0)
+        net.calibrate_quantizers(self.stack())
+        assert all(q.on_next is None for q in net.quantizers())
+        fitted = self.scales(net)
+        net.forward_stack(Tensor(self.stack() * 3.0))
+        assert self.scales(net) == fitted
+
+    def test_non_finite_stack_leaves_no_hook(self):
+        net = QNet(make_variant("q4", **TINY), seed=0)
+        stack = self.stack()
+        stack[0, 0, 0, 0, 0] = np.inf
+        with pytest.raises(NumericError):
+            net.calibrate_quantizers(stack)
+        assert all(q.on_next is None for q in net.quantizers())
+
+    def test_first_layer_fitted_to_its_input(self):
+        net = QNet(make_variant("q4", **TINY), seed=0)
+        stack = self.stack()
+        net.calibrate_quantizers(stack)
+        conv = net.fem.conv_a
+        lo, hi = float(stack.min()), float(stack.max())
+        q_p = conv.aq.bitwidth.q_p
+        assert conv.aq.z.data[0] == np.float32(0.5 * (hi + lo))
+        assert conv.aq.alpha.data[0] == np.float32(0.5 * (hi - lo) / q_p)
+        assert conv.wq.alpha.data[0] == np.float32(float(np.abs(conv.weight.data).max()) / q_p)
+        assert conv.wq.z.data[0] == 0.0
+
+    def test_every_quantizer_listed_once(self):
+        net = QNet(make_variant("q4", **TINY), seed=0)
+        quantizers = net.quantizers()
+        assert len({id(q) for q in quantizers}) == len(quantizers)
+        assert len(net.alpha_params()) == len(quantizers)
+        assert {id(p) for p in net.alpha_params()} == {
+            id(p) for n, p in net.named_params() if n.endswith(".alpha")}
+        assert QNet(make_variant("fp32", **TINY), seed=0).alpha_params() == []
+
+    @pytest.mark.parametrize("variant", ["fp32", "q4"])
+    def test_forward_sets_no_attribute(self, variant):
+        net = QNet(make_variant(variant, **TINY), seed=0)
+        net.calibrate_quantizers(self.stack())
+        objects = [m for _, m in net.named_modules()] + net.quantizers()
+        before = [dict(vars(o)) for o in objects]
+        net.forward_stack(Tensor(self.stack()))
+        with Tape():
+            net.forward_stack(Tensor(self.stack()))
+        for o, attrs in zip(objects, before):
+            after = vars(o)
+            assert after.keys() == attrs.keys()
+            assert all(after[k] is attrs[k] for k in attrs), type(o).__name__

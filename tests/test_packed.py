@@ -212,6 +212,14 @@ class TestInstallChecks:
         with_kernel = {name for name, layer in net.quant_layers() if layer.int_kernel}
         assert with_kernel == {name for name, _ in packed_layers(net)} != set()
 
+    def test_audit_of_installed_model_matches_float_model(self):
+        # the audit sees each layer's input through its activation quantizer,
+        # which an integer kernel reaches through act_quantize
+        net = tiny_q4()
+        install_packed(net, pack_model(tiny_q4()))
+        assert net.audit((8, 8)) == tiny_q4().audit((8, 8))
+        assert all(q.on_next is None for q in net.quantizers())
+
 
 class TestAgreementWithFakeQuant:
     @pytest.mark.parametrize("variant", QUANTIZED)

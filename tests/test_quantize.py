@@ -11,7 +11,7 @@ from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import ConfigError, NumericError
 from qsci.packed import IntKernel, PackedLayer, pack_weights
 from qsci.quantize import (ActQuantizer, BitWidth, WeightQuantizer, act_dequantize,
-                           act_quantize, fake_quant, weight_dequantize, weight_quantize)
+                           act_quantize, fake_quant)
 
 LOW_BITS = (2, 3, 4, 8)
 
@@ -109,25 +109,25 @@ class TestActQuantize:
 class TestWeightQuantize:
     def test_zero_weight(self):
         q = make_weight(4)
-        assert weight_dequantize(weight_quantize(np.float32([0.0]), q), q)[0] == 0.0
+        assert act_dequantize(act_quantize(np.float32([0.0]), q), q)[0] == 0.0
 
     def test_in_range_integral(self):
         # 4-bit: clip(5, -8, 7) = 5
         q = make_weight(4)
-        codes = weight_quantize(np.float32([5.0]), q)
+        codes = act_quantize(np.float32([5.0]), q)
         assert codes[0] == 5.0
-        assert weight_dequantize(codes, q)[0] == 5.0
+        assert act_dequantize(codes, q)[0] == 5.0
 
     def test_clips_to_negative_bound(self):
         # 4-bit lower bound is -2^3
-        assert weight_quantize(np.float32([-100.0]), make_weight(4))[0] == -8.0
+        assert act_quantize(np.float32([-100.0]), make_weight(4))[0] == -8.0
 
     @settings(max_examples=40, deadline=None)
     @given(bits=st.sampled_from(LOW_BITS), alpha=st.floats(1e-3, 5.0), seed=st.integers(0, 2**16))
     def test_code_range(self, bits, alpha, seed):
         q = make_weight(bits, alpha)
         w = np.random.default_rng(seed).standard_normal(128).astype(np.float32) * 10
-        codes = weight_quantize(w, q)
+        codes = act_quantize(w, q)
         bw = BitWidth(bits)
         assert codes.min() >= -bw.q_n and codes.max() <= bw.q_p
 
@@ -138,6 +138,24 @@ class TestFakeQuant:
         x = Tensor(np.float32([1.234, -5.6]), requires_grad=True)
         out = fake_quant(x, q)
         assert out is x
+
+    @pytest.mark.parametrize("bits", [4, 32])
+    def test_hook_runs_once_on_the_input(self, bits):
+        seen = []
+        q = make_act(bits) if bits < 32 else ActQuantizer(32)
+        q.on_next = seen.append
+        x = Tensor(np.float32([0.5, -2.0]))
+        fake_quant(x, q)
+        fake_quant(Tensor(np.float32([9.0])), q)
+        assert q.on_next is None
+        assert len(seen) == 1 and seen[0] is x.data
+
+    def test_hook_refit_applies_to_the_same_call(self):
+        q = make_weight(4, 100.0)
+        w = np.float32([1.4, -0.6])
+        q.on_next = q.calibrate
+        # alpha = 1.4 / 7 = 0.2: both weights are representable codes
+        np.testing.assert_allclose(fake_quant(Tensor(w), q).data, w, rtol=1e-6)
 
     def test_forward_equals_quant_dequant(self):
         rng = np.random.default_rng(1)
@@ -243,7 +261,8 @@ class TestFakeQuant:
             loss = ad.sum_(fake_quant(w, q))
         backward(loss)
         assert q.alpha.grad is not None
-        assert not hasattr(q, "z")
+        assert [name for name, _ in q.params()] == ["alpha"]
+        assert q.z.data[0] == 0.0 and not q.z.requires_grad and q.z.grad is None
 
 
 class TestMatchesMaskedFormula:
@@ -291,7 +310,7 @@ class TestQLinear:
     def q_linear(x, w, aq, wq):
         layer = PackedLayer(name="linear", kind="linear", bits=wq.bits, shape=w.shape,
                             alpha_w=float(wq.alpha.data[0]),
-                            words=pack_weights(weight_quantize(w, wq), wq.bits))
+                            words=pack_weights(act_quantize(w, wq), wq.bits))
         return IntKernel(layer, aq, None)(x)
 
     def test_integral_exact(self):
@@ -309,7 +328,7 @@ class TestQLinear:
         x = rng.standard_normal((5, 8)).astype(np.float32)
         w = rng.standard_normal((8, 3)).astype(np.float32)
         oracle = (act_dequantize(act_quantize(x, aq), aq)
-                  @ weight_dequantize(weight_quantize(w, wq), wq))
+                  @ act_dequantize(act_quantize(w, wq), wq))
         out = self.q_linear(x, w, aq, wq)
         np.testing.assert_allclose(out, oracle, rtol=1e-5, atol=1e-6)
 

@@ -1,0 +1,96 @@
+"""Optimizer, augmentation, loss, held-out PSNR and the training entry
+checks."""
+
+import numpy as np
+import pytest
+
+from qsci.autodiff import Tensor
+from qsci.errors import ConfigError
+from qsci.evaluation import psnr
+from qsci.network import QNet, make_variant
+from qsci.sci import encode, generate_masks, synth_video
+from qsci.training import (HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, Adam, TrainConfig, augment,
+                           evaluate_psnr, make_synth_dataset, mse_loss, train)
+
+TINY = dict(base_channels=8, resdnet_blocks=1, cformer_per_block=1, heads=2, cr=2)
+
+
+class TestAdam:
+    def test_step_matches_hand_formula_with_floors(self):
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        w = Tensor(np.float32([0.5, -1.0, 2.0]), requires_grad=True)
+        scale = Tensor(np.float32([0.004]), requires_grad=True)
+        g_w = np.float32([0.2, -0.4, 0.0])
+        w.grad, scale.grad = g_w.copy(), np.float32([3.0])
+        w0, s0 = w.data.copy(), scale.data.copy()
+        opt = Adam([w, scale], lr, b1, b2, eps, floors=[(scale, 0.001)])
+        opt.step()
+        # t = 1: m_hat = g, v_hat = g^2
+        expect_w = w0 - lr * g_w / (np.sqrt(np.float64(g_w) ** 2) + eps)
+        np.testing.assert_allclose(w.data, expect_w.astype(np.float32), rtol=1e-6)
+        assert s0[0] - lr < 0.001           # the raw step would cross the floor
+        assert scale.data[0] == np.float32(0.001)
+        assert w.data.dtype == np.float32 and scale.data.dtype == np.float32
+
+    def test_missing_grad_counts_as_zero(self):
+        p = Tensor(np.float32([1.0, 2.0]), requires_grad=True)
+        Adam([p], 0.1).step()
+        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+
+
+class TestAugment:
+    def test_all_switches_off_is_identity(self):
+        clip = synth_video(3, 2, 12, 10)
+        out = augment(clip, 8, np.random.default_rng(0), do_crop=False, do_flip=False,
+                      do_scale=False)
+        np.testing.assert_array_equal(out.frames, clip.frames)
+
+    def test_crop_size(self):
+        out = augment(synth_video(3, 2, 20, 20), 8, np.random.default_rng(1))
+        assert out.frames.shape == (2, 8, 8)
+
+
+class TestLoss:
+    def test_mse_matches_formula(self):
+        rng = np.random.default_rng(0)
+        pred = rng.random((2, 3, 4, 5)).astype(np.float32)
+        gt = rng.random((2, 3, 4, 5)).astype(np.float32)
+        expect = np.mean((np.float64(pred) - gt) ** 2)
+        assert mse_loss(Tensor(pred), gt).item() == pytest.approx(expect, rel=1e-6)
+
+
+class TestDataset:
+    def test_seed_offsets(self):
+        ds = make_synth_dataset(7, n_train=1, n_holdout=2, t=2, train_hw=8, crop=8)
+        np.testing.assert_array_equal(ds.masks.masks,
+                                      generate_masks(7 + MASK_SEED_OFFSET, 2, 8, 8).masks)
+        np.testing.assert_array_equal(ds.holdout_clips[1].frames,
+                                      synth_video(7 + HOLDOUT_SEED_OFFSET + 1, 2, 8, 8).frames)
+
+
+class TestEvaluatePsnr:
+    def test_equals_mean_per_clip_psnr(self):
+        ds = make_synth_dataset(2, n_train=1, n_holdout=3, t=2, train_hw=8, crop=8)
+        net = QNet(make_variant("fp32", **TINY), seed=0)
+        per_clip = [psnr(net.reconstruct(encode(c, ds.masks), ds.masks).frames, c.frames)
+                    for c in ds.holdout_clips]
+        # batches of 2 and 1 clips against one clip per forward
+        assert evaluate_psnr(net, ds, batch_size=2) == pytest.approx(np.mean(per_clip),
+                                                                     rel=1e-9)
+
+    def test_no_holdout_is_nan(self):
+        ds = make_synth_dataset(2, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
+        assert np.isnan(evaluate_psnr(QNet(make_variant("fp32", **TINY)), ds))
+
+
+class TestTrainChecks:
+    def test_quantized_without_init_rejected(self):
+        ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
+        with pytest.raises(ConfigError, match="init"):
+            train(TrainConfig(epochs_phase1=1, epochs_phase2=0), make_variant("q4", **TINY), ds)
+
+    def test_mask_frame_count_must_match(self):
+        ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
+        with pytest.raises(ConfigError, match="T="):
+            train(TrainConfig(), make_variant("fp32", **{**TINY, "cr": 4}), ds)
+
