@@ -93,10 +93,6 @@ def bit_adjusted_ops(flops: float, w_bits: int, a_bits: int) -> float:
     return flops * max(w_bits, a_bits) / 32.0
 
 
-def speedup(full_precision_ops: float, quantized_ops: float) -> float:
-    return full_precision_ops / quantized_ops
-
-
 @dataclass
 class EffReport:
     """Per-layer efficiency table plus totals (totals are exact row sums)."""

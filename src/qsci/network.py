@@ -11,7 +11,11 @@ clamps the output to [0, 1].
 
 Every weight-bearing layer in the body carries one activation quantizer and
 one weight quantizer at its assigned bit-width; a 32-bit assignment disables
-quantization for that layer. A forward writes nothing to the modules:
+quantization for that layer. Under a tape, a quantized layer runs fake-quant
+values through the float contraction, which training differentiates; without
+one (evaluation, calibration, a packed model) it computes the same layer in
+the code domain, an exact contraction of integer codes (see
+:class:`QLayer`). A forward writes nothing to the modules:
 calibration and the structural audit see the data reaching each quantizer
 through its one-shot ``on_next`` hook (see :mod:`qsci.quantize`).
 """
@@ -25,9 +29,10 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, conv3d_output_shape
+from .autodiff import Tensor, conv3d_output_shape, conv_patches
 from .errors import ConfigError, FormatError, ShapeError
-from .quantize import VALID_BITS, ActQuantizer, WeightQuantizer, fake_quant
+from .quantize import (VALID_BITS, ActQuantizer, WeightQuantizer, act_quantize, code_dtype,
+                       fake_quant)
 from .sci import MaskSet, Measurement, VideoClip, initial_estimate
 
 
@@ -237,65 +242,142 @@ def _he_weight(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return (rng.standard_normal(shape) * std).astype(np.float32)
 
 
-class QConv3d(Module):
-    """3-D convolution with one input activation quantizer and one weight
-    quantizer; bias stays full precision. 32-bit disables quantization."""
+class QLayer(Module):
+    """What :class:`QConv3d` and :class:`QLinear` share: a weight with one
+    weight quantizer, one input activation quantizer, a full-precision bias,
+    all at ``bits`` (32 disables quantization), and the code-domain forward.
 
-    def __init__(self, rng, in_ch, out_ch, kernel, stride=(1, 1, 1), padding=(0, 0, 0),
-                 bits=32, bias=True, zero_init=False):
+    A sub-32-bit layer runs without a tape in the code domain
+    (:meth:`code_forward`): on its installed integer kernel if it has one,
+    else on the codes of its float weight. Under a tape it runs
+    ``fake_quant`` on input and weight and the float contraction, whose
+    straight-through backward training differentiates. The two forwards are
+    equal in exact arithmetic and differ by float rounding only.
+    """
+
+    def __init__(self, weight: np.ndarray, out_features: int, bits: int, bias: bool):
         super().__init__()
-        self.in_ch = in_ch
-        self.out_ch = out_ch
-        self.kernel = tuple(kernel)
-        self.stride = tuple(stride)
-        self.padding = tuple(padding)
         self.bits = bits
-        kt, kh, kw = self.kernel
-        fan_in = in_ch * kt * kh * kw
-        if zero_init:
-            w = np.zeros((out_ch, in_ch, kt, kh, kw), dtype=np.float32)
-        else:
-            w = _he_weight(rng, (out_ch, in_ch, kt, kh, kw), fan_in)
-        self.weight = self.register_param("weight", Tensor(w))
-        self.bias = self.register_param("bias", Tensor(np.zeros(out_ch, dtype=np.float32))) \
+        self.weight = self.register_param("weight", Tensor(weight))
+        self.bias = self.register_param("bias", Tensor(np.zeros(out_features, np.float32))) \
             if bias else None
         self.aq = self.register_quantizer("aq", ActQuantizer(bits))
         self.wq = self.register_quantizer("wq", WeightQuantizer(bits))
         self.int_kernel = None       # set by packed.install_packed; forward then runs it
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _untaped(self, x: Tensor) -> Optional[Tensor]:
+        """The forward in the code domain, or None where the fake-quant
+        forward runs: under a tape, or at 32 bits."""
         if self.int_kernel is not None:
             return Tensor(self.int_kernel(x.data))
+        if self.bits < 32 and ad.active_tape() is None:
+            return Tensor(self.code_forward(x.data, act_quantize(self.weight, self.wq)))
+        return None
+
+    def code_forward(self, x: np.ndarray, w_codes: np.ndarray) -> np.ndarray:
+        """``x`` through the layer from activation and weight codes, float32.
+
+        The codes are contracted exactly in the float type of
+        :func:`~qsci.quantize.code_dtype`. With x = alpha_x * x_code + z and
+        w = alpha_w * w_code, the float32 epilogue is then
+        ``alpha_x*alpha_w*acc + alpha_w*z*corr + bias``, where ``corr`` sums
+        the weight codes over the taps that meet each output.
+        """
+        w_codes = w_codes.astype(self.code_dtype(), copy=False)
+        x_codes = act_quantize(x, self.aq).astype(w_codes.dtype, copy=False)
+        acc = self.contract(x_codes, w_codes).astype(np.float32, copy=False)
+        alpha_w = float(self.wq.alpha.data[0])
+        acc *= np.float32(float(self.aq.alpha.data[0]) * alpha_w)
+        offset = self.correction(x.shape, w_codes).astype(np.float32, copy=False)
+        offset *= np.float32(alpha_w * float(self.aq.z.data[0]))
+        if self.bias is not None:
+            offset += self.bias.data.reshape((-1,) + (1,) * (offset.ndim - 1))
+        acc += offset
+        return acc
+
+    def code_dtype(self):
+        """The float type in which this layer's code contraction is exact."""
+        return code_dtype(self.weight_count() // self.out_features, self.bits)
+
+    def weight_count(self) -> int:
+        return self.weight.size
+
+    def bias_count(self) -> int:
+        return 0 if self.bias is None else self.out_features
+
+
+class QConv3d(QLayer):
+    """3-D convolution with one input activation quantizer and one weight
+    quantizer; bias stays full precision. 32-bit disables quantization."""
+
+    def __init__(self, rng, in_ch, out_ch, kernel, stride=(1, 1, 1), padding=(0, 0, 0),
+                 bits=32, bias=True, zero_init=False):
+        self.in_ch = in_ch
+        self.out_ch = self.out_features = out_ch
+        self.kernel = tuple(kernel)
+        self.stride = tuple(stride)
+        self.padding = tuple(padding)
+        kt, kh, kw = self.kernel
+        shape = (out_ch, in_ch, kt, kh, kw)
+        if zero_init:
+            w = np.zeros(shape, dtype=np.float32)
+        else:
+            w = _he_weight(rng, shape, in_ch * kt * kh * kw)
+        super().__init__(w, out_ch, bits, bias)
+
+    def forward(self, x: Tensor) -> Tensor:
+        out = self._untaped(x)
+        if out is not None:
+            return out
         xq = fake_quant(x, self.aq)
         wq = fake_quant(self.weight, self.wq)
         return ad.conv3d(xq, wq, self.bias, self.stride, self.padding)
 
-    def weight_count(self) -> int:
-        return int(np.prod(self.weight.shape))
+    def contract(self, x_codes, w_codes):
+        """[N,C,T,H,W] x [O,C,kt,kh,kw] codes -> [N,O,To,Ho,Wo], one GEMM."""
+        n, o, to, ho, wo = conv3d_output_shape(x_codes.shape, self.weight.shape,
+                                               self.stride, self.padding)
+        patches = conv_patches(x_codes, self.kernel, self.stride, self.padding, (to, ho, wo))
+        return (w_codes.reshape(o, -1) @ patches).reshape(n, o, to, ho, wo)
 
-    def bias_count(self) -> int:
-        return 0 if self.bias is None else self.out_ch
+    def correction(self, in_shape, w_codes):
+        """[O, To, Ho, Wo]: each output's sum of the weight codes over the
+        taps that meet the zero-padded input. The codes are summed over C,
+        then each tap axis is contracted with its 0/1 valid-tap matrix; an
+        unpadded axis stays size 1 (every tap meets every output)."""
+        if not any(self.padding):
+            return w_codes.reshape(self.out_ch, -1).sum(axis=1).reshape(-1, 1, 1, 1)
+        out_dims = conv3d_output_shape(in_shape, self.weight.shape, self.stride,
+                                       self.padding)[2:]
+        vt, vh, vw = (_valid_taps(*axis, w_codes.dtype) for axis in
+                      zip(in_shape[2:], out_dims, self.kernel, self.stride, self.padding))
+        corr = vh @ (w_codes.sum(axis=1) @ vw.T)          # [O, kt, Ho, Wo]
+        o, kt, ho, wo = corr.shape
+        return (vt @ corr.reshape(o, kt, ho * wo)).reshape(o, -1, ho, wo)
 
 
-class QLinear(Module):
+def _valid_taps(n_in, n_out, k, stride, pad, dtype) -> np.ndarray:
+    """[n_out, k]: 1 where tap k of output position o reads inside the input
+    of length n_in, else 0; unpadded, one row of ones broadcasts."""
+    if not pad:
+        return np.ones((1, k), dtype)
+    pos = np.arange(n_out)[:, None] * stride + np.arange(k) - pad
+    return ((pos >= 0) & (pos < n_in)).astype(dtype)
+
+
+class QLinear(QLayer):
     """Token-wise linear layer, weight stored [in, out], same quantizer pair."""
 
     def __init__(self, rng, in_features, out_features, bits=32, bias=True):
-        super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.bits = bits
-        w = _he_weight(rng, (in_features, out_features), in_features)
-        self.weight = self.register_param("weight", Tensor(w))
-        self.bias = self.register_param("bias", Tensor(np.zeros(out_features, dtype=np.float32))) \
-            if bias else None
-        self.aq = self.register_quantizer("aq", ActQuantizer(bits))
-        self.wq = self.register_quantizer("wq", WeightQuantizer(bits))
-        self.int_kernel = None
+        super().__init__(_he_weight(rng, (in_features, out_features), in_features),
+                         out_features, bits, bias)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.int_kernel is not None:
-            return Tensor(self.int_kernel(x.data))
+        out = self._untaped(x)
+        if out is not None:
+            return out
         xq = fake_quant(x, self.aq)
         wq = fake_quant(self.weight, self.wq)
         out = ad.matmul(xq, wq)
@@ -303,11 +385,13 @@ class QLinear(Module):
             out = out + self.bias
         return out
 
-    def weight_count(self) -> int:
-        return self.in_features * self.out_features
+    def contract(self, x_codes, w_codes):
+        """[..., in] x [in, out] codes -> [..., out]."""
+        return x_codes @ w_codes
 
-    def bias_count(self) -> int:
-        return 0 if self.bias is None else self.out_features
+    def correction(self, in_shape, w_codes):
+        """[out]: every input meets every weight."""
+        return w_codes.sum(axis=0)
 
 
 class LayerNorm(Module):
@@ -622,7 +706,7 @@ class QNet(Module):
     def quant_layers(self):
         """(name, layer) for every weight-bearing layer, forward order."""
         return [(name, m) for name, m in self.named_modules()
-                if isinstance(m, (QConv3d, QLinear))]
+                if isinstance(m, QLayer)]
 
     def audit(self, input_hw) -> list:
         """Structural table: every weight-bearing layer with its bit

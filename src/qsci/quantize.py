@@ -29,6 +29,9 @@ from .errors import ConfigError, NumericError
 
 VALID_BITS = (2, 3, 4, 8, 32)
 
+# float types that hold every integer of magnitude below the limit exactly
+_EXACT_FLOATS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
+
 # Positive floor applied to every learnable scale after an optimizer step.
 ALPHA_FLOOR = 1e-8
 
@@ -89,9 +92,11 @@ class ActQuantizer:
     def calibrate(self, samples: np.ndarray):
         """Fit the scale (and zero-point) so the observed range maps inside
         the clip interval: max|w|/q_p when symmetric, else the min/max midpoint
-        and half-range/q_p."""
+        and half-range/q_p. Non-finite samples raise NumericError and leave both
+        unchanged."""
         if self.bitwidth.passthrough:
             return
+        _check_input(samples, "calibration sample")
         q_p = self.bitwidth.q_p
         if self.symmetric:
             self.alpha.data[0] = max(float(np.abs(samples).max()) / q_p, ALPHA_FLOOR)
@@ -136,10 +141,25 @@ def act_quantize(x, q: ActQuantizer) -> np.ndarray:
     alpha = float(q.alpha.data[0])
     if alpha <= 0:
         raise ConfigError(f"quantizer scale must be positive, got {alpha}")
-    z = float(q.z.data[0])
     bw = q.bitwidth
-    v = (arr - z) / np.float32(alpha)
-    return np.rint(np.clip(v, -bw.q_n, bw.q_p)).astype(np.float32)
+    v = arr - np.float32(q.z.data[0])
+    v /= np.float32(alpha)
+    np.clip(v, -bw.q_n, bw.q_p, out=v)
+    return np.rint(v, out=v)
+
+
+def code_dtype(k: int, bits: int):
+    """float32 or, failing that, float64: the first float type that holds
+    every integer up to k * 2^(bits-1) * 2^(bits-1), the worst-case
+    |accumulator| of k products of two bits-wide codes. A code contraction in
+    that type is therefore exact in any summation order. A contraction that
+    neither holds is a ConfigError."""
+    bound = k << (2 * bits - 2)
+    for dtype, limit in _EXACT_FLOATS:
+        if bound < limit:
+            return dtype
+    raise ConfigError(f"{k} products of {bits}-bit codes reach |acc| = {bound}, "
+                      f"not exact in float64")
 
 
 def act_dequantize(codes, q: ActQuantizer) -> np.ndarray:

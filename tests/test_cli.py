@@ -1,7 +1,8 @@
 """CLI behaviour: malformed containers and data dirs and a file of the wrong
 kind end in exit code 3, ``train``, ``eval``, ``pack``
-and ``infer-int`` reruns are byte-identical, and threaded ``eval`` matches
-serial ``eval``."""
+and ``infer-int`` reruns are byte-identical, threaded ``eval`` matches
+serial ``eval``, ``eval`` and ``infer-int`` report the same PSNR, and the
+``report`` table follows the bit-adjusted formulas."""
 
 import contextlib
 import io
@@ -161,6 +162,52 @@ class TestInferIntDeterminism:
         for idx, _, meas in entries:
             one_shot = infer_packed(model, meas, masks).frames
             assert np.array_equal(np.load(outs[0] / f"recon_{idx:04d}.npy"), one_shot)
+
+
+class TestEvalEqualsInferInt:
+    # q3 is where a single flipped code used to move a frame by up to 0.17
+    @pytest.mark.parametrize("variant", ["q4", "q3"])
+    def test_psnr_columns_identical(self, tmp_path, variant):
+        net = calibrated_net(variant, t=T, hw=64)
+        save_checkpoint(tmp_path / "q4.qsc", net.cfg.fingerprint(), net.state_dict())
+        for argv in (["pack", "--ckpt", "q4.qsc", "--out", "q4.pack"],
+                     ["gen-data", "--seed", 11, "--count", 2, "--T", T, "--H", 64, "--W", 64,
+                      "--out", "data"],
+                     ["eval", "--ckpt", "q4.qsc", "--data", "data", "--out", "eval"],
+                     ["infer-int", "--packed", "q4.pack", "--data", "data", "--out", "int"]):
+            assert run("--workdir", tmp_path, *argv)[0] == 0
+
+        def psnr_column(path):
+            rows = path.read_text(encoding="ascii").splitlines()[1:]
+            return [row.split(",")[:2] for row in rows if not row.startswith("average")]
+
+        evaluated = psnr_column(tmp_path / "eval" / "metrics.csv")
+        assert len(evaluated) == 2
+        assert evaluated == psnr_column(tmp_path / "int" / "int_metrics.csv")
+
+
+class TestReport:
+    def test_rows_follow_bit_width_and_sum_to_total(self, tmp_path):
+        assert run("--workdir", tmp_path, "report", "--variant", "q4", "--input-hw", 16,
+                   "--out", "report.csv")[0] == 0
+        lines = (tmp_path / "report.csv").read_text(encoding="ascii").splitlines()
+        header, *rows, total = [line.split(",") for line in lines]
+        assert header[0] == "layer" and total[0] == "total"
+        audit = {r["name"]: r for r in QNet(make_variant("q4"), seed=0).audit((16, 16))}
+        assert [r[0] for r in rows] == list(audit)
+        col = {name: i for i, name in enumerate(header)}
+        for r in rows:
+            a = audit[r[0]]
+            ratio = max(int(r[col["w_bits"]]), int(r[col["a_bits"]])) / 32
+            assert int(r[col["raw_params"]]) == a["weight_params"] + a["bias_params"]
+            assert int(r[col["flops"]]) == a["flops"]
+            assert float(r[col["adj_params"]]) == pytest.approx(
+                a["weight_params"] * ratio + a["bias_params"], abs=0.05)
+            assert float(r[col["adj_ops"]]) == pytest.approx(a["flops"] * ratio, abs=0.05)
+        for name in ("adj_params", "adj_ops"):
+            # each row is printed to 0.1, the total from the exact sum
+            assert float(total[col[name]]) == pytest.approx(
+                sum(float(r[col[name]]) for r in rows), abs=0.05 * len(rows))
 
 
 TRAIN_CFG = """\

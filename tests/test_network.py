@@ -320,6 +320,17 @@ class TestQuantizerHooks:
             net.calibrate_quantizers(stack)
         assert all(q.on_next is None for q in net.quantizers())
 
+    def test_failed_calibration_leaves_scales_unchanged(self):
+        net = QNet(make_variant("q4", **TINY), seed=0)
+        net.calibrate_quantizers(self.stack())
+        fitted = self.scales(net)
+        stack = self.stack()
+        stack[0, 1, 1, 3, 4] = np.inf
+        with pytest.raises(NumericError):
+            net.calibrate_quantizers(stack)
+        assert self.scales(net) == fitted
+        assert np.isfinite(net.forward_stack(Tensor(self.stack())).data).all()
+
     def test_first_layer_fitted_to_its_input(self):
         net = QNet(make_variant("q4", **TINY), seed=0)
         stack = self.stack()

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from qsci.autodiff import Tensor
+from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError
-from qsci.network import VARIANT_NAMES, QConv3d, QNet, make_variant
+from qsci.network import VARIANT_NAMES, QConv3d, QLinear, QNet, make_variant
 from qsci.packed import (IntKernel, PackedLayer, install_packed, pack_model, pack_weights,
                          packed_layers, packed_net, unpack_weights)
-from qsci.quantize import ActQuantizer
+from qsci.quantize import code_dtype
 from small_models import calibrated_net, small_inputs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,12 +29,9 @@ def code_range(bits):
     return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
 
 
-def random_layer(rng, kind, bits, shape, stride=(1, 1, 1), padding=(0, 0, 0)):
+def random_codes(rng, bits, shape):
     lo, hi = code_range(bits)
-    codes = rng.integers(lo, hi + 1, size=shape)
-    layer = PackedLayer(name=kind, kind=kind, bits=bits, shape=shape, stride=stride,
-                        padding=padding, words=pack_weights(codes, bits))
-    return layer, codes
+    return rng.integers(lo, hi + 1, size=shape)
 
 
 @st.composite
@@ -75,12 +72,12 @@ class TestExactContraction:
     @pytest.mark.parametrize("channels,dtype", [(12, np.float32), (40, np.float64)])
     def test_conv_equals_int64_reference(self, channels, dtype):
         rng = np.random.default_rng(channels)
-        layer, codes = random_layer(rng, "conv3d", 8, (5, channels, 3, 3, 3),
-                                    stride=(1, 2, 2), padding=(1, 1, 1))
-        kernel = IntKernel(layer, ActQuantizer(8), None)
-        assert kernel.dtype is dtype
-        x = rng.integers(-128, 128, size=(2, channels, 3, 6, 5))
-        acc = kernel.contract(x)
+        layer = QConv3d(rng, channels, 5, (3, 3, 3), stride=(1, 2, 2), padding=(1, 1, 1),
+                        bits=8)
+        assert layer.code_dtype() is dtype
+        codes = random_codes(rng, 8, layer.weight.shape)
+        x = random_codes(rng, 8, (2, channels, 3, 6, 5))
+        acc = layer.contract(x.astype(dtype), codes.astype(dtype))
         assert acc.dtype == dtype
         want = ref.int_conv3d(x, codes, layer.stride, layer.padding)
         np.testing.assert_array_equal(acc.astype(np.int64), want)
@@ -88,68 +85,63 @@ class TestExactContraction:
     @pytest.mark.parametrize("inputs,dtype", [(300, np.float32), (1100, np.float64)])
     def test_linear_equals_int64_reference(self, inputs, dtype):
         rng = np.random.default_rng(inputs)
-        layer, codes = random_layer(rng, "linear", 8, (inputs, 7))
-        kernel = IntKernel(layer, ActQuantizer(8), None)
-        assert kernel.dtype is dtype
-        x = rng.integers(-128, 128, size=(3, 4, inputs))
-        np.testing.assert_array_equal(kernel.contract(x).astype(np.int64),
-                                      ref.int_linear(x, codes))
+        layer = QLinear(rng, inputs, 7, bits=8)
+        assert layer.code_dtype() is dtype
+        codes = random_codes(rng, 8, layer.weight.shape)
+        x = random_codes(rng, 8, (3, 4, inputs))
+        np.testing.assert_array_equal(
+            layer.contract(x.astype(dtype), codes.astype(dtype)).astype(np.int64),
+            ref.int_linear(x, codes))
 
     @pytest.mark.parametrize("bits,channels", [(8, 16), (8, 40), (4, 16), (2, 3)])
     def test_worst_case_reaches_bound_exactly(self, bits, channels):
         lo, _ = code_range(bits)
-        shape = (2, channels, 3, 3, 3)
-        layer = PackedLayer(name="worst", kind="conv3d", bits=bits, shape=shape,
-                            words=pack_weights(np.full(shape, lo), bits))
-        kernel = IntKernel(layer, ActQuantizer(bits), None)
-        acc = kernel.contract(np.full((1, channels, 3, 4, 4), lo))
-        bound = layer.accumulator_bound(bits)
-        assert bound == channels * 27 * lo * lo
+        layer = QConv3d(np.random.default_rng(0), channels, 2, (3, 3, 3), bits=bits)
+        dtype = layer.code_dtype()
+        acc = layer.contract(np.full((1, channels, 3, 4, 4), lo, dtype),
+                             np.full(layer.weight.shape, lo, dtype))
+        bound = channels * 27 * lo * lo          # K * 2^(b-1) * 2^(b-1)
         assert np.all(acc == bound)
+        assert bound < (1 << 24 if dtype is np.float32 else 1 << 53)
 
     @staticmethod
     def kernel_dtypes(net):
         packed = packed_net(pack_model(net))
-        return {name: layer.int_kernel.dtype for name, layer in packed_layers(packed)}
+        return {name: layer.int_kernel.w_codes.dtype for name, layer in packed_layers(packed)}
 
     def test_presets_select_float32_and_wide_q8_float64(self):
         for variant in QUANTIZED:
             chosen = self.kernel_dtypes(calibrated_net(variant, base_channels=16, heads=2))
-            assert chosen and all(d is np.float32 for d in chosen.values())
+            assert chosen and all(d == np.float32 for d in chosen.values())
         chosen = self.kernel_dtypes(calibrated_net("q8", base_channels=64, heads=2))
-        assert chosen["block0.cf0.conv"] is np.float64     # 64*27 * 2^14 >= 2^24
-        assert chosen["block0.cf0.fuse"] is np.float32
+        assert chosen["block0.cf0.conv"] == np.float64     # 64*27 * 2^14 >= 2^24
+        assert chosen["block0.cf0.fuse"] == np.float32
 
 
 class TestAccumulatorGuard:
-    @staticmethod
-    def linear(inputs, bits):
-        return PackedLayer(name="huge", kind="linear", bits=bits, shape=(inputs, 1))
-
     def test_dtype_boundaries(self):
         # 2-bit codes: bound = 4 * K
-        assert self.linear((1 << 22) - 1, 2).code_dtype(2) is np.float32
-        assert self.linear(1 << 22, 2).code_dtype(2) is np.float64
-        assert self.linear((1 << 51) - 1, 2).code_dtype(2) is np.float64
+        assert code_dtype((1 << 22) - 1, 2) is np.float32
+        assert code_dtype(1 << 22, 2) is np.float64
+        assert code_dtype((1 << 51) - 1, 2) is np.float64
         with pytest.raises(ConfigError, match="not exact in float64"):
-            self.linear(1 << 51, 2).code_dtype(2)
+            code_dtype(1 << 51, 2)
 
     def test_kernel_construction_raises(self):
-        layer = PackedLayer(name="huge", kind="conv3d", bits=8, shape=(1, 1 << 40, 1, 1, 1))
-        assert layer.accumulator_bound(8) >= 1 << 53
-        with pytest.raises(ConfigError, match="huge"):
-            IntKernel(layer, ActQuantizer(8), None)
+        # a weight of 2^40 inputs, as a zero-stride view: K * 2^14 >= 2^53
+        layer = QLinear(np.random.default_rng(0), 1, 1, bits=8)
+        layer.weight.data = np.broadcast_to(np.float32(0), (1 << 40, 1))
+        huge = PackedLayer(name="huge", kind="linear", bits=8, shape=(1 << 40, 1))
+        with pytest.raises(ConfigError, match="not exact in float64"):
+            IntKernel(huge, layer)
 
     def test_kernel_construction_raises_under_python_O(self):
         code = (
             "from qsci.errors import ConfigError\n"
-            "from qsci.packed import IntKernel, PackedLayer\n"
-            "from qsci.quantize import ActQuantizer\n"
+            "from qsci.quantize import code_dtype\n"
             "assert False, 'asserts must be stripped'\n"
-            "layer = PackedLayer(name='huge', kind='conv3d', bits=8,"
-            " shape=(1, 1 << 40, 1, 1, 1))\n"
             "try:\n"
-            "    IntKernel(layer, ActQuantizer(8), None)\n"
+            "    code_dtype(1 << 40, 8)\n"
             "except ConfigError:\n"
             "    print('raised')\n"
         )
@@ -221,10 +213,63 @@ class TestInstallChecks:
         assert all(q.on_next is None for q in net.quantizers())
 
 
+class TestCorrection:
+    """The separable zero-point correction equals the tap-by-tap int64
+    contraction of the weight codes with an all-ones input."""
+
+    @pytest.mark.parametrize("name", ["fem.conv_a", "fem.conv_b", "vrm.conv_up",
+                                      "block0.cf0.fuse", "block0.cf0.attn.q_proj"])
+    def test_equals_int64_reference_on_ones(self, name):
+        layer = dict(tiny_q4().named_modules())[name]
+        rng = np.random.default_rng(len(name))
+        codes = random_codes(rng, layer.bits, layer.weight.shape)
+        if isinstance(layer, QConv3d):
+            # odd extents: uneven strided and zero-padded borders
+            ones = np.ones((1, layer.in_ch, 3, 7, 6), np.int64)
+            want = ref.int_conv3d(ones, codes, layer.stride, layer.padding)[0]
+        else:
+            ones = np.ones((2, layer.in_features), np.int64)
+            want = ref.int_linear(ones, codes)[0]
+        corr = layer.correction(ones.shape, codes.astype(layer.code_dtype()))
+        np.testing.assert_array_equal(np.broadcast_to(corr, want.shape).astype(np.int64), want)
+
+
+@pytest.fixture(scope="module")
+def nets64():
+    """One network per preset, calibrated on 64x64 clips with non-zero
+    output and shortcut weights, built on first use and shared."""
+    built = {}
+
+    def get(preset):
+        if preset not in built:
+            wide = preset == "q8_c64"
+            built[preset] = calibrated_net("q8" if wide else preset, hw=64,
+                                           **({"base_channels": 64} if wide else {}))
+        return built[preset]
+    return get
+
+
+class TestWholeNetwork:
+    """``reconstruct`` of a network and of its packed model are one
+    computation: the frames are equal, not merely close."""
+
+    @pytest.mark.parametrize("preset", QUANTIZED + ["q8_c64"])
+    def test_packed_frames_equal_network_frames(self, nets64, preset):
+        net = nets64(preset)
+        packed = packed_net(pack_model(net))
+        masks, _, meas = small_inputs(hw=64, seed=3)
+        for m in meas:
+            assert np.array_equal(packed.reconstruct(m, masks).frames,
+                                  net.reconstruct(m, masks).frames)
+
+
 class TestAgreementWithFakeQuant:
+    """The tape-free forward of every packed layer against the fake-quant
+    forward under a tape, whose straight-through backward training uses."""
+
     @pytest.mark.parametrize("variant", QUANTIZED)
-    def test_every_layer_within_1e5_relative(self, variant):
-        net = calibrated_net(variant)
+    def test_every_layer_within_1e5_relative(self, nets64, variant):
+        net = nets64(variant)
         packed = packed_net(pack_model(net))
         fq_layers = dict(net.named_modules())
         seen = []
@@ -241,12 +286,13 @@ class TestAgreementWithFakeQuant:
         for name, layer in packed.quant_layers():
             if layer.int_kernel is not None:
                 layer.int_kernel = Recording(name, layer.int_kernel)
-        masks, _, meas = small_inputs()
+        masks, _, meas = small_inputs(hw=64, seed=3)
         packed.reconstruct(meas[0], masks)
 
         assert {name for name, _, _ in seen} == {name for name, _ in packed_layers(net)}
         for name, x, out in seen:
-            want = fq_layers[name].forward(Tensor(x)).data
+            with Tape():
+                want = fq_layers[name].forward(Tensor(x)).data
             if isinstance(fq_layers[name], QConv3d) and ("conv_out" in name or "short_" in name):
                 assert np.abs(want).max() > 0, f"{name} does not reach the output"
             scale = max(1.0, float(np.abs(want).max()))

@@ -9,6 +9,7 @@ import qsci.autodiff as ad
 import reference_impl
 from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import ConfigError, NumericError
+from qsci.network import QLinear
 from qsci.packed import IntKernel, PackedLayer, pack_weights
 from qsci.quantize import (ActQuantizer, BitWidth, WeightQuantizer, act_dequantize,
                            act_quantize, fake_quant)
@@ -304,14 +305,15 @@ class TestMatchesMaskedFormula:
 class TestQLinear:
     """The code-domain identity of a quantized linear layer, through the
     integer kernel that runs it:
-    alpha_x * alpha_w * ((Q_a(x) + z/alpha_x) @ Q_w(w)) + bias."""
+    alpha_x * alpha_w * (Q_a(x) @ Q_w(w)) + alpha_w * z * sum(Q_w(w)) + bias."""
 
     @staticmethod
     def q_linear(x, w, aq, wq):
+        module = QLinear(np.random.default_rng(0), *w.shape, bits=wq.bits, bias=False)
+        module.aq, module.wq = aq, wq
         layer = PackedLayer(name="linear", kind="linear", bits=wq.bits, shape=w.shape,
-                            alpha_w=float(wq.alpha.data[0]),
                             words=pack_weights(act_quantize(w, wq), wq.bits))
-        return IntKernel(layer, aq, None)(x)
+        return IntKernel(layer, module)(x)
 
     def test_integral_exact(self):
         aq, wq = make_act(8), make_weight(8)
