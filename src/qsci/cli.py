@@ -3,12 +3,19 @@
 Commands: gen-data, train, eval, ablate, pack, infer-int, report.
 Every command is deterministic given its config and seeds; binary outputs
 round-trip bit-exactly and CSV outputs are byte-identical across reruns.
+``ablate`` writes, into the config's ``out.dir``, ``config_echo.txt``, the
+shared backbone ``fp32_init.qsc``, one ``<row>.qsc`` per row, and
+``ladder.csv`` and ``grid.csv`` (``row,psnr_db,ssim,params_m,ops_g``); a
+row's ``psnr_db,ssim`` are the ``average`` row of ``eval`` of its checkpoint
+on the held-out clips. ``eval``, ``infer-int`` and ``ablate`` reconstruct
+clips on ``QSCI_THREADS`` threads (default 1; outputs do not depend on it).
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -27,11 +34,12 @@ from .training import MASK_SEED_OFFSET, Dataset, TrainConfig, make_synth_dataset
 
 
 def worker_count() -> int:
-    """Worker cap from QSCI_THREADS (default 1: fully serial runs)."""
-    try:
-        return max(1, int(os.environ.get("QSCI_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Worker threads from QSCI_THREADS (default 1: fully serial runs); a
+    value that is not an integer >= 1 is a ConfigError."""
+    raw = os.environ.get("QSCI_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"QSCI_THREADS must be an integer >= 1, got '{raw}'")
+    return int(raw)
 
 
 def _resolve(workdir: Path, p: str) -> Path:
@@ -54,9 +62,9 @@ def _write_pgm(path: Path, frame: np.ndarray):
         fh.write(data.tobytes())
 
 
-def _net_config(cfg: ExperimentConfig) -> QNetConfig:
+def _net_config(cfg: ExperimentConfig, variant: str | None = None) -> QNetConfig:
     return make_variant(
-        cfg.net_variant,
+        variant or cfg.net_variant,
         base_channels=cfg.net_base_channels,
         resdnet_blocks=cfg.net_resdnet_blocks,
         cformer_per_block=cfg.net_cformer_per_block,
@@ -121,25 +129,39 @@ def cmd_gen_data(args, workdir: Path) -> int:
 
 
 def _load_data_dir(path: Path, cr: int):
-    """(masks, [(index, clip, measurement)]) of a gen-data directory; its
-    masks must have the model's compression ratio ``cr``."""
+    """(masks, [(index, clip, measurement)]) of a gen-data directory. The
+    masks must be a binary [T, H, W] stack with the model's compression
+    ratio ``cr`` as T, each clip [T, H, W] and each measurement [H, W]; a
+    missing, unreadable or misshapen file raises DataError naming it."""
+    def load(name: str, shape=None) -> np.ndarray:
+        try:
+            arr = np.load(path / name).astype(np.float32)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"unreadable {path / name}: {exc}") from exc
+        if shape is not None and arr.shape != shape:
+            raise DataError(f"{path / name} has shape {arr.shape}, expected {shape}")
+        return arr
+
     try:
         rows = (path / "manifest.csv").read_text(encoding="ascii").splitlines()[1:]
-        masks_arr = np.load(path / "masks.npy").astype(np.float32)
     except (OSError, ValueError) as exc:
         raise DataError(f"unreadable data dir {path}: {exc}") from exc
-    masks = MaskSet(masks=masks_arr, seed=-1, density=float(masks_arr.mean()))
+    masks_arr = load("masks.npy")
+    try:
+        masks = MaskSet(masks=masks_arr, seed=-1, density=float(masks_arr.mean()))
+    except ValueError as exc:   # ShapeError or ConfigError
+        raise DataError(f"{path / 'masks.npy'}: {exc}") from exc
     if masks.t != cr:
         raise DataError(f"data compression ratio {masks.t} vs model {cr}")
     entries = []
     for line in filter(str.strip, rows):
         try:
             idx, clip_name, meas_name = line.split(",")[:3]
-            clip = VideoClip(frames=np.load(path / clip_name).astype(np.float32))
-            meas = Measurement(y=np.load(path / meas_name).astype(np.float32), cr=masks.t)
-            entries.append((int(idx), clip, meas))
-        except (OSError, ValueError) as exc:
+            idx = int(idx)
+        except ValueError as exc:
             raise DataError(f"{path / 'manifest.csv'} row '{line}': {exc}") from exc
+        entries.append((idx, VideoClip(frames=load(clip_name, masks.masks.shape)),
+                        Measurement(y=load(meas_name, masks.frame_shape), cr=masks.t)))
     return masks, entries
 
 
@@ -164,9 +186,8 @@ def cmd_train(args, workdir: Path) -> int:
     result = train(_train_config(cfg), netcfg, _dataset(cfg), init_state, init_geometry)
     save_checkpoint(out / "checkpoint.qsc", result.fingerprint, result.state)
     _write_loss_csv(out / "loss.csv", result.curve)
-    final = result.curve[-1]["val_psnr"] if result.curve else float("nan")
     print(f"trained {netcfg.fingerprint()} -> {out / 'checkpoint.qsc'} "
-          f"(final holdout PSNR {final:.3f} dB)")
+          f"(final holdout PSNR {result.final_psnr:.3f} dB)")
     return 0
 
 
@@ -177,100 +198,99 @@ def _load_net(ckpt_path: Path) -> QNet:
     return net
 
 
-def cmd_eval(args, workdir: Path) -> int:
-    net = _load_net(_resolve(workdir, args.ckpt))
-    masks, entries = _load_data_dir(_resolve(workdir, args.data), net.cfg.cr)
-
+def _reconstruct_all(net: QNet, masks: MaskSet, entries, score):
+    """[(index, frames, score(frames, clip frames))] for each (index, clip,
+    measurement) entry, in order; clips run on worker_count() threads."""
     def one(entry):
         idx, clip, meas = entry
-        rec = net.reconstruct(meas, masks)
-        return idx, psnr(rec.frames, clip.frames), ssim(rec.frames, clip.frames), rec
+        frames = net.reconstruct(meas, masks).frames
+        return idx, frames, score(frames, clip.frames)
 
     workers = worker_count()
     if workers > 1 and len(entries) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, entries))
-    else:
-        results = [one(e) for e in entries]
+            return list(pool.map(one, entries))
+    return [one(e) for e in entries]
+
+
+def _psnr_ssim(frames: np.ndarray, gt: np.ndarray):
+    return psnr(frames, gt), ssim(frames, gt)
+
+
+def _mean_psnr_ssim(scores) -> str:
+    """'psnr_db,ssim' means of (psnr, ssim) pairs, as eval's average row."""
+    return f"{np.mean([p for p, _ in scores]):.6f},{np.mean([s for _, s in scores]):.6f}"
+
+
+def cmd_eval(args, workdir: Path) -> int:
+    net = _load_net(_resolve(workdir, args.ckpt))
+    masks, entries = _load_data_dir(_resolve(workdir, args.data), net.cfg.cr)
+    results = _reconstruct_all(net, masks, entries, _psnr_ssim)
 
     out = _resolve(workdir, args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["index,psnr_db,ssim"]
-    for idx, p, s, rec in results:
+    for idx, frames, (p, s) in results:
         rows.append(f"{idx},{p:.6f},{s:.6f}")
         if args.dump_frames:
-            for t in range(rec.frames.shape[0]):
-                _write_pgm(out / f"recon_{idx:04d}_f{t}.pgm", rec.frames[t])
+            for t, frame in enumerate(frames):
+                _write_pgm(out / f"recon_{idx:04d}_f{t}.pgm", frame)
     if results:
-        rows.append(f"average,{np.mean([r[1] for r in results]):.6f},"
-                    f"{np.mean([r[2] for r in results]):.6f}")
+        rows.append("average," + _mean_psnr_ssim([r[2] for r in results]))
     (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
     print((out / "metrics.csv").read_text(encoding="ascii"), end="")
     return 0
 
 
-def _ladder_configs(base_kwargs: dict, bits: int):
-    """Break-down ladder: exactly one flag changes per step."""
-    rows = [
-        ("baseline", QNetConfig(body_bits=bits, shortcut_bits=8, **base_kwargs)),
-        ("+shift", QNetConfig(body_bits=bits, shortcut_bits=8, use_qk_shift=True,
-                              **base_kwargs)),
-        ("+shift+fem", QNetConfig(body_bits=bits, shortcut_bits=8, use_qk_shift=True,
-                                  use_fem_shortcuts=True, **base_kwargs)),
-        ("+shift+fem+vrm", QNetConfig(body_bits=bits, shortcut_bits=8, use_qk_shift=True,
-                                      use_fem_shortcuts=True, use_vrm_shortcuts=True,
-                                      **base_kwargs)),
-    ]
+def _ladder_configs(fp32: QNetConfig, bits: int):
+    """Break-down ladder from the plain ``bits``-bit net: each step switches
+    on one more addition."""
+    step = dataclasses.replace(fp32, body_bits=bits, shortcut_bits=8)
+    rows, name = [("baseline", step)], ""
+    for suffix, flag in (("+shift", "use_qk_shift"), ("+fem", "use_fem_shortcuts"),
+                         ("+vrm", "use_vrm_shortcuts")):
+        name += suffix
+        step = dataclasses.replace(step, **{flag: True})
+        rows.append((name, step))
     return rows
 
 
-def _grid_configs(base_kwargs: dict, bits: int):
-    """Per-stage bit-width grid on the plain 8-bit baseline."""
-    return [
-        ("all_8bit", QNetConfig(body_bits=8, shortcut_bits=8, **base_kwargs)),
-        ("fem_4bit", QNetConfig(body_bits=8, shortcut_bits=8, fem_bits=bits, **base_kwargs)),
-        ("enh_4bit", QNetConfig(body_bits=8, shortcut_bits=8, enh_bits=bits, **base_kwargs)),
-        ("vrm_4bit", QNetConfig(body_bits=8, shortcut_bits=8, vrm_bits=bits, **base_kwargs)),
-    ]
+def _grid_configs(fp32: QNetConfig, bits: int):
+    """Per-stage bit-width grid: one stage of the plain 8-bit net at ``bits``."""
+    all_8bit = dataclasses.replace(fp32, body_bits=8, shortcut_bits=8)
+    return [("all_8bit", all_8bit)] + [
+        (f"{stage}_{bits}bit", dataclasses.replace(all_8bit, **{f"{stage}_bits": bits}))
+        for stage in ("fem", "enh", "vrm")]
 
 
 def cmd_ablate(args, workdir: Path) -> int:
     cfg = ExperimentConfig.load(_resolve(workdir, args.config))
+    worker_count()   # a malformed QSCI_THREADS fails before any training
+    fp32_cfg = _net_config(cfg, "fp32")
+    tables = {"ladder.csv": _ladder_configs(fp32_cfg, args.bits),
+              "grid.csv": _grid_configs(fp32_cfg, args.bits)}
     out = _resolve(workdir, cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
     dataset = _dataset(cfg)
     tcfg = _train_config(cfg)
-    base_kwargs = dict(base_channels=cfg.net_base_channels,
-                       resdnet_blocks=cfg.net_resdnet_blocks,
-                       cformer_per_block=cfg.net_cformer_per_block,
-                       heads=cfg.net_heads, cr=cfg.net_cr)
+    holdout = [(i, c, encode(c, dataset.masks)) for i, c in enumerate(dataset.holdout_clips)]
 
     # shared full-precision backbone, identical seeds for every row
-    fp32_cfg = QNetConfig(body_bits=32, shortcut_bits=32, **base_kwargs)
     fp32 = train(tcfg, fp32_cfg, dataset)
     save_checkpoint(out / "fp32_init.qsc", fp32.fingerprint, fp32.state)
-    geometry = fp32_cfg.backbone_geometry()
-
-    def run_rows(rows, csv_path):
+    for csv_name, rows in tables.items():
         lines = ["row,psnr_db,ssim,params_m,ops_g"]
         for name, rowcfg in rows:
-            res = train(tcfg, rowcfg, dataset, fp32.state, geometry)
-            net = QNet(rowcfg, seed=tcfg.seed)
-            net.load_state(res.state)
-            vals = []
-            for c in dataset.holdout_clips:
-                rec = net.reconstruct(encode(c, dataset.masks), dataset.masks)
-                vals.append((psnr(rec.frames, c.frames), ssim(rec.frames, c.frames)))
+            res = train(tcfg, rowcfg, dataset, fp32.state, fp32_cfg.backbone_geometry())
+            save_checkpoint(out / f"{name}.qsc", res.fingerprint, res.state)
+            net = _load_net(out / f"{name}.qsc")
+            results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
             rep = count_efficiency(net, (tcfg.crop, tcfg.crop))
-            lines.append(f"{name},{np.mean([v[0] for v in vals]):.6f},"
-                         f"{np.mean([v[1] for v in vals]):.6f},"
+            lines.append(f"{name},{_mean_psnr_ssim([r[2] for r in results])},"
                          f"{rep.params_m:.6f},{rep.ops_g:.6f}")
-        csv_path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        print(csv_path.read_text(encoding="ascii"), end="")
-
-    run_rows(_ladder_configs(base_kwargs, args.bits), out / "ladder.csv")
-    run_rows(_grid_configs(base_kwargs, args.bits), out / "grid.csv")
+        (out / csv_name).write_text("\n".join(lines) + "\n", encoding="ascii")
+        print((out / csv_name).read_text(encoding="ascii"), end="")
     return 0
 
 
@@ -291,10 +311,9 @@ def cmd_infer_int(args, workdir: Path) -> int:
     out = _resolve(workdir, args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["index,psnr_db"]
-    for idx, clip, meas in entries:
-        rec = net.reconstruct(meas, masks)
-        np.save(out / f"recon_{idx:04d}.npy", rec.frames)
-        rows.append(f"{idx},{psnr(rec.frames, clip.frames):.6f}")
+    for idx, frames, p in _reconstruct_all(net, masks, entries, psnr):
+        np.save(out / f"recon_{idx:04d}.npy", frames)
+        rows.append(f"{idx},{p:.6f}")
     (out / "int_metrics.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
     print((out / "int_metrics.csv").read_text(encoding="ascii"), end="")
     return 0

@@ -18,7 +18,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar
 
 import numpy as np
 
@@ -151,24 +150,9 @@ class ExperimentConfig:
     # out.*
     out_dir: str = "run"
 
-    _KEY_MAP: ClassVar[dict | None] = None   # "section.key" -> (field name, type)
-
-    @classmethod
-    def _key_map(cls):
-        if cls._KEY_MAP is None:
-            m = {}
-            for f in fields(cls):
-                if f.name.startswith("_"):
-                    continue
-                section, _, rest = f.name.partition("_")
-                m[f"{section}.{rest}"] = (f.name, f.type)
-            cls._KEY_MAP = m
-        return cls._KEY_MAP
-
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
         cfg = cls()
-        key_map = cls._key_map()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -178,9 +162,9 @@ class ExperimentConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in key_map:
+            if key not in _KEY_MAP:
                 raise ConfigError(f"line {lineno}: unknown key '{key}'")
-            fname, ftype = key_map[key]
+            fname, ftype = _KEY_MAP[key]
             setattr(cfg, fname, _convert(key, value, ftype))
         return cfg
 
@@ -192,13 +176,17 @@ class ExperimentConfig:
     def echo(self) -> str:
         """Canonical text rendering of every key (written for provenance)."""
         lines = []
-        for key in sorted(self._key_map()):
-            fname, _ = self._key_map()[key]
+        for key, (fname, _) in sorted(_KEY_MAP.items()):
             v = getattr(self, fname)
             if isinstance(v, bool):
                 v = "true" if v else "false"
             lines.append(f"{key} = {v}")
         return "\n".join(lines) + "\n"
+
+
+# "section.key" -> (field name, type): the field net_base_channels is the key
+# net.base_channels
+_KEY_MAP = {f.name.replace("_", ".", 1): (f.name, f.type) for f in fields(ExperimentConfig)}
 
 
 def _convert(key, value, ftype):

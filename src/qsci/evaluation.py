@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .network import QNet
 
 PSNR_CAP_DB = 100.0
 
@@ -101,35 +102,19 @@ class EffReport:
     params_m: float
     ops_g: float
 
-    @staticmethod
-    def from_audit(audit_rows: list) -> "EffReport":
-        rows = []
-        for r in audit_rows:
-            adj_params = (bit_adjusted_params(r["weight_params"], r["w_bits"])
-                          + r.get("bias_params", 0))
-            adj_ops = bit_adjusted_ops(r["flops"], r["w_bits"], r["a_bits"])
-            rows.append({**r, "adj_params": adj_params, "adj_ops": adj_ops})
-        params_m = sum(r["adj_params"] for r in rows) / 1e6
-        ops_g = sum(r["adj_ops"] for r in rows) / 1e9
-        return EffReport(rows=rows, params_m=params_m, ops_g=ops_g)
 
-
-def count_efficiency(net_or_audit, input_hw=None) -> EffReport:
-    """Bit-adjusted Params/OPs from a network, a config, or a prebuilt audit
-    table (list of rows with weight_params/bias_params/flops/w_bits/a_bits).
+def count_efficiency(net_or_cfg, input_hw) -> EffReport:
+    """Bit-adjusted Params/OPs of a network, or of one built from a config,
+    on an ``input_hw`` frame.
 
     Biases stay full precision, so their count enters unadjusted.
     """
-    if isinstance(net_or_audit, list):
-        return EffReport.from_audit(net_or_audit)
-    from .network import QNet, QNetConfig
-
-    if isinstance(net_or_audit, QNetConfig):
-        net = QNet(net_or_audit, seed=0)
-    elif isinstance(net_or_audit, QNet):
-        net = net_or_audit
-    else:
-        raise TypeError(f"expected audit rows, QNet or QNetConfig, got {type(net_or_audit)}")
-    if input_hw is None:
-        raise ValueError("input_hw required when auditing a network")
-    return EffReport.from_audit(net.audit(input_hw))
+    net = net_or_cfg if isinstance(net_or_cfg, QNet) else QNet(net_or_cfg, seed=0)
+    rows = []
+    for r in net.audit(input_hw):
+        adj_params = bit_adjusted_params(r["weight_params"], r["w_bits"]) + r["bias_params"]
+        adj_ops = bit_adjusted_ops(r["flops"], r["w_bits"], r["a_bits"])
+        rows.append({**r, "adj_params": adj_params, "adj_ops": adj_ops})
+    params_m = sum(r["adj_params"] for r in rows) / 1e6
+    ops_g = sum(r["adj_ops"] for r in rows) / 1e9
+    return EffReport(rows=rows, params_m=params_m, ops_g=ops_g)

@@ -232,10 +232,6 @@ class Module:
                 )
             p.data = np.ascontiguousarray(arr)
 
-    def zero_grads(self):
-        for p in self.params():
-            p.zero_grad()
-
 
 def _he_weight(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     std = math.sqrt(2.0 / fan_in)

@@ -86,9 +86,6 @@ class TrainConfig:
     aug_scale: bool = True
     noise_sigma: float = 0.0
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.lr_phase1 <= 0 or self.lr_phase2 <= 0:
@@ -219,7 +216,7 @@ def train(cfg: TrainConfig, netcfg: QNetConfig, dataset: Dataset,
         net.init_from_backbone(init_state, init_geometry or netcfg.backbone_geometry())
 
     floors = [(p, ALPHA_FLOOR) for p in net.alpha_params()]
-    opt = Adam(net.params(), cfg.lr_phase1, cfg.beta1, cfg.beta2, cfg.eps, floors)
+    opt = Adam(net.params(), cfg.lr_phase1, floors=floors)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3,)))
 
     result = TrainResult(state={}, fingerprint=netcfg.fingerprint())

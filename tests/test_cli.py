@@ -1,8 +1,10 @@
 """CLI behaviour: malformed containers and data dirs and a file of the wrong
-kind end in exit code 3, ``train``, ``eval``, ``pack``
-and ``infer-int`` reruns are byte-identical, threaded ``eval`` matches
-serial ``eval``, ``eval`` and ``infer-int`` report the same PSNR, and the
-``report`` table follows the bit-adjusted formulas."""
+kind end in exit code 3, a malformed ``QSCI_THREADS`` in exit code 2,
+``train``, ``eval``, ``pack``, ``infer-int`` and ``ablate`` reruns are
+byte-identical, threaded ``eval`` and ``infer-int`` match serial runs,
+``eval`` and ``infer-int`` report the same PSNR, every ``ablate`` row is
+``eval`` of its checkpoint, and the ``report`` table follows the
+bit-adjusted formulas."""
 
 import contextlib
 import io
@@ -18,8 +20,10 @@ import qsci
 from qsci import cli
 from qsci.containers import load_checkpoint, save_checkpoint
 from qsci.errors import FormatError
+from qsci.evaluation import count_efficiency
 from qsci.network import QNet, make_variant
 from qsci.packed import infer_packed, pack_model, read_packed
+from qsci.training import HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET
 from small_models import calibrated_net
 
 T, HW = 4, 16
@@ -145,6 +149,38 @@ class TestDataValidation:
         assert rc == 3
         assert f"data compression ratio {T // 2} vs model {T}" in err
 
+    @pytest.mark.parametrize("name,bad", [
+        ("meas_0001.npy", np.zeros((HW + 2, HW), np.float32)),
+        ("clip_0001.npy", np.zeros((T, HW, HW + 2), np.float32)),
+        ("masks.npy", np.ones((HW, HW), np.float32)),
+        ("masks.npy", np.full((T, HW, HW), 0.5, np.float32)),
+    ], ids=["measurement-shape", "clip-shape", "masks-2d", "masks-not-binary"])
+    @pytest.mark.parametrize("command,flag,ckpt", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc")])
+    def test_misshapen_file_exits_3(self, work, tmp_path, command, flag, ckpt, name, bad):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in (work / "data").iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        np.save(data / name, bad)
+        rc, err = run("--workdir", work, command, flag, ckpt, "--data", data,
+                      "--out", tmp_path / "out")
+        assert rc == 3, err
+        assert name in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_malformed_thread_count_exits_2(self, work, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("QSCI_THREADS", threads)
+        rc, err = run("--workdir", work, "eval", "--ckpt", "q4.qsc", "--data", "data",
+                      "--out", tmp_path / "out")
+        assert rc == 2
+        assert f"QSCI_THREADS must be an integer >= 1, got '{threads}'" in err
+        # ablate reads it before it trains anything
+        (tmp_path / "ablate.cfg").write_text(ABLATE_CFG, encoding="ascii")
+        assert run("--workdir", tmp_path, "ablate", "--config", "ablate.cfg")[0] == 2
+        assert not (tmp_path / "ablate").exists()
+
 
 class TestInferIntDeterminism:
     def test_reruns_byte_identical_and_equal_to_one_shot(self, work):
@@ -256,14 +292,92 @@ class TestRerunDeterminism:
         assert (work / "again.pack").read_bytes() == (work / "q4.pack").read_bytes()
 
     def test_threaded_eval_matches_serial(self, work, monkeypatch):
-        outs = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("QSCI_THREADS", threads)
-            assert cli.worker_count() == int(threads)
-            assert run("--workdir", work, "eval", "--ckpt", "q4.qsc", "--data", "data",
-                       "--out", f"eval_threads{threads}")[0] == 0
-            outs[threads] = (work / f"eval_threads{threads}" / "metrics.csv").read_bytes()
-        assert outs["1"] == outs["2"]
+        # infer-int too: both reconstruct their clips through one loop
+        for command, flag, name, n_files in (("eval", "--ckpt", "q4.qsc", 1),
+                                             ("infer-int", "--packed", "q4.pack", 3)):
+            outs = {}
+            for threads in ("1", "2"):
+                monkeypatch.setenv("QSCI_THREADS", threads)
+                assert cli.worker_count() == int(threads)
+                out = work / f"{command}_threads{threads}"
+                assert run("--workdir", work, command, flag, name, "--data", "data",
+                           "--out", out)[0] == 0
+                outs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert len(outs["1"]) == n_files
+            assert outs["1"] == outs["2"]
+
+
+ABLATE_CFG = """\
+net.base_channels = 4
+net.resdnet_blocks = 1
+net.cr = 2
+train.epochs_phase1 = 1
+train.epochs_phase2 = 0
+train.batch_size = 2
+train.crop = 16
+data.seed = 3
+data.count = 2
+data.holdout = 2
+data.clip_hw = 16
+out.dir = ablate
+"""
+LADDER = ["baseline", "+shift", "+shift+fem", "+shift+fem+vrm"]
+GRID = ["all_8bit", "fem_4bit", "enh_4bit", "vrm_4bit"]
+
+
+class TestAblate:
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Two ablate runs of the tiny config, and its held-out clips as a
+        data dir (data seed 3, crop 16, cr 2, 2 clips)."""
+        root = tmp_path_factory.mktemp("ablate")
+        (root / "ablate.cfg").write_text(ABLATE_CFG, encoding="ascii")
+        outs = []
+        for rerun in ("a", "b"):
+            assert run("--workdir", root, "ablate", "--config", "ablate.cfg")[0] == 0
+            outs.append((root / "ablate").rename(root / f"ablate_{rerun}"))
+        assert run("--workdir", root, "gen-data", "--seed", 3 + HOLDOUT_SEED_OFFSET,
+                   "--mask-seed", 3 + MASK_SEED_OFFSET, "--count", 2, "--T", 2,
+                   "--H", 16, "--W", 16, "--out", "holdout")[0] == 0
+        return root, outs
+
+    @staticmethod
+    def table(path):
+        header, *rows = [line.split(",") for line in
+                         path.read_text(encoding="ascii").splitlines()]
+        return header, {r[0]: r[1:] for r in rows}
+
+    def test_rows_and_header(self, runs):
+        _, (out, _) = runs
+        for csv, names in (("ladder.csv", LADDER), ("grid.csv", GRID)):
+            header, rows = self.table(out / csv)
+            assert header == ["row", "psnr_db", "ssim", "params_m", "ops_g"]
+            assert list(rows) == names
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["config_echo.txt", "fp32_init.qsc", "grid.csv", "ladder.csv"]
+            + [f"{name}.qsc" for name in LADDER + GRID])
+
+    def test_rerun_byte_identical(self, runs):
+        _, (a, b) = runs
+        for f in a.iterdir():
+            assert f.read_bytes() == (b / f.name).read_bytes(), f.name
+
+    def test_efficiency_columns_match_count_efficiency(self, runs):
+        _, (out, _) = runs
+        for csv in ("ladder.csv", "grid.csv"):
+            for name, (_, _, params_m, ops_g) in self.table(out / csv)[1].items():
+                rep = count_efficiency(cli._load_net(out / f"{name}.qsc"), (16, 16))
+                assert (params_m, ops_g) == (f"{rep.params_m:.6f}", f"{rep.ops_g:.6f}")
+
+    def test_each_row_is_eval_of_its_checkpoint(self, runs):
+        root, (out, _) = runs
+        for csv in ("ladder.csv", "grid.csv"):
+            for name, (psnr_db, ssim, _, _) in self.table(out / csv)[1].items():
+                assert run("--workdir", root, "eval", "--ckpt", out / f"{name}.qsc",
+                           "--data", "holdout", "--out", f"eval_{name}")[0] == 0
+                _, evaluated = self.table(root / f"eval_{name}" / "metrics.csv")
+                assert list(evaluated) == ["0", "1", "average"]
+                assert evaluated["average"] == [psnr_db, ssim]
 
 
 def test_all_exports_resolve():

@@ -48,7 +48,6 @@ class TestEfficiency:
         rep = count_efficiency(make_variant("q4", **TINY), (8, 8))
         assert rep.params_m * 1e6 == pytest.approx(sum(r["adj_params"] for r in rep.rows))
         assert rep.ops_g * 1e9 == pytest.approx(sum(r["adj_ops"] for r in rep.rows))
-        assert count_efficiency(rep.rows).ops_g == rep.ops_g
 
     def test_audit_flops_of_a_conv_and_a_linear_row(self):
         net = QNet(make_variant("q4", **TINY), seed=0)
