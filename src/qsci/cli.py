@@ -7,8 +7,10 @@ round-trip bit-exactly and CSV outputs are byte-identical across reruns.
 shared backbone ``fp32_init.qsc``, one ``<row>.qsc`` per row, and
 ``ladder.csv`` and ``grid.csv`` (``row,psnr_db,ssim,params_m,ops_g``); a
 row's ``psnr_db,ssim`` are the ``average`` row of ``eval`` of its checkpoint
-on the held-out clips. ``eval``, ``infer-int`` and ``ablate`` reconstruct
-clips on ``QSCI_THREADS`` threads (default 1; outputs do not depend on it).
+on the held-out clips. Rows that build the same network are trained once,
+and a ``net.variant`` other than fp32 is a config error. ``eval``,
+``infer-int`` and ``ablate`` reconstruct clips on ``QSCI_THREADS`` threads
+(default 1; outputs do not depend on it).
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -27,7 +29,7 @@ import numpy as np
 from .containers import ExperimentConfig, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, QsciError
 from .evaluation import count_efficiency, psnr, ssim
-from .network import QNet, QNetConfig, make_variant, parse_fingerprint
+from .network import BACKBONE, QNet, QNetConfig, make_variant, parse_fingerprint
 from .packed import pack_model, packed_layers, packed_net, read_packed
 from .sci import MaskSet, Measurement, VideoClip, encode, generate_masks, synth_video
 from .training import MASK_SEED_OFFSET, Dataset, TrainConfig, make_synth_dataset, train
@@ -62,15 +64,9 @@ def _write_pgm(path: Path, frame: np.ndarray):
         fh.write(data.tobytes())
 
 
-def _net_config(cfg: ExperimentConfig, variant: str | None = None) -> QNetConfig:
-    return make_variant(
-        variant or cfg.net_variant,
-        base_channels=cfg.net_base_channels,
-        resdnet_blocks=cfg.net_resdnet_blocks,
-        cformer_per_block=cfg.net_cformer_per_block,
-        heads=cfg.net_heads,
-        cr=cfg.net_cr,
-    )
+def _net_config(cfg: ExperimentConfig) -> QNetConfig:
+    # the key net.<field> sets the backbone geometry field <field>
+    return make_variant(cfg.net_variant, **{f: getattr(cfg, f"net_{f}") for _, f in BACKBONE})
 
 
 def _train_config(cfg: ExperimentConfig) -> TrainConfig:
@@ -263,10 +259,21 @@ def _grid_configs(fp32: QNetConfig, bits: int):
         for stage in ("fem", "enh", "vrm")]
 
 
+def _network_key(netcfg: QNetConfig) -> QNetConfig:
+    """``netcfg`` with each stage's bits spelt out: configs that build the
+    same network, such as an 8-bit net with and without an 8-bit stage
+    override, have the same key."""
+    return dataclasses.replace(netcfg, **{f"{stage}_bits": netcfg.stage_bits(stage)
+                                          for stage in ("fem", "enh", "vrm")})
+
+
 def cmd_ablate(args, workdir: Path) -> int:
     cfg = ExperimentConfig.load(_resolve(workdir, args.config))
+    if cfg.net_variant != "fp32":
+        raise ConfigError(f"ablate trains its rows from an fp32 backbone; "
+                          f"net.variant must be fp32, got '{cfg.net_variant}'")
     worker_count()   # a malformed QSCI_THREADS fails before any training
-    fp32_cfg = _net_config(cfg, "fp32")
+    fp32_cfg = _net_config(cfg)
     tables = {"ladder.csv": _ladder_configs(fp32_cfg, args.bits),
               "grid.csv": _grid_configs(fp32_cfg, args.bits)}
     out = _resolve(workdir, cfg.out_dir)
@@ -279,11 +286,15 @@ def cmd_ablate(args, workdir: Path) -> int:
     # shared full-precision backbone, identical seeds for every row
     fp32 = train(tcfg, fp32_cfg, dataset)
     save_checkpoint(out / "fp32_init.qsc", fp32.fingerprint, fp32.state)
+    trained = {}   # network key -> state: rows of one network train once
     for csv_name, rows in tables.items():
         lines = ["row,psnr_db,ssim,params_m,ops_g"]
         for name, rowcfg in rows:
-            res = train(tcfg, rowcfg, dataset, fp32.state, fp32_cfg.backbone_geometry())
-            save_checkpoint(out / f"{name}.qsc", res.fingerprint, res.state)
+            key = _network_key(rowcfg)
+            if key not in trained:
+                trained[key] = train(tcfg, rowcfg, dataset, fp32.state,
+                                     fp32_cfg.backbone_geometry()).state
+            save_checkpoint(out / f"{name}.qsc", rowcfg.fingerprint(), trained[key])
             net = _load_net(out / f"{name}.qsc")
             results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
             rep = count_efficiency(net, (tcfg.crop, tcfg.crop))

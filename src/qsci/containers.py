@@ -5,12 +5,13 @@ Checkpoints carry a config fingerprint plus named little-endian arrays
 returns the fingerprint as stored: callers compare it with the network they
 build (``install_packed``, ``init_from_backbone`` through its backbone
 geometry). The same container holds trained networks and packed models
-(whose state carries uint64 weight codes, see :mod:`qsci.packed`); the code
-that loads a state into a network checks which one it was given. The
-reader checks every length against the bytes left, so a truncated or corrupt
-file raises FormatError. The experiment config is a ``section.key = value``
-text file with a fixed key schema; unknown keys are rejected and the parsed
-values are echoed into the run directory for provenance.
+(whose state carries uint64 weight codes, see :mod:`qsci.packed`);
+:func:`qsci.network.check_state`, the one check that a state fits a
+network, tells them apart for every loader. The reader checks every length
+against the bytes left, so a truncated or corrupt file raises FormatError.
+The experiment config is a ``section.key = value`` text file with a fixed
+key schema; unknown keys are rejected and the parsed values are echoed into
+the run directory for provenance.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ through its one-shot ``on_next`` hook (see :mod:`qsci.quantize`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -81,23 +81,12 @@ class QNetConfig:
         return self.body_bits if override is None else override
 
     def fingerprint(self) -> str:
-        def opt(v):
-            return "-" if v is None else str(v)
-
-        return (
-            f"v1;C={self.base_channels};N={self.resdnet_blocks};K={self.cformer_per_block};"
-            f"heads={self.heads};T={self.cr};body={self.body_bits};short={self.shortcut_bits};"
-            f"fem={int(self.use_fem_shortcuts)};vrm={int(self.use_vrm_shortcuts)};"
-            f"shift={int(self.use_qk_shift)};femb={opt(self.fem_bits)};"
-            f"enhb={opt(self.enh_bits)};vrmb={opt(self.vrm_bits)}"
-        )
+        return ";".join(["v1"] + [f"{key}={_fp_value(getattr(self, f))}"
+                                  for key, f in FINGERPRINT])
 
     def backbone_geometry(self) -> str:
         """The part of the fingerprint that must match for checkpoint init."""
-        return (
-            f"C={self.base_channels};N={self.resdnet_blocks};K={self.cformer_per_block};"
-            f"heads={self.heads};T={self.cr}"
-        )
+        return ";".join(f"{key}={getattr(self, f)}" for key, f in BACKBONE)
 
     @property
     def quantized(self) -> bool:
@@ -107,34 +96,35 @@ class QNetConfig:
         return (self.use_fem_shortcuts or self.use_vrm_shortcuts) and self.shortcut_bits < 32
 
 
-def parse_fingerprint(fp: str) -> QNetConfig:
-    parts = fp.split(";")
-    if not parts or parts[0] != "v1":
-        raise ConfigError(f"unrecognized config fingerprint '{fp}'")
-    kv = {}
-    for part in parts[1:]:
-        k, _, v = part.partition("=")
-        kv[k] = v
+# (key, field) of each fingerprint entry, in order. The first five rows are
+# the backbone geometry, which an init checkpoint must share with the network.
+FINGERPRINT = (("C", "base_channels"), ("N", "resdnet_blocks"), ("K", "cformer_per_block"),
+               ("heads", "heads"), ("T", "cr"), ("body", "body_bits"),
+               ("short", "shortcut_bits"), ("fem", "use_fem_shortcuts"),
+               ("vrm", "use_vrm_shortcuts"), ("shift", "use_qk_shift"), ("femb", "fem_bits"),
+               ("enhb", "enh_bits"), ("vrmb", "vrm_bits"))
+BACKBONE = FINGERPRINT[:5]
 
-    def opt(v):
-        return None if v == "-" else int(v)
+
+def _fp_value(v) -> str:
+    return "-" if v is None else str(int(v))
+
+
+def parse_fingerprint(fp: str) -> QNetConfig:
+    head, *parts = fp.split(";")
+    if head != "v1":
+        raise ConfigError(f"unrecognized config fingerprint '{fp}'")
+    kv = dict(part.partition("=")[::2] for part in parts)
+    types = {f.name: f.type for f in fields(QNetConfig)}
+
+    def value(key, field):
+        text = kv[key]
+        if text == "-" and types[field].startswith("Optional"):
+            return None
+        return bool(int(text)) if types[field] == "bool" else int(text)
 
     try:
-        return QNetConfig(
-            base_channels=int(kv["C"]),
-            resdnet_blocks=int(kv["N"]),
-            cformer_per_block=int(kv["K"]),
-            heads=int(kv["heads"]),
-            cr=int(kv["T"]),
-            body_bits=int(kv["body"]),
-            shortcut_bits=int(kv["short"]),
-            use_fem_shortcuts=bool(int(kv["fem"])),
-            use_vrm_shortcuts=bool(int(kv["vrm"])),
-            use_qk_shift=bool(int(kv["shift"])),
-            fem_bits=opt(kv["femb"]),
-            enh_bits=opt(kv["enhb"]),
-            vrm_bits=opt(kv["vrmb"]),
-        )
+        return QNetConfig(**{field: value(key, field) for key, field in FINGERPRINT})
     except (KeyError, ValueError) as exc:   # a missing or non-integer field
         raise ConfigError(f"malformed config fingerprint '{fp}': {exc!r}") from exc
 
@@ -150,19 +140,17 @@ def make_variant(name: str, **overrides) -> QNetConfig:
     the shift; the *_baseline presets quantize everything directly with no
     additions; fp32 is the unquantized backbone.
     """
-    base = dict(base_channels=16, resdnet_blocks=2, cformer_per_block=2, heads=2, cr=4)
-    base.update(overrides)
     if name == "fp32":
-        return QNetConfig(body_bits=32, shortcut_bits=32, **base)
+        return QNetConfig(body_bits=32, shortcut_bits=32, **overrides)
     if name == "q8":
-        return QNetConfig(body_bits=8, shortcut_bits=8, use_qk_shift=True, **base)
+        return QNetConfig(body_bits=8, shortcut_bits=8, use_qk_shift=True, **overrides)
     if name in ("q4", "q3", "q2"):
         bits = int(name[1])
         return QNetConfig(body_bits=bits, shortcut_bits=8, use_fem_shortcuts=True,
-                          use_vrm_shortcuts=True, use_qk_shift=True, **base)
+                          use_vrm_shortcuts=True, use_qk_shift=True, **overrides)
     if name.endswith("_baseline") and name[:2] in ("q4", "q3", "q2"):
         bits = int(name[1])
-        return QNetConfig(body_bits=bits, shortcut_bits=8, **base)
+        return QNetConfig(body_bits=bits, shortcut_bits=8, **overrides)
     raise ConfigError(f"unknown variant '{name}'; expected one of {VARIANT_NAMES}")
 
 
@@ -214,23 +202,37 @@ class Module:
     def state_dict(self) -> dict:
         return {name: p.data.copy() for name, p in self.named_params()}
 
-    def load_state(self, state: dict):
-        own = dict(self.named_params())
-        missing = sorted(set(own) - set(state))
-        extra = sorted(set(state) - set(own))
-        if missing or extra:
-            raise FormatError(
-                f"state mismatch: missing {missing[:4]}..., unexpected {extra[:4]}..."
-                if len(missing) > 4 or len(extra) > 4
-                else f"state mismatch: missing {missing}, unexpected {extra}"
-            )
-        for name, p in own.items():
-            arr = np.asarray(state[name], dtype=np.float32)
-            if arr.shape != p.data.shape:
-                raise FormatError(
-                    f"parameter '{name}' shape {arr.shape} does not match model {p.data.shape}"
-                )
-            p.data = np.ascontiguousarray(arr)
+    def expected_state(self) -> dict:
+        """{name: (dtype, shape)} of this module's float32 parameters."""
+        return {name: (np.dtype(np.float32), p.data.shape) for name, p in self.named_params()}
+
+    def load_state(self, state: dict, expect: Optional[dict] = None, required=None):
+        """Set each parameter that ``state`` holds, once :func:`check_state`
+        finds that it fits ``expect`` (default: exactly this module's)."""
+        check_state(state, self.expected_state() if expect is None else expect, required)
+        for name, p in self.named_params():
+            if name in state:
+                p.data = np.ascontiguousarray(state[name])
+
+
+def check_state(state: dict, expect: dict, required=None):
+    """The one test that a state fits a network. ``expect`` maps each entry
+    the state may hold to its (dtype, shape); ``required`` names the entries
+    it must hold (default: all of ``expect``). A state that does not fit
+    raises FormatError naming the first missing and the first unexpected
+    entry, or else the first entry of the wrong dtype or shape."""
+    missing = sorted(set(expect if required is None else required) - set(state))
+    unexpected = sorted(set(state) - set(expect))
+    faults = [f"no entry '{missing[0]}'"] if missing else []
+    if unexpected:
+        faults.append(f"unexpected entry '{unexpected[0]}' has no counterpart in the network")
+    if faults:
+        raise FormatError("state does not fit the network: " + "; ".join(faults))
+    for name in sorted(state):
+        arr, (dtype, shape) = state[name], expect[name]
+        if arr.dtype != dtype or arr.shape != shape:
+            raise FormatError(f"state entry '{name}' is {arr.dtype} {arr.shape}, "
+                              f"network expects {dtype} {shape}")
 
 
 def _he_weight(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -652,32 +654,21 @@ class QNet(Module):
         The checkpoint must hold every full-precision backbone parameter, and
         each of its entries must be one that a network of this geometry can
         carry (the backbone plus quantizer scales/zero-points, query/key
-        shifts and shortcut convs), with that network's shape. Entries this
-        model has are loaded; the others are skipped, and model parameters
-        absent from the checkpoint keep their initial values. A geometry
-        mismatch is a ConfigError; entries that do not fit are a FormatError.
+        shifts and shortcut convs), with that network's dtype and shape.
+        Entries this model has are loaded; the others are skipped, and model
+        parameters absent from the checkpoint keep their initial values. A
+        geometry mismatch is a ConfigError; entries that do not fit are a
+        FormatError (see :func:`check_state`).
         """
         if backbone_geometry != self.cfg.backbone_geometry():
             raise ConfigError(
                 f"init checkpoint geometry '{backbone_geometry}' does not match "
                 f"model geometry '{self.cfg.backbone_geometry()}'"
             )
-        geometry = {f: getattr(self.cfg, f) for f in
-                    ("base_channels", "resdnet_blocks", "cformer_per_block", "heads", "cr")}
+        geometry = {f: getattr(self.cfg, f) for _, f in BACKBONE}
         # q4 carries every quantizer, query/key shift and shortcut conv there is
-        carried = {n: p.data.shape for n, p in QNet(make_variant("q4", **geometry)).named_params()}
-        state = {n: np.asarray(arr, dtype=np.float32) for n, arr in state.items()}
-        for name, arr in sorted(state.items()):
-            if name not in carried:
-                raise FormatError(f"checkpoint parameter '{name}' has no counterpart in model")
-            if arr.shape != carried[name]:
-                raise FormatError(f"parameter '{name}' shape {arr.shape} vs model {carried[name]}")
-        for name, _ in QNet(make_variant("fp32", **geometry)).named_params():
-            if name not in state:
-                raise FormatError(f"model parameter '{name}' missing from init checkpoint")
-        for name, p in self.named_params():
-            if name in state:
-                p.data = np.ascontiguousarray(state[name])
+        self.load_state(state, QNet(make_variant("q4", **geometry)).expected_state(),
+                        required=QNet(make_variant("fp32", **geometry)).expected_state())
 
     def _forward_with_hooks(self, stack: np.ndarray, hooks):
         """One forward of ``stack`` with each (quantizer, hook) pair armed;

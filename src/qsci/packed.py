@@ -144,31 +144,21 @@ def read_packed(path) -> PackedModel:
 
 def install_packed(net: QNet, model: PackedModel):
     """Load a packed model into a network skeleton and attach an integer
-    kernel to every packed layer. A missing or unknown entry, or one of the
-    wrong dtype or shape (for words: the wrong count), raises FormatError."""
+    kernel to every packed layer. The entries are the network's parameters
+    with each packed ``.weight`` replaced by its ``.words``; a state that does
+    not fit (for words: the wrong count) raises FormatError, see
+    :func:`~qsci.network.check_state`."""
     if net.cfg.fingerprint() != model.fingerprint:
         raise FormatError(
             f"packed model fingerprint '{model.fingerprint}' does not match "
             f"network '{net.cfg.fingerprint()}'"
         )
-    own = dict(net.named_params())
-    expect = {pname: (np.dtype(np.float32), p.data.shape) for pname, p in own.items()}
+    expect = net.expected_state()
     for name, layer in packed_layers(net):
         del expect[f"{name}.weight"]
         n_words = packed_word_count(layer.weight_count(), layer.bits)
         expect[f"{name}.words"] = (np.dtype(np.uint64), (n_words,))
-    for entry, (dtype, shape) in expect.items():
-        arr = model.state.get(entry)
-        if arr is None:
-            raise FormatError(f"packed model has no entry '{entry}'")
-        if arr.dtype != dtype or arr.shape != shape:
-            raise FormatError(f"packed model entry '{entry}' is {arr.dtype} {arr.shape}, "
-                              f"network expects {dtype} {shape}")
-        if entry in own:
-            own[entry].data = arr
-    unknown = sorted(set(model.state) - set(expect))
-    if unknown:
-        raise FormatError(f"packed model entry '{unknown[0]}' has no counterpart in network")
+    net.load_state(model.state, expect)
     for name, layer in packed_layers(net):
         kind = "conv3d" if isinstance(layer, QConv3d) else "linear"
         pl = PackedLayer(name=name, kind=kind, bits=layer.bits, shape=layer.weight.shape,

@@ -1,9 +1,10 @@
-"""CLI behaviour: malformed containers and data dirs and a file of the wrong
-kind end in exit code 3, a malformed ``QSCI_THREADS`` in exit code 2,
-``train``, ``eval``, ``pack``, ``infer-int`` and ``ablate`` reruns are
-byte-identical, threaded ``eval`` and ``infer-int`` match serial runs,
-``eval`` and ``infer-int`` report the same PSNR, every ``ablate`` row is
-``eval`` of its checkpoint, and the ``report`` table follows the
+"""CLI behaviour: malformed containers and data dirs, a file of the wrong
+kind and an entry of the wrong dtype end in exit code 3, a malformed
+``QSCI_THREADS`` in exit code 2, ``train``, ``eval``, ``pack``,
+``infer-int`` and ``ablate`` reruns are byte-identical, threaded ``eval``
+and ``infer-int`` match serial runs, ``eval`` and ``infer-int`` report the
+same PSNR, every ``ablate`` row is ``eval`` of its checkpoint and each
+distinct row network trains once, and the ``report`` table follows the
 bit-adjusted formulas."""
 
 import contextlib
@@ -23,7 +24,7 @@ from qsci.errors import FormatError
 from qsci.evaluation import count_efficiency
 from qsci.network import QNet, make_variant
 from qsci.packed import infer_packed, pack_model, read_packed
-from qsci.training import HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET
+from qsci.training import HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, train
 from small_models import calibrated_net
 
 T, HW = 4, 16
@@ -114,6 +115,26 @@ class TestCorruptContainers:
         assert rc == 3, err
         assert err.startswith("error:") and ".words" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,source,entry", [
+        (["eval", "--ckpt", "bad.qsc", "--data", "data", "--out", "out"],
+         "q4.qsc", "fem.conv_a.bias"),
+        (["train", "--config", "q4.cfg", "--init", "bad.qsc"], "q4.qsc", "fem.conv_a.weight"),
+        (["infer-int", "--packed", "bad.qsc", "--data", "data", "--out", "out"],
+         "q4.pack", "fem.conv_a.bias"),
+    ], ids=["eval", "train-init", "infer-int"])
+    def test_wrong_dtype_entry_exits_3(self, work, tmp_path, argv, source, entry):
+        # one check in every loader: an entry is never cast to fit
+        fingerprint, state = load_checkpoint(work / source)
+        state[entry] = state[entry].astype(np.int64)
+        save_checkpoint(tmp_path / "bad.qsc", fingerprint, state)
+        (tmp_path / "data").symlink_to(work / "data")
+        (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),
+                                         encoding="ascii")
+        rc, err = run("--workdir", tmp_path, *argv)
+        assert rc == 3, err
+        assert f"'{entry}' is int64" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
     def test_non_numeric_fingerprint_field_is_a_config_error(self, work, tmp_path):
@@ -325,21 +346,36 @@ LADDER = ["baseline", "+shift", "+shift+fem", "+shift+fem+vrm"]
 GRID = ["all_8bit", "fem_4bit", "enh_4bit", "vrm_4bit"]
 
 
+def counting_train(monkeypatch):
+    """Replace cli.train with a wrapper; returns the list of configs it trains."""
+    trained = []
+
+    def wrapper(tcfg, netcfg, *rest):
+        trained.append(netcfg)
+        return train(tcfg, netcfg, *rest)
+
+    monkeypatch.setattr(cli, "train", wrapper)
+    return trained
+
+
 class TestAblate:
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
-        """Two ablate runs of the tiny config, and its held-out clips as a
-        data dir (data seed 3, crop 16, cr 2, 2 clips)."""
+        """Two ablate runs of the tiny config, the configs the first one
+        trains, and its held-out clips as a data dir (data seed 3, crop 16,
+        cr 2, 2 clips)."""
         root = tmp_path_factory.mktemp("ablate")
         (root / "ablate.cfg").write_text(ABLATE_CFG, encoding="ascii")
         outs = []
-        for rerun in ("a", "b"):
-            assert run("--workdir", root, "ablate", "--config", "ablate.cfg")[0] == 0
-            outs.append((root / "ablate").rename(root / f"ablate_{rerun}"))
+        with pytest.MonkeyPatch.context() as mp:
+            trained = counting_train(mp)
+            for rerun in ("a", "b"):
+                assert run("--workdir", root, "ablate", "--config", "ablate.cfg")[0] == 0
+                outs.append((root / "ablate").rename(root / f"ablate_{rerun}"))
         assert run("--workdir", root, "gen-data", "--seed", 3 + HOLDOUT_SEED_OFFSET,
                    "--mask-seed", 3 + MASK_SEED_OFFSET, "--count", 2, "--T", 2,
                    "--H", 16, "--W", 16, "--out", "holdout")[0] == 0
-        return root, outs
+        return root, outs, trained[:len(trained) // 2]
 
     @staticmethod
     def table(path):
@@ -348,7 +384,7 @@ class TestAblate:
         return header, {r[0]: r[1:] for r in rows}
 
     def test_rows_and_header(self, runs):
-        _, (out, _) = runs
+        _, (out, _), _ = runs
         for csv, names in (("ladder.csv", LADDER), ("grid.csv", GRID)):
             header, rows = self.table(out / csv)
             assert header == ["row", "psnr_db", "ssim", "params_m", "ops_g"]
@@ -358,19 +394,19 @@ class TestAblate:
             + [f"{name}.qsc" for name in LADDER + GRID])
 
     def test_rerun_byte_identical(self, runs):
-        _, (a, b) = runs
+        _, (a, b), _ = runs
         for f in a.iterdir():
             assert f.read_bytes() == (b / f.name).read_bytes(), f.name
 
     def test_efficiency_columns_match_count_efficiency(self, runs):
-        _, (out, _) = runs
+        _, (out, _), _ = runs
         for csv in ("ladder.csv", "grid.csv"):
             for name, (_, _, params_m, ops_g) in self.table(out / csv)[1].items():
                 rep = count_efficiency(cli._load_net(out / f"{name}.qsc"), (16, 16))
                 assert (params_m, ops_g) == (f"{rep.params_m:.6f}", f"{rep.ops_g:.6f}")
 
     def test_each_row_is_eval_of_its_checkpoint(self, runs):
-        root, (out, _) = runs
+        root, (out, _), _ = runs
         for csv in ("ladder.csv", "grid.csv"):
             for name, (psnr_db, ssim, _, _) in self.table(out / csv)[1].items():
                 assert run("--workdir", root, "eval", "--ckpt", out / f"{name}.qsc",
@@ -378,6 +414,35 @@ class TestAblate:
                 _, evaluated = self.table(root / f"eval_{name}" / "metrics.csv")
                 assert list(evaluated) == ["0", "1", "average"]
                 assert evaluated["average"] == [psnr_db, ssim]
+
+    def test_each_distinct_network_trains_once(self, runs):
+        # at 4 bits the fp32 backbone and all 8 rows differ
+        assert len(runs[2]) == 9
+        assert len({cli._network_key(c) for c in runs[2]}) == 9
+
+    def test_rows_of_one_network_train_once_at_8_bits(self, tmp_path, monkeypatch):
+        # baseline, all_8bit, fem_8bit, enh_8bit and vrm_8bit are one network
+        (tmp_path / "ablate.cfg").write_text(ABLATE_CFG, encoding="ascii")
+        trained = counting_train(monkeypatch)
+        assert run("--workdir", tmp_path, "ablate", "--config", "ablate.cfg",
+                   "--bits", 8)[0] == 0
+        assert len(trained) == 5
+        out = tmp_path / "ablate"
+        _, baseline = load_checkpoint(out / "baseline.qsc")
+        for name in ("all_8bit", "fem_8bit", "enh_8bit", "vrm_8bit"):
+            fingerprint, state = load_checkpoint(out / f"{name}.qsc")
+            # each row keeps its own fingerprint, and holds the shared state
+            assert (f"{name[:3]}b=8" in fingerprint) == (name != "all_8bit")
+            assert state.keys() == baseline.keys()
+            assert all(np.array_equal(state[k], baseline[k]) for k in state)
+
+    def test_quantized_variant_rejected_before_training(self, tmp_path, monkeypatch):
+        (tmp_path / "ablate.cfg").write_text("net.variant = q4\n" + ABLATE_CFG,
+                                             encoding="ascii")
+        trained = counting_train(monkeypatch)
+        rc, err = run("--workdir", tmp_path, "ablate", "--config", "ablate.cfg")
+        assert rc == 2 and "net.variant must be fp32" in err
+        assert trained == [] and not (tmp_path / "ablate").exists()
 
 
 def test_all_exports_resolve():

@@ -1,13 +1,15 @@
 """Reconstruction network: structure, equivalences, and the float reference."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import reference_impl as ref
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
-from qsci.network import (CFormerBlock, QNet, QNetConfig, ShiftedAttention, make_variant,
-                          parse_fingerprint)
+from qsci.network import (BACKBONE, CFormerBlock, QNet, QNetConfig, ShiftedAttention,
+                          check_state, make_variant, parse_fingerprint)
 from qsci.sci import encode, generate_masks, initial_estimate, synth_video
 
 TINY = dict(base_channels=8, resdnet_blocks=1, cformer_per_block=1, heads=2, cr=2)
@@ -38,6 +40,24 @@ class TestConfig:
         cfg = tiny_cfg(body_bits=4, shortcut_bits=8, use_fem_shortcuts=True,
                        use_qk_shift=True, fem_bits=8)
         assert parse_fingerprint(cfg.fingerprint()) == cfg
+
+    # a quantized base, so that shortcut_bits (>= body_bits) can change too,
+    # and a value other than the base's for every QNetConfig field
+    FP_BASE = QNetConfig(body_bits=4, shortcut_bits=8)
+    FP_CHANGED = dict(base_channels=8, resdnet_blocks=3, cformer_per_block=1, heads=4, cr=2,
+                      body_bits=2, shortcut_bits=32, use_fem_shortcuts=True,
+                      use_vrm_shortcuts=True, use_qk_shift=True, fem_bits=8, enh_bits=3,
+                      vrm_bits=32)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(QNetConfig)])
+    def test_fingerprint_round_trips_each_field(self, field):
+        # a field missing from the fingerprint table fails here
+        cfg = dataclasses.replace(self.FP_BASE, **{field: self.FP_CHANGED[field]})
+        assert cfg != self.FP_BASE
+        assert parse_fingerprint(cfg.fingerprint()) == cfg
+        assert cfg.fingerprint() != self.FP_BASE.fingerprint()
+        geometry_changed = cfg.backbone_geometry() != self.FP_BASE.backbone_geometry()
+        assert geometry_changed == (field in [f for _, f in BACKBONE])
 
     def test_quantized_flag(self):
         assert not tiny_cfg(body_bits=32, shortcut_bits=32).quantized
@@ -264,6 +284,14 @@ class TestCheckpointInit:
         with pytest.raises(FormatError, match=name):
             net.init_from_backbone(state, net.cfg.backbone_geometry())
 
+    def test_wrong_dtype_entry_rejected(self):
+        # nothing is cast: a float64 weight does not fit a float32 network
+        state = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=1).state_dict()
+        state["fem.conv_a.weight"] = state["fem.conv_a.weight"].astype(np.float64)
+        net = QNet(make_variant("q4", **TINY), seed=0)
+        with pytest.raises(FormatError, match="'fem.conv_a.weight' is float64"):
+            net.init_from_backbone(state, net.cfg.backbone_geometry())
+
     def test_baseline_init_from_shortcut_shift_checkpoint(self):
         q4 = QNet(make_variant("q4", **TINY), seed=1)
         q4.fem.conv_a.aq.alpha.data[0] = 0.25
@@ -281,6 +309,13 @@ class TestCheckpointInit:
         with pytest.raises(FormatError, match="fem.conv_a.bias"):
             net.load_state(state)
 
+    def test_load_state_wrong_dtype_is_format_error(self):
+        net = QNet(make_variant("q8", **TINY), seed=0)
+        state = net.state_dict()
+        state["fem.conv_a.bias"] = state["fem.conv_a.bias"].astype(np.int64)
+        with pytest.raises(FormatError, match="'fem.conv_a.bias' is int64"):
+            net.load_state(state)
+
     def test_load_state_round_trip(self):
         net = QNet(make_variant("q8", **TINY), seed=4)
         state = net.state_dict()
@@ -289,6 +324,30 @@ class TestCheckpointInit:
         for (n1, p1), (n2, p2) in zip(net.named_params(), other.named_params()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
+
+
+class TestCheckState:
+    EXPECT = {"a": (np.dtype(np.float32), (2,)), "b": (np.dtype(np.uint64), (1,))}
+
+    def test_fitting_state_passes(self):
+        check_state({"a": np.zeros(2, np.float32), "b": np.zeros(1, np.uint64)}, self.EXPECT)
+        check_state({"a": np.zeros(2, np.float32)}, self.EXPECT, required=["a"])
+
+    def test_missing_and_unexpected_named_together(self):
+        with pytest.raises(FormatError, match="no entry 'b'; unexpected entry 'c'"):
+            check_state({"a": np.zeros(2, np.float32), "c": np.zeros(1)}, self.EXPECT)
+
+    def test_names_reported_before_dtype(self):
+        state = {"a": np.zeros(2, np.int64), "b": np.zeros(1, np.uint64), "c": np.zeros(1)}
+        with pytest.raises(FormatError, match="unexpected entry 'c'"):
+            check_state(state, self.EXPECT)
+        del state["c"]
+        with pytest.raises(FormatError, match="'a' is int64 \\(2,\\), network expects float32"):
+            check_state(state, self.EXPECT)
+
+    def test_missing_required_entry_named(self):
+        with pytest.raises(FormatError, match="no entry 'b'"):
+            check_state({"a": np.zeros(2, np.float32)}, self.EXPECT, required=["a", "b"])
 
 
 class TestQuantizerHooks:
