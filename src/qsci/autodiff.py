@@ -53,8 +53,9 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
-        assert popped is self, "tape stack corrupted"
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise RuntimeError("tape stack corrupted: exiting a tape that is not the innermost")
+        _TAPE_STACK.pop()
         return False
 
     def record(self, out: "Tensor", inputs: Sequence["Tensor"], backward_fn, name: str):

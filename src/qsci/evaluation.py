@@ -33,51 +33,54 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size, dtype=np.float64) - half
-    g = np.exp(-(coords ** 2) / (2.0 * sigma ** 2))
-    win = np.outer(g, g)
-    return win / win.sum()
+def _valid_blur_matrix(n: int) -> np.ndarray:
+    """[n - 10, n] banded matrix whose row i holds the 11 normalised 1-D
+    Gaussian taps at columns i .. i + 10, so ``m @ x`` is a 'valid' 1-D pass
+    along x's first axis. The 2-D SSIM window is the taps' outer product."""
+    coords = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(coords ** 2) / (2.0 * SSIM_SIGMA ** 2))
+    taps = g / g.sum()
+    m = np.zeros((n - SSIM_WINDOW + 1, n))
+    for i in range(len(m)):
+        m[i, i:i + SSIM_WINDOW] = taps
+    return m
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Structural similarity with the standard 11x11 Gaussian window
     (sigma 1.5, k1=0.01, k2=0.03, dynamic range 1.0).
 
-    3-D inputs are treated as frame stacks and averaged over frames.
+    3-D inputs are treated as frame stacks: the SSIM map is averaged per
+    frame, then over frames. The window is separable, so it is applied as
+    two 1-D 'valid' passes (along W, then along H) to the five moment maps
+    of all frames at once.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"ssim operands differ in shape: {a.shape} vs {b.shape}")
-    if a.ndim == 3:
-        return float(np.mean([ssim(fa, fb) for fa, fb in zip(a, b)]))
-    if a.ndim != 2:
+    if a.ndim not in (2, 3):
         raise ShapeError(f"ssim expects 2-D frames or 3-D stacks, got {a.ndim}-D")
-    if min(a.shape) < SSIM_WINDOW:
-        raise ShapeError(f"frame {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
+    h, w = a.shape[-2:]
+    if min(h, w) < SSIM_WINDOW:
+        raise ShapeError(f"frame {(h, w)} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
 
-    # imported here: scipy.signal takes most of a second to import, and only
-    # SSIM needs it
-    from scipy.signal import convolve2d
-
-    win = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+    moments = np.stack([a, b, a * a, b * b, a * b])           # [5, (T,) H, W]
+    mu_a, mu_b, ex_aa, ex_bb, ex_ab = (_valid_blur_matrix(h)
+                                       @ (moments @ _valid_blur_matrix(w).T))
     c1 = SSIM_K1 ** 2
     c2 = SSIM_K2 ** 2
 
-    mu_a = convolve2d(a, win, mode="valid")
-    mu_b = convolve2d(b, win, mode="valid")
     mu_aa = mu_a * mu_a
     mu_bb = mu_b * mu_b
     mu_ab = mu_a * mu_b
-    var_a = convolve2d(a * a, win, mode="valid") - mu_aa
-    var_b = convolve2d(b * b, win, mode="valid") - mu_bb
-    cov = convolve2d(a * b, win, mode="valid") - mu_ab
+    var_a = ex_aa - mu_aa
+    var_b = ex_bb - mu_bb
+    cov = ex_ab - mu_ab
 
     num = (2.0 * mu_ab + c1) * (2.0 * cov + c2)
     den = (mu_aa + mu_bb + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    return float(np.mean(np.mean(num / den, axis=(-2, -1))))
 
 
 # ---------------------------------------------------------------------------

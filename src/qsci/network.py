@@ -111,6 +111,8 @@ def _fp_value(v) -> str:
 
 
 def parse_fingerprint(fp: str) -> QNetConfig:
+    """The config a fingerprint names. A fingerprint that is not exactly the
+    ``fingerprint()`` of that config is a ConfigError."""
     head, *parts = fp.split(";")
     if head != "v1":
         raise ConfigError(f"unrecognized config fingerprint '{fp}'")
@@ -124,9 +126,13 @@ def parse_fingerprint(fp: str) -> QNetConfig:
         return bool(int(text)) if types[field] == "bool" else int(text)
 
     try:
-        return QNetConfig(**{field: value(key, field) for key, field in FINGERPRINT})
+        cfg = QNetConfig(**{field: value(key, field) for key, field in FINGERPRINT})
     except (KeyError, ValueError) as exc:   # a missing or non-integer field
         raise ConfigError(f"malformed config fingerprint '{fp}': {exc!r}") from exc
+    if cfg.fingerprint() != fp:   # an unknown, repeated, reordered or padded entry
+        raise ConfigError(f"malformed config fingerprint '{fp}': "
+                          f"the canonical form is '{cfg.fingerprint()}'")
+    return cfg
 
 
 VARIANT_NAMES = ("fp32", "q8", "q4", "q3", "q2", "q4_baseline", "q3_baseline", "q2_baseline")

@@ -2,10 +2,12 @@
 
 Deliberately avoids the package's tensor engine: convolutions are computed
 per output voxel with explicit window sums, attention and normalization with
-direct formulas. Only suitable for tiny shapes.
+direct formulas. Only suitable for tiny shapes. SSIM applies the full 2-D
+Gaussian window with ``scipy.signal.convolve2d``, frame by frame.
 """
 
 import numpy as np
+from scipy.signal import convolve2d
 from scipy.special import erf
 
 
@@ -218,3 +220,25 @@ def conv3d_im2col(x, w, b, g, stride=(1, 1, 1), padding=(0, 0, 0)):
         dxp[:, :, sl[0], sl[1], sl[2]] += dpatch[:, :, k]
     dx = dxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
     return out, dx, dw, g.sum(axis=(0, 2, 3, 4))
+
+
+def ssim(a, b, size=11, sigma=1.5, k1=0.01, k2=0.03):
+    """SSIM with the full 2-D Gaussian window, one ``convolve2d`` per moment
+    map and frame; 3-D stacks are the mean of their per-frame scores."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 3:
+        return float(np.mean([ssim(fa, fb, size, sigma, k1, k2) for fa, fb in zip(a, b)]))
+    coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+    g = np.exp(-(coords ** 2) / (2.0 * sigma ** 2))
+    win = np.outer(g, g)
+    win /= win.sum()
+    c1, c2 = k1 ** 2, k2 ** 2
+    mu_a = convolve2d(a, win, mode="valid")
+    mu_b = convolve2d(b, win, mode="valid")
+    var_a = convolve2d(a * a, win, mode="valid") - mu_a * mu_a
+    var_b = convolve2d(b * b, win, mode="valid") - mu_b * mu_b
+    cov = convolve2d(a * b, win, mode="valid") - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))

@@ -285,6 +285,18 @@ class TestPixelShuffle:
 # ---------------------------------------------------------------------------
 
 class TestBackwardBasics:
+    def test_exiting_nested_tapes_out_of_order_raises(self):
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        with pytest.raises(RuntimeError, match="tape stack corrupted"):
+            outer.__exit__(None, None, None)
+        # the failed exit leaves the stack as it was, so both still unwind
+        assert ad.active_tape() is inner
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+        assert ad.active_tape() is None
+
     def test_sum_grad_is_ones(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
         with Tape():

@@ -145,6 +145,19 @@ class TestCorruptContainers:
         assert rc == 2
         assert "malformed config fingerprint" in err
 
+    @pytest.mark.parametrize("suffix", [";x=1", ";C=8"], ids=["unknown", "repeated"])
+    @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc")])
+    def test_non_canonical_fingerprint_exits_2(self, work, tmp_path, suffix, command,
+                                               flag, name):
+        fingerprint, state = load_checkpoint(work / name)
+        save_checkpoint(tmp_path / name, fingerprint + suffix, state)
+        rc, err = run("--workdir", tmp_path, command, flag, name, "--data", work / "data",
+                      "--out", "out")
+        assert rc == 2, err
+        assert f"'{fingerprint + suffix}'" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDataValidation:
     @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
@@ -450,10 +463,18 @@ def test_all_exports_resolve():
     assert not missing and len(set(qsci.__all__)) == len(qsci.__all__)
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs most of a second to import; only SSIM (eval) needs it
+def test_import_leaves_scipy_signal_unloaded(work, tmp_path):
+    # scipy.signal costs about half a second and 47 MB to import, and no
+    # command needs it: SSIM applies its window as two 1-D passes
     env = dict(os.environ, PYTHONPATH=str(Path(qsci.__file__).parents[1]))
-    code = "import sys, qsci.cli; print('scipy.signal' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert res.stdout.strip() == "False"
+    code = ("import sys\n"
+            "from qsci import cli\n"
+            "print('scipy.signal' in sys.modules)\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, 'scipy.signal' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code, "--workdir", str(work), "eval",
+                          "--ckpt", "q4.qsc", "--data", "data", "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    lines = res.stdout.strip().splitlines()
+    assert lines[0] == "False" and lines[-1] == "0 False"
+    assert (tmp_path / "out" / "metrics.csv").read_text().startswith("index,psnr_db,ssim\n")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_impl
 from qsci.errors import ShapeError
 from qsci.evaluation import PSNR_CAP_DB, count_efficiency, psnr, ssim
 from qsci.network import QNet, make_variant
@@ -25,13 +26,34 @@ class TestPsnr:
             psnr(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def noisy_pair(shape, seed, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    a = rng.random(shape)
+    b = np.clip(a + 0.2 * rng.standard_normal(shape), 0.0, 1.0)
+    return a.astype(dtype), b.astype(dtype)
+
+
 class TestSsim:
     def test_identical_frames_score_one(self):
         rng = np.random.default_rng(1)
-        a = rng.random((16, 14))
-        assert ssim(a, a.copy()) == 1.0
-        stack = rng.random((3, 12, 12))
-        assert ssim(stack, stack.copy()) == 1.0
+        for shape in [(16, 14), (11, 11), (12, 30), (3, 12, 12), (2, 11, 11), (4, 64, 64)]:
+            a = rng.random(shape)
+            assert ssim(a, a.copy()) == 1.0, shape
+
+    @pytest.mark.parametrize("shape", [(16, 14), (11, 11), (12, 30), (30, 12),
+                                       (3, 12, 12), (2, 11, 11), (4, 64, 64), (2, 12, 30)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_full_window_reference(self, shape, dtype):
+        a, b = noisy_pair(shape, seed=sum(shape), dtype=dtype)
+        assert ssim(a, b) == pytest.approx(reference_impl.ssim(a, b), abs=1e-12)
+
+    def test_matches_reference_with_a_constant_region(self):
+        a, b = noisy_pair((3, 24, 20), seed=7)
+        a[:, :14, :] = 0.5      # zero variance under whole windows in a
+        b[:, :14, :] = 0.5      # ... and in b, where the map is exactly 1
+        b[1] = 0.25             # a constant frame against a textured one
+        assert ssim(a, b) == pytest.approx(reference_impl.ssim(a, b), abs=1e-12)
+        assert ssim(a[0], b[0]) == pytest.approx(reference_impl.ssim(a[0], b[0]), abs=1e-12)
 
     def test_different_frames_score_below_one(self):
         rng = np.random.default_rng(2)
@@ -39,7 +61,16 @@ class TestSsim:
 
     @pytest.mark.parametrize("shape", [(10, 12), (12, 10), (2, 10, 10)])
     def test_below_window_size_rejected(self, shape):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="smaller than the 11x11 window"):
+            ssim(np.zeros(shape), np.zeros(shape))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="differ in shape"):
+            ssim(np.zeros((12, 12)), np.zeros((12, 13)))
+
+    @pytest.mark.parametrize("shape", [(12,), (2, 2, 12, 12)])
+    def test_rank_other_than_2_or_3_rejected(self, shape):
+        with pytest.raises(ShapeError, match="2-D frames or 3-D stacks"):
             ssim(np.zeros(shape), np.zeros(shape))
 
 

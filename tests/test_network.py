@@ -59,6 +59,20 @@ class TestConfig:
         geometry_changed = cfg.backbone_geometry() != self.FP_BASE.backbone_geometry()
         assert geometry_changed == (field in [f for _, f in BACKBONE])
 
+    @pytest.mark.parametrize("edit", [
+        lambda fp: fp + ";x=1",                              # unknown key
+        lambda fp: fp + ";C=16",                             # repeated key, later value
+        lambda fp: fp + ";C=8",                              # repeated key, same value
+        lambda fp: fp.replace("C=8;N=2", "N=2;C=8"),         # reordered
+        lambda fp: fp.replace("body=4", "body=04"),          # padded value
+    ], ids=["unknown", "repeated", "repeated-same", "reordered", "padded"])
+    def test_non_canonical_fingerprint_rejected(self, edit):
+        fp = QNetConfig(base_channels=8, resdnet_blocks=2, body_bits=4,
+                        shortcut_bits=8).fingerprint()
+        assert parse_fingerprint(fp).fingerprint() == fp
+        with pytest.raises(ConfigError, match="malformed config fingerprint"):
+            parse_fingerprint(edit(fp))
+
     def test_quantized_flag(self):
         assert not tiny_cfg(body_bits=32, shortcut_bits=32).quantized
         assert tiny_cfg(body_bits=8, shortcut_bits=8).quantized
