@@ -4,8 +4,18 @@ A :class:`Tape` records every operation executed while it is active; calling
 :func:`backward` on a scalar loss walks the recording once in reverse and
 accumulates gradients into the ``grad`` field of every ``requires_grad`` leaf.
 Tapes are single-use: ``backward`` consumes the tape, releasing what each
-node saved as it goes, and a second call is rejected. Gradients add across fan-out and across successive backward passes,
-so callers must zero them between optimizer steps.
+node saved as it goes, and a second call is rejected. Gradients add across
+fan-out and across successive backward passes, so callers must zero them
+between optimizer steps.
+
+A node saves what its backward rule closes over: its input tensors, plus
+an array only where rebuilding it would cost more than keeping it. The
+elementwise ops keep their inputs (``gelu`` its ``Phi(x)`` too, ``sqrt``
+and ``softmax`` their output, ``leaky_relu`` and ``clamp`` a boolean mask);
+shape ops keep shapes only. ``conv3d`` keeps its input and weight (a
+padded 1x1x1 conv, its padded input) and rebuilds its im2col patch
+matrices in backward; ``quantize.fake_quant`` keeps its pre-clip value and
+rebuilds the codes.
 
 Every forward op checks its output for NaN/Inf and raises
 :class:`~qsci.errors.NumericError` on the first non-finite value.
@@ -240,11 +250,11 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     # exact erf form; derivative is Phi(x) + x * phi(x)
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = (x.data * cdf).astype(np.float32)
+    out = x.data * cdf
 
     def bwd(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return ((g * (cdf + x.data * pdf)).astype(np.float32),)
+        return (g * (cdf + x.data * pdf),)
 
     return _finish(out, (x,), bwd, "gelu")
 
@@ -477,35 +487,63 @@ def _kernel_slices(kshape, stride, out_dims):
     return slices
 
 
-def conv_patches(x: np.ndarray, kshape, stride, padding, out_dims) -> np.ndarray:
-    """[N, C, T, H, W] input -> [N, C*kt*kh*kw, P] patch matrix of the input
-    zero-padded by ``padding`` on both sides of each spatial axis.
+def _pad(x: np.ndarray, padding) -> np.ndarray:
+    """Zero-pad the last three (spatial) axes by ``padding`` on both sides."""
+    if not any(padding):
+        return x
+    pt, ph, pw = padding
+    return np.pad(x, ((0, 0),) * (x.ndim - 3) + ((pt, pt), (ph, ph), (pw, pw)))
 
-    A 1x1x1 unit-stride kernel sees every voxel once, so its patch matrix is
-    a view of the (padded) input and a conv is a plain channel GEMM.
+
+def _fill_patches(xp: np.ndarray, kshape, stride, out_dims, buf: np.ndarray) -> np.ndarray:
+    """Copy each kernel offset's strided window of the padded input
+    ``xp`` [..., C, T, H, W] into ``buf`` [..., C, k3, To, Ho, Wo]."""
+    for k, sl in enumerate(_kernel_slices(kshape, stride, out_dims)):
+        buf[..., k, :, :, :] = xp[..., sl[0], sl[1], sl[2]]
+    return buf
+
+
+def conv_patches(x: np.ndarray, kshape, stride, padding, out_dims) -> np.ndarray:
+    """[N, C, T, H, W] input -> [N, C*kt*kh*kw, P] patch matrix of the whole
+    batch, zero-padded by ``padding`` on both sides of each spatial axis.
+
+    This is the transient batched matrix of the tape-free code contraction
+    and of the conv backward's input gradient; a taped forward builds one
+    sample's matrix at a time instead (:func:`_sample_patches`). A 1x1x1
+    unit-stride kernel sees every voxel once, so its patch matrix is a view
+    of the (padded) input and a conv is a plain channel GEMM.
     """
-    if any(padding):
-        pt, ph, pw = padding
-        x = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    x = _pad(x, padding)
     n, c = x.shape[:2]
     if tuple(kshape) == (1, 1, 1) and tuple(stride) == (1, 1, 1):
         return x.reshape(n, c, -1)
-    to, ho, wo = out_dims
     k3 = int(np.prod(kshape))
-    buf = np.empty((n, c, k3, to, ho, wo), dtype=x.dtype)
-    for k, sl in enumerate(_kernel_slices(kshape, stride, out_dims)):
-        buf[:, :, k] = x[:, :, sl[0], sl[1], sl[2]]
-    return buf.reshape(n, c * k3, to * ho * wo)
+    buf = np.empty((n, c, k3) + tuple(out_dims), dtype=x.dtype)
+    return _fill_patches(x, kshape, stride, out_dims, buf).reshape(n, c * k3, -1)
+
+
+def _sample_patches(x: np.ndarray, kshape, stride, padding, out_dims):
+    """Yield the [C*k3, P] patch matrix of each sample of ``x`` in order,
+    built into one reused buffer: each matrix is valid until the next."""
+    buf = np.empty((x.shape[1], int(np.prod(kshape))) + tuple(out_dims), dtype=x.dtype)
+    flat = buf.reshape(buf.shape[0] * buf.shape[1], -1)
+    for xi in _pad(x, padding):
+        _fill_patches(xi, kshape, stride, out_dims, buf)
+        yield flat
 
 
 def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
            stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     """Cross-correlation of [N,C,T,H,W] input with [O,C,kt,kh,kw] kernels.
 
-    Implemented as one GEMM against a patch matrix assembled per kernel
-    offset (for a 1x1x1 unit-stride kernel, the input itself); the backward
-    pass reuses the patch matrix for the weight gradient and scatter-adds the
-    transposed GEMM back into the padded input.
+    Each sample is one GEMM against its patch matrix, assembled per kernel
+    offset into a buffer reused across the batch (for a 1x1x1 unit-stride
+    kernel, the input itself). The tape keeps only the input and the weight:
+    the backward pass rebuilds each sample's patch matrix the same way and
+    sums the per-sample weight gradients in sample order, so the result is
+    bit for bit that of one batched GEMM and an axis-0 sum. The input
+    gradient scatter-adds the transposed GEMM back into the padded input,
+    or is itself a conv (see below).
     """
     stride = tuple(int(s) for s in stride)
     padding = tuple(int(p) for p in padding)
@@ -514,12 +552,21 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     pt, ph, pw = padding
     k3 = kt * kh * kw
     p_count = to * ho * wo
+    geometry = ((kt, kh, kw), stride, padding, (to, ho, wo))
 
-    patches = conv_patches(x.data, (kt, kh, kw), stride, padding, (to, ho, wo))
     w2 = w.data.reshape(o, c * k3)
-    out = (w2 @ patches).reshape(n, o, to, ho, wo)
+    unit_stride = stride == (1, 1, 1)
+    if unit_stride and k3 == 1:
+        patches = conv_patches(x.data, *geometry)   # a view of the (padded) input
+        out = w2 @ patches
+    else:
+        patches = None
+        out = np.empty((n, o, p_count), dtype=np.float32)
+        for i, patches_i in enumerate(_sample_patches(x.data, *geometry)):
+            np.matmul(w2, patches_i, out=out[i])
+    out = out.reshape(n, o, to, ho, wo)
     if bias is not None:
-        out = out + bias.data.reshape(1, o, 1, 1, 1)
+        out += bias.data.reshape(1, o, 1, 1, 1)
 
     inputs = (x, w) if bias is None else (x, w, bias)
     t, h, wd = x.shape[2:]
@@ -527,14 +574,18 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     # the input gradient of a unit-stride conv is itself a conv of the
     # (re-padded) output gradient with the channel-transposed flipped kernel,
     # which beats the scatter-add path when o <= c
-    unit_stride = stride == (1, 1, 1)
     dx_as_conv = (unit_stride and o <= c and k3 > 1
                   and pt <= kt - 1 and ph <= kh - 1 and pw <= kw - 1)
 
     def bwd(g):
         gm = g.reshape(n, o, p_count)
-        dw = np.matmul(gm, patches.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        if unit_stride and k3 == 1:
+        each = patches if patches is not None else _sample_patches(x.data, *geometry)
+        terms = (gi @ pi.T for gi, pi in zip(gm, each))
+        dw = next(terms)
+        for term in terms:
+            dw += term
+        dw = dw.reshape(w.shape)
+        if patches is not None:
             # channel GEMM: the patch gradient is the padded-input gradient
             dx = (w2.T @ gm).reshape(n, c, to, ho, wo)[crop]
         elif dx_as_conv:

@@ -177,6 +177,10 @@ def fake_quant(x: Tensor, q) -> Tensor:
     quantizer returns the input unchanged. A hook set in ``q.on_next`` is
     cleared, then called with the input array, before anything else.
 
+    The tape keeps one input-sized array, the pre-clip value; the backward
+    recomputes the codes from it with the forward's ops and reuses both
+    buffers for the scale and zero-point gradient fields.
+
     LSQ (Esser et al., arXiv 1902.08153) also multiplies the scale gradient
     by 1/sqrt(N * q_p); that factor is omitted on purpose. Every scale is its
     own parameter of the trainer's Adam, which divides each gradient by its
@@ -198,21 +202,24 @@ def fake_quant(x: Tensor, q) -> Tensor:
     _check_input(arr, "fake_quant input")
     v = arr - np.float32(z)
     v /= np.float32(alpha)
-    codes = np.clip(v, -q_n, q_p)
-    np.rint(codes, out=codes)
-    out = codes * np.float32(alpha)
+    out = np.clip(v, -q_n, q_p)
+    np.rint(out, out=out)
+    out *= np.float32(alpha)
     out += np.float32(z)
 
     def bwd(g):
+        # the tape runs this once, so v's buffer is free to reuse
+        codes = np.clip(v, -q_n, q_p)
+        np.rint(codes, out=codes)
         clipped = v < -q_n
         clipped |= v > q_p
         mid = ~clipped
         dx = g * mid
         # codes - v in range; where clipped, the code itself (q_p or -q_n)
-        dalpha_field = v * mid
-        np.subtract(codes, dalpha_field, out=dalpha_field)
-        dalpha = np.array([(g * dalpha_field).sum()], dtype=np.float32)
-        dz = np.array([(g * clipped).sum()], dtype=np.float32)
+        field = np.multiply(v, mid, out=v)
+        np.subtract(codes, field, out=field)
+        dalpha = np.array([np.multiply(g, field, out=field).sum()], dtype=np.float32)
+        dz = np.array([np.multiply(g, clipped, out=codes).sum()], dtype=np.float32)
         return dx, dalpha, dz
 
     return ad._finish(out, (x, q.alpha, q.z), bwd, "fake_quant")

@@ -222,6 +222,22 @@ def conv3d_im2col(x, w, b, g, stride=(1, 1, 1), padding=(0, 0, 0)):
     return out, dx, dw, g.sum(axis=(0, 2, 3, 4))
 
 
+def conv3d_dx_as_conv(w, g, in_shape, padding=(0, 0, 0)):
+    """Input gradient of a unit-stride float32 conv as a conv of the
+    re-padded output gradient ``g`` with the channel-transposed, flipped
+    kernel: one batched im2col GEMM over the whole batch."""
+    o, c, kt, kh, kw = w.shape
+    n, _, t, h, wd = in_shape
+    pad = (kt - 1 - padding[0], kh - 1 - padding[1], kw - 1 - padding[2])
+    gp = np.pad(g, ((0, 0), (0, 0)) + tuple((p, p) for p in pad))
+    taps = [(a, bb, d) for a in range(kt) for bb in range(kh) for d in range(kw)]
+    buf = np.empty((n, o, len(taps), t, h, wd), dtype=g.dtype)
+    for k, (a, bb, d) in enumerate(taps):
+        buf[:, :, k] = gp[:, :, a:a + t, bb:bb + h, d:d + wd]
+    wflip = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+    return (wflip.reshape(c, -1) @ buf.reshape(n, o * len(taps), -1)).reshape(in_shape)
+
+
 def ssim(a, b, size=11, sigma=1.5, k1=0.01, k2=0.03):
     """SSIM with the full 2-D Gaussian window, one ``convolve2d`` per moment
     map and frame; 3-D stacks are the mean of their per-frame scores."""

@@ -1,6 +1,7 @@
 """Tensor/tape engine: value oracles and finite-difference gradient checks."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ import qsci.autodiff as ad
 import reference_impl
 from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import NumericError, ShapeError
+from qsci.quantize import ActQuantizer, fake_quant
 
 
 def loop_conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0)):
@@ -162,6 +164,78 @@ class TestPointwiseConv:
             assert np.array_equal(got, want)
 
 
+class TestSampleRoute:
+    """A conv with more than one tap runs one GEMM per sample and sums the
+    per-sample weight gradients in sample order; out, dw and db must match
+    the batched im2col route bit for bit, and each input-gradient route its
+    batched formula."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("c,o,kernel,stride,padding,dx_route", [
+        (4, 4, (3, 3, 3), (1, 1, 1), (1, 1, 1), "conv"),
+        (3, 5, (3, 3, 3), (1, 1, 1), (1, 1, 1), "scatter"),
+        (4, 4, (3, 3, 3), (1, 2, 2), (1, 1, 1), "scatter"),
+        (6, 4, (1, 3, 3), (1, 1, 1), (0, 1, 1), "conv"),
+        (2, 16, (3, 3, 3), (1, 1, 1), (1, 1, 1), "scatter"),
+    ], ids=["k333", "k333-widening", "k333-stride122", "k133", "c2-o16"])
+    def test_matches_batched_routes(self, n, c, o, kernel, stride, padding, dx_route):
+        rng = np.random.default_rng(n * 100 + c * 10 + o)
+        x_arr = rng.standard_normal((n, c, 3, 6, 5)).astype(np.float32)
+        w_arr = rng.standard_normal((o, c) + kernel).astype(np.float32)
+        b_arr = rng.standard_normal(o).astype(np.float32)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x_arr, w_arr, b_arr))
+        out_shape = ad.conv3d_output_shape(x_arr.shape, w_arr.shape, stride, padding)
+        g = rng.standard_normal(out_shape).astype(np.float32)
+        with Tape():
+            out = ad.conv3d(x, w, b, stride=stride, padding=padding)
+            loss = ad.sum_(out * Tensor(g))
+        backward(loss)
+        ref_out, ref_dx, ref_dw, ref_db = reference_impl.conv3d_im2col(
+            x_arr, w_arr, b_arr, g, stride, padding)
+        if dx_route == "conv":
+            ref_dx = reference_impl.conv3d_dx_as_conv(w_arr, g, x_arr.shape, padding)
+        for got, want in zip((out.data, x.grad, w.grad, b.grad),
+                             (ref_out, ref_dx, ref_dw, ref_db)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+class TestTapeFootprint:
+    """What a taped forward leaves on the tape, measured with tracemalloc
+    (numpy reports its buffers to it); arrays made before the start, such
+    as the inputs, are not counted."""
+
+    @staticmethod
+    def held_after(forward):
+        """(result, bytes still allocated) after ``forward()`` on a live tape."""
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                result = forward()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        return result, held
+
+    def test_conv3d_keeps_no_patch_matrix(self):
+        rng = np.random.default_rng(21)
+        n, c, o = 4, 4, 4
+        x = Tensor(rng.standard_normal((n, c, 4, 8, 8)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((o, c, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        out, held = self.held_after(lambda: ad.conv3d(x, w, padding=(1, 1, 1)))
+        # [N, C*27, P] with P = T*H*W at unit stride and padding 1
+        assert held - out.data.nbytes < 27 * x.data.nbytes
+
+    def test_fake_quant_keeps_one_input_sized_array(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal(1 << 18).astype(np.float32), requires_grad=True)
+        q = ActQuantizer(4)
+        q.calibrate(x.data)
+        out, held = self.held_after(lambda: fake_quant(x, q))
+        assert x.data.nbytes <= held - out.data.nbytes < 1.5 * x.data.nbytes
+
+
 class TestMatmul:
     def test_identity(self):
         rng = np.random.default_rng(4)
@@ -223,6 +297,16 @@ class TestSoftmax:
 class TestElementwise:
     def test_gelu_zero(self):
         assert ad.gelu(Tensor([0.0])).data[0] == 0.0
+
+    def test_gelu_float32_matches_reference(self):
+        x = Tensor(np.linspace(-6.0, 6.0, 241, dtype=np.float32), requires_grad=True)
+        with Tape():
+            out = ad.gelu(x)
+        g = np.ones(x.shape, np.float32)
+        (dx,) = out.node.backward_fn(g)
+        assert out.data.dtype == np.float32 and dx.dtype == np.float32
+        xd = x.data.astype(np.float64)
+        np.testing.assert_allclose(out.data, reference_impl.gelu(xd), rtol=1e-6, atol=1e-7)
 
     def test_leaky_relu_negative(self):
         out = ad.leaky_relu(Tensor([-1.0]), 0.01)
