@@ -11,11 +11,11 @@ between optimizer steps.
 A node saves what its backward rule closes over: its input tensors, plus
 an array only where rebuilding it would cost more than keeping it. The
 elementwise ops keep their inputs (``gelu`` its ``Phi(x)`` too, ``sqrt``
-and ``softmax`` their output, ``leaky_relu`` and ``clamp`` a boolean mask);
-shape ops keep shapes only. ``conv3d`` keeps its input and weight (a
-padded 1x1x1 conv, its padded input) and rebuilds its im2col patch
-matrices in backward; ``quantize.fake_quant`` keeps its pre-clip value and
-rebuilds the codes.
+and ``softmax`` their output, ``clamp`` a boolean mask; ``leaky_relu``
+keeps no mask and recomputes its sign test from its input); shape ops keep
+shapes only. ``conv3d`` keeps its input and weight (a padded 1x1x1 conv,
+its padded input) and rebuilds its im2col patch matrices in backward;
+``quantize.fake_quant`` keeps its pre-clip value and rebuilds the codes.
 
 Every forward op checks its output for NaN/Inf and raises
 :class:`~qsci.errors.NumericError` on the first non-finite value.
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0).astype(np.float32)
 _INV_SQRT2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
@@ -237,12 +237,16 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
+    """``x`` where positive, else ``x * negative_slope``. For a slope in
+    [0, 1] that is ``max(x, x * slope)``, bit for bit, signed zeros
+    included; any other slope is a ConfigError."""
+    if not 0.0 <= negative_slope <= 1.0:
+        raise ConfigError(f"leaky_relu slope must lie in [0, 1], got {negative_slope}")
     ns = np.float32(negative_slope)
-    pos = x.data > 0
-    out = np.where(pos, x.data, x.data * ns)
+    out = np.maximum(x.data, x.data * ns)
 
     def bwd(g):
-        return (np.where(pos, g, g * ns),)
+        return (np.where(x.data > 0, g, g * ns),)
 
     return _finish(out, (x,), bwd, "leaky_relu")
 
@@ -503,26 +507,21 @@ def _fill_patches(xp: np.ndarray, kshape, stride, out_dims, buf: np.ndarray) -> 
     return buf
 
 
-def conv_patches(x: np.ndarray, kshape, stride, padding, out_dims) -> np.ndarray:
-    """[N, C, T, H, W] input -> [N, C*kt*kh*kw, P] patch matrix of the whole
-    batch, zero-padded by ``padding`` on both sides of each spatial axis.
+def conv_patches(x: np.ndarray, padding) -> np.ndarray:
+    """[N, C, T, H, W] input -> [N, C, P] patch matrix of a 1x1x1 unit-stride
+    conv, zero-padded by ``padding`` on both sides of each spatial axis.
 
-    This is the transient batched matrix of the tape-free code contraction
-    and of the conv backward's input gradient; a taped forward builds one
-    sample's matrix at a time instead (:func:`_sample_patches`). A 1x1x1
-    unit-stride kernel sees every voxel once, so its patch matrix is a view
-    of the (padded) input and a conv is a plain channel GEMM.
+    Such a kernel sees every voxel once, so its patch matrix is a view of
+    the (padded) input and a conv is a plain channel GEMM. Every other
+    kernel builds one sample's matrix at a time (:func:`sample_patches`):
+    the taped forward, the input gradient as a conv, and the tape-free code
+    contraction alike.
     """
     x = _pad(x, padding)
-    n, c = x.shape[:2]
-    if tuple(kshape) == (1, 1, 1) and tuple(stride) == (1, 1, 1):
-        return x.reshape(n, c, -1)
-    k3 = int(np.prod(kshape))
-    buf = np.empty((n, c, k3) + tuple(out_dims), dtype=x.dtype)
-    return _fill_patches(x, kshape, stride, out_dims, buf).reshape(n, c * k3, -1)
+    return x.reshape(x.shape[0], x.shape[1], -1)
 
 
-def _sample_patches(x: np.ndarray, kshape, stride, padding, out_dims):
+def sample_patches(x: np.ndarray, kshape, stride, padding, out_dims):
     """Yield the [C*k3, P] patch matrix of each sample of ``x`` in order,
     built into one reused buffer: each matrix is valid until the next."""
     buf = np.empty((x.shape[1], int(np.prod(kshape))) + tuple(out_dims), dtype=x.dtype)
@@ -543,7 +542,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     sums the per-sample weight gradients in sample order, so the result is
     bit for bit that of one batched GEMM and an axis-0 sum. The input
     gradient scatter-adds the transposed GEMM back into the padded input,
-    or is itself a conv (see below).
+    or is itself a conv (see below), one GEMM per sample.
     """
     stride = tuple(int(s) for s in stride)
     padding = tuple(int(p) for p in padding)
@@ -557,12 +556,12 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     w2 = w.data.reshape(o, c * k3)
     unit_stride = stride == (1, 1, 1)
     if unit_stride and k3 == 1:
-        patches = conv_patches(x.data, *geometry)   # a view of the (padded) input
+        patches = conv_patches(x.data, padding)   # a view of the (padded) input
         out = w2 @ patches
     else:
         patches = None
         out = np.empty((n, o, p_count), dtype=np.float32)
-        for i, patches_i in enumerate(_sample_patches(x.data, *geometry)):
+        for i, patches_i in enumerate(sample_patches(x.data, *geometry)):
             np.matmul(w2, patches_i, out=out[i])
     out = out.reshape(n, o, to, ho, wo)
     if bias is not None:
@@ -579,7 +578,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
 
     def bwd(g):
         gm = g.reshape(n, o, p_count)
-        each = patches if patches is not None else _sample_patches(x.data, *geometry)
+        each = patches if patches is not None else sample_patches(x.data, *geometry)
         terms = (gi @ pi.T for gi, pi in zip(gm, each))
         dw = next(terms)
         for term in terms:
@@ -589,10 +588,13 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             # channel GEMM: the patch gradient is the padded-input gradient
             dx = (w2.T @ gm).reshape(n, c, to, ho, wo)[crop]
         elif dx_as_conv:
-            wflip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            gpatches = conv_patches(g, (kt, kh, kw), (1, 1, 1),
-                                    (kt - 1 - pt, kh - 1 - ph, kw - 1 - pw), (t, h, wd))
-            dx = (wflip.reshape(c, o * k3) @ gpatches).reshape(x.shape)
+            wflip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c, o * k3)
+            dx = np.empty((n, c, t * h * wd), dtype=np.float32)
+            for i, gpatches_i in enumerate(sample_patches(
+                    g, (kt, kh, kw), (1, 1, 1), (kt - 1 - pt, kh - 1 - ph, kw - 1 - pw),
+                    (t, h, wd))):
+                np.matmul(wflip, gpatches_i, out=dx[i])
+            dx = dx.reshape(x.shape)
         else:
             dpatch = (w2.T @ gm).reshape(n, c, k3, to, ho, wo)
             dxp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, wd + 2 * pw), dtype=x.data.dtype)

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, conv3d_output_shape, conv_patches
+from .autodiff import Tensor, conv3d_output_shape, conv_patches, sample_patches
 from .errors import ConfigError, FormatError, ShapeError
 from .quantize import (VALID_BITS, ActQuantizer, WeightQuantizer, act_quantize, code_dtype,
                        fake_quant)
@@ -282,8 +282,11 @@ class QLayer(Module):
         """``x`` through the layer from activation and weight codes, float32.
 
         The codes are contracted exactly in the float type of
-        :func:`~qsci.quantize.code_dtype`. With x = alpha_x * x_code + z and
-        w = alpha_w * w_code, the float32 epilogue is then
+        :func:`~qsci.quantize.code_dtype`: every partial sum is an integer
+        that type holds, so any summation order gives the same bits, and
+        :meth:`contract` may group the taps as it likes. With
+        x = alpha_x * x_code + z and w = alpha_w * w_code, the float32
+        epilogue is then
         ``alpha_x*alpha_w*acc + alpha_w*z*corr + bias``, where ``corr`` sums
         the weight codes over the taps that meet each output.
         """
@@ -338,11 +341,44 @@ class QConv3d(QLayer):
         return ad.conv3d(xq, wq, self.bias, self.stride, self.padding)
 
     def contract(self, x_codes, w_codes):
-        """[N,C,T,H,W] x [O,C,kt,kh,kw] codes -> [N,O,To,Ho,Wo], one GEMM."""
+        """[N,C,T,H,W] x [O,C,kt,kh,kw] codes -> [N,O,To,Ho,Wo].
+
+        A 1x1x1 unit-stride conv is one channel GEMM on a view of the input.
+        Otherwise each sample, padded once, fills one reused patch matrix of
+        its kh*kw spatial taps over every padded time step,
+        [C*kh*kw, Tp*Ho*Wo]; temporal tap ``it`` is then the column range
+        [it*Ho*Wo, (it+To)*Ho*Wo), and the sample's output is the sum of kt
+        GEMMs, one per temporal tap. A conv with a temporal stride other
+        than 1 folds its time taps into the patch matrix instead: one GEMM
+        per sample over all kt*kh*kw taps.
+
+        Regrouping the sum is exact: every partial sum of a code contraction
+        is an integer whose magnitude the dtype bound of
+        :func:`~qsci.quantize.code_dtype` keeps exactly representable, so the
+        result equals one 27-tap GEMM, bit for bit.
+        """
         n, o, to, ho, wo = conv3d_output_shape(x_codes.shape, self.weight.shape,
                                                self.stride, self.padding)
-        patches = conv_patches(x_codes, self.kernel, self.stride, self.padding, (to, ho, wo))
-        return (w_codes.reshape(o, -1) @ patches).reshape(n, o, to, ho, wo)
+        if self.kernel == (1, 1, 1) and self.stride == (1, 1, 1):
+            patches = conv_patches(x_codes, self.padding)
+            return (w_codes.reshape(o, -1) @ patches).reshape(n, o, to, ho, wo)
+        kt, kh, kw = self.kernel
+        if self.stride[0] == 1:
+            taps, kshape, steps = kt, (1, kh, kw), x_codes.shape[2] + 2 * self.padding[0]
+        else:
+            taps, kshape, steps = 1, self.kernel, to
+        # [taps, O, C*k]: each temporal tap's weight, columns ordered as the patch rows
+        w_taps = (w_codes.reshape(o, self.in_ch, taps, -1).transpose(2, 0, 1, 3)
+                  .reshape(taps, o, -1))
+        hw = ho * wo
+        out = np.empty((n, o, to * hw), dtype=w_codes.dtype)
+        part = np.empty((o, to * hw), dtype=w_codes.dtype)
+        for i, patches in enumerate(sample_patches(x_codes, kshape, self.stride, self.padding,
+                                                    (steps, ho, wo))):
+            np.matmul(w_taps[0], patches[:, :to * hw], out=out[i])
+            for it in range(1, taps):
+                out[i] += np.matmul(w_taps[it], patches[:, it * hw:(it + to) * hw], out=part)
+        return out.reshape(n, o, to, ho, wo)
 
     def correction(self, in_shape, w_codes):
         """[O, To, Ho, Wo]: each output's sum of the weight codes over the

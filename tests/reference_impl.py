@@ -39,6 +39,11 @@ def leaky_relu(x, slope=0.01):
     return np.where(x > 0, x, x * slope)
 
 
+def leaky_relu_grad(x, g, slope=0.01):
+    """Upstream gradient ``g`` through :func:`leaky_relu` at ``x``."""
+    return np.where(x > 0, g, g * slope)
+
+
 def gelu(x):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 

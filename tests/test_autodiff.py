@@ -10,7 +10,7 @@ import pytest
 import qsci.autodiff as ad
 import reference_impl
 from qsci.autodiff import Tape, Tensor, backward
-from qsci.errors import NumericError, ShapeError
+from qsci.errors import ConfigError, NumericError, ShapeError
 from qsci.quantize import ActQuantizer, fake_quant
 
 
@@ -227,6 +227,13 @@ class TestTapeFootprint:
         # [N, C*27, P] with P = T*H*W at unit stride and padding 1
         assert held - out.data.nbytes < 27 * x.data.nbytes
 
+    def test_leaky_relu_keeps_no_mask(self):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal(1 << 18).astype(np.float32), requires_grad=True)
+        out, held = self.held_after(lambda: ad.leaky_relu(x))
+        # a boolean mask would hold one byte per element
+        assert held - out.data.nbytes < x.data.size
+
     def test_fake_quant_keeps_one_input_sized_array(self):
         rng = np.random.default_rng(22)
         x = Tensor(rng.standard_normal(1 << 18).astype(np.float32), requires_grad=True)
@@ -311,6 +318,30 @@ class TestElementwise:
     def test_leaky_relu_negative(self):
         out = ad.leaky_relu(Tensor([-1.0]), 0.01)
         assert out.data[0] == pytest.approx(-0.01)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    def test_leaky_relu_bytes_match_reference_over_float32_sweep(self, slope):
+        # every 1000th float32 bit pattern, plus signed zeros, the smallest
+        # and largest subnormals and +-FLT_MAX; NaN and inf are not finite
+        # inputs of an op
+        patterns = np.arange(0, 1 << 32, 1000, dtype=np.uint64).astype(np.uint32)
+        edges = np.array([0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007FFFFF,
+                          0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF], dtype=np.uint32)
+        x_arr = np.concatenate([patterns, edges]).view(np.float32)
+        x_arr = x_arr[np.isfinite(x_arr)]
+        g = np.random.default_rng(23).standard_normal(x_arr.size).astype(np.float32)
+        x = Tensor(x_arr, requires_grad=True)
+        with Tape():
+            out = ad.leaky_relu(x, slope)
+        (dx,) = out.node.backward_fn(g)
+        ns = np.float32(slope)
+        assert out.data.tobytes() == reference_impl.leaky_relu(x_arr, ns).tobytes()
+        assert dx.tobytes() == reference_impl.leaky_relu_grad(x_arr, g, ns).tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan")])
+    def test_leaky_relu_slope_outside_unit_interval_raises(self, slope):
+        with pytest.raises(ConfigError, match="slope"):
+            ad.leaky_relu(Tensor([1.0]), slope)
 
     def test_reshape_round_trip(self):
         rng = np.random.default_rng(8)

@@ -5,6 +5,7 @@ with the fake-quant layers."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,40 @@ class TestExactContraction:
         assert acc.dtype == dtype
         want = ref.int_conv3d(x, codes, layer.stride, layer.padding)
         np.testing.assert_array_equal(acc.astype(np.int64), want)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        ((3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ((3, 3, 3), (1, 1, 1), (0, 1, 1)),      # To = T - 2
+        ((3, 3, 3), (1, 2, 2), (1, 1, 1)),
+        ((1, 3, 3), (1, 1, 1), (0, 1, 1)),
+        ((1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((3, 3, 3), (2, 1, 1), (1, 1, 1)),      # time taps folded into the patches
+    ], ids=["k333", "k333-time-unpadded", "k333-stride122", "k133", "k111",
+            "k333-time-stride2"])
+    def test_every_conv_route_equals_int64_reference(self, n, dtype, kernel, stride, padding):
+        rng = np.random.default_rng(n)
+        layer = QConv3d(rng, 5, 4, kernel, stride=stride, padding=padding, bits=8)
+        codes = random_codes(rng, 8, layer.weight.shape)
+        x = random_codes(rng, 8, (n, 5, 5, 6, 5))
+        acc = layer.contract(x.astype(dtype), codes.astype(dtype))
+        assert acc.dtype == dtype
+        assert np.array_equal(acc, ref.int_conv3d(x, codes, stride, padding))
+
+    def test_conv_builds_no_batch_patch_matrix(self):
+        rng = np.random.default_rng(31)
+        layer = QConv3d(rng, 4, 4, (3, 3, 3), padding=(1, 1, 1), bits=4)
+        x = random_codes(rng, 4, (4, 4, 4, 8, 8)).astype(np.float32)
+        codes = random_codes(rng, 4, layer.weight.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            acc = layer.contract(x, codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # [N, C*27, P] with P = T*H*W at unit stride and padding 1
+        assert peak - acc.nbytes < 27 * x.nbytes
 
     @pytest.mark.parametrize("inputs,dtype", [(300, np.float32), (1100, np.float64)])
     def test_linear_equals_int64_reference(self, inputs, dtype):
