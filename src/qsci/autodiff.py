@@ -17,6 +17,12 @@ shapes only. ``conv3d`` keeps its input and weight (a padded 1x1x1 conv,
 its padded input) and rebuilds its im2col patch matrices in backward;
 ``quantize.fake_quant`` keeps its pre-clip value and rebuilds the codes.
 
+Without a tape nothing is kept. Given the spacing of a code-domain layer's
+output, a tape-free ``gelu`` evaluates its formula once per distinct input
+value, from a per-channel table that is verified bit for bit against the
+input; where it does not verify, the direct formula runs. Either way the
+bits are those of the direct formula.
+
 Every forward op checks its output for NaN/Inf and raises
 :class:`~qsci.errors.NumericError` on the first non-finite value.
 """
@@ -251,9 +257,28 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     return _finish(out, (x,), bwd, "leaky_relu")
 
 
-def gelu(x: Tensor) -> Tensor:
-    # exact erf form; derivative is Phi(x) + x * phi(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
+def gelu(x: Tensor, grid=None) -> Tensor:
+    """``x * Phi(x)`` in the exact erf form; derivative ``Phi(x) + x * phi(x)``.
+
+    ``grid`` is the spacing ``s`` of a tape-free input whose every channel
+    (axis 1) lies on a grid ``fl(fl(k*s) + off_c)`` over integers ``k``, as
+    a code-domain layer's output does (see
+    :attr:`~qsci.network.QLayer.output_grid`). Such an input holds few
+    distinct values, and the formula then runs once per value of a table
+    (:func:`_grid_table`) and is gathered back: the same bits as the direct
+    formula, which runs wherever the table does not verify or would not be
+    much smaller than ``x``. Under a tape ``grid`` is ignored.
+    """
+    if grid is not None and active_tape() is None:
+        table = _grid_table(x.data, grid)
+        if table is not None:
+            slots, keys = table
+            return _finish((keys * _gelu_cdf(keys)).take(slots), (x,), None, "gelu")
+    cdf = _gelu_cdf(x.data)
     out = x.data * cdf
 
     def bwd(g):
@@ -261,6 +286,44 @@ def gelu(x: Tensor) -> Tensor:
         return (g * (cdf + x.data * pdf),)
 
     return _finish(out, (x,), bwd, "gelu")
+
+
+def _grid_table(x: np.ndarray, step) -> Optional[tuple]:
+    """``(slots, keys)`` with ``keys[slots]`` equal to ``x`` bit for bit and
+    ``keys`` at most a quarter of ``x``'s size, or None.
+
+    Channel ``c`` (axis 1) owns ``span`` slots from ``c*span``; an element
+    goes to slot ``rint((x - lo_c)/step)`` of its channel, where ``lo_c`` is
+    the channel minimum. Every element is then compared with its slot's key
+    as a uint32 view, so any mapping is exact: an off-grid value, or ``-0.0``
+    sharing a slot with ``+0.0``, fails the check and gives None. So does a
+    non-finite input. The table is sized in float64 before any integer
+    conversion, from the largest channel width ``w = (hi_c - lo_c)/step``:
+    with at most 2**20 entries, float32 rounding moves an element's slot
+    value less than 0.2 above its channel's ``w``, so
+    ``span = floor(w + 0.75) + 1`` holds every slot.
+    """
+    step = np.float32(step)
+    if not step > 0:
+        return None
+    n, c = x.shape[:2]
+    xc = x.reshape(n, c, -1)
+    with np.errstate(all="ignore"):            # a NaN or inf input fails the test below
+        lo = xc.min(axis=(0, 2))
+        dist = (xc.max(axis=(0, 2)).astype(np.float64) - lo).max()
+        span = np.floor(dist / step + 0.75) + 1
+    if not (dist < 2.0 ** 127 and c * span <= min(x.size // 4, 1 << 20)):
+        return None
+    span = int(span)
+    q = xc - lo[:, None]
+    q /= step
+    q += (np.arange(c) * span).astype(np.float32)[:, None]
+    slots = np.rint(q, out=q).astype(np.intp).reshape(x.shape)
+    keys = np.zeros(c * span, np.float32)
+    keys[slots] = x
+    if not np.array_equal(keys.view(np.uint32).take(slots), x.view(np.uint32)):
+        return None
+    return slots, keys
 
 
 def sqrt(x: Tensor) -> Tensor:

@@ -256,7 +256,10 @@ class QLayer(Module):
     else on the codes of its float weight. Under a tape it runs
     ``fake_quant`` on input and weight and the float contraction, whose
     straight-through backward training differentiates. The two forwards are
-    equal in exact arithmetic and differ by float rounding only.
+    equal in exact arithmetic and differ by float rounding only. Tape-free,
+    an output whose offset is per channel lies on a grid
+    (:attr:`output_grid`), which lets a following GELU run once per
+    distinct value.
     """
 
     def __init__(self, weight: np.ndarray, out_features: int, bits: int, bias: bool):
@@ -293,14 +296,32 @@ class QLayer(Module):
         w_codes = w_codes.astype(self.code_dtype(), copy=False)
         x_codes = act_quantize(x, self.aq).astype(w_codes.dtype, copy=False)
         acc = self.contract(x_codes, w_codes).astype(np.float32, copy=False)
-        alpha_w = float(self.wq.alpha.data[0])
-        acc *= np.float32(float(self.aq.alpha.data[0]) * alpha_w)
+        acc *= self._code_step()
         offset = self.correction(x.shape, w_codes).astype(np.float32, copy=False)
-        offset *= np.float32(alpha_w * float(self.aq.z.data[0]))
+        offset *= np.float32(float(self.wq.alpha.data[0]) * float(self.aq.z.data[0]))
         if self.bias is not None:
             offset += self.bias.data.reshape((-1,) + (1,) * (offset.ndim - 1))
         acc += offset
         return acc
+
+    def _code_step(self) -> np.float32:
+        """``alpha_x*alpha_w``: the value of one accumulator unit."""
+        return np.float32(float(self.aq.alpha.data[0]) * float(self.wq.alpha.data[0]))
+
+    @property
+    def output_grid(self) -> Optional[np.float32]:
+        """The spacing ``s`` of the tape-free output grid, or None.
+
+        Tape-free, every output of channel ``o`` (a conv's axis 1, a linear
+        layer's last axis) is ``fl(fl(acc*s) + off_o)`` for an integer
+        accumulator ``acc`` (see :meth:`code_forward`), with
+        ``s = fl32(alpha_x*alpha_w)`` and ``off_o`` the channel's zero-point
+        correction plus bias. None under a tape and at 32 bits, where the
+        float fake-quant forward runs instead.
+        """
+        if self.bits < 32 and ad.active_tape() is None:
+            return self._code_step()
+        return None
 
     def code_dtype(self):
         """The float type in which this layer's code contraction is exact."""
@@ -339,6 +360,12 @@ class QConv3d(QLayer):
         xq = fake_quant(x, self.aq)
         wq = fake_quant(self.weight, self.wq)
         return ad.conv3d(xq, wq, self.bias, self.stride, self.padding)
+
+    @property
+    def output_grid(self) -> Optional[np.float32]:
+        """See :attr:`QLayer.output_grid`. A padded conv has none: its
+        zero-point correction, and so its offset, varies with position."""
+        return None if any(self.padding) else super().output_grid
 
     def contract(self, x_codes, w_codes):
         """[N,C,T,H,W] x [O,C,kt,kh,kw] codes -> [N,O,To,Ho,Wo].
@@ -524,7 +551,11 @@ def _from_tokens(tok: Tensor, shape) -> Tensor:
 
 class CFormerBlock(Module):
     """Residual block fusing a 3-D conv branch with the temporal attention
-    branch (concat + 1x1x1), followed by a quantized pointwise MLP."""
+    branch (concat + 1x1x1), followed by a quantized pointwise MLP. Its GELU
+    takes the spacing of ``mlp_in``'s output grid from
+    :attr:`QLayer.output_grid`, read after ``mlp_in`` ran (so after any
+    calibration hook refit its scale); it is None under a tape and at 32 bits.
+    """
 
     MLP_RATIO = 2
 
@@ -550,7 +581,8 @@ class CFormerBlock(Module):
         attn_tokens = self.attn.forward(self.norm.forward(tokens))
         attn_branch = _from_tokens(attn_tokens, shape)
         fused = self.fuse.forward(ad.concat([conv_branch, attn_branch], axis=1))
-        hidden = ad.gelu(self.mlp_in.forward(fused))
+        hidden = self.mlp_in.forward(fused)
+        hidden = ad.gelu(hidden, self.mlp_in.output_grid)
         return x + self.mlp_out.forward(hidden)
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -366,6 +367,100 @@ class TestElementwise:
     def test_non_finite_raises(self):
         with pytest.raises(NumericError):
             ad.div(Tensor([1.0]), Tensor([0.0]))
+
+
+def grid_values(rng, shape, step, k_range=(-8, 8)):
+    """``fl(fl(k*step) + off_c)`` over random integers ``k``: a code-domain
+    layer's output, one offset per channel (axis 1)."""
+    k = rng.integers(*k_range, size=shape).astype(np.float32)
+    off = rng.standard_normal((1, shape[1]) + (1,) * (len(shape) - 2)).astype(np.float32)
+    return k * np.float32(step) + off
+
+
+class TestGeluGridTable:
+    """The tape-free table route of ``gelu``: the same bits as the direct
+    formula, with the formula run on fewer elements than the input holds
+    exactly where the table verifies."""
+
+    STEP = np.float32(0.0371)
+
+    @staticmethod
+    def erf_sizes(monkeypatch):
+        """Element counts of every ``erf`` call that ``gelu`` makes."""
+        sizes = []
+        real = ad.erf
+        monkeypatch.setattr(ad, "erf", lambda v: (sizes.append(v.size), real(v))[1])
+        return sizes
+
+    def check(self, monkeypatch, x, step, tabled):
+        direct = ad.gelu(Tensor(x)).data
+        sizes = self.erf_sizes(monkeypatch)
+        got = ad.gelu(Tensor(x), step).data
+        assert np.array_equal(got.view(np.uint32), direct.view(np.uint32))
+        assert (sizes[0] < x.size) == tabled
+        return sizes
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_on_grid_takes_table(self, monkeypatch, n):
+        x = grid_values(np.random.default_rng(40 + n), (n, 5, 2, 8, 8), self.STEP)
+        self.check(monkeypatch, x, self.STEP, tabled=True)
+
+    def test_constant_channels_take_one_slot_each(self, monkeypatch):
+        x = np.broadcast_to(np.float32([[-1.5], [0.25], [3.0]]).reshape(1, 3, 1, 1, 1),
+                            (2, 3, 2, 4, 4)).copy()
+        assert self.check(monkeypatch, x, self.STEP, tabled=True) == [3]
+
+    def test_value_off_grid_by_one_ulp_falls_back(self, monkeypatch):
+        x = grid_values(np.random.default_rng(43), (1, 4, 2, 6, 6), self.STEP)
+        flat = x.reshape(-1)
+        flat[1] = np.nextafter(flat[0], np.float32(np.inf))   # the slot of flat[0]
+        self.check(monkeypatch, x, self.STEP, tabled=False)
+
+    def test_signed_zeros_in_one_slot_fall_back(self, monkeypatch):
+        # +0.0 == -0.0 as floats; a float comparison would let the table give
+        # one of them the other's sign
+        x = np.float32([0.0, -0.0, self.STEP, 2 * self.STEP] * 8).reshape(1, 1, 2, 4, 4)
+        self.check(monkeypatch, x, self.STEP, tabled=False)
+        self.check(monkeypatch, np.abs(x), self.STEP, tabled=True)
+
+    def test_span_too_large_for_a_table_falls_back(self, monkeypatch):
+        x = grid_values(np.random.default_rng(44), (1, 4, 2, 6, 6), self.STEP,
+                        k_range=(-10 ** 5, 10 ** 5))
+        self.check(monkeypatch, x, self.STEP, tabled=False)
+
+    def test_extreme_channel_falls_back_without_warning(self, monkeypatch):
+        x = grid_values(np.random.default_rng(45), (1, 2, 2, 4, 4), self.STEP)
+        x[0, 1, 0, 0, 0], x[0, 1, 1, 3, 3] = -3e38, 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(monkeypatch, x, np.float32(1e37), tabled=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_as_direct(self, bad):
+        x = grid_values(np.random.default_rng(46), (1, 2, 2, 4, 4), self.STEP)
+        x[0, 0, 1, 2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="gelu"):
+                ad.gelu(Tensor(x), self.STEP)
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, np.nan])
+    def test_step_that_is_no_spacing_falls_back(self, monkeypatch, step):
+        x = grid_values(np.random.default_rng(47), (1, 2, 2, 4, 4), self.STEP)
+        self.check(monkeypatch, x, step, tabled=False)
+
+    def test_grid_ignored_under_tape(self, monkeypatch):
+        x_arr = grid_values(np.random.default_rng(48), (1, 5, 2, 6, 6), self.STEP)
+        grads = []
+        for grid in (None, self.STEP):
+            sizes = self.erf_sizes(monkeypatch)
+            x = Tensor(x_arr, requires_grad=True)
+            with Tape():
+                out = ad.gelu(x, grid)
+            assert sizes == [x_arr.size]
+            grads.append((out.data, out.node.backward_fn(np.ones_like(x_arr))[0]))
+        for a, b in zip(*grads):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 class TestPixelShuffle:

@@ -216,6 +216,25 @@ class TestDataValidation:
         assert not (tmp_path / "ablate").exists()
 
 
+class TestNonFiniteParameters:
+    def test_nan_mlp_bias_exits_4_from_gelu(self, work, tmp_path):
+        # the first op to see the NaN is the GELU after mlp_in, whose table
+        # route must hand a non-finite input to the direct formula's check
+        fingerprint, state = load_checkpoint(work / "q4.qsc")
+        bias = state["block0.cf0.mlp_in.bias"].copy()
+        bias[1] = np.nan
+        state["block0.cf0.mlp_in.bias"] = bias
+        save_checkpoint(tmp_path / "nan.qsc", fingerprint, state)
+        data = work / "data"
+        rc, err = run("--workdir", tmp_path, "eval", "--ckpt", "nan.qsc", "--data", data,
+                      "--out", "eval")
+        assert rc == 4 and "op 'gelu'" in err
+        assert run("--workdir", tmp_path, "pack", "--ckpt", "nan.qsc", "--out", "nan.pack")[0] == 0
+        rc, err = run("--workdir", tmp_path, "infer-int", "--packed", "nan.pack", "--data", data,
+                      "--out", "int")
+        assert rc == 4 and "op 'gelu'" in err
+
+
 class TestInferIntDeterminism:
     def test_reruns_byte_identical_and_equal_to_one_shot(self, work):
         outs = [work / "int_a", work / "int_b"]

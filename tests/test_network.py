@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qsci.autodiff as ad
 import reference_impl as ref
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
 from qsci.network import (BACKBONE, CFormerBlock, QNet, QNetConfig, ShiftedAttention,
                           check_state, make_variant, parse_fingerprint)
 from qsci.sci import encode, generate_masks, initial_estimate, synth_video
+from small_models import calibrated_net, small_inputs
 
 TINY = dict(base_channels=8, resdnet_blocks=1, cformer_per_block=1, heads=2, cr=2)
 
@@ -262,6 +264,52 @@ class TestAudit:
         assert rows["fem.conv_a"]["w_bits"] == 4
         assert rows["vrm.conv_up"]["w_bits"] == 8
         assert rows["block0.cf0.conv"]["w_bits"] == 8
+
+
+class TestOutputGrid:
+    """``QLayer.output_grid`` and the GELU table route it feeds in
+    ``CFormerBlock``."""
+
+    def test_spacing_only_for_a_tape_free_unpadded_code_layer(self):
+        layers = dict(QNet(make_variant("q4", **TINY), seed=0).named_modules())
+        mlp_in = layers["block0.cf0.mlp_in"]
+        assert mlp_in.output_grid == np.float32(
+            float(mlp_in.aq.alpha.data[0]) * float(mlp_in.wq.alpha.data[0]))
+        assert type(mlp_in.output_grid) is np.float32
+        assert layers["block0.cf0.attn.q_proj"].output_grid is not None
+        assert layers["block0.cf0.conv"].output_grid is None        # padded
+        with Tape():
+            assert mlp_in.output_grid is None
+        fp32 = dict(QNet(make_variant("fp32", **TINY), seed=0).named_modules())
+        assert fp32["block0.cf0.mlp_in"].output_grid is None
+
+    @pytest.mark.parametrize("variant,tabled", [
+        ("q4", True), ("q3", True), ("q2", True), ("q4_baseline", True),
+        ("q3_baseline", True), ("q2_baseline", True), ("q8", False), ("fp32", None)])
+    def test_real_mlp_in_outputs(self, monkeypatch, variant, tabled):
+        # the table route gives the direct formula's bits, and the quantizer
+        # after it (what calibration fits) sees exactly those bits
+        net = calibrated_net(variant, hw=32)
+        masks, _, meas = small_inputs(4, 32, seed=1, count=1)
+        calls, seen = [], []
+        gelu = ad.gelu
+        monkeypatch.setattr(ad, "gelu", lambda x, grid=None: (
+            calls.append((x.data.copy(), grid)), gelu(x, grid))[1])
+        dict(net.named_modules())["block0.cf0.mlp_out"].aq.on_next = seen.append
+        net.reconstruct(meas[0], masks)
+        monkeypatch.undo()
+        [(x, grid)] = calls
+        direct = gelu(Tensor(x)).data
+        assert np.array_equal(seen[0].view(np.uint32), direct.view(np.uint32))
+        if tabled is None:
+            assert grid is None
+            return
+        sizes = []
+        erf = ad.erf
+        monkeypatch.setattr(ad, "erf", lambda v: (sizes.append(v.size), erf(v))[1])
+        got = gelu(Tensor(x), grid).data
+        assert np.array_equal(got.view(np.uint32), direct.view(np.uint32))
+        assert (sizes[0] < x.size) == tabled
 
 
 class TestCheckpointInit:
