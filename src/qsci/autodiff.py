@@ -13,15 +13,10 @@ an array only where rebuilding it would cost more than keeping it. The
 elementwise ops keep their inputs (``gelu`` its ``Phi(x)`` too, ``sqrt``
 and ``softmax`` their output, ``clamp`` a boolean mask; ``leaky_relu``
 keeps no mask and recomputes its sign test from its input); shape ops keep
-shapes only. ``conv3d`` keeps its input and weight (a padded 1x1x1 conv,
-its padded input) and rebuilds its im2col patch matrices in backward;
-``quantize.fake_quant`` keeps its pre-clip value and rebuilds the codes.
-
-Without a tape nothing is kept. Given the spacing of a code-domain layer's
-output, a tape-free ``gelu`` evaluates its formula once per distinct input
-value, from a per-channel table that is verified bit for bit against the
-input; where it does not verify, the direct formula runs. Either way the
-bits are those of the direct formula.
+shapes only. ``conv3d`` keeps its input and weight and rebuilds its im2col
+patch matrices in backward; ``quantize.fake_quant`` keeps its pre-clip
+value and rebuilds the codes. No conv pads its input: a patch matrix holds
+zeros where a tap reads outside it (:func:`sample_patches`).
 
 Every forward op checks its output for NaN/Inf and raises
 :class:`~qsci.errors.NumericError` on the first non-finite value.
@@ -29,6 +24,7 @@ Every forward op checks its output for NaN/Inf and raises
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -261,69 +257,19 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
 
-def gelu(x: Tensor, grid=None) -> Tensor:
+def gelu(x: Tensor) -> Tensor:
     """``x * Phi(x)`` in the exact erf form; derivative ``Phi(x) + x * phi(x)``.
-
-    ``grid`` is the spacing ``s`` of a tape-free input whose every channel
-    (axis 1) lies on a grid ``fl(fl(k*s) + off_c)`` over integers ``k``, as
-    a code-domain layer's output does (see
-    :attr:`~qsci.network.QLayer.output_grid`). Such an input holds few
-    distinct values, and the formula then runs once per value of a table
-    (:func:`_grid_table`) and is gathered back: the same bits as the direct
-    formula, which runs wherever the table does not verify or would not be
-    much smaller than ``x``. Under a tape ``grid`` is ignored.
-    """
-    if grid is not None and active_tape() is None:
-        table = _grid_table(x.data, grid)
-        if table is not None:
-            slots, keys = table
-            return _finish((keys * _gelu_cdf(keys)).take(slots), (x,), None, "gelu")
-    cdf = _gelu_cdf(x.data)
-    out = x.data * cdf
+    A non-finite input raises NumericError and warns nothing, although
+    ``-inf * Phi(-inf)`` is ``-inf * 0``."""
+    with np.errstate(invalid="ignore"):
+        cdf = _gelu_cdf(x.data)
+        out = x.data * cdf
 
     def bwd(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
         return (g * (cdf + x.data * pdf),)
 
     return _finish(out, (x,), bwd, "gelu")
-
-
-def _grid_table(x: np.ndarray, step) -> Optional[tuple]:
-    """``(slots, keys)`` with ``keys[slots]`` equal to ``x`` bit for bit and
-    ``keys`` at most a quarter of ``x``'s size, or None.
-
-    Channel ``c`` (axis 1) owns ``span`` slots from ``c*span``; an element
-    goes to slot ``rint((x - lo_c)/step)`` of its channel, where ``lo_c`` is
-    the channel minimum. Every element is then compared with its slot's key
-    as a uint32 view, so any mapping is exact: an off-grid value, or ``-0.0``
-    sharing a slot with ``+0.0``, fails the check and gives None. So does a
-    non-finite input. The table is sized in float64 before any integer
-    conversion, from the largest channel width ``w = (hi_c - lo_c)/step``:
-    with at most 2**20 entries, float32 rounding moves an element's slot
-    value less than 0.2 above its channel's ``w``, so
-    ``span = floor(w + 0.75) + 1`` holds every slot.
-    """
-    step = np.float32(step)
-    if not step > 0:
-        return None
-    n, c = x.shape[:2]
-    xc = x.reshape(n, c, -1)
-    with np.errstate(all="ignore"):            # a NaN or inf input fails the test below
-        lo = xc.min(axis=(0, 2))
-        dist = (xc.max(axis=(0, 2)).astype(np.float64) - lo).max()
-        span = np.floor(dist / step + 0.75) + 1
-    if not (dist < 2.0 ** 127 and c * span <= min(x.size // 4, 1 << 20)):
-        return None
-    span = int(span)
-    q = xc - lo[:, None]
-    q /= step
-    q += (np.arange(c) * span).astype(np.float32)[:, None]
-    slots = np.rint(q, out=q).astype(np.intp).reshape(x.shape)
-    keys = np.zeros(c * span, np.float32)
-    keys[slots] = x
-    if not np.array_equal(keys.view(np.uint32).take(slots), x.view(np.uint32)):
-        return None
-    return slots, keys
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -502,15 +448,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    axis = axis % x.data.ndim
+    shifted = x.data - _reduce_last(np.maximum, x.data, axis)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / _reduce_last(np.add, e, axis)
 
     def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = _reduce_last(np.add, g * out, axis)
         return ((g - dot) * out,)
 
     return _finish(out, (x,), bwd, "softmax")
+
+
+def _reduce_last(ufunc, a: np.ndarray, axis: int) -> np.ndarray:
+    """``ufunc.reduce(a, axis, keepdims=True)``, bit for bit. Over a last
+    axis shorter than 8, numpy folds left to right (its pairwise sum runs
+    sequentially below 8 elements), a sum starting from its identity 0, so
+    that ``-0.0`` terms sum to ``+0.0``. This folds the same way over
+    slices, without numpy's per-row reduction loop."""
+    n = a.shape[axis]
+    if axis != a.ndim - 1 or n >= 8:
+        return ufunc.reduce(a, axis=axis, keepdims=True)
+    out = a[..., :1] + np.float32(0) if ufunc is np.add else a[..., :1].copy()
+    for k in range(1, n):
+        ufunc(out, a[..., k:k + 1], out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -539,58 +501,41 @@ def conv3d_output_shape(in_shape, w_shape, stride, padding):
     return (n, o, dims[0], dims[1], dims[2])
 
 
-def _kernel_slices(kshape, stride, out_dims):
-    """Padded-input slice per kernel offset, row-major over (kt, kh, kw)."""
-    kt, kh, kw = kshape
-    st, sh, sw = stride
-    to, ho, wo = out_dims
-    slices = []
-    for it in range(kt):
-        for ih in range(kh):
-            for iw in range(kw):
-                slices.append((slice(it, it + to * st, st),
-                               slice(ih, ih + ho * sh, sh),
-                               slice(iw, iw + wo * sw, sw)))
-    return slices
+def tap_windows(in_dims, kshape, stride, padding, out_dims) -> list:
+    """``(k, out_window, in_window)`` of each kernel tap ``k``, row-major
+    over (kt, kh, kw), as slice triples over the last three axes: the
+    outputs whose tap ``k`` reads inside the unpadded input, and the input
+    elements they read. A tap that reads only padding is left out."""
+    axes = []
+    for n, n_out, k, s, p in zip(in_dims, out_dims, kshape, stride, padding):
+        windows = []
+        for j in range(k):
+            lo = max(0, -((j - p) // s))               # first output reading index >= 0
+            hi = min(n_out, (n - 1 + p - j) // s + 1)  # one past the last reading index < n
+            start = lo * s + j - p
+            windows.append((slice(lo, hi), slice(start, start + (hi - lo - 1) * s + 1, s))
+                           if lo < hi else None)
+        axes.append(windows)
+    return [(k, tuple(w[0] for w in tap), tuple(w[1] for w in tap))
+            for k, tap in enumerate(itertools.product(*axes)) if all(tap)]
 
 
-def _pad(x: np.ndarray, padding) -> np.ndarray:
-    """Zero-pad the last three (spatial) axes by ``padding`` on both sides."""
-    if not any(padding):
-        return x
-    pt, ph, pw = padding
-    return np.pad(x, ((0, 0),) * (x.ndim - 3) + ((pt, pt), (ph, ph), (pw, pw)))
+def sample_patches(x: np.ndarray, kshape, stride, padding):
+    """Yield the [C*k3, P] patch matrix of each sample of ``x`` [N,C,T,H,W]
+    in order, for a conv zero-padded by ``padding``, built into one reused
+    buffer: each matrix is valid until the next.
 
-
-def _fill_patches(xp: np.ndarray, kshape, stride, out_dims, buf: np.ndarray) -> np.ndarray:
-    """Copy each kernel offset's strided window of the padded input
-    ``xp`` [..., C, T, H, W] into ``buf`` [..., C, k3, To, Ho, Wo]."""
-    for k, sl in enumerate(_kernel_slices(kshape, stride, out_dims)):
-        buf[..., k, :, :, :] = xp[..., sl[0], sl[1], sl[2]]
-    return buf
-
-
-def conv_patches(x: np.ndarray, padding) -> np.ndarray:
-    """[N, C, T, H, W] input -> [N, C, P] patch matrix of a 1x1x1 unit-stride
-    conv, zero-padded by ``padding`` on both sides of each spatial axis.
-
-    Such a kernel sees every voxel once, so its patch matrix is a view of
-    the (padded) input and a conv is a plain channel GEMM. Every other
-    kernel builds one sample's matrix at a time (:func:`sample_patches`):
-    the taped forward, the input gradient as a conv, and the tape-free code
-    contraction alike.
+    The input is never padded. The buffer starts as zeros, and each tap
+    copies only the window it reads inside the input, so what a tap reads
+    over the padding stays zero for every sample.
     """
-    x = _pad(x, padding)
-    return x.reshape(x.shape[0], x.shape[1], -1)
-
-
-def sample_patches(x: np.ndarray, kshape, stride, padding, out_dims):
-    """Yield the [C*k3, P] patch matrix of each sample of ``x`` in order,
-    built into one reused buffer: each matrix is valid until the next."""
-    buf = np.empty((x.shape[1], int(np.prod(kshape))) + tuple(out_dims), dtype=x.dtype)
+    out_dims = conv3d_output_shape(x.shape, (1, x.shape[1]) + kshape, stride, padding)[2:]
+    windows = tap_windows(x.shape[2:], kshape, stride, padding, out_dims)
+    buf = np.zeros((x.shape[1], int(np.prod(kshape))) + out_dims, dtype=x.dtype)
     flat = buf.reshape(buf.shape[0] * buf.shape[1], -1)
-    for xi in _pad(x, padding):
-        _fill_patches(xi, kshape, stride, out_dims, buf)
+    for xi in x:
+        for k, dst, src in windows:
+            buf[:, k][(...,) + dst] = xi[(...,) + src]
         yield flat
 
 
@@ -598,14 +543,14 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
            stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     """Cross-correlation of [N,C,T,H,W] input with [O,C,kt,kh,kw] kernels.
 
-    Each sample is one GEMM against its patch matrix, assembled per kernel
-    offset into a buffer reused across the batch (for a 1x1x1 unit-stride
-    kernel, the input itself). The tape keeps only the input and the weight:
-    the backward pass rebuilds each sample's patch matrix the same way and
-    sums the per-sample weight gradients in sample order, so the result is
-    bit for bit that of one batched GEMM and an axis-0 sum. The input
-    gradient scatter-adds the transposed GEMM back into the padded input,
-    or is itself a conv (see below), one GEMM per sample.
+    Each sample is one GEMM against its patch matrix (:func:`sample_patches`;
+    for an unpadded 1x1x1 unit-stride kernel, a view of the input). The tape
+    keeps only the input and the weight: the backward pass rebuilds each
+    sample's patch matrix the same way and sums the per-sample weight
+    gradients in sample order, so the result is bit for bit that of one
+    batched GEMM and an axis-0 sum. The input gradient scatter-adds the
+    transposed GEMM back into the input, tap by tap, or is itself a conv
+    (see below), one GEMM per sample.
     """
     stride = tuple(int(s) for s in stride)
     padding = tuple(int(p) for p in padding)
@@ -614,12 +559,12 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     pt, ph, pw = padding
     k3 = kt * kh * kw
     p_count = to * ho * wo
-    geometry = ((kt, kh, kw), stride, padding, (to, ho, wo))
+    geometry = ((kt, kh, kw), stride, padding)
 
     w2 = w.data.reshape(o, c * k3)
     unit_stride = stride == (1, 1, 1)
-    if unit_stride and k3 == 1:
-        patches = conv_patches(x.data, padding)   # a view of the (padded) input
+    if unit_stride and k3 == 1 and not any(padding):
+        patches = x.data.reshape(n, c, p_count)   # the kernel sees each voxel once
         out = w2 @ patches
     else:
         patches = None
@@ -631,8 +576,6 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         out += bias.data.reshape(1, o, 1, 1, 1)
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    t, h, wd = x.shape[2:]
-    crop = (slice(None), slice(None), slice(pt, pt + t), slice(ph, ph + h), slice(pw, pw + wd))
     # the input gradient of a unit-stride conv is itself a conv of the
     # (re-padded) output gradient with the channel-transposed flipped kernel,
     # which beats the scatter-add path when o <= c
@@ -648,22 +591,20 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             dw += term
         dw = dw.reshape(w.shape)
         if patches is not None:
-            # channel GEMM: the patch gradient is the padded-input gradient
-            dx = (w2.T @ gm).reshape(n, c, to, ho, wo)[crop]
+            # channel GEMM: the patch gradient is the input gradient
+            dx = (w2.T @ gm).reshape(x.shape)
         elif dx_as_conv:
             wflip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c, o * k3)
-            dx = np.empty((n, c, t * h * wd), dtype=np.float32)
-            for i, gpatches_i in enumerate(sample_patches(
-                    g, (kt, kh, kw), (1, 1, 1), (kt - 1 - pt, kh - 1 - ph, kw - 1 - pw),
-                    (t, h, wd))):
-                np.matmul(wflip, gpatches_i, out=dx[i])
-            dx = dx.reshape(x.shape)
+            dx = np.empty(x.shape, dtype=np.float32)
+            for dx_i, gpatches_i in zip(dx, sample_patches(
+                    g, (kt, kh, kw), (1, 1, 1), (kt - 1 - pt, kh - 1 - ph, kw - 1 - pw))):
+                np.matmul(wflip, gpatches_i, out=dx_i.reshape(c, -1))
         else:
             dpatch = (w2.T @ gm).reshape(n, c, k3, to, ho, wo)
-            dxp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, wd + 2 * pw), dtype=x.data.dtype)
-            for k, sl in enumerate(_kernel_slices((kt, kh, kw), stride, (to, ho, wo))):
-                dxp[:, :, sl[0], sl[1], sl[2]] += dpatch[:, :, k]
-            dx = dxp[crop]
+            dx = np.zeros(x.shape, dtype=x.data.dtype)
+            for k, dst, src in tap_windows(x.shape[2:], (kt, kh, kw), stride, padding,
+                                            (to, ho, wo)):
+                dx[(...,) + src] += dpatch[:, :, k][(...,) + dst]
         if bias is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3, 4))

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, conv3d_output_shape, conv_patches, sample_patches
+from .autodiff import Tensor, conv3d_output_shape, sample_patches, tap_windows
 from .errors import ConfigError, FormatError, ShapeError
 from .quantize import (VALID_BITS, ActQuantizer, WeightQuantizer, act_quantize, code_dtype,
                        fake_quant)
@@ -249,22 +249,23 @@ def _he_weight(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class QLayer(Module):
     """What :class:`QConv3d` and :class:`QLinear` share: a weight with one
     weight quantizer, one input activation quantizer, a full-precision bias,
-    all at ``bits`` (32 disables quantization), and the code-domain forward.
+    all at ``bits`` (32 disables quantization), an optional GELU on the
+    output, and the code-domain forward.
 
     A sub-32-bit layer runs without a tape in the code domain
     (:meth:`code_forward`): on its installed integer kernel if it has one,
     else on the codes of its float weight. Under a tape it runs
-    ``fake_quant`` on input and weight and the float contraction, whose
-    straight-through backward training differentiates. The two forwards are
-    equal in exact arithmetic and differ by float rounding only. Tape-free,
-    an output whose offset is per channel lies on a grid
-    (:attr:`output_grid`), which lets a following GELU run once per
-    distinct value.
+    ``fake_quant`` on input and weight, the float contraction and, with
+    ``gelu`` set, :func:`~qsci.autodiff.gelu`, which training
+    differentiates. The two forwards are equal in exact arithmetic and
+    differ by float rounding only.
     """
 
-    def __init__(self, weight: np.ndarray, out_features: int, bits: int, bias: bool):
+    def __init__(self, weight: np.ndarray, out_features: int, bits: int, bias: bool,
+                 gelu: bool = False):
         super().__init__()
         self.bits = bits
+        self.gelu = gelu
         self.weight = self.register_param("weight", Tensor(weight))
         self.bias = self.register_param("bias", Tensor(np.zeros(out_features, np.float32))) \
             if bias else None
@@ -289,39 +290,40 @@ class QLayer(Module):
         that type holds, so any summation order gives the same bits, and
         :meth:`contract` may group the taps as it likes. With
         x = alpha_x * x_code + z and w = alpha_w * w_code, the float32
-        epilogue is then
-        ``alpha_x*alpha_w*acc + alpha_w*z*corr + bias``, where ``corr`` sums
-        the weight codes over the taps that meet each output.
+        epilogue is then ``fl(fl(acc*s) + off)``, with ``s = alpha_x*alpha_w``
+        and ``off = alpha_w*z*corr + bias``, where ``corr`` sums the weight
+        codes over the taps that meet each output.
+
+        A GELU layer then runs :func:`~qsci.autodiff.gelu` on that. Where
+        ``off`` is one value per channel (an unpadded layer), an output is a
+        function of its channel and its integer accumulator alone, so,
+        tape-free, the epilogue and GELU run once per accumulator value in
+        each channel's [min, max] and every output is gathered by its
+        accumulator (:func:`_gelu_by_accumulator`): the same bits, by
+        construction. A padded layer, a table that would hold more than a
+        quarter as many entries as the output (as at 8 bits), and any
+        forward under a tape run the epilogue and GELU on every output.
         """
         w_codes = w_codes.astype(self.code_dtype(), copy=False)
         x_codes = act_quantize(x, self.aq).astype(w_codes.dtype, copy=False)
-        acc = self.contract(x_codes, w_codes).astype(np.float32, copy=False)
-        acc *= self._code_step()
+        acc = self.contract(x_codes, w_codes)
+        step = self._code_step()
         offset = self.correction(x.shape, w_codes).astype(np.float32, copy=False)
         offset *= np.float32(float(self.wq.alpha.data[0]) * float(self.aq.z.data[0]))
         if self.bias is not None:
             offset += self.bias.data.reshape((-1,) + (1,) * (offset.ndim - 1))
-        acc += offset
-        return acc
+        if self.gelu and offset.size == self.out_features and ad.active_tape() is None:
+            out = _gelu_by_accumulator(acc, step, offset)
+            if out is not None:
+                return out
+        out = acc.astype(np.float32, copy=False)
+        out *= step
+        out += offset
+        return ad.gelu(Tensor(out)).data if self.gelu else out
 
     def _code_step(self) -> np.float32:
         """``alpha_x*alpha_w``: the value of one accumulator unit."""
         return np.float32(float(self.aq.alpha.data[0]) * float(self.wq.alpha.data[0]))
-
-    @property
-    def output_grid(self) -> Optional[np.float32]:
-        """The spacing ``s`` of the tape-free output grid, or None.
-
-        Tape-free, every output of channel ``o`` (a conv's axis 1, a linear
-        layer's last axis) is ``fl(fl(acc*s) + off_o)`` for an integer
-        accumulator ``acc`` (see :meth:`code_forward`), with
-        ``s = fl32(alpha_x*alpha_w)`` and ``off_o`` the channel's zero-point
-        correction plus bias. None under a tape and at 32 bits, where the
-        float fake-quant forward runs instead.
-        """
-        if self.bits < 32 and ad.active_tape() is None:
-            return self._code_step()
-        return None
 
     def code_dtype(self):
         """The float type in which this layer's code contraction is exact."""
@@ -339,7 +341,7 @@ class QConv3d(QLayer):
     quantizer; bias stays full precision. 32-bit disables quantization."""
 
     def __init__(self, rng, in_ch, out_ch, kernel, stride=(1, 1, 1), padding=(0, 0, 0),
-                 bits=32, bias=True, zero_init=False):
+                 bits=32, bias=True, zero_init=False, gelu=False):
         self.in_ch = in_ch
         self.out_ch = self.out_features = out_ch
         self.kernel = tuple(kernel)
@@ -351,7 +353,7 @@ class QConv3d(QLayer):
             w = np.zeros(shape, dtype=np.float32)
         else:
             w = _he_weight(rng, shape, in_ch * kt * kh * kw)
-        super().__init__(w, out_ch, bits, bias)
+        super().__init__(w, out_ch, bits, bias, gelu)
 
     def forward(self, x: Tensor) -> Tensor:
         out = self._untaped(x)
@@ -359,25 +361,27 @@ class QConv3d(QLayer):
             return out
         xq = fake_quant(x, self.aq)
         wq = fake_quant(self.weight, self.wq)
-        return ad.conv3d(xq, wq, self.bias, self.stride, self.padding)
-
-    @property
-    def output_grid(self) -> Optional[np.float32]:
-        """See :attr:`QLayer.output_grid`. A padded conv has none: its
-        zero-point correction, and so its offset, varies with position."""
-        return None if any(self.padding) else super().output_grid
+        out = ad.conv3d(xq, wq, self.bias, self.stride, self.padding)
+        return ad.gelu(out) if self.gelu else out
 
     def contract(self, x_codes, w_codes):
-        """[N,C,T,H,W] x [O,C,kt,kh,kw] codes -> [N,O,To,Ho,Wo].
+        """[N,C,T,H,W] x [O,C,kt,kh,kw] codes -> [N,O,To,Ho,Wo], by one of
+        three routes; none pads the input.
 
-        A 1x1x1 unit-stride conv is one channel GEMM on a view of the input.
-        Otherwise each sample, padded once, fills one reused patch matrix of
-        its kh*kw spatial taps over every padded time step,
-        [C*kh*kw, Tp*Ho*Wo]; temporal tap ``it`` is then the column range
-        [it*Ho*Wo, (it+To)*Ho*Wo), and the sample's output is the sum of kt
-        GEMMs, one per temporal tap. A conv with a temporal stride other
-        than 1 folds its time taps into the patch matrix instead: one GEMM
-        per sample over all kt*kh*kw taps.
+        - An unpadded 1x1x1 unit-stride conv is one channel GEMM on a view
+          of the input.
+        - A unit-stride conv with fewer outputs than input channels (here
+          ``conv_out``, 16 -> 1) runs channels first (kn2row): per sample,
+          one GEMM ``[k3*O, C] @ [C, T*H*W]`` gives every tap's channel sum
+          at every input voxel, and each tap's window of it is added into
+          the output.
+        - Otherwise each sample fills one reused patch matrix of its kh*kw
+          spatial taps over every padded time step, [C*kh*kw, Tp*Ho*Wo];
+          temporal tap ``it`` is then the column range
+          [it*Ho*Wo, (it+To)*Ho*Wo), and the sample's output is the sum of
+          kt GEMMs, one per temporal tap. A conv with a temporal stride
+          other than 1 folds its time taps into the patch matrix instead:
+          one GEMM per sample over all kt*kh*kw taps.
 
         Regrouping the sum is exact: every partial sum of a code contraction
         is an integer whose magnitude the dtype bound of
@@ -386,26 +390,43 @@ class QConv3d(QLayer):
         """
         n, o, to, ho, wo = conv3d_output_shape(x_codes.shape, self.weight.shape,
                                                self.stride, self.padding)
-        if self.kernel == (1, 1, 1) and self.stride == (1, 1, 1):
-            patches = conv_patches(x_codes, self.padding)
-            return (w_codes.reshape(o, -1) @ patches).reshape(n, o, to, ho, wo)
+        c = self.in_ch
+        unit_stride = self.stride == (1, 1, 1)
+        if self.kernel == (1, 1, 1) and unit_stride and not any(self.padding):
+            return (w_codes.reshape(o, c) @ x_codes.reshape(n, c, -1)).reshape(n, o, to, ho, wo)
+        if unit_stride and o < c:
+            return self._contract_channels_first(x_codes, w_codes, (to, ho, wo))
         kt, kh, kw = self.kernel
         if self.stride[0] == 1:
-            taps, kshape, steps = kt, (1, kh, kw), x_codes.shape[2] + 2 * self.padding[0]
+            taps, kshape = kt, (1, kh, kw)
         else:
-            taps, kshape, steps = 1, self.kernel, to
+            taps, kshape = 1, self.kernel
         # [taps, O, C*k]: each temporal tap's weight, columns ordered as the patch rows
-        w_taps = (w_codes.reshape(o, self.in_ch, taps, -1).transpose(2, 0, 1, 3)
+        w_taps = (w_codes.reshape(o, c, taps, -1).transpose(2, 0, 1, 3)
                   .reshape(taps, o, -1))
         hw = ho * wo
         out = np.empty((n, o, to * hw), dtype=w_codes.dtype)
         part = np.empty((o, to * hw), dtype=w_codes.dtype)
-        for i, patches in enumerate(sample_patches(x_codes, kshape, self.stride, self.padding,
-                                                    (steps, ho, wo))):
+        for i, patches in enumerate(sample_patches(x_codes, kshape, self.stride, self.padding)):
             np.matmul(w_taps[0], patches[:, :to * hw], out=out[i])
             for it in range(1, taps):
                 out[i] += np.matmul(w_taps[it], patches[:, it * hw:(it + to) * hw], out=part)
         return out.reshape(n, o, to, ho, wo)
+
+    def _contract_channels_first(self, x_codes, w_codes, out_dims):
+        """The channels-first route of :meth:`contract`."""
+        n, c = x_codes.shape[:2]
+        o = self.out_ch
+        # [k3*O, C], tap-major: row k*O + j is tap k of output channel j
+        w_rows = w_codes.reshape(o, c, -1).transpose(2, 0, 1).reshape(-1, c)
+        windows = tap_windows(x_codes.shape[2:], self.kernel, self.stride, self.padding,
+                              out_dims)
+        out = np.zeros((n, o) + out_dims, dtype=w_codes.dtype)
+        for x_i, out_i in zip(x_codes, out):
+            sums = (w_rows @ x_i.reshape(c, -1)).reshape((-1, o) + x_i.shape[1:])
+            for k, dst, src in windows:
+                out_i[(...,) + dst] += sums[k][(...,) + src]
+        return out
 
     def correction(self, in_shape, w_codes):
         """[O, To, Ho, Wo]: each output's sum of the weight codes over the
@@ -430,6 +451,37 @@ def _valid_taps(n_in, n_out, k, stride, pad, dtype) -> np.ndarray:
         return np.ones((1, k), dtype)
     pos = np.arange(n_out)[:, None] * stride + np.arange(k) - pad
     return ((pos >= 0) & (pos < n_in)).astype(dtype)
+
+
+def _gelu_by_accumulator(acc, step, offset) -> Optional[np.ndarray]:
+    """``gelu(fl(fl(acc*step) + offset))`` over integer accumulators ``acc``,
+    float32, where ``offset`` broadcasts against the trailing axes of ``acc``
+    and holds one value per channel along its first axis; None where the
+    table below would hold more than a quarter as many entries as ``acc``.
+
+    The table has one entry per accumulator value in each channel's
+    [min, max], computed with the epilogue's own float32 ops, and each output
+    is its channel's entry at its accumulator: the bits of the direct
+    formula. An accumulator of -0.0 takes the entry of 0, which differs
+    only where the offset is -0.0; such a layer runs the direct formula.
+    """
+    axis = acc.ndim - offset.ndim
+    reduced = tuple(a for a in range(acc.ndim) if a != axis)
+    if not acc.size or np.signbit(offset[offset == 0]).any():
+        return None
+    lo = acc.min(axis=reduced).astype(np.intp)
+    spans = acc.max(axis=reduced).astype(np.intp) - lo + 1
+    if 4 * int(spans.sum()) > acc.size:
+        return None
+    first = np.cumsum(spans) - spans                  # each channel's first entry
+    chan = np.repeat(np.arange(spans.size), spans)    # each entry's channel
+    keys = (np.arange(chan.size) - first[chan] + lo[chan]).astype(np.float32)
+    keys *= step
+    keys += offset.reshape(-1)[chan]
+    table = ad.gelu(Tensor(keys)).data
+    slots = acc.astype(np.intp)
+    slots -= (lo - first).reshape((-1,) + (1,) * (acc.ndim - axis - 1))
+    return table.take(slots)
 
 
 class QLinear(QLayer):
@@ -551,10 +603,8 @@ def _from_tokens(tok: Tensor, shape) -> Tensor:
 
 class CFormerBlock(Module):
     """Residual block fusing a 3-D conv branch with the temporal attention
-    branch (concat + 1x1x1), followed by a quantized pointwise MLP. Its GELU
-    takes the spacing of ``mlp_in``'s output grid from
-    :attr:`QLayer.output_grid`, read after ``mlp_in`` ran (so after any
-    calibration hook refit its scale); it is None under a tape and at 32 bits.
+    branch (concat + 1x1x1), followed by a quantized pointwise MLP whose GELU
+    is ``mlp_in``'s own output activation (see :meth:`QLayer.code_forward`).
     """
 
     MLP_RATIO = 2
@@ -571,7 +621,7 @@ class CFormerBlock(Module):
             "fuse", QConv3d(rng, 2 * c, c, (1, 1, 1), bits=bits))
         hidden = self.MLP_RATIO * c
         self.mlp_in = self.register_module(
-            "mlp_in", QConv3d(rng, c, hidden, (1, 1, 1), bits=bits))
+            "mlp_in", QConv3d(rng, c, hidden, (1, 1, 1), bits=bits, gelu=True))
         self.mlp_out = self.register_module(
             "mlp_out", QConv3d(rng, hidden, c, (1, 1, 1), bits=bits))
 
@@ -581,9 +631,7 @@ class CFormerBlock(Module):
         attn_tokens = self.attn.forward(self.norm.forward(tokens))
         attn_branch = _from_tokens(attn_tokens, shape)
         fused = self.fuse.forward(ad.concat([conv_branch, attn_branch], axis=1))
-        hidden = self.mlp_in.forward(fused)
-        hidden = ad.gelu(hidden, self.mlp_in.output_grid)
-        return x + self.mlp_out.forward(hidden)
+        return x + self.mlp_out.forward(self.mlp_in.forward(fused))
 
 
 class ResDNetBlock(Module):

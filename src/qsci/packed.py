@@ -18,8 +18,11 @@ bias. The weight codes are the same integers either way, so a packed model
 reconstructs the same frames, bit for bit, as the tape-free forward of the
 network it was packed from.
 
-Everything that is not a weight contraction (softmax, norms, activations,
-residuals, the attention products) runs in float on dequantized values.
+A weight layer's output activation is part of its forward: ``mlp_in``'s
+GELU runs inside its ``code_forward``, once per value of the layer's
+integer accumulators. Everything else that is not a weight contraction
+(softmax, norms, the other activations, residuals, the attention products)
+runs in float on dequantized values.
 """
 
 from __future__ import annotations

@@ -243,6 +243,25 @@ def conv3d_dx_as_conv(w, g, in_shape, padding=(0, 0, 0)):
     return (wflip.reshape(c, -1) @ buf.reshape(n, o * len(taps), -1)).reshape(in_shape)
 
 
+def padded_patches(x, kshape, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """[N, C*k3, P] patch matrices of a conv: zero-pad the input with
+    ``np.pad``, then copy one strided slab per kernel tap, row-major over
+    (kt, kh, kw)."""
+    n, c, t, h, wd = x.shape
+    kt, kh, kw = kshape
+    st, sh, sw = stride
+    pt, ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    to = (t + 2 * pt - kt) // st + 1
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (wd + 2 * pw - kw) // sw + 1
+    taps = [(a, bb, d) for a in range(kt) for bb in range(kh) for d in range(kw)]
+    buf = np.empty((n, c, len(taps), to, ho, wo), dtype=x.dtype)
+    for k, (a, bb, d) in enumerate(taps):
+        buf[:, :, k] = xp[:, :, a:a + to * st:st, bb:bb + ho * sh:sh, d:d + wo * sw:sw]
+    return buf.reshape(n, c * len(taps), -1)
+
+
 def ssim(a, b, size=11, sigma=1.5, k1=0.01, k2=0.03):
     """SSIM with the full 2-D Gaussian window, one ``convolve2d`` per moment
     map and frame; 3-D stacks are the mean of their per-frame scores."""

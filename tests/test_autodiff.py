@@ -12,6 +12,7 @@ import qsci.autodiff as ad
 import reference_impl
 from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import ConfigError, NumericError, ShapeError
+from qsci.network import QConv3d
 from qsci.quantize import ActQuantizer, fake_quant
 
 
@@ -142,8 +143,9 @@ class TestConv3d:
 
 
 class TestPointwiseConv:
-    """A 1x1x1 unit-stride conv runs as a channel GEMM on the input itself;
-    it must match the general im2col route bit for bit."""
+    """An unpadded 1x1x1 unit-stride conv runs as a channel GEMM on the
+    input itself, a padded one through its patch matrices; both must match
+    the general im2col route bit for bit."""
 
     @pytest.mark.parametrize("c,o", [(5, 3), (3, 6)])
     @pytest.mark.parametrize("padding", [(0, 0, 0), (0, 1, 1)])
@@ -201,10 +203,38 @@ class TestSampleRoute:
             assert np.array_equal(got, want)
 
 
+class TestSamplePatches:
+    """``sample_patches`` pads nothing: each tap copies the window it reads
+    inside the input into a zeroed buffer. Its matrices must equal those
+    built from an ``np.pad`` copy, at odd extents."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kshape,stride,padding", [
+        ((3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ((3, 3, 3), (1, 1, 1), (0, 1, 1)),
+        ((1, 3, 3), (1, 1, 1), (0, 1, 1)),
+        ((3, 3, 3), (1, 1, 1), (2, 2, 2)),     # taps that read only padding
+        ((3, 3, 3), (1, 2, 2), (1, 1, 1)),
+        ((3, 3, 3), (1, 3, 3), (1, 1, 1)),
+        ((3, 3, 3), (2, 1, 1), (1, 1, 1)),
+        ((1, 1, 1), (1, 1, 1), (0, 1, 1)),
+    ], ids=["k333-p111", "k333-p011", "k133-p011", "k333-p222", "s122", "s133", "s211",
+            "k111-p011"])
+    def test_equals_padded_reference(self, n, kshape, stride, padding):
+        x = np.random.default_rng(n).standard_normal((n, 2, 3, 7, 6)).astype(np.float32)
+        want = reference_impl.padded_patches(x, kshape, stride, padding)
+        got = [p.copy() for p in ad.sample_patches(x, kshape, stride, padding)]
+        assert len(got) == n
+        for got_i, want_i in zip(got, want):
+            assert got_i.shape == want_i.shape
+            assert np.array_equal(got_i, want_i)
+
+
 class TestTapeFootprint:
-    """What a taped forward leaves on the tape, measured with tracemalloc
-    (numpy reports its buffers to it); arrays made before the start, such
-    as the inputs, are not counted."""
+    """What a taped forward leaves on the tape, and what a conv allocates
+    at its peak, measured with tracemalloc (numpy reports its buffers to
+    it); arrays made before the start, such as the inputs, are not
+    counted."""
 
     @staticmethod
     def held_after(forward):
@@ -227,6 +257,46 @@ class TestTapeFootprint:
         out, held = self.held_after(lambda: ad.conv3d(x, w, padding=(1, 1, 1)))
         # [N, C*27, P] with P = T*H*W at unit stride and padding 1
         assert held - out.data.nbytes < 27 * x.data.nbytes
+
+    @staticmethod
+    def peak_of(call):
+        """(result, peak bytes allocated) of ``call()``."""
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    # a 3x3x3 pad-1 conv at N=4 over 4x8x8; its zero-padded input is 4x4x6x10x10
+    N, C, DIMS, PADDED = 4, 4, (4, 8, 8), 4 * 4 * 6 * 10 * 10 * 4
+
+    def test_taped_conv3d_forward_pads_no_copy_of_the_batch(self):
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((self.N, self.C) + self.DIMS).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((self.C, self.C, 3, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+
+        def forward():
+            with Tape():
+                return ad.conv3d(x, w, padding=(1, 1, 1))
+
+        out, peak = self.peak_of(forward)
+        one_patch_matrix = self.C * 27 * out.data[0, 0].nbytes
+        assert peak - out.data.nbytes - one_patch_matrix < self.PADDED // 2
+
+    def test_code_contraction_pads_no_copy_of_the_batch(self):
+        rng = np.random.default_rng(26)
+        layer = QConv3d(rng, self.C, self.C, (3, 3, 3), padding=(1, 1, 1), bits=4)
+        x = rng.integers(-8, 8, size=(self.N, self.C) + self.DIMS).astype(np.float32)
+        codes = rng.integers(-8, 8, size=layer.weight.shape).astype(np.float32)
+        acc, peak = self.peak_of(lambda: layer.contract(x, codes))
+        t, h, w = self.DIMS
+        # the 9-tap patch matrix over every padded time step, and one GEMM's part
+        patches = self.C * 9 * (t + 2) * h * w * 4
+        assert peak - acc.nbytes - patches - acc[0].nbytes < self.PADDED // 2
 
     def test_leaky_relu_keeps_no_mask(self):
         rng = np.random.default_rng(24)
@@ -302,9 +372,39 @@ class TestSoftmax:
         np.testing.assert_allclose(a, b, atol=1e-6)
 
 
+    @pytest.mark.parametrize("t", [1, 2, 4, 7, 8, 9])
+    def test_bytes_equal_numpy_reductions(self, t):
+        # below 8 the last-axis max and sums run as slice folds; the value
+        # and gradient keep the bits of numpy's own reductions, signed
+        # zeros included
+        rng = np.random.default_rng(t)
+        x_arr = (rng.standard_normal((5, 2, 3, t)) * 4).astype(np.float32)
+        x_arr[0, 0] = 0.0
+        x_arr[0, 1] = -0.0
+        g = rng.standard_normal(x_arr.shape).astype(np.float32)
+        g[1] = -0.0
+        x = Tensor(x_arr, requires_grad=True)
+        with Tape():
+            out = ad.softmax(x, axis=-1)
+        (dx,) = out.node.backward_fn(g)
+        e = np.exp(x_arr - x_arr.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        want_dx = (g - (g * want).sum(axis=-1, keepdims=True)) * want
+        assert out.data.tobytes() == want.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+
+
 class TestElementwise:
     def test_gelu_zero(self):
         assert ad.gelu(Tensor([0.0])).data[0] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gelu_of_non_finite_input_raises_without_warning(self, bad):
+        # -inf * Phi(-inf) is -inf * 0: NaN, which must not warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="op 'gelu'"):
+                ad.gelu(Tensor([1.0, bad]))
 
     def test_gelu_float32_matches_reference(self):
         x = Tensor(np.linspace(-6.0, 6.0, 241, dtype=np.float32), requires_grad=True)
@@ -367,100 +467,6 @@ class TestElementwise:
     def test_non_finite_raises(self):
         with pytest.raises(NumericError):
             ad.div(Tensor([1.0]), Tensor([0.0]))
-
-
-def grid_values(rng, shape, step, k_range=(-8, 8)):
-    """``fl(fl(k*step) + off_c)`` over random integers ``k``: a code-domain
-    layer's output, one offset per channel (axis 1)."""
-    k = rng.integers(*k_range, size=shape).astype(np.float32)
-    off = rng.standard_normal((1, shape[1]) + (1,) * (len(shape) - 2)).astype(np.float32)
-    return k * np.float32(step) + off
-
-
-class TestGeluGridTable:
-    """The tape-free table route of ``gelu``: the same bits as the direct
-    formula, with the formula run on fewer elements than the input holds
-    exactly where the table verifies."""
-
-    STEP = np.float32(0.0371)
-
-    @staticmethod
-    def erf_sizes(monkeypatch):
-        """Element counts of every ``erf`` call that ``gelu`` makes."""
-        sizes = []
-        real = ad.erf
-        monkeypatch.setattr(ad, "erf", lambda v: (sizes.append(v.size), real(v))[1])
-        return sizes
-
-    def check(self, monkeypatch, x, step, tabled):
-        direct = ad.gelu(Tensor(x)).data
-        sizes = self.erf_sizes(monkeypatch)
-        got = ad.gelu(Tensor(x), step).data
-        assert np.array_equal(got.view(np.uint32), direct.view(np.uint32))
-        assert (sizes[0] < x.size) == tabled
-        return sizes
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_on_grid_takes_table(self, monkeypatch, n):
-        x = grid_values(np.random.default_rng(40 + n), (n, 5, 2, 8, 8), self.STEP)
-        self.check(monkeypatch, x, self.STEP, tabled=True)
-
-    def test_constant_channels_take_one_slot_each(self, monkeypatch):
-        x = np.broadcast_to(np.float32([[-1.5], [0.25], [3.0]]).reshape(1, 3, 1, 1, 1),
-                            (2, 3, 2, 4, 4)).copy()
-        assert self.check(monkeypatch, x, self.STEP, tabled=True) == [3]
-
-    def test_value_off_grid_by_one_ulp_falls_back(self, monkeypatch):
-        x = grid_values(np.random.default_rng(43), (1, 4, 2, 6, 6), self.STEP)
-        flat = x.reshape(-1)
-        flat[1] = np.nextafter(flat[0], np.float32(np.inf))   # the slot of flat[0]
-        self.check(monkeypatch, x, self.STEP, tabled=False)
-
-    def test_signed_zeros_in_one_slot_fall_back(self, monkeypatch):
-        # +0.0 == -0.0 as floats; a float comparison would let the table give
-        # one of them the other's sign
-        x = np.float32([0.0, -0.0, self.STEP, 2 * self.STEP] * 8).reshape(1, 1, 2, 4, 4)
-        self.check(monkeypatch, x, self.STEP, tabled=False)
-        self.check(monkeypatch, np.abs(x), self.STEP, tabled=True)
-
-    def test_span_too_large_for_a_table_falls_back(self, monkeypatch):
-        x = grid_values(np.random.default_rng(44), (1, 4, 2, 6, 6), self.STEP,
-                        k_range=(-10 ** 5, 10 ** 5))
-        self.check(monkeypatch, x, self.STEP, tabled=False)
-
-    def test_extreme_channel_falls_back_without_warning(self, monkeypatch):
-        x = grid_values(np.random.default_rng(45), (1, 2, 2, 4, 4), self.STEP)
-        x[0, 1, 0, 0, 0], x[0, 1, 1, 3, 3] = -3e38, 3e38
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            self.check(monkeypatch, x, np.float32(1e37), tabled=False)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input_raises_as_direct(self, bad):
-        x = grid_values(np.random.default_rng(46), (1, 2, 2, 4, 4), self.STEP)
-        x[0, 0, 1, 2, 3] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="gelu"):
-                ad.gelu(Tensor(x), self.STEP)
-
-    @pytest.mark.parametrize("step", [0.0, -0.5, np.nan])
-    def test_step_that_is_no_spacing_falls_back(self, monkeypatch, step):
-        x = grid_values(np.random.default_rng(47), (1, 2, 2, 4, 4), self.STEP)
-        self.check(monkeypatch, x, step, tabled=False)
-
-    def test_grid_ignored_under_tape(self, monkeypatch):
-        x_arr = grid_values(np.random.default_rng(48), (1, 5, 2, 6, 6), self.STEP)
-        grads = []
-        for grid in (None, self.STEP):
-            sizes = self.erf_sizes(monkeypatch)
-            x = Tensor(x_arr, requires_grad=True)
-            with Tape():
-                out = ad.gelu(x, grid)
-            assert sizes == [x_arr.size]
-            grads.append((out.data, out.node.backward_fn(np.ones_like(x_arr))[0]))
-        for a, b in zip(*grads):
-            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 class TestPixelShuffle:

@@ -28,6 +28,7 @@ from qsci.training import HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, train
 from small_models import calibrated_net
 
 T, HW = 4, 16
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -233,6 +234,43 @@ class TestNonFiniteParameters:
         rc, err = run("--workdir", tmp_path, "infer-int", "--packed", "nan.pack", "--data", data,
                       "--out", "int")
         assert rc == 4 and "op 'gelu'" in err
+
+
+def run_python(*argv, flags=()):
+    """(exit code, stderr) of one CLI command in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, *flags, "-m", "qsci.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+class TestNonFiniteGelu:
+    def test_minus_inf_mlp_bias_exits_4_without_warning(self, work, tmp_path):
+        # gelu(-inf) is -inf * Phi(-inf) = -inf * 0: a NaN that must raise as
+        # op 'gelu' with no RuntimeWarning printed before it
+        fingerprint, state = load_checkpoint(work / "q4.qsc")
+        bias = state["block0.cf0.mlp_in.bias"].copy()
+        bias[1] = -np.inf
+        state["block0.cf0.mlp_in.bias"] = bias
+        save_checkpoint(tmp_path / "inf.qsc", fingerprint, state)
+        assert run("--workdir", tmp_path, "pack", "--ckpt", "inf.qsc", "--out", "inf.pack")[0] == 0
+        for argv in (["eval", "--ckpt", "inf.qsc"], ["infer-int", "--packed", "inf.pack"]):
+            rc, err = run_python("--workdir", tmp_path, *argv, "--data", work / "data",
+                                 "--out", "out", flags=["-W", "default"])
+            assert rc == 4 and "op 'gelu'" in err, err
+            assert "Warning" not in err, err
+
+
+class TestOptimizedInterpreter:
+    def test_eval_under_python_O_writes_the_same_metrics(self, work, tmp_path):
+        # python -O strips asserts: no guard that shapes a result may be one
+        for flags, out in (([], "plain"), (["-O"], "optimized")):
+            rc, err = run_python("--workdir", work, "eval", "--ckpt", "q4.qsc", "--data", "data",
+                                 "--out", tmp_path / out, flags=flags)
+            assert rc == 0, err
+        assert ((tmp_path / "plain" / "metrics.csv").read_bytes()
+                == (tmp_path / "optimized" / "metrics.csv").read_bytes())
 
 
 class TestInferIntDeterminism:

@@ -1,6 +1,7 @@
 """Reconstruction network: structure, equivalences, and the float reference."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import qsci.autodiff as ad
 import reference_impl as ref
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
-from qsci.network import (BACKBONE, CFormerBlock, QNet, QNetConfig, ShiftedAttention,
-                          check_state, make_variant, parse_fingerprint)
+from qsci.network import (BACKBONE, CFormerBlock, QConv3d, QNet, QNetConfig, ShiftedAttention,
+                          _gelu_by_accumulator, check_state, make_variant, parse_fingerprint)
+from qsci.quantize import act_quantize, fake_quant
 from qsci.sci import encode, generate_masks, initial_estimate, synth_video
 from small_models import calibrated_net, small_inputs
 
@@ -266,50 +268,128 @@ class TestAudit:
         assert rows["block0.cf0.conv"]["w_bits"] == 8
 
 
-class TestOutputGrid:
-    """``QLayer.output_grid`` and the GELU table route it feeds in
-    ``CFormerBlock``."""
+def erf_sizes(monkeypatch):
+    """Element counts of every ``erf`` call that ``gelu`` makes from now on."""
+    sizes = []
+    real = ad.erf
+    monkeypatch.setattr(ad, "erf", lambda v: (sizes.append(v.size), real(v))[1])
+    return sizes
 
-    def test_spacing_only_for_a_tape_free_unpadded_code_layer(self):
-        layers = dict(QNet(make_variant("q4", **TINY), seed=0).named_modules())
-        mlp_in = layers["block0.cf0.mlp_in"]
-        assert mlp_in.output_grid == np.float32(
-            float(mlp_in.aq.alpha.data[0]) * float(mlp_in.wq.alpha.data[0]))
-        assert type(mlp_in.output_grid) is np.float32
-        assert layers["block0.cf0.attn.q_proj"].output_grid is not None
-        assert layers["block0.cf0.conv"].output_grid is None        # padded
-        with Tape():
-            assert mlp_in.output_grid is None
-        fp32 = dict(QNet(make_variant("fp32", **TINY), seed=0).named_modules())
-        assert fp32["block0.cf0.mlp_in"].output_grid is None
+
+def without_gelu(layer, x):
+    """``layer``'s tape-free code-domain output before its GELU."""
+    layer.gelu = False
+    try:
+        return layer.code_forward(x, act_quantize(layer.weight, layer.wq))
+    finally:
+        layer.gelu = True
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class TestGeluByAccumulator:
+    """GELU is ``mlp_in``'s own output activation. Tape-free, a quantized
+    unpadded layer runs it once per accumulator value of a per-channel
+    table: the bits of the direct formula on the layer's output."""
 
     @pytest.mark.parametrize("variant,tabled", [
         ("q4", True), ("q3", True), ("q2", True), ("q4_baseline", True),
-        ("q3_baseline", True), ("q2_baseline", True), ("q8", False), ("fp32", None)])
+        ("q3_baseline", True), ("q2_baseline", True), ("q8", False), ("fp32", False)])
     def test_real_mlp_in_outputs(self, monkeypatch, variant, tabled):
-        # the table route gives the direct formula's bits, and the quantizer
-        # after it (what calibration fits) sees exactly those bits
+        # the quantizer after the GELU (what calibration fits) sees exactly
+        # the direct formula's bits
         net = calibrated_net(variant, hw=32)
         masks, _, meas = small_inputs(4, 32, seed=1, count=1)
-        calls, seen = [], []
-        gelu = ad.gelu
-        monkeypatch.setattr(ad, "gelu", lambda x, grid=None: (
-            calls.append((x.data.copy(), grid)), gelu(x, grid))[1])
-        dict(net.named_modules())["block0.cf0.mlp_out"].aq.on_next = seen.append
+        layers = dict(net.named_modules())
+        mlp_in = layers["block0.cf0.mlp_in"]
+        seen_in, seen_out = [], []
+        mlp_in.aq.on_next = seen_in.append
+        layers["block0.cf0.mlp_out"].aq.on_next = seen_out.append
+        sizes = erf_sizes(monkeypatch)
         net.reconstruct(meas[0], masks)
         monkeypatch.undo()
-        [(x, grid)] = calls
-        direct = gelu(Tensor(x)).data
-        assert np.array_equal(seen[0].view(np.uint32), direct.view(np.uint32))
-        if tabled is None:
-            assert grid is None
-            return
-        sizes = []
-        erf = ad.erf
-        monkeypatch.setattr(ad, "erf", lambda v: (sizes.append(v.size), erf(v))[1])
-        got = gelu(Tensor(x), grid).data
-        assert np.array_equal(got.view(np.uint32), direct.view(np.uint32))
-        assert (sizes[0] < x.size) == tabled
+        [x], [got] = seen_in, seen_out
+        if variant == "fp32":
+            pre = ad.conv3d(Tensor(x), mlp_in.weight, mlp_in.bias).data
+        else:
+            pre = without_gelu(mlp_in, x)
+        assert same_bits(got, ad.gelu(Tensor(pre)).data)
+        assert len(sizes) == 1
+        assert (sizes[0] < got.size) == tabled
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_raises_from_the_table(self, monkeypatch, bad):
+        net = calibrated_net("q4", hw=32)
+        masks, _, meas = small_inputs(4, 32, seed=1, count=1)
+        mlp_in = dict(net.named_modules())["block0.cf0.mlp_in"]
+        mlp_in.bias.data[1] = bad
+        seen_in = []
+        mlp_in.aq.on_next = seen_in.append
+        sizes = erf_sizes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="op 'gelu'"):
+                net.reconstruct(meas[0], masks)
+        out_size = seen_in[0].size // mlp_in.in_ch * mlp_in.out_ch
+        assert len(sizes) == 1 and 0 < sizes[0] <= out_size // 4    # a table's erf
+
+    def test_no_table_under_a_tape(self, monkeypatch):
+        # the taped mlp_in is ad.gelu after ad.conv3d: the same value and
+        # gradient bytes, with erf run on every output
+        net = calibrated_net("q4", hw=16)
+        mlp_in = dict(net.named_modules())["block0.cf0.mlp_in"]
+        x_arr = np.random.default_rng(5).standard_normal((1, 8, 4, 8, 8)).astype(np.float32)
+        g = np.random.default_rng(6).standard_normal((1, 16, 4, 8, 8)).astype(np.float32)
+        results = []
+        for composed in (False, True):
+            sizes = erf_sizes(monkeypatch)
+            x = Tensor(x_arr, requires_grad=True)
+            for p in mlp_in.params():
+                p.zero_grad()
+            with Tape():
+                if composed:
+                    out = ad.gelu(ad.conv3d(fake_quant(x, mlp_in.aq),
+                                            fake_quant(mlp_in.weight, mlp_in.wq), mlp_in.bias))
+                else:
+                    out = mlp_in.forward(x)
+                loss = ad.sum_(out * Tensor(g))
+            ad.backward(loss)
+            assert sizes == [out.size]
+            results.append([out.data, x.grad] + [p.grad for p in mlp_in.params()])
+            monkeypatch.undo()
+        for a, b in zip(*results):
+            assert same_bits(a, b)
+        with Tape():
+            sizes = erf_sizes(monkeypatch)
+            out = mlp_in.code_forward(x_arr, act_quantize(mlp_in.weight, mlp_in.wq))
+        assert sizes == [out.size]
+
+    def test_padded_layer_runs_the_direct_formula(self, monkeypatch):
+        # a padded layer's offset varies with position, so no per-channel table
+        rng = np.random.default_rng(7)
+        layer = QConv3d(rng, 3, 4, (1, 3, 3), padding=(0, 1, 1), bits=4, gelu=True)
+        x = rng.standard_normal((1, 3, 2, 6, 6)).astype(np.float32)
+        layer.aq.calibrate(x)
+        layer.wq.calibrate(layer.weight.data)
+        layer.bias.data[:] = rng.standard_normal(4)
+        sizes = erf_sizes(monkeypatch)
+        got = layer.code_forward(x, act_quantize(layer.weight, layer.wq))
+        assert sizes == [got.size]
+        assert same_bits(got, ad.gelu(Tensor(without_gelu(layer, x))).data)
+
+    @pytest.mark.parametrize("zero,tabled", [(0.0, True), (-0.0, False)])
+    def test_minus_zero_offset_runs_the_direct_formula(self, zero, tabled):
+        # an accumulator of -0.0 shares the table entry of 0, whose bits
+        # differ from it only where the offset is -0.0
+        acc = np.float32([-0.0, 0.0, 1.0, 2.0] * 8).reshape(1, 2, 4, 2, 2)
+        offset = np.float32([zero, 0.5]).reshape(2, 1, 1, 1)
+        got = _gelu_by_accumulator(acc, np.float32(0.25), offset)
+        assert (got is not None) == tabled
+        if tabled:
+            direct = acc * np.float32(0.25) + offset
+            assert same_bits(got, ad.gelu(Tensor(direct)).data)
 
 
 class TestCheckpointInit:

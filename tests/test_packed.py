@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
+from qsci import network
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError
 from qsci.network import VARIANT_NAMES, QConv3d, QLinear, QNet, make_variant
@@ -94,14 +95,36 @@ class TestExactContraction:
         ((3, 3, 3), (2, 1, 1), (1, 1, 1)),      # time taps folded into the patches
     ], ids=["k333", "k333-time-unpadded", "k333-stride122", "k133", "k111",
             "k333-time-stride2"])
-    def test_every_conv_route_equals_int64_reference(self, n, dtype, kernel, stride, padding):
+    @pytest.mark.parametrize("o", [4, 6], ids=["narrowing", "widening"])
+    def test_every_conv_route_equals_int64_reference(self, n, dtype, kernel, stride, padding, o):
         rng = np.random.default_rng(n)
-        layer = QConv3d(rng, 5, 4, kernel, stride=stride, padding=padding, bits=8)
+        layer = QConv3d(rng, 5, o, kernel, stride=stride, padding=padding, bits=8)
         codes = random_codes(rng, 8, layer.weight.shape)
         x = random_codes(rng, 8, (n, 5, 5, 6, 5))
         acc = layer.contract(x.astype(dtype), codes.astype(dtype))
         assert acc.dtype == dtype
         assert np.array_equal(acc, ref.int_conv3d(x, codes, stride, padding))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kernel,padding", [
+        ((1, 3, 3), (0, 1, 1)), ((3, 3, 3), (1, 1, 1)), ((3, 3, 3), (0, 1, 1)),
+        ((1, 1, 3), (0, 0, 1)), ((1, 1, 3), (0, 0, 0)), ((1, 1, 1), (1, 1, 1))],
+        ids=["k133", "k333", "k333-time-unpadded", "k113", "k113-unpadded", "k111-padded"])
+    def test_channels_first_route_equals_int64_reference(self, monkeypatch, n, kernel,
+                                                         padding):
+        # fewer outputs than input channels at unit stride: contract the
+        # channels first and add each tap's window, with no patch matrix
+        def no_patches(*args):
+            raise AssertionError("a patch matrix was built")
+
+        monkeypatch.setattr(network, "sample_patches", no_patches)
+        rng = np.random.default_rng(n)
+        layer = QConv3d(rng, 6, 2, kernel, padding=padding, bits=4)
+        codes = random_codes(rng, 4, layer.weight.shape)
+        x = random_codes(rng, 4, (n, 6, 3, 7, 6))
+        acc = layer.contract(x.astype(np.float32), codes.astype(np.float32))
+        assert acc.dtype == np.float32
+        assert np.array_equal(acc, ref.int_conv3d(x, codes, (1, 1, 1), padding))
 
     def test_conv_builds_no_batch_patch_matrix(self):
         rng = np.random.default_rng(31)
