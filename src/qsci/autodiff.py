@@ -18,8 +18,14 @@ patch matrices in backward; ``quantize.fake_quant`` keeps its pre-clip
 value and rebuilds the codes. No conv pads its input: a patch matrix holds
 zeros where a tap reads outside it (:func:`sample_patches`).
 
-Every forward op checks its output for NaN/Inf and raises
-:class:`~qsci.errors.NumericError` on the first non-finite value.
+Each array is scanned for NaN/Inf once. Every arithmetic op scans its
+output, raises :class:`~qsci.errors.NumericError` on a non-finite value and
+marks the result (:attr:`Tensor.scanned`). The data-movement ops
+(``reshape``, ``transpose``, ``narrow``, ``concat``, the pixel shuffles)
+scan nothing; their output is marked only if every input is. A quantizer,
+whose clip would hide an infinity, scans an unmarked input itself (see
+:mod:`qsci.quantize`). Data is not changed in place once an op has read
+it, so a mark stays true; assigning new data clears it.
 """
 
 from __future__ import annotations
@@ -84,11 +90,15 @@ def active_tape() -> Optional[Tape]:
 
 
 class Tensor:
-    """A dense float32 array, optionally participating in the active tape."""
+    """A dense float32 array, optionally participating in the active tape.
+    Made from another Tensor, it shares that tensor's array but not its
+    tape node or scan mark."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "name")
+    __slots__ = ("data", "requires_grad", "grad", "node", "name", "_scanned")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
+        if isinstance(data, Tensor):
+            data = data.data
         arr = np.asarray(data, dtype=np.float32)
         if arr.ndim == 0:
             arr = arr.reshape(1)
@@ -97,6 +107,15 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[Node] = None
         self.name = name
+        self._scanned = None
+
+    @property
+    def scanned(self) -> bool:
+        """Whether the current ``data`` is known to hold no NaN/Inf."""
+        return self._scanned is self.data
+
+    def mark_scanned(self):
+        self._scanned = self.data
 
     @property
     def shape(self):
@@ -161,11 +180,21 @@ def _coerce(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float32))
 
 
-def _finish(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn, name: str) -> Tensor:
-    """Wrap an op result, scan for non-finite values, and record on the tape."""
-    if not np.isfinite(out_data).all():
+def _scan(arr: np.ndarray, name: str):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite value produced by op '{name}'")
+
+
+def _finish(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn, name: str,
+            scan: bool = True) -> Tensor:
+    """Wrap an op result and record it on the tape. An arithmetic op's result
+    is scanned for non-finite values and marked; a data-movement op's
+    (``scan`` off) is marked only if every input is."""
+    if scan:
+        _scan(out_data, name)
     out = Tensor(out_data)
+    if scan or all(t.scanned for t in inputs):
+        out.mark_scanned()
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = active_tape()
     if tape is not None and out.requires_grad:
@@ -321,6 +350,47 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _finish(np.asarray(out), (x,), bwd, "mean")
 
 
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """``(x - mu) / sqrt(var + eps) * gain + bias`` over the last axis, as
+    one tape node with the bits of the nine-op chain ``mean, sub, mul, mean,
+    add, sqrt, div, mul, add``: the forward runs its float32 steps in place,
+    the backward its numpy operations in its order, fan-out sums included.
+    The input is listed twice among the node's inputs, so its gradient
+    reaches the tape as the chain's did: through the subtraction, then the
+    mean. The tape keeps the centred input and each row's deviation. The
+    variance (for an overflowing square) and the output are scanned; a
+    non-finite input raises NumericError and warns nothing."""
+    c = x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float32)
+        xc = x.data - mu
+        out = np.multiply(xc, xc)
+        std = out.mean(axis=-1, keepdims=True, dtype=np.float32)
+    _scan(std, "layer_norm")
+    std += np.float32(eps)
+    np.sqrt(std, out=std)
+    np.divide(xc, std, out=out)
+    out *= gain.data
+    out += bias.data
+
+    def bwd(g):
+        dbias = _unbroadcast(g, bias.shape)
+        dgain = _unbroadcast(g * (xc / std), gain.shape)
+        dxc = g * gain.data
+        dstd = _unbroadcast(-dxc * xc / (std * std), std.shape)
+        dxc /= std
+        dstd *= 0.5 / std
+        # the square's two operands each pass the mean's gradient times xc
+        dsq = (np.broadcast_to(dstd, xc.shape) / c).astype(np.float32)
+        dsq *= xc
+        dxc += dsq
+        dxc += dsq
+        dmu = _unbroadcast(-dxc, mu.shape)
+        return dxc, (np.broadcast_to(dmu, x.shape) / c).astype(np.float32), dgain, dbias
+
+    return _finish(out, (x, x, gain, bias), bwd, "layer_norm")
+
+
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
@@ -332,7 +402,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def bwd(g):
         return (g.reshape(x.shape),)
 
-    return _finish(out, (x,), bwd, "reshape")
+    return _finish(out, (x,), bwd, "reshape", scan=False)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -343,7 +413,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     def bwd(g):
         return (np.ascontiguousarray(g.transpose(inv)),)
 
-    return _finish(out, (x,), bwd, "transpose")
+    return _finish(out, (x,), bwd, "transpose", scan=False)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -362,7 +432,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         gx[idx] = g
         return (gx,)
 
-    return _finish(out, (x,), bwd, "narrow")
+    return _finish(out, (x,), bwd, "narrow", scan=False)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -374,7 +444,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _finish(out, tensors, bwd, "concat")
+    return _finish(out, tensors, bwd, "concat", scan=False)
 
 
 def pixel_shuffle_spatial(x: Tensor, r: int) -> Tensor:
@@ -388,7 +458,7 @@ def pixel_shuffle_spatial(x: Tensor, r: int) -> Tensor:
     def bwd(g):
         return (_shuffle_inv(g, r),)
 
-    return _finish(out, (x,), bwd, "pixel_shuffle_spatial")
+    return _finish(out, (x,), bwd, "pixel_shuffle_spatial", scan=False)
 
 
 def pixel_unshuffle_spatial(x: Tensor, r: int) -> Tensor:
@@ -398,7 +468,7 @@ def pixel_unshuffle_spatial(x: Tensor, r: int) -> Tensor:
     def bwd(g):
         return (_shuffle_fwd(g, r),)
 
-    return _finish(out, (x,), bwd, "pixel_unshuffle_spatial")
+    return _finish(out, (x,), bwd, "pixel_unshuffle_spatial", scan=False)
 
 
 def _shuffle_fwd(a: np.ndarray, r: int) -> np.ndarray:

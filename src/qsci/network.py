@@ -275,15 +275,22 @@ class QLayer(Module):
 
     def _untaped(self, x: Tensor) -> Optional[Tensor]:
         """The forward in the code domain, or None where the fake-quant
-        forward runs: under a tape, or at 32 bits."""
+        forward runs: under a tape, or at 32 bits. A GELU layer's output is
+        marked as scanned: ``gelu`` scanned it, or the table it came from."""
         if self.int_kernel is not None:
-            return Tensor(self.int_kernel(x.data))
-        if self.bits < 32 and ad.active_tape() is None:
-            return Tensor(self.code_forward(x.data, act_quantize(self.weight, self.wq)))
-        return None
+            out = Tensor(self.int_kernel(x))
+        elif self.bits < 32 and ad.active_tape() is None:
+            out = Tensor(self.code_forward(x, act_quantize(self.weight, self.wq)))
+        else:
+            return None
+        if self.gelu:
+            out.mark_scanned()
+        return out
 
-    def code_forward(self, x: np.ndarray, w_codes: np.ndarray) -> np.ndarray:
-        """``x`` through the layer from activation and weight codes, float32.
+    def code_forward(self, x, w_codes: np.ndarray) -> np.ndarray:
+        """``x`` (a Tensor or an array) through the layer from activation and
+        weight codes, float32. A Tensor that carries the scan mark is
+        quantized without a second scan (see :mod:`qsci.quantize`).
 
         The codes are contracted exactly in the float type of
         :func:`~qsci.quantize.code_dtype`: every partial sum is an integer
@@ -305,7 +312,7 @@ class QLayer(Module):
         forward under a tape run the epilogue and GELU on every output.
         """
         w_codes = w_codes.astype(self.code_dtype(), copy=False)
-        x_codes = act_quantize(x, self.aq).astype(w_codes.dtype, copy=False)
+        x_codes = act_quantize(x, self.aq, skip_scanned=True).astype(w_codes.dtype, copy=False)
         acc = self.contract(x_codes, w_codes)
         step = self._code_step()
         offset = self.correction(x.shape, w_codes).astype(np.float32, copy=False)
@@ -376,12 +383,15 @@ class QConv3d(QLayer):
           at every input voxel, and each tap's window of it is added into
           the output.
         - Otherwise each sample fills one reused patch matrix of its kh*kw
-          spatial taps over every padded time step, [C*kh*kw, Tp*Ho*Wo];
-          temporal tap ``it`` is then the column range
-          [it*Ho*Wo, (it+To)*Ho*Wo), and the sample's output is the sum of
-          kt GEMMs, one per temporal tap. A conv with a temporal stride
-          other than 1 folds its time taps into the patch matrix instead:
-          one GEMM per sample over all kt*kh*kw taps.
+          spatial taps over its T real frames, [C*kh*kw, T*Ho*Wo]. Temporal
+          tap ``it`` reads frame ``f + it - pt`` for output frame ``f``, so
+          it adds one GEMM over a column range into the output frames
+          [lo, hi) that read a real frame (:func:`_frame_spans`); a tap
+          that reads only padding adds nothing. A tap that covers every
+          output frame writes first, else the output starts from zeros. A
+          conv with a temporal stride other than 1 folds its time taps into
+          the patch matrix instead: one GEMM per sample over all kt*kh*kw
+          taps.
 
         Regrouping the sum is exact: every partial sum of a code contraction
         is an integer whose magnitude the dtype bound of
@@ -399,18 +409,27 @@ class QConv3d(QLayer):
         kt, kh, kw = self.kernel
         if self.stride[0] == 1:
             taps, kshape = kt, (1, kh, kw)
+            stride, padding = (1,) + self.stride[1:], (0,) + self.padding[1:]
+            spans = _frame_spans(x_codes.shape[2], to, kt, self.padding[0])
         else:
-            taps, kshape = 1, self.kernel
+            taps, kshape, stride, padding = 1, self.kernel, self.stride, self.padding
+            spans = [(0, 0, to, 0)]
         # [taps, O, C*k]: each temporal tap's weight, columns ordered as the patch rows
         w_taps = (w_codes.reshape(o, c, taps, -1).transpose(2, 0, 1, 3)
                   .reshape(taps, o, -1))
         hw = ho * wo
-        out = np.empty((n, o, to * hw), dtype=w_codes.dtype)
-        part = np.empty((o, to * hw), dtype=w_codes.dtype)
-        for i, patches in enumerate(sample_patches(x_codes, kshape, self.stride, self.padding)):
-            np.matmul(w_taps[0], patches[:, :to * hw], out=out[i])
-            for it in range(1, taps):
-                out[i] += np.matmul(w_taps[it], patches[:, it * hw:(it + to) * hw], out=part)
+        spans.sort(key=lambda span: span[1:3] != (0, to))    # a covering tap first
+        covered = spans[0][1:3] == (0, to)
+        out = (np.empty if covered else np.zeros)((n, o, to * hw), dtype=w_codes.dtype)
+        part = np.empty((o, to * hw), dtype=w_codes.dtype) if len(spans) > covered else None
+        for i, patches in enumerate(sample_patches(x_codes, kshape, stride, padding)):
+            for j, (it, lo, hi, first) in enumerate(spans):
+                cols = patches[:, first * hw:(first + hi - lo) * hw]
+                if j == 0 and covered:
+                    np.matmul(w_taps[it], cols, out=out[i])
+                else:
+                    out[i][:, lo * hw:hi * hw] += np.matmul(w_taps[it], cols,
+                                                           out=part[:, :(hi - lo) * hw])
         return out.reshape(n, o, to, ho, wo)
 
     def _contract_channels_first(self, x_codes, w_codes, out_dims):
@@ -442,6 +461,19 @@ class QConv3d(QLayer):
         corr = vh @ (w_codes.sum(axis=1) @ vw.T)          # [O, kt, Ho, Wo]
         o, kt, ho, wo = corr.shape
         return (vt @ corr.reshape(o, kt, ho * wo)).reshape(o, -1, ho, wo)
+
+
+def _frame_spans(t, to, kt, pt) -> list:
+    """``(it, lo, hi, first)`` of each temporal tap ``it`` of a unit-stride
+    conv over ``t`` frames padded by ``pt``: output frames [lo, hi) read the
+    real frames [first, first + hi - lo). A tap that reads only padding is
+    left out."""
+    spans = []
+    for it in range(kt):
+        lo, hi = max(0, pt - it), min(to, t + pt - it)
+        if lo < hi:
+            spans.append((it, lo, hi, lo + it - pt))
+    return spans
 
 
 def _valid_taps(n_in, n_out, k, stride, pad, dtype) -> np.ndarray:
@@ -505,8 +537,10 @@ class QLinear(QLayer):
         return out
 
     def contract(self, x_codes, w_codes):
-        """[..., in] x [in, out] codes -> [..., out]."""
-        return x_codes @ w_codes
+        """[..., in] x [in, out] codes -> [..., out], one GEMM over every
+        token."""
+        rows = x_codes.reshape(-1, self.in_features) @ w_codes
+        return rows.reshape(x_codes.shape[:-1] + (self.out_features,))
 
     def correction(self, in_shape, w_codes):
         """[out]: every input meets every weight."""
@@ -514,7 +548,8 @@ class QLinear(QLayer):
 
 
 class LayerNorm(Module):
-    """Normalization over the channel axis of [B, T, C] tokens."""
+    """Normalization over the channel axis of [B, T, C] tokens, one
+    :func:`~qsci.autodiff.layer_norm` node."""
 
     EPS = 1e-5
 
@@ -524,11 +559,7 @@ class LayerNorm(Module):
         self.bias = self.register_param("bias", Tensor(np.zeros(channels, dtype=np.float32)))
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = ad.mean(x, axis=-1, keepdims=True)
-        xc = x - mu
-        var = ad.mean(xc * xc, axis=-1, keepdims=True)
-        normed = xc / ad.sqrt(var + self.EPS)
-        return normed * self.gain + self.bias
+        return ad.layer_norm(x, self.gain, self.bias, self.EPS)
 
 
 class ShiftedAttention(Module):

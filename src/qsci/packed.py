@@ -51,12 +51,15 @@ def pack_weights(codes: np.ndarray, bits: int) -> np.ndarray:
     if flat.size and (ints.min() < -q_n or ints.max() > q_p):
         raise ConfigError(f"codes outside the signed {bits}-bit range [-{q_n}, {q_p}]")
     per_word = 64 // bits
-    words = np.zeros(packed_word_count(flat.size, bits), dtype=np.uint64)
-    fields = (ints & ((1 << bits) - 1)).astype(np.uint64)   # two's complement
-    for slot in range(per_word):
-        chunk = fields[slot::per_word]
-        words[: chunk.size] |= chunk << np.uint64(slot * bits)
-    return words
+    fields = np.zeros((packed_word_count(flat.size, bits), per_word), dtype=np.uint64)
+    fields.reshape(-1)[:flat.size] = ints & ((1 << bits) - 1)     # two's complement
+    fields <<= _slot_shifts(bits)
+    return np.bitwise_or.reduce(fields, axis=1)
+
+
+def _slot_shifts(bits: int) -> np.ndarray:
+    """The left shift of each bits-wide field slot of a word."""
+    return np.arange(0, 64 // bits * bits, bits, dtype=np.uint64)
 
 
 def packed_word_count(count: int, bits: int) -> int:
@@ -73,12 +76,9 @@ def unpack_weights(words: np.ndarray, bits: int, count: int) -> np.ndarray:
     words = np.asarray(words, dtype=np.uint64)
     if count > words.size * per_word:
         raise FormatError(f"{count} codes cannot fit in {words.size} words at {bits} bits")
-    mask = np.uint64((1 << bits) - 1)
-    out = np.empty(words.size * per_word, dtype=np.int64)
-    for slot in range(per_word):
-        fields = ((words >> np.uint64(slot * bits)) & mask).astype(np.int64)
-        out[slot::per_word] = fields
-    out = out[:count]
+    fields = words[:, None] >> _slot_shifts(bits)
+    fields &= np.uint64((1 << bits) - 1)
+    out = fields.reshape(-1)[:count].astype(np.int64)
     sign = 1 << (bits - 1)
     return np.where(out >= sign, out - (1 << bits), out)
 
@@ -110,7 +110,9 @@ class IntKernel:
         dtype = module.code_dtype()     # raises before any code is unpacked
         self.w_codes = layer.codes().astype(dtype)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
+        """The layer's output for ``x``, a Tensor (its scan mark is honoured)
+        or an array."""
         return self.module.code_forward(x, self.w_codes)
 
 

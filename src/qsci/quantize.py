@@ -15,6 +15,15 @@ Each quantizer can carry a one-shot hook, ``on_next``: the next
 ``fake_quant`` or ``act_quantize`` through it clears the hook and calls it
 with its input array. Calibration and the structural audit use it to see the
 data reaching a quantizer without any mode flag or per-forward record.
+
+A non-finite input raises NumericError: the clip would turn an infinity
+into a finite code. After the hook, ``fake_quant`` and the code-domain
+activation quantize (``act_quantize`` with ``skip_scanned``) scan only an
+input without the mark :attr:`~qsci.autodiff.Tensor.scanned`, which the op
+that made it sets. The code-domain quantize marks the activation it
+scanned, so an input of two layers is scanned once; ``fake_quant`` does
+not, as its input may be a parameter, which is written in place. A direct
+``act_quantize`` call, the weight quantize among them, always scans.
 """
 
 from __future__ import annotations
@@ -118,6 +127,8 @@ def _check_input(x: np.ndarray, what: str):
         raise NumericError(f"non-finite {what} passed to quantizer")
 
 
+
+
 def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
 
@@ -131,11 +142,18 @@ def _run_hook(q: ActQuantizer, arr: np.ndarray):
         hook(arr)
 
 
-def act_quantize(x, q: ActQuantizer) -> np.ndarray:
-    """Integer codes round(clip((x - z)/alpha, -q_n, q_p)), half to even."""
+def act_quantize(x, q: ActQuantizer, skip_scanned: bool = False) -> np.ndarray:
+    """Integer codes round(clip((x - z)/alpha, -q_n, q_p)), half to even.
+    The input is scanned for non-finite values, except, with
+    ``skip_scanned``, a Tensor that carries the scan mark; a Tensor scanned
+    then is marked."""
     arr = _as_array(x)
     _run_hook(q, arr)
-    _check_input(arr, "input")
+    mark = skip_scanned and isinstance(x, Tensor)
+    if not (mark and x.scanned):
+        _check_input(arr, "input")
+        if mark:
+            x.mark_scanned()
     if q.bitwidth.passthrough:
         raise ConfigError("act_quantize on a pass-through quantizer")
     alpha = float(q.alpha.data[0])
@@ -175,7 +193,8 @@ def fake_quant(x: Tensor, q) -> Tensor:
     residual (code - pre-clip value) in range, saturated code (+q_p / -q_n)
     where clipped. Zero-point gradient: 1 where clipped, 0 in range. A 32-bit
     quantizer returns the input unchanged. A hook set in ``q.on_next`` is
-    cleared, then called with the input array, before anything else.
+    cleared, then called with the input array, before anything else; then
+    an input without the scan mark is scanned.
 
     The tape keeps one input-sized array, the pre-clip value; the backward
     recomputes the codes from it with the forward's ops and reuses both
@@ -198,9 +217,9 @@ def fake_quant(x: Tensor, q) -> Tensor:
     bw = q.bitwidth
     q_n, q_p = bw.q_n, bw.q_p
 
-    arr = x.data
-    _check_input(arr, "fake_quant input")
-    v = arr - np.float32(z)
+    if not x.scanned:
+        _check_input(x.data, "fake_quant input")
+    v = x.data - np.float32(z)
     v /= np.float32(alpha)
     out = np.clip(v, -q_n, q_p)
     np.rint(out, out=out)

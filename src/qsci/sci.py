@@ -108,7 +108,8 @@ def initial_estimate(meas: Measurement, masks: MaskSet) -> np.ndarray:
     Channel 0 repeats the normalized estimate E = y / max(sum_t M_t, 1) over
     the T slots; channel 1 re-applies each mask to E. The max(., 1) guard
     leaves never-exposed pixels at the raw (zero in the noiseless model)
-    measurement value.
+    measurement value. A non-finite measurement gives a non-finite stack,
+    which the network's forward rejects; building it warns nothing.
     """
     if meas.y.shape != masks.frame_shape:
         raise ShapeError(f"measurement {meas.y.shape} vs masks {masks.frame_shape}")
@@ -118,7 +119,8 @@ def initial_estimate(meas: Measurement, masks: MaskSet) -> np.ndarray:
     est = (meas.y / norm).astype(np.float32)
     t = masks.t
     ch0 = np.broadcast_to(est, (t,) + est.shape)
-    ch1 = masks.masks * est
+    with np.errstate(invalid="ignore"):     # 0 * inf where a mask is closed
+        ch1 = masks.masks * est
     stack = np.stack([ch0, ch1], axis=0)[np.newaxis]   # [1, 2, T, H, W]
     return np.ascontiguousarray(stack, dtype=np.float32)
 

@@ -3,7 +3,9 @@
 Deliberately avoids the package's tensor engine: convolutions are computed
 per output voxel with explicit window sums, attention and normalization with
 direct formulas. Only suitable for tiny shapes. SSIM applies the full 2-D
-Gaussian window with ``scipy.signal.convolve2d``, frame by frame.
+Gaussian window with ``scipy.signal.convolve2d``, frame by frame. The one
+exception is :func:`layer_norm_ops`, the chain of engine ops whose bits the
+engine's one-node ``layer_norm`` must keep.
 """
 
 import numpy as np
@@ -53,6 +55,18 @@ def layer_norm(tok, gain, bias, eps=1e-5):
     xc = tok - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     return xc / np.sqrt(var + eps) * gain + bias
+
+
+def layer_norm_ops(x, gain, bias, eps=1e-5):
+    """LayerNorm over the last axis of a Tensor as nine engine ops, each its
+    own tape node: mean, sub, mul, mean, add, sqrt, div, mul, add."""
+    import qsci.autodiff as ad
+
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    xc = x - mu
+    var = ad.mean(xc * xc, axis=-1, keepdims=True)
+    normed = xc / ad.sqrt(var + eps)
+    return normed * gain + bias
 
 
 def softmax(x):
@@ -282,3 +296,28 @@ def ssim(a, b, size=11, sigma=1.5, k1=0.01, k2=0.03):
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
+
+
+def pack_weights_loop(codes, bits):
+    """Bit-pack signed codes into uint64 words one field slot at a time:
+    slot ``s`` of word ``i`` holds code ``i * (64 // bits) + s``, LSB first."""
+    ints = np.rint(np.asarray(codes).reshape(-1)).astype(np.int64)
+    per_word = 64 // bits
+    words = np.zeros(-(-ints.size // per_word), dtype=np.uint64)
+    fields = (ints & ((1 << bits) - 1)).astype(np.uint64)
+    for slot in range(per_word):
+        chunk = fields[slot::per_word]
+        words[: chunk.size] |= chunk << np.uint64(slot * bits)
+    return words
+
+
+def unpack_weights_loop(words, bits, count):
+    """Inverse of :func:`pack_weights_loop`, one field slot at a time; int64."""
+    per_word = 64 // bits
+    words = np.asarray(words, dtype=np.uint64)
+    mask = np.uint64((1 << bits) - 1)
+    out = np.empty(words.size * per_word, dtype=np.int64)
+    for slot in range(per_word):
+        out[slot::per_word] = ((words >> np.uint64(slot * bits)) & mask).astype(np.int64)
+    out = out[:count]
+    return np.where(out >= 1 << (bits - 1), out - (1 << bits), out)

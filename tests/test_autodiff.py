@@ -496,6 +496,119 @@ class TestPixelShuffle:
             ad.pixel_shuffle_spatial(Tensor(np.zeros((1, 3, 1, 1, 1), np.float32)), 2)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, np.float32), np.asarray(b, np.float32)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class TestLayerNorm:
+    """``ad.layer_norm`` is one node with the bits of the nine-op chain it
+    replaced (``reference_impl.layer_norm_ops``): value, input, gain and bias
+    gradients. numpy reduces a last axis shorter than 8 sequentially and a
+    longer one pairwise, hence the widths."""
+
+    @staticmethod
+    def step(norm, c, fanout):
+        """(output, x.grad, gain.grad, bias.grad) of one backward through
+        ``norm``, whose input fans out to a second consumer recorded before
+        or after it, or to none."""
+        rng = np.random.default_rng(c)
+        x = Tensor((rng.standard_normal((5, 3, c)) * 3 + 1).astype(np.float32),
+                   requires_grad=True)
+        gain = Tensor(rng.standard_normal(c).astype(np.float32), requires_grad=True)
+        bias = Tensor(rng.standard_normal(c).astype(np.float32), requires_grad=True)
+        g, g2, w = (Tensor(rng.standard_normal((5, 3, c)).astype(np.float32))
+                    for _ in range(3))
+        with Tape():
+            h = x if fanout in ("none", "leaf-after") else ad.scale(x, 1.5)
+            other = h * w if fanout == "node-before" else None
+            out = norm(h, gain, bias, 1e-5)
+            if fanout in ("leaf-after", "node-after"):
+                other = h * w
+            loss = ad.sum_(out * g)
+            if other is not None:
+                loss = loss + ad.sum_(other * g2)
+        backward(loss)
+        return out.data, x.grad, gain.grad, bias.grad
+
+    @pytest.mark.parametrize("c", [4, 7, 16, 19])
+    @pytest.mark.parametrize("fanout", ["none", "leaf-after", "node-before", "node-after"])
+    def test_bits_equal_the_nine_op_chain(self, c, fanout):
+        got = self.step(ad.layer_norm, c, fanout)
+        want = self.step(reference_impl.layer_norm_ops, c, fanout)
+        for name, a, b in zip(("value", "dx", "dgain", "dbias"), got, want):
+            assert same_bits(a, b), name
+
+    def test_one_node_holds_fewer_input_sized_arrays(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((256, 4, 16)).astype(np.float32), requires_grad=True)
+        gain = Tensor(np.ones(16, np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(16, np.float32), requires_grad=True)
+
+        def held(norm):
+            """Input-sized arrays the tape holds besides the output."""
+            tracemalloc.start()
+            try:
+                with Tape() as tape:
+                    out = norm(x, gain, bias, 1e-5)
+                nbytes = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            return len(tape.nodes), (nbytes - out.data.nbytes) / x.data.nbytes
+
+        nodes, one = held(ad.layer_norm)
+        chain_nodes, chain = held(reference_impl.layer_norm_ops)
+        assert (nodes, chain_nodes) == (1, 9)
+        assert one < 1.5 and chain >= one + 2
+
+    @pytest.mark.parametrize("row", [[3e19, -3e19, 0.0], [np.inf, 1.0, 0.0],
+                                     [np.nan, 1.0, 0.0]], ids=["overflow", "inf", "nan"])
+    def test_non_finite_raises_without_warning(self, row):
+        # the chain raised at its first non-finite op, 'mul' for a finite
+        # input whose centred square overflows; the one node scans the variance
+        with pytest.raises(NumericError, match="op 'layer_norm'"):
+            ad.layer_norm(Tensor(np.float32([row])), Tensor(np.ones(3, np.float32)),
+                          Tensor(np.zeros(3, np.float32)), 1e-5)
+
+
+class TestScanMark:
+    """Each array is scanned for NaN/Inf once: an arithmetic op scans its
+    output and marks it; a data-movement op scans nothing and passes the
+    mark on only if every input carries it."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        scanned = []
+        real = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: (scanned.append(a), real(a))[1])
+        return scanned
+
+    def test_arithmetic_output_is_marked(self):
+        x = Tensor(np.ones((2, 3), np.float32))
+        assert not x.scanned
+        assert ad.add(x, x).scanned and ad.layer_norm(
+            x, Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32)), 1e-5).scanned
+
+    def test_data_movement_scans_nothing_and_passes_the_mark(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        plain = Tensor(rng.random((1, 4, 2, 4, 4)).astype(np.float32))
+        marked = ad.scale(plain, 2.0)
+        scanned = self.spy(monkeypatch)
+        for x in (plain, marked):
+            outs = [ad.reshape(x, (4, 32)), ad.transpose(x, (0, 2, 1, 3, 4)),
+                    ad.narrow(x, 1, 1, 2), ad.pixel_unshuffle_spatial(x, 2),
+                    ad.pixel_shuffle_spatial(x, 2), ad.concat([x, marked], axis=1)]
+            assert [o.scanned for o in outs] == [x is marked] * len(outs)
+        assert scanned == []
+
+    def test_new_data_clears_the_mark(self):
+        x = ad.scale(Tensor(np.ones(3, np.float32)), 2.0)
+        same = Tensor(x)
+        assert x.scanned and not same.scanned and same.data is x.data
+        x.data = x.data.copy()
+        assert not x.scanned
+
+
 # ---------------------------------------------------------------------------
 # backward: trivial cases, tape semantics, finite differences
 # ---------------------------------------------------------------------------

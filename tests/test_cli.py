@@ -10,6 +10,7 @@ bit-adjusted formulas."""
 import contextlib
 import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -236,6 +237,50 @@ class TestNonFiniteParameters:
         assert rc == 4 and "op 'gelu'" in err
 
 
+class TestNonFiniteScannedOnce:
+    """A NaN or +inf ends in NumericError, exit 4, without a RuntimeWarning
+    (Tier-1 turns warnings into errors) wherever it enters: the input stack,
+    a conv weight, ``fuse.bias`` (its code-domain output feeds ``mlp_in``
+    directly) and ``out_proj.bias`` (which reaches ``fuse`` through a
+    transpose and a concat). Each array is scanned once, so these are the
+    inputs no op scanned before a quantizer clips them."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_input_stack(self, work, tmp_path, bad):
+        data = tmp_path / "data"
+        shutil.copytree(work / "data", data)
+        meas = data / (data / "manifest.csv").read_text().splitlines()[1].split(",")[2]
+        y = np.load(meas)
+        y[3, 5] = bad
+        np.save(meas, y)
+        for argv in (["eval", "--ckpt", work / "q4.qsc"],
+                     ["infer-int", "--packed", work / "q4.pack"]):
+            rc, err = run("--workdir", tmp_path, *argv, "--data", data, "--out", "out")
+            assert rc == 4 and "non-finite" in err, err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", ["block0.cf0.conv.weight", "block0.cf0.fuse.bias",
+                                       "block0.cf0.attn.out_proj.bias"])
+    def test_parameter(self, work, tmp_path, entry, bad):
+        fingerprint, state = load_checkpoint(work / "q4.qsc")
+        value = state[entry].copy()
+        value.reshape(-1)[1] = bad
+        state[entry] = value
+        save_checkpoint(tmp_path / "bad.qsc", fingerprint, state)
+        data = work / "data"
+        rc, err = run("--workdir", tmp_path, "eval", "--ckpt", "bad.qsc", "--data", data,
+                      "--out", "eval")
+        assert rc == 4 and "non-finite" in err, err
+        rc, err = run("--workdir", tmp_path, "pack", "--ckpt", "bad.qsc", "--out", "bad.pack")
+        if entry.endswith(".weight"):
+            assert rc == 4 and "non-finite" in err, err     # its codes cannot be packed
+            return
+        assert rc == 0, err
+        rc, err = run("--workdir", tmp_path, "infer-int", "--packed", "bad.pack", "--data", data,
+                      "--out", "int")
+        assert rc == 4 and "non-finite" in err, err
+
+
 def run_python(*argv, flags=()):
     """(exit code, stderr) of one CLI command in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -271,6 +316,16 @@ class TestOptimizedInterpreter:
             assert rc == 0, err
         assert ((tmp_path / "plain" / "metrics.csv").read_bytes()
                 == (tmp_path / "optimized" / "metrics.csv").read_bytes())
+
+    def test_infer_int_under_python_O_writes_the_same_outputs(self, work, tmp_path):
+        outs = {}
+        for flags, out in (([], "plain"), (["-O"], "optimized")):
+            rc, err = run_python("--workdir", work, "infer-int", "--packed", "q4.pack",
+                                 "--data", "data", "--out", tmp_path / out, flags=flags)
+            assert rc == 0, err
+            outs[out] = {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+        assert sorted(outs["plain"]) == ["int_metrics.csv", "recon_0000.npy", "recon_0001.npy"]
+        assert outs["plain"] == outs["optimized"]
 
 
 class TestInferIntDeterminism:

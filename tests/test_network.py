@@ -10,8 +10,9 @@ import qsci.autodiff as ad
 import reference_impl as ref
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
-from qsci.network import (BACKBONE, CFormerBlock, QConv3d, QNet, QNetConfig, ShiftedAttention,
-                          _gelu_by_accumulator, check_state, make_variant, parse_fingerprint)
+from qsci.network import (BACKBONE, CFormerBlock, LayerNorm, QConv3d, QNet, QNetConfig,
+                          ShiftedAttention, _gelu_by_accumulator, check_state, make_variant,
+                          parse_fingerprint)
 from qsci.quantize import act_quantize, fake_quant
 from qsci.sci import encode, generate_masks, initial_estimate, synth_video
 from small_models import calibrated_net, small_inputs
@@ -390,6 +391,50 @@ class TestGeluByAccumulator:
         if tabled:
             direct = acc * np.float32(0.25) + offset
             assert same_bits(got, ad.gelu(Tensor(direct)).data)
+
+
+def memory_of(a):
+    return a.__array_interface__["data"][0], a.nbytes
+
+
+class TestScanOnce:
+    """One tape-free forward scans each array for NaN/Inf once: an op's
+    output is scanned by the op, and a quantizer scans only what no op
+    scanned (the input stack, parameters, code-domain layer outputs)."""
+
+    def test_no_array_scanned_twice(self, monkeypatch):
+        net = calibrated_net("q4", hw=16)
+        masks, _, meas = small_inputs(4, 16, seed=1, count=1)
+        scanned, norms = [], []     # the arrays themselves: no address is reused
+        real = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: (scanned.append(a), real(a))[1])
+        forward = LayerNorm.forward
+        monkeypatch.setattr(LayerNorm, "forward",
+                            lambda self, x: (norms.append(forward(self, x)), norms[-1])[1])
+        net.reconstruct(meas[0], masks)
+        monkeypatch.undo()
+        counts = {}
+        for a in scanned:
+            counts[memory_of(a)] = counts.get(memory_of(a), 0) + 1
+        assert norms and all(counts[memory_of(n.data)] == 1 for n in norms)
+        assert max(counts.values()) == 1
+
+
+class TestLayerNormNode:
+    def test_cformer_records_8_fewer_tape_nodes(self, monkeypatch):
+        # one ad.layer_norm node in place of the nine-op chain
+        def nodes():
+            block = CFormerBlock(np.random.default_rng(0), 8, 2, 4, True)
+            x = Tensor(np.random.default_rng(1).standard_normal((1, 8, 2, 4, 4))
+                       .astype(np.float32), requires_grad=True)
+            with Tape() as tape:
+                block.forward(x)
+            return len(tape.nodes)
+
+        one_node = nodes()
+        monkeypatch.setattr(LayerNorm, "forward",
+                            lambda self, x: ref.layer_norm_ops(x, self.gain, self.bias, self.EPS))
+        assert nodes() - one_node == 8
 
 
 class TestCheckpointInit:

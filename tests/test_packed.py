@@ -67,6 +67,20 @@ class TestPacking:
         words = pack_weights(np.full(5, -1), 3)   # 5 of 21 fields used
         assert int(words[0]) == (1 << 15) - 1
 
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    @pytest.mark.parametrize("count", ["none", "one", "ragged"])
+    def test_equals_per_slot_loop(self, bits, count):
+        per_word = 64 // bits
+        n = {"none": 0, "one": 1, "ragged": 2 * per_word + 3}[count]
+        codes = random_codes(np.random.default_rng(bits * 10 + n), bits, n)
+        words = pack_weights(codes, bits)
+        want = ref.pack_weights_loop(codes, bits)
+        assert words.dtype == want.dtype and words.tobytes() == want.tobytes()
+        got = unpack_weights(words, bits, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref.unpack_weights_loop(want, bits, n))
+        assert np.array_equal(got, codes)
+
 
 class TestExactContraction:
     # 3x3x3 at 8 bits: K = 12*27 = 324 -> bound 5.3M < 2^24 (float32);
@@ -125,6 +139,46 @@ class TestExactContraction:
         acc = layer.contract(x.astype(np.float32), codes.astype(np.float32))
         assert acc.dtype == np.float32
         assert np.array_equal(acc, ref.int_conv3d(x, codes, (1, 1, 1), padding))
+
+    # temporal padding 0, 1 and 2 of a 3x3x3 conv over T real frames
+    REAL_FRAMES = [(t, pt) for t in (1, 2, 5) for pt in (0, 1, 2) if t + 2 * pt >= 3]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("t,pt", REAL_FRAMES, ids=[f"T{t}-pt{p}" for t, p in REAL_FRAMES])
+    @pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2)], ids=["unit", "stride122"])
+    def test_real_frame_route_equals_int64_reference(self, n, t, pt, stride):
+        rng = np.random.default_rng(10 * t + pt)
+        layer = QConv3d(rng, 3, 4, (3, 3, 3), stride=stride, padding=(pt, 1, 1), bits=4)
+        codes = random_codes(rng, 4, layer.weight.shape)
+        x = random_codes(rng, 4, (n, 3, t, 6, 5))
+        acc = layer.contract(x.astype(np.float32), codes.astype(np.float32))
+        assert np.array_equal(acc, ref.int_conv3d(x, codes, stride, layer.padding))
+
+    def test_one_frame_reads_only_the_centre_tap(self):
+        # T=1, padding 1: output frame 0 reads frame 0 through tap 1 only
+        assert network._frame_spans(1, 1, 3, 1) == [(1, 0, 1, 0)]
+
+    def test_padding_2_has_no_covering_tap(self):
+        # T=5, padding 2: To=7, and each tap reads real frames for 5 of them
+        spans = network._frame_spans(5, 7, 3, 2)
+        assert spans == [(0, 2, 7, 0), (1, 1, 6, 0), (2, 0, 5, 0)]
+        assert not any((lo, hi) == (0, 7) for _, lo, hi, _ in spans)
+
+    def test_patch_matrix_holds_real_frames_only(self):
+        # N=1: the 9-tap patch matrix over T frames, not over T + 2 padded ones
+        rng = np.random.default_rng(32)
+        c, t, h, w = 8, 4, 16, 16
+        layer = QConv3d(rng, c, c, (3, 3, 3), padding=(1, 1, 1), bits=4)
+        x = random_codes(rng, 4, (1, c, t, h, w)).astype(np.float32)
+        codes = random_codes(rng, 4, layer.weight.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            acc = layer.contract(x, codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded_rows = c * 9 * (t + 2) * h * w * 4
+        assert peak - acc.nbytes < padded_rows
 
     def test_conv_builds_no_batch_patch_matrix(self):
         rng = np.random.default_rng(31)

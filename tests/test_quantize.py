@@ -266,6 +266,60 @@ class TestFakeQuant:
         assert q.z.data[0] == 0.0 and not q.z.requires_grad and q.z.grad is None
 
 
+class TestScanOnce:
+    """A quantizer scans only an input without the scan mark, after its
+    hook. The code-domain quantize marks the activation it scanned;
+    ``fake_quant`` leaves its input, perhaps a parameter, unmarked. A direct
+    act_quantize call always scans."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        scanned = []
+        real = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: (scanned.append(a), real(a))[1])
+        return scanned
+
+    QUANTIZERS = pytest.mark.parametrize("quantize", [
+        fake_quant, lambda x, q: act_quantize(x, q, skip_scanned=True)],
+        ids=["fake_quant", "code-domain"])
+
+    @QUANTIZERS
+    def test_marked_input_not_scanned(self, monkeypatch, quantize):
+        x = ad.scale(Tensor(np.linspace(-1, 1, 12, dtype=np.float32)), 1.0)
+        scanned = self.spy(monkeypatch)
+        quantize(x, make_act(4, 0.2))
+        assert not any(a is x.data for a in scanned)
+
+    @pytest.mark.parametrize("quantize,scans", [
+        (fake_quant, 2), (lambda x, q: act_quantize(x, q, skip_scanned=True), 1)],
+        ids=["fake_quant", "code-domain"])
+    def test_unmarked_input_scanned(self, monkeypatch, quantize, scans):
+        x = Tensor(np.linspace(-1, 1, 12, dtype=np.float32))
+        q = make_act(4, 0.2)
+        scanned = self.spy(monkeypatch)
+        quantize(x, q)
+        quantize(x, q)
+        assert sum(a is x.data for a in scanned) == scans
+        assert x.scanned == (scans == 1)
+
+    def test_direct_act_quantize_always_scans(self, monkeypatch):
+        x = ad.scale(Tensor(np.linspace(-1, 1, 12, dtype=np.float32)), 1.0)
+        scanned = self.spy(monkeypatch)
+        act_quantize(x, make_act(4, 0.2))
+        assert sum(a is x.data for a in scanned) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @QUANTIZERS
+    def test_hook_runs_before_the_scan_raises(self, quantize, bad):
+        x = Tensor(np.float32([0.5, bad]))
+        q = make_act(4, 0.2)
+        seen = []
+        q.on_next = seen.append
+        with pytest.raises(NumericError, match="passed to quantizer"):
+            quantize(x, q)
+        assert len(seen) == 1 and not x.scanned
+
+
 class TestMatchesMaskedFormula:
     """The mask-free fake_quant reproduces the masked formula bit for bit."""
 
