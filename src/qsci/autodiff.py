@@ -10,13 +10,14 @@ between optimizer steps.
 
 A node saves what its backward rule closes over: its input tensors, plus
 an array only where rebuilding it would cost more than keeping it. The
-elementwise ops keep their inputs (``gelu`` its ``Phi(x)`` too, ``sqrt``
-and ``softmax`` their output, ``clamp`` a boolean mask; ``leaky_relu``
-keeps no mask and recomputes its sign test from its input); shape ops keep
-shapes only. ``conv3d`` keeps its input and weight and rebuilds its im2col
-patch matrices in backward; ``quantize.fake_quant`` keeps its pre-clip
-value and rebuilds the codes. No conv pads its input: a patch matrix holds
-zeros where a tap reads outside it (:func:`sample_patches`).
+elementwise ops keep their inputs; ``gelu`` keeps its ``Phi(x)`` too,
+``sqrt`` and ``softmax`` their output, and ``layer_norm`` its centred input
+and each row's deviation. ``leaky_relu`` and ``clamp`` keep no mask and
+recompute it from their input. Shape ops keep shapes only. ``conv3d`` keeps
+its input and weight and rebuilds its im2col patch matrices in backward;
+``quantize.fake_quant`` keeps its input, scale and zero-point and rebuilds
+the pre-clip value and the codes. No conv pads its input: a patch matrix
+holds zeros where a tap reads outside it (:func:`sample_patches`).
 
 Each array is scanned for NaN/Inf once. Every arithmetic op scans its
 output, raises :class:`~qsci.errors.NumericError` on a non-finite value and
@@ -146,32 +147,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
     def __sub__(self, other):
         return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
 
     def __mul__(self, other):
         return mul(self, _coerce(other))
 
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
     def __truediv__(self, other):
         return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _coerce(x) -> Tensor:
@@ -312,10 +295,9 @@ def sqrt(x: Tensor) -> Tensor:
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(x.data, lo, hi)
-    mask = (x.data >= lo) & (x.data <= hi)
 
     def bwd(g):
-        return (g * mask,)
+        return (g * ((x.data >= lo) & (x.data <= hi)),)
 
     return _finish(out, (x,), bwd, "clamp")
 
@@ -571,21 +553,27 @@ def conv3d_output_shape(in_shape, w_shape, stride, padding):
     return (n, o, dims[0], dims[1], dims[2])
 
 
+def axis_windows(n, n_out, k, stride, pad) -> list:
+    """``(out_window, in_window)`` of each tap ``j`` along one axis of
+    extent ``n``, zero-padded by ``pad``, as slices: the outputs whose tap
+    ``j`` reads inside the unpadded input, and the input elements they read;
+    None for a tap that reads only padding."""
+    windows = []
+    for j in range(k):
+        lo = max(0, -((j - pad) // stride))                # first output reading index >= 0
+        hi = min(n_out, (n - 1 + pad - j) // stride + 1)   # one past the last reading index < n
+        start = lo * stride + j - pad
+        windows.append((slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride))
+                       if lo < hi else None)
+    return windows
+
+
 def tap_windows(in_dims, kshape, stride, padding, out_dims) -> list:
     """``(k, out_window, in_window)`` of each kernel tap ``k``, row-major
-    over (kt, kh, kw), as slice triples over the last three axes: the
-    outputs whose tap ``k`` reads inside the unpadded input, and the input
-    elements they read. A tap that reads only padding is left out."""
-    axes = []
-    for n, n_out, k, s, p in zip(in_dims, out_dims, kshape, stride, padding):
-        windows = []
-        for j in range(k):
-            lo = max(0, -((j - p) // s))               # first output reading index >= 0
-            hi = min(n_out, (n - 1 + p - j) // s + 1)  # one past the last reading index < n
-            start = lo * s + j - p
-            windows.append((slice(lo, hi), slice(start, start + (hi - lo - 1) * s + 1, s))
-                           if lo < hi else None)
-        axes.append(windows)
+    over (kt, kh, kw), as slice triples over the last three axes
+    (:func:`axis_windows` of each axis). A tap that reads only padding is
+    left out."""
+    axes = [axis_windows(*axis) for axis in zip(in_dims, out_dims, kshape, stride, padding)]
     return [(k, tuple(w[0] for w in tap), tuple(w[1] for w in tap))
             for k, tap in enumerate(itertools.product(*axes)) if all(tap)]
 

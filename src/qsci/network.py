@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, conv3d_output_shape, sample_patches, tap_windows
+from .autodiff import Tensor, axis_windows, conv3d_output_shape, sample_patches, tap_windows
 from .errors import ConfigError, FormatError, ShapeError
 from .quantize import (VALID_BITS, ActQuantizer, WeightQuantizer, act_quantize, code_dtype,
                        fake_quant)
@@ -384,14 +384,12 @@ class QConv3d(QLayer):
           the output.
         - Otherwise each sample fills one reused patch matrix of its kh*kw
           spatial taps over its T real frames, [C*kh*kw, T*Ho*Wo]. Temporal
-          tap ``it`` reads frame ``f + it - pt`` for output frame ``f``, so
-          it adds one GEMM over a column range into the output frames
-          [lo, hi) that read a real frame (:func:`_frame_spans`); a tap
-          that reads only padding adds nothing. A tap that covers every
-          output frame writes first, else the output starts from zeros. A
-          conv with a temporal stride other than 1 folds its time taps into
-          the patch matrix instead: one GEMM per sample over all kt*kh*kw
-          taps.
+          tap ``it`` adds one GEMM into the output frames that read a real
+          frame through it, over the columns of the frames they read
+          (:func:`~qsci.autodiff.axis_windows`): at temporal stride 1 a
+          column range of the matrix, else a strided copy. A tap that reads
+          only padding adds nothing. A tap that covers every output frame
+          writes first, else the output starts from zeros.
 
         Regrouping the sum is exact: every partial sum of a code contraction
         is an integer whose magnitude the dtype bound of
@@ -406,30 +404,27 @@ class QConv3d(QLayer):
             return (w_codes.reshape(o, c) @ x_codes.reshape(n, c, -1)).reshape(n, o, to, ho, wo)
         if unit_stride and o < c:
             return self._contract_channels_first(x_codes, w_codes, (to, ho, wo))
+        t = x_codes.shape[2]
         kt, kh, kw = self.kernel
-        if self.stride[0] == 1:
-            taps, kshape = kt, (1, kh, kw)
-            stride, padding = (1,) + self.stride[1:], (0,) + self.padding[1:]
-            spans = _frame_spans(x_codes.shape[2], to, kt, self.padding[0])
-        else:
-            taps, kshape, stride, padding = 1, self.kernel, self.stride, self.padding
-            spans = [(0, 0, to, 0)]
-        # [taps, O, C*k]: each temporal tap's weight, columns ordered as the patch rows
-        w_taps = (w_codes.reshape(o, c, taps, -1).transpose(2, 0, 1, 3)
-                  .reshape(taps, o, -1))
+        # [kt, O, C*kh*kw]: each temporal tap's weight, columns ordered as the patch rows
+        w_taps = w_codes.reshape(o, c, kt, -1).transpose(2, 0, 1, 3).reshape(kt, o, -1)
+        taps = [(it, window) for it, window in
+                enumerate(axis_windows(t, to, kt, self.stride[0], self.padding[0])) if window]
+        taps.sort(key=lambda tap: tap[1][0] != slice(0, to))    # a covering tap first
+        covered = bool(taps) and taps[0][1][0] == slice(0, to)
         hw = ho * wo
-        spans.sort(key=lambda span: span[1:3] != (0, to))    # a covering tap first
-        covered = spans[0][1:3] == (0, to)
         out = (np.empty if covered else np.zeros)((n, o, to * hw), dtype=w_codes.dtype)
-        part = np.empty((o, to * hw), dtype=w_codes.dtype) if len(spans) > covered else None
-        for i, patches in enumerate(sample_patches(x_codes, kshape, stride, padding)):
-            for j, (it, lo, hi, first) in enumerate(spans):
-                cols = patches[:, first * hw:(first + hi - lo) * hw]
+        part = np.empty((o, to * hw), dtype=w_codes.dtype) if len(taps) > covered else None
+        for i, patches in enumerate(sample_patches(x_codes, (1, kh, kw), (1,) + self.stride[1:],
+                                                   (0,) + self.padding[1:])):
+            frames = patches.reshape(-1, t, hw)
+            for j, (it, (dst, src)) in enumerate(taps):
+                cols = frames[:, src].reshape(len(frames), -1)
                 if j == 0 and covered:
                     np.matmul(w_taps[it], cols, out=out[i])
                 else:
-                    out[i][:, lo * hw:hi * hw] += np.matmul(w_taps[it], cols,
-                                                           out=part[:, :(hi - lo) * hw])
+                    out[i][:, dst.start * hw:dst.stop * hw] += np.matmul(
+                        w_taps[it], cols, out=part[:, :cols.shape[1]])
         return out.reshape(n, o, to, ho, wo)
 
     def _contract_channels_first(self, x_codes, w_codes, out_dims):
@@ -463,26 +458,17 @@ class QConv3d(QLayer):
         return (vt @ corr.reshape(o, kt, ho * wo)).reshape(o, -1, ho, wo)
 
 
-def _frame_spans(t, to, kt, pt) -> list:
-    """``(it, lo, hi, first)`` of each temporal tap ``it`` of a unit-stride
-    conv over ``t`` frames padded by ``pt``: output frames [lo, hi) read the
-    real frames [first, first + hi - lo). A tap that reads only padding is
-    left out."""
-    spans = []
-    for it in range(kt):
-        lo, hi = max(0, pt - it), min(to, t + pt - it)
-        if lo < hi:
-            spans.append((it, lo, hi, lo + it - pt))
-    return spans
-
-
 def _valid_taps(n_in, n_out, k, stride, pad, dtype) -> np.ndarray:
     """[n_out, k]: 1 where tap k of output position o reads inside the input
-    of length n_in, else 0; unpadded, one row of ones broadcasts."""
+    of length n_in (its :func:`~qsci.autodiff.axis_windows` output window),
+    else 0; unpadded, one row of ones broadcasts."""
     if not pad:
         return np.ones((1, k), dtype)
-    pos = np.arange(n_out)[:, None] * stride + np.arange(k) - pad
-    return ((pos >= 0) & (pos < n_in)).astype(dtype)
+    valid = np.zeros((n_out, k), dtype)
+    for j, window in enumerate(axis_windows(n_in, n_out, k, stride, pad)):
+        if window:
+            valid[window[0], j] = 1
+    return valid
 
 
 def _gelu_by_accumulator(acc, step, offset) -> Optional[np.ndarray]:

@@ -127,8 +127,6 @@ def _check_input(x: np.ndarray, what: str):
         raise NumericError(f"non-finite {what} passed to quantizer")
 
 
-
-
 def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
 
@@ -140,6 +138,23 @@ def _run_hook(q: ActQuantizer, arr: np.ndarray):
     if hook is not None:
         q.on_next = None
         hook(arr)
+
+
+def _pre_clip(x: np.ndarray, alpha: float, z: float) -> np.ndarray:
+    """(x - z)/alpha as a fresh float32 array; a non-positive scale is a
+    ConfigError."""
+    if alpha <= 0:
+        raise ConfigError(f"quantizer scale must be positive, got {alpha}")
+    v = x - np.float32(z)
+    v /= np.float32(alpha)
+    return v
+
+
+def _codes(v: np.ndarray, bw: BitWidth, out=None) -> np.ndarray:
+    """The codes rint(clip(v, -q_n, q_p)), half to even, of pre-clip values
+    ``v``, into ``out`` (which may be ``v``) or a fresh array."""
+    out = np.clip(v, -bw.q_n, bw.q_p, out=out)
+    return np.rint(out, out=out)
 
 
 def act_quantize(x, q: ActQuantizer, skip_scanned: bool = False) -> np.ndarray:
@@ -156,14 +171,8 @@ def act_quantize(x, q: ActQuantizer, skip_scanned: bool = False) -> np.ndarray:
             x.mark_scanned()
     if q.bitwidth.passthrough:
         raise ConfigError("act_quantize on a pass-through quantizer")
-    alpha = float(q.alpha.data[0])
-    if alpha <= 0:
-        raise ConfigError(f"quantizer scale must be positive, got {alpha}")
-    bw = q.bitwidth
-    v = arr - np.float32(q.z.data[0])
-    v /= np.float32(alpha)
-    np.clip(v, -bw.q_n, bw.q_p, out=v)
-    return np.rint(v, out=v)
+    v = _pre_clip(arr, float(q.alpha.data[0]), float(q.z.data[0]))
+    return _codes(v, q.bitwidth, out=v)
 
 
 def code_dtype(k: int, bits: int):
@@ -196,9 +205,10 @@ def fake_quant(x: Tensor, q) -> Tensor:
     cleared, then called with the input array, before anything else; then
     an input without the scan mark is scanned.
 
-    The tape keeps one input-sized array, the pre-clip value; the backward
-    recomputes the codes from it with the forward's ops and reuses both
-    buffers for the scale and zero-point gradient fields.
+    The forward dequantizes the codes, made as :func:`act_quantize` makes
+    them, in place. The tape keeps only the node's inputs: the backward
+    recomputes the pre-clip value from the input, with the forward's scale
+    and zero-point, and the codes from that.
 
     LSQ (Esser et al., arXiv 1902.08153) also multiplies the scale gradient
     by 1/sqrt(N * q_p); that factor is omitted on purpose. Every scale is its
@@ -209,27 +219,20 @@ def fake_quant(x: Tensor, q) -> Tensor:
     _run_hook(q, x.data)
     if q.bitwidth.passthrough:
         return x
-
+    if not x.scanned:
+        _check_input(x.data, "fake_quant input")
     alpha = float(q.alpha.data[0])
-    if alpha <= 0:
-        raise ConfigError(f"quantizer scale must be positive, got {alpha}")
     z = float(q.z.data[0])
     bw = q.bitwidth
     q_n, q_p = bw.q_n, bw.q_p
-
-    if not x.scanned:
-        _check_input(x.data, "fake_quant input")
-    v = x.data - np.float32(z)
-    v /= np.float32(alpha)
-    out = np.clip(v, -q_n, q_p)
-    np.rint(out, out=out)
+    out = _pre_clip(x.data, alpha, z)
+    _codes(out, bw, out=out)
     out *= np.float32(alpha)
     out += np.float32(z)
 
     def bwd(g):
-        # the tape runs this once, so v's buffer is free to reuse
-        codes = np.clip(v, -q_n, q_p)
-        np.rint(codes, out=codes)
+        v = _pre_clip(x.data, alpha, z)
+        codes = _codes(v, bw)
         clipped = v < -q_n
         clipped |= v > q_p
         mid = ~clipped

@@ -7,6 +7,7 @@ same PSNR, every ``ablate`` row is ``eval`` of its checkpoint and each
 distinct row network trains once, and the ``report`` table follows the
 bit-adjusted formulas."""
 
+import ast
 import contextlib
 import io
 import os
@@ -308,6 +309,13 @@ class TestNonFiniteGelu:
 
 
 class TestOptimizedInterpreter:
+    def test_no_module_guards_with_assert(self):
+        # python -O strips asserts, so every guard in the package is a raise
+        for path in sorted((SRC / "qsci").rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not lines, f"{path.name}: assert at line(s) {lines}"
+
     def test_eval_under_python_O_writes_the_same_metrics(self, work, tmp_path):
         # python -O strips asserts: no guard that shapes a result may be one
         for flags, out in (([], "plain"), (["-O"], "optimized")):

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
 from qsci import network
-from qsci.autodiff import Tape, Tensor
+from qsci.autodiff import Tape, Tensor, axis_windows
 from qsci.errors import ConfigError, FormatError
 from qsci.network import VARIANT_NAMES, QConv3d, QLinear, QNet, make_variant
 from qsci.packed import (IntKernel, PackedLayer, install_packed, pack_model, pack_weights,
@@ -106,9 +106,13 @@ class TestExactContraction:
         ((3, 3, 3), (1, 2, 2), (1, 1, 1)),
         ((1, 3, 3), (1, 1, 1), (0, 1, 1)),
         ((1, 1, 1), (1, 1, 1), (0, 0, 0)),
-        ((3, 3, 3), (2, 1, 1), (1, 1, 1)),      # time taps folded into the patches
+        ((3, 3, 3), (2, 1, 1), (1, 1, 1)),      # strided time taps: strided frame copies
+        ((3, 3, 3), (2, 1, 1), (0, 1, 1)),
+        ((3, 3, 3), (2, 1, 1), (2, 1, 1)),
+        ((3, 3, 3), (3, 1, 1), (1, 1, 1)),
     ], ids=["k333", "k333-time-unpadded", "k333-stride122", "k133", "k111",
-            "k333-time-stride2"])
+            "k333-time-stride2", "k333-time-stride2-unpadded", "k333-time-stride2-pad2",
+            "k333-time-stride3"])
     @pytest.mark.parametrize("o", [4, 6], ids=["narrowing", "widening"])
     def test_every_conv_route_equals_int64_reference(self, n, dtype, kernel, stride, padding, o):
         rng = np.random.default_rng(n)
@@ -156,13 +160,36 @@ class TestExactContraction:
 
     def test_one_frame_reads_only_the_centre_tap(self):
         # T=1, padding 1: output frame 0 reads frame 0 through tap 1 only
-        assert network._frame_spans(1, 1, 3, 1) == [(1, 0, 1, 0)]
+        assert axis_windows(1, 1, 3, 1, 1) == [None, (slice(0, 1), slice(0, 1, 1)), None]
 
     def test_padding_2_has_no_covering_tap(self):
         # T=5, padding 2: To=7, and each tap reads real frames for 5 of them
-        spans = network._frame_spans(5, 7, 3, 2)
-        assert spans == [(0, 2, 7, 0), (1, 1, 6, 0), (2, 0, 5, 0)]
-        assert not any((lo, hi) == (0, 7) for _, lo, hi, _ in spans)
+        windows = axis_windows(5, 7, 3, 1, 2)
+        assert windows == [(slice(2, 7), slice(0, 5, 1)), (slice(1, 6), slice(0, 5, 1)),
+                           (slice(0, 5), slice(0, 5, 1))]
+        assert slice(0, 7) not in [dst for dst, _ in windows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_axis_windows_and_valid_taps_equal_a_brute_force_scan(self, n, k, stride, data):
+        pad = data.draw(st.integers(0, k - 1))
+        assume(n + 2 * pad >= k)
+        n_out = (n + 2 * pad - k) // stride + 1
+        # reads[o, j]: output o reads input index o*stride + j - pad through tap j
+        pos = np.arange(n_out)[:, None] * stride + np.arange(k) - pad
+        reads = (pos >= 0) & (pos < n)
+        windows = axis_windows(n, n_out, k, stride, pad)
+        assert len(windows) == k
+        for j, window in enumerate(windows):
+            outs = np.flatnonzero(reads[:, j])
+            if not outs.size:
+                assert window is None
+                continue
+            dst, src = window
+            assert list(range(n_out)[dst]) == list(outs)
+            assert list(range(n)[src]) == list(pos[outs, j])
+        valid = network._valid_taps(n, n_out, k, stride, pad, np.float32)
+        assert np.array_equal(np.broadcast_to(valid, reads.shape), reads)
 
     def test_patch_matrix_holds_real_frames_only(self):
         # N=1: the 9-tap patch matrix over T frames, not over T + 2 padded ones
