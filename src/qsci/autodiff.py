@@ -11,10 +11,10 @@ between optimizer steps.
 A node saves what its backward rule closes over: its input tensors, plus
 an array only where rebuilding it would cost more than keeping it. The
 elementwise ops keep their inputs; ``gelu`` keeps its ``Phi(x)`` too,
-``sqrt`` and ``softmax`` their output, and ``layer_norm`` its centred input
-and each row's deviation. ``leaky_relu`` and ``clamp`` keep no mask and
-recompute it from their input. Shape ops keep shapes only. ``conv3d`` keeps
-its input and weight and rebuilds its im2col patch matrices in backward;
+``softmax`` its output, and ``layer_norm`` its centred input and each row's
+deviation. ``leaky_relu`` and ``clamp`` keep no mask and recompute it from
+their input. Shape ops keep shapes only. ``conv3d`` keeps its input and
+weight and rebuilds its im2col patch matrices in backward;
 ``quantize.fake_quant`` keeps its input, scale and zero-point and rebuilds
 the pre-clip value and the codes. No conv pads its input: a patch matrix
 holds zeros where a tap reads outside it (:func:`sample_patches`).
@@ -95,9 +95,9 @@ class Tensor:
     Made from another Tensor, it shares that tensor's array but not its
     tape node or scan mark."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "name", "_scanned")
+    __slots__ = ("data", "requires_grad", "grad", "node", "_scanned")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data, dtype=np.float32)
@@ -107,7 +107,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[Node] = None
-        self.name = name
         self._scanned = None
 
     @property
@@ -152,9 +151,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, _coerce(other))
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
 
 
 def _coerce(x) -> Tensor:
@@ -228,18 +224,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), bwd, "mul")
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _finish(out, (a, b), bwd, "div")
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     out = x.data * np.float32(s)
@@ -284,15 +268,6 @@ def gelu(x: Tensor) -> Tensor:
     return _finish(out, (x,), bwd, "gelu")
 
 
-def sqrt(x: Tensor) -> Tensor:
-    out = np.sqrt(x.data)
-
-    def bwd(g):
-        return (g * (0.5 / out),)
-
-    return _finish(out, (x,), bwd, "sqrt")
-
-
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(x.data, lo, hi)
 
@@ -302,32 +277,13 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     return _finish(out, (x,), bwd, "clamp")
 
 
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+def mean(x: Tensor) -> Tensor:
+    """The float32 mean of every element, as a one-element tensor."""
+    out = x.data.mean(dtype=np.float32)
+    count = x.data.size
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g.reshape(()), x.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, x.shape).copy(),)
-
-    return _finish(np.asarray(out), (x,), bwd, "sum")
-
-
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = x.data.mean(axis=axis, keepdims=keepdims, dtype=np.float32)
-    if axis is None:
-        count = x.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([x.data.shape[a] for a in axis]))
-    else:
-        count = x.data.shape[axis]
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g.reshape(()) / count, x.shape).astype(np.float32),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((np.broadcast_to(gg, x.shape) / count).astype(np.float32),)
+        return (np.broadcast_to(g.reshape(()) / count, x.shape).astype(np.float32),)
 
     return _finish(np.asarray(out), (x,), bwd, "mean")
 

@@ -8,7 +8,8 @@ geometry). The same container holds trained networks and packed models
 (whose state carries uint64 weight codes, see :mod:`qsci.packed`);
 :func:`qsci.network.check_state`, the one check that a state fits a
 network, tells them apart for every loader. The reader checks every length
-against the bytes left, so a truncated or corrupt file raises FormatError.
+against the bytes left, so a truncated or corrupt file raises FormatError,
+and so does a file with bytes after its last entry.
 The experiment config is a ``section.key = value`` text file with a fixed
 key schema; unknown keys are rejected and the parsed values are echoed into
 the run directory for provenance.
@@ -95,7 +96,8 @@ def save_checkpoint(path, fingerprint: str, state: dict):
 
 
 def load_checkpoint(path):
-    """Read (fingerprint, state); rejects a wrong magic or version.
+    """Read (fingerprint, state); rejects a wrong magic or version, and
+    bytes after the last entry.
 
     The whole file is read into memory; ``size`` lets every read be checked
     against the bytes left, so a corrupt length is never allocated."""
@@ -114,6 +116,8 @@ def load_checkpoint(path):
     for _ in range(_read_uint(fh, 4)):
         name = _read_str(fh)
         state[name] = _read_array(fh)
+    if fh.tell() != fh.size:
+        raise FormatError(f"{fh.size - fh.tell()} bytes after the last entry")
     return fingerprint, state
 
 
@@ -165,8 +169,8 @@ class ExperimentConfig:
             value = value.strip()
             if key not in _KEY_MAP:
                 raise ConfigError(f"line {lineno}: unknown key '{key}'")
-            fname, ftype = _KEY_MAP[key]
-            setattr(cfg, fname, _convert(key, value, ftype))
+            fname, tname = _KEY_MAP[key]
+            setattr(cfg, fname, _convert(key, value, tname))
         return cfg
 
     @classmethod
@@ -185,13 +189,12 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-# "section.key" -> (field name, type): the field net_base_channels is the key
-# net.base_channels
+# "section.key" -> (field name, type name): the field net_base_channels is the
+# key net.base_channels; annotations are postponed, so each type is a string
 _KEY_MAP = {f.name.replace("_", ".", 1): (f.name, f.type) for f in fields(ExperimentConfig)}
 
 
-def _convert(key, value, ftype):
-    tname = ftype if isinstance(ftype, str) else ftype.__name__
+def _convert(key, value, tname):
     try:
         if tname == "bool":
             low = value.lower()

