@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0).astype(np.float32)
 _INV_SQRT2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
@@ -234,13 +234,10 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _finish(out, (x,), bwd, "scale")
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    """``x`` where positive, else ``x * negative_slope``. For a slope in
-    [0, 1] that is ``max(x, x * slope)``, bit for bit, signed zeros
-    included; any other slope is a ConfigError."""
-    if not 0.0 <= negative_slope <= 1.0:
-        raise ConfigError(f"leaky_relu slope must lie in [0, 1], got {negative_slope}")
-    ns = np.float32(negative_slope)
+def leaky_relu(x: Tensor) -> Tensor:
+    """``x`` where positive, else ``x * 0.01``. As the slope lies in [0, 1],
+    that is ``max(x, x * 0.01)``, bit for bit, signed zeros included."""
+    ns = np.float32(0.01)
     out = np.maximum(x.data, x.data * ns)
 
     def bwd(g):
@@ -455,28 +452,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), bwd, "matmul")
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    axis = axis % x.data.ndim
-    shifted = x.data - _reduce_last(np.maximum, x.data, axis)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - _reduce_last(np.maximum, x.data)
     e = np.exp(shifted)
-    out = e / _reduce_last(np.add, e, axis)
+    out = e / _reduce_last(np.add, e)
 
     def bwd(g):
-        dot = _reduce_last(np.add, g * out, axis)
+        dot = _reduce_last(np.add, g * out)
         return ((g - dot) * out,)
 
     return _finish(out, (x,), bwd, "softmax")
 
 
-def _reduce_last(ufunc, a: np.ndarray, axis: int) -> np.ndarray:
-    """``ufunc.reduce(a, axis, keepdims=True)``, bit for bit. Over a last
+def _reduce_last(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, -1, keepdims=True)``, bit for bit. Over a last
     axis shorter than 8, numpy folds left to right (its pairwise sum runs
     sequentially below 8 elements), a sum starting from its identity 0, so
     that ``-0.0`` terms sum to ``+0.0``. This folds the same way over
     slices, without numpy's per-row reduction loop."""
-    n = a.shape[axis]
-    if axis != a.ndim - 1 or n >= 8:
-        return ufunc.reduce(a, axis=axis, keepdims=True)
+    n = a.shape[-1]
+    if n >= 8:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
     out = a[..., :1] + np.float32(0) if ufunc is np.add else a[..., :1].copy()
     for k in range(1, n):
         ufunc(out, a[..., k:k + 1], out=out)

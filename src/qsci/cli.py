@@ -164,10 +164,6 @@ def _load_data_dir(path: Path, cr: int):
 def cmd_train(args, workdir: Path) -> int:
     cfg = ExperimentConfig.load(_resolve(workdir, args.config))
     netcfg = _net_config(cfg)
-    out = _resolve(workdir, cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
-
     init_state = None
     init_geometry = None
     if args.init is not None:
@@ -178,6 +174,9 @@ def cmd_train(args, workdir: Path) -> int:
             "quantized variant requires --init pointing at a full-precision "
             "checkpoint with identical geometry"
         )
+    out = _resolve(workdir, cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
 
     result = train(_train_config(cfg), netcfg, _dataset(cfg), init_state, init_geometry)
     save_checkpoint(out / "checkpoint.qsc", result.fingerprint, result.state)

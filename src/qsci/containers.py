@@ -9,10 +9,10 @@ geometry). The same container holds trained networks and packed models
 :func:`qsci.network.check_state`, the one check that a state fits a
 network, tells them apart for every loader. The reader checks every length
 against the bytes left, so a truncated or corrupt file raises FormatError,
-and so does a file with bytes after its last entry.
+and so does a file with bytes after its last entry or a repeated entry.
 The experiment config is a ``section.key = value`` text file with a fixed
-key schema; unknown keys are rejected and the parsed values are echoed into
-the run directory for provenance.
+key schema; unknown and repeated keys are rejected and the parsed values
+are echoed into the run directory for provenance.
 """
 
 from __future__ import annotations
@@ -96,13 +96,16 @@ def save_checkpoint(path, fingerprint: str, state: dict):
 
 
 def load_checkpoint(path):
-    """Read (fingerprint, state); rejects a wrong magic or version, and
-    bytes after the last entry.
+    """Read (fingerprint, state); rejects an unreadable file, a wrong magic
+    or version, a repeated entry name and bytes after the last entry.
 
     The whole file is read into memory; ``size`` lets every read be checked
     against the bytes left, so a corrupt length is never allocated."""
-    with open(path, "rb") as raw:
-        data = raw.read()
+    try:
+        with open(path, "rb") as raw:
+            data = raw.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
     fh = io.BytesIO(data)
     fh.size = len(data)
     got = fh.read(len(CKPT_MAGIC))
@@ -115,6 +118,8 @@ def load_checkpoint(path):
     state = {}
     for _ in range(_read_uint(fh, 4)):
         name = _read_str(fh)
+        if name in state:
+            raise FormatError(f"entry '{name}' appears twice")
         state[name] = _read_array(fh)
     if fh.tell() != fh.size:
         raise FormatError(f"{fh.size - fh.tell()} bytes after the last entry")
@@ -158,6 +163,7 @@ class ExperimentConfig:
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
         cfg = cls()
+        seen = {}   # key -> line that set it
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -169,14 +175,22 @@ class ExperimentConfig:
             value = value.strip()
             if key not in _KEY_MAP:
                 raise ConfigError(f"line {lineno}: unknown key '{key}'")
+            if key in seen:
+                raise ConfigError(f"line {lineno}: key '{key}' is already set on line {seen[key]}")
+            seen[key] = lineno
             fname, tname = _KEY_MAP[key]
             setattr(cfg, fname, _convert(key, value, tname))
         return cfg
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
+        """:meth:`parse` of a UTF-8 file; an unreadable one is a ConfigError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.parse(text)
 
     def echo(self) -> str:
         """Canonical text rendering of every key (written for provenance)."""

@@ -261,14 +261,12 @@ class QLayer(Module):
     differ by float rounding only.
     """
 
-    def __init__(self, weight: np.ndarray, out_features: int, bits: int, bias: bool,
-                 gelu: bool = False):
+    def __init__(self, weight: np.ndarray, out_features: int, bits: int, gelu: bool = False):
         super().__init__()
         self.bits = bits
         self.gelu = gelu
         self.weight = self.register_param("weight", Tensor(weight))
-        self.bias = self.register_param("bias", Tensor(np.zeros(out_features, np.float32))) \
-            if bias else None
+        self.bias = self.register_param("bias", Tensor(np.zeros(out_features, np.float32)))
         self.aq = self.register_quantizer("aq", ActQuantizer(bits))
         self.wq = self.register_quantizer("wq", WeightQuantizer(bits))
         self.int_kernel = None       # set by packed.install_packed; forward then runs it
@@ -280,7 +278,7 @@ class QLayer(Module):
         if self.int_kernel is not None:
             out = Tensor(self.int_kernel(x))
         elif self.bits < 32 and ad.active_tape() is None:
-            out = Tensor(self.code_forward(x, act_quantize(self.weight, self.wq)))
+            out = Tensor(self.code_forward(x, act_quantize(self.weight.data, self.wq)))
         else:
             return None
         if self.gelu:
@@ -290,7 +288,8 @@ class QLayer(Module):
     def code_forward(self, x, w_codes: np.ndarray) -> np.ndarray:
         """``x`` (a Tensor or an array) through the layer from activation and
         weight codes, float32. A Tensor that carries the scan mark is
-        quantized without a second scan (see :mod:`qsci.quantize`).
+        quantized without a second scan, and one without it is marked (see
+        :mod:`qsci.quantize`).
 
         The codes are contracted exactly in the float type of
         :func:`~qsci.quantize.code_dtype`: every partial sum is an integer
@@ -307,19 +306,18 @@ class QLayer(Module):
         tape-free, the epilogue and GELU run once per accumulator value in
         each channel's [min, max] and every output is gathered by its
         accumulator (:func:`_gelu_by_accumulator`): the same bits, by
-        construction. A padded layer, a table that would hold more than a
-        quarter as many entries as the output (as at 8 bits), and any
-        forward under a tape run the epilogue and GELU on every output.
+        construction. A padded layer and a table that would hold more than a
+        quarter as many entries as the output (as at 8 bits) run the
+        epilogue and GELU on every output.
         """
         w_codes = w_codes.astype(self.code_dtype(), copy=False)
-        x_codes = act_quantize(x, self.aq, skip_scanned=True).astype(w_codes.dtype, copy=False)
+        x_codes = act_quantize(x, self.aq).astype(w_codes.dtype, copy=False)
         acc = self.contract(x_codes, w_codes)
         step = self._code_step()
         offset = self.correction(x.shape, w_codes).astype(np.float32, copy=False)
         offset *= np.float32(float(self.wq.alpha.data[0]) * float(self.aq.z.data[0]))
-        if self.bias is not None:
-            offset += self.bias.data.reshape((-1,) + (1,) * (offset.ndim - 1))
-        if self.gelu and offset.size == self.out_features and ad.active_tape() is None:
+        offset += self.bias.data.reshape((-1,) + (1,) * (offset.ndim - 1))
+        if self.gelu and offset.size == self.out_features:
             out = _gelu_by_accumulator(acc, step, offset)
             if out is not None:
                 return out
@@ -339,16 +337,13 @@ class QLayer(Module):
     def weight_count(self) -> int:
         return self.weight.size
 
-    def bias_count(self) -> int:
-        return 0 if self.bias is None else self.out_features
-
 
 class QConv3d(QLayer):
     """3-D convolution with one input activation quantizer and one weight
     quantizer; bias stays full precision. 32-bit disables quantization."""
 
     def __init__(self, rng, in_ch, out_ch, kernel, stride=(1, 1, 1), padding=(0, 0, 0),
-                 bits=32, bias=True, zero_init=False, gelu=False):
+                 bits=32, zero_init=False, gelu=False):
         self.in_ch = in_ch
         self.out_ch = self.out_features = out_ch
         self.kernel = tuple(kernel)
@@ -360,7 +355,7 @@ class QConv3d(QLayer):
             w = np.zeros(shape, dtype=np.float32)
         else:
             w = _he_weight(rng, shape, in_ch * kt * kh * kw)
-        super().__init__(w, out_ch, bits, bias, gelu)
+        super().__init__(w, out_ch, bits, gelu)
 
     def forward(self, x: Tensor) -> Tensor:
         out = self._untaped(x)
@@ -505,11 +500,11 @@ def _gelu_by_accumulator(acc, step, offset) -> Optional[np.ndarray]:
 class QLinear(QLayer):
     """Token-wise linear layer, weight stored [in, out], same quantizer pair."""
 
-    def __init__(self, rng, in_features, out_features, bits=32, bias=True):
+    def __init__(self, rng, in_features, out_features, bits=32):
         self.in_features = in_features
         self.out_features = out_features
         super().__init__(_he_weight(rng, (in_features, out_features), in_features),
-                         out_features, bits, bias)
+                         out_features, bits)
 
     def forward(self, x: Tensor) -> Tensor:
         out = self._untaped(x)
@@ -517,10 +512,7 @@ class QLinear(QLayer):
             return out
         xq = fake_quant(x, self.aq)
         wq = fake_quant(self.weight, self.wq)
-        out = ad.matmul(xq, wq)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return ad.matmul(xq, wq) + self.bias
 
     def contract(self, x_codes, w_codes):
         """[..., in] x [in, out] codes -> [..., out], one GEMM over every
@@ -599,7 +591,7 @@ class ShiftedAttention(Module):
         vh = self._split_heads(v, b, t)
         logits = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
                           1.0 / math.sqrt(self.head_dim))
-        probs = ad.softmax(logits, axis=-1)
+        probs = ad.softmax(logits)
         mixed = ad.matmul(fake_quant(probs, self.pq), vh)
         merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, t, c))
         return self.out_proj.forward(merged)
@@ -877,7 +869,7 @@ class QNet(Module):
                 "w_bits": layer.bits,
                 "a_bits": layer.bits,
                 "weight_params": layer.weight_count(),
-                "bias_params": layer.bias_count(),
+                "bias_params": layer.out_features,
                 "flops": 2 * macs,
             })
         return rows

@@ -17,13 +17,13 @@ with its input array. Calibration and the structural audit use it to see the
 data reaching a quantizer without any mode flag or per-forward record.
 
 A non-finite input raises NumericError: the clip would turn an infinity
-into a finite code. After the hook, ``fake_quant`` and the code-domain
-activation quantize (``act_quantize`` with ``skip_scanned``) scan only an
-input without the mark :attr:`~qsci.autodiff.Tensor.scanned`, which the op
-that made it sets. The code-domain quantize marks the activation it
-scanned, so an input of two layers is scanned once; ``fake_quant`` does
-not, as its input may be a parameter, which is written in place. A direct
-``act_quantize`` call, the weight quantize among them, always scans.
+into a finite code. After the hook, ``fake_quant`` scans only an input
+without the mark :attr:`~qsci.autodiff.Tensor.scanned`, which the op that
+made it sets, and leaves it unmarked, as its input may be a parameter,
+which is written in place. ``act_quantize`` goes by the input's type: a
+Tensor is scanned unless it carries the mark, and is marked once scanned,
+so an activation that feeds two layers is scanned once; an array, such as
+a weight's ``data``, is scanned on every call and never marked.
 """
 
 from __future__ import annotations
@@ -123,10 +123,6 @@ def _check_input(x: np.ndarray, what: str):
         raise NumericError(f"non-finite {what} passed to quantizer")
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
-
-
 def _run_hook(q: ActQuantizer, arr: np.ndarray):
     """Clear the quantizer's one-shot hook, then call it on ``arr``: the input
     of the fake_quant or act_quantize that reached the quantizer."""
@@ -153,17 +149,17 @@ def _codes(v: np.ndarray, bw: BitWidth, out=None) -> np.ndarray:
     return np.rint(out, out=out)
 
 
-def act_quantize(x, q: ActQuantizer, skip_scanned: bool = False) -> np.ndarray:
+def act_quantize(x, q: ActQuantizer) -> np.ndarray:
     """Integer codes round(clip((x - z)/alpha, -q_n, q_p)), half to even.
-    The input is scanned for non-finite values, except, with
-    ``skip_scanned``, a Tensor that carries the scan mark; a Tensor scanned
-    then is marked."""
-    arr = _as_array(x)
+    The input's type decides its scan for non-finite values: a Tensor that
+    carries the scan mark is not scanned, and one without it is scanned and
+    marked; an array is always scanned."""
+    tensor = isinstance(x, Tensor)
+    arr = x.data if tensor else np.asarray(x, dtype=np.float32)
     _run_hook(q, arr)
-    mark = skip_scanned and isinstance(x, Tensor)
-    if not (mark and x.scanned):
+    if not (tensor and x.scanned):
         _check_input(arr, "input")
-        if mark:
+        if tensor:
             x.mark_scanned()
     if q.bitwidth.passthrough:
         raise ConfigError("act_quantize on a pass-through quantizer")

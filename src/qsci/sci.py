@@ -11,7 +11,6 @@ desk-scale training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -170,11 +169,8 @@ def _smooth_background(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     return (0.1 + 0.35 * tex).astype(np.float32)
 
 
-def render_clip(shapes: list, t: int, h: int, w: int,
-                background: Optional[np.ndarray] = None) -> VideoClip:
-    """Composite shapes over a background for t frames, alpha-blended."""
-    if background is None:
-        background = np.zeros((h, w), dtype=np.float32)
+def render_clip(shapes: list, t: int, h: int, w: int, background: np.ndarray) -> VideoClip:
+    """Composite shapes over an [h, w] background for t frames, alpha-blended."""
     frames = np.empty((t, h, w), dtype=np.float32)
     for ti in range(t):
         frame = background.copy()
@@ -185,12 +181,12 @@ def render_clip(shapes: list, t: int, h: int, w: int,
     return VideoClip(frames=frames)
 
 
-def synth_video(seed: int, t: int, h: int, w: int, n_objects: int = 3) -> VideoClip:
-    """Deterministic moving-shape clip; n_objects=0 gives a static clip."""
+def synth_video(seed: int, t: int, h: int, w: int) -> VideoClip:
+    """Deterministic clip of three moving shapes over a smooth background."""
     rng = np.random.default_rng(seed)
     background = _smooth_background(rng, h, w)
     shapes = []
-    for _ in range(n_objects):
+    for _ in range(3):
         kind = "disk" if rng.random() < 0.5 else "rect"
         size = float(rng.uniform(0.08, 0.2) * min(h, w))
         center = (float(rng.uniform(size, w - size)), float(rng.uniform(size, h - size)))

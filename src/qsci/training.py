@@ -40,12 +40,11 @@ class Adam:
     """Standard Adam with bias correction; optional per-parameter positive
     floors applied after each step (used for quantizer scales)."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8, floors=()):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, floors=()):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -53,7 +52,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for i, p in enumerate(self.params):
@@ -64,7 +63,7 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            p.data = (p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(np.float32)
+            p.data = (p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)).astype(np.float32)
         for p, floor in self.floors:
             p.data = np.maximum(p.data, np.float32(floor))
 
@@ -101,6 +100,8 @@ SCALE_RANGE = (0.75, 1.25)
 # seed offsets of the mask set and of the held-out clips from the data seed
 MASK_SEED_OFFSET = 99_000
 HOLDOUT_SEED_OFFSET = 50_000
+
+EVAL_BATCH = 8   # held-out clips per forward of evaluate_psnr
 
 
 def _apply_flips(frames: np.ndarray, do_h: bool, do_v: bool) -> np.ndarray:
@@ -157,14 +158,14 @@ def make_synth_dataset(seed: int, n_train: int, n_holdout: int, t: int,
     return Dataset(train_clips=train, holdout_clips=hold, masks=masks)
 
 
-def evaluate_psnr(net: QNet, dataset: Dataset, batch_size: int = 8) -> float:
+def evaluate_psnr(net: QNet, dataset: Dataset) -> float:
     """Mean held-out PSNR of noiseless reconstructions (batched forwards)."""
     clips = dataset.holdout_clips
     if not clips:
         return float("nan")
     vals = []
-    for start in range(0, len(clips), batch_size):
-        chunk = clips[start:start + batch_size]
+    for start in range(0, len(clips), EVAL_BATCH):
+        chunk = clips[start:start + EVAL_BATCH]
         stacks, gts = _batch_stacks(chunk, dataset.masks, 0.0, 0)
         out = net.forward_stack(Tensor(stacks)).data
         vals.extend(psnr(out[i], gts[i]) for i in range(len(chunk)))

@@ -1,6 +1,6 @@
 """CLI behaviour: malformed containers and data dirs, a file of the wrong
-kind and an entry of the wrong dtype end in exit code 3, a malformed
-``QSCI_THREADS`` in exit code 2, ``train``, ``eval``, ``pack``,
+kind, an entry of the wrong dtype and a missing checkpoint end in exit code
+3, a missing config and a malformed ``QSCI_THREADS`` in exit code 2, ``train``, ``eval``, ``pack``,
 ``infer-int`` and ``ablate`` reruns are byte-identical, threaded ``eval``
 and ``infer-int`` match serial runs, ``eval`` and ``infer-int`` report the
 same PSNR, every ``ablate`` row is ``eval`` of its checkpoint and each
@@ -169,6 +169,38 @@ class TestCorruptContainers:
         assert rc == 2, err
         assert f"'{fingerprint + suffix}'" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestMissingInput:
+    """A named input file that cannot be read ends in an exit code, 3 for a
+    checkpoint or pack and 2 for a config, and nothing is written."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["eval", "--ckpt", "missing.qsc", "--data", "data", "--out", "out"], 3),
+        (["infer-int", "--packed", "missing.pack", "--data", "data", "--out", "out"], 3),
+        (["pack", "--ckpt", "missing.qsc", "--out", "out.pack"], 3),
+        (["report", "--ckpt", "missing.qsc", "--out", "report.csv"], 3),
+        (["train", "--config", "q4.cfg", "--init", "missing.qsc"], 3),
+        (["train", "--config", "missing.cfg"], 2),
+        (["ablate", "--config", "missing.cfg"], 2),
+    ], ids=["eval", "infer-int", "pack", "report", "train-init", "train-config",
+            "ablate-config"])
+    def test_missing_file_exits_with_its_code(self, work, tmp_path, argv, code):
+        (tmp_path / "data").symlink_to(work / "data")
+        (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),
+                                         encoding="ascii")
+        rc, err = run("--workdir", tmp_path, *argv)
+        assert rc == code, err
+        assert err.startswith("error:") and "missing." in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "q4.cfg"]
+
+    def test_quantized_train_without_init_writes_nothing(self, tmp_path):
+        (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),
+                                         encoding="ascii")
+        rc, err = run("--workdir", tmp_path, "train", "--config", "q4.cfg")
+        assert rc == 2, err
+        assert err.startswith("error:") and "--init" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestDataValidation:

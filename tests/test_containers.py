@@ -1,9 +1,11 @@
-"""The binary container rejects bytes after its last entry; the plain-text
-experiment config: comments, key and value errors, and the echo that a run
-directory records."""
+"""The binary container rejects bytes after its last entry and a repeated
+entry; the plain-text experiment config: comments, key and value errors, a
+repeated key, an unreadable file, and the echo that a run directory
+records."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from qsci.containers import ExperimentConfig, load_checkpoint, save_checkpoint
@@ -27,6 +29,16 @@ def test_appended_bytes_are_a_format_error(tmp_path, suffix, reader, tail):
         reader(path)
 
 
+def test_repeated_entry_is_a_format_error(tmp_path):
+    path = tmp_path / "twice.qsc"
+    save_checkpoint(path, "fp", {"x.bias": np.float32([1.0]), "y.bias": np.float32([2.0])})
+    data = path.read_bytes()
+    assert data.count(b"y.bias") == 1
+    path.write_bytes(data.replace(b"y.bias", b"x.bias"))
+    with pytest.raises(FormatError, match="entry 'x.bias' appears twice"):
+        load_checkpoint(path)
+
+
 def test_comments_and_blank_lines_are_skipped():
     cfg = ExperimentConfig.parse(
         "# a whole-line comment\n"
@@ -45,6 +57,18 @@ def test_empty_text_is_the_default_config():
 def test_unknown_key_names_its_line():
     with pytest.raises(ConfigError, match="line 3: unknown key 'net.width'"):
         ExperimentConfig.parse("net.cr = 2\n\nnet.width = 8\n")
+
+
+def test_repeated_key_names_both_lines():
+    with pytest.raises(ConfigError, match="line 3: key 'train.seed' is already set on line 1"):
+        ExperimentConfig.parse("train.seed = 1\nnet.cr = 2\ntrain.seed = 2\n")
+
+
+def test_unreadable_file_is_a_config_error(tmp_path):
+    (tmp_path / "latin1.cfg").write_bytes("out.dir = caf\xe9\n".encode("latin-1"))
+    for name in ("missing.cfg", "latin1.cfg"):
+        with pytest.raises(ConfigError, match=f"cannot read config .*{name}"):
+            ExperimentConfig.load(tmp_path / name)
 
 
 def test_line_without_equals_names_its_line():

@@ -267,9 +267,8 @@ class TestFakeQuant:
 
 class TestScanOnce:
     """A quantizer scans only an input without the scan mark, after its
-    hook. The code-domain quantize marks the activation it scanned;
-    ``fake_quant`` leaves its input, perhaps a parameter, unmarked. A direct
-    act_quantize call always scans."""
+    hook. ``act_quantize`` marks a Tensor it scanned; ``fake_quant`` leaves
+    its input, perhaps a parameter, unmarked. An array is always scanned."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -279,7 +278,7 @@ class TestScanOnce:
         return scanned
 
     QUANTIZERS = pytest.mark.parametrize("quantize", [
-        fake_quant, lambda x, q: act_quantize(x, q, skip_scanned=True)],
+        fake_quant, act_quantize],
         ids=["fake_quant", "code-domain"])
 
     @QUANTIZERS
@@ -290,7 +289,7 @@ class TestScanOnce:
         assert not any(a is x.data for a in scanned)
 
     @pytest.mark.parametrize("quantize,scans", [
-        (fake_quant, 2), (lambda x, q: act_quantize(x, q, skip_scanned=True), 1)],
+        (fake_quant, 2), (act_quantize, 1)],
         ids=["fake_quant", "code-domain"])
     def test_unmarked_input_scanned(self, monkeypatch, quantize, scans):
         x = Tensor(np.linspace(-1, 1, 12, dtype=np.float32))
@@ -301,11 +300,13 @@ class TestScanOnce:
         assert sum(a is x.data for a in scanned) == scans
         assert x.scanned == (scans == 1)
 
-    def test_direct_act_quantize_always_scans(self, monkeypatch):
-        x = ad.scale(Tensor(np.linspace(-1, 1, 12, dtype=np.float32)), 1.0)
+    def test_array_always_scanned(self, monkeypatch):
+        x = np.linspace(-1, 1, 12, dtype=np.float32)
+        q = make_act(4, 0.2)
         scanned = self.spy(monkeypatch)
-        act_quantize(x, make_act(4, 0.2))
-        assert sum(a is x.data for a in scanned) == 1
+        act_quantize(x, q)
+        act_quantize(x, q)
+        assert sum(a is x for a in scanned) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @QUANTIZERS
@@ -362,7 +363,7 @@ class TestQLinear:
 
     @staticmethod
     def q_linear(x, w, aq, wq):
-        module = QLinear(np.random.default_rng(0), *w.shape, bits=wq.bitwidth.bits, bias=False)
+        module = QLinear(np.random.default_rng(0), *w.shape, bits=wq.bitwidth.bits)  # bias 0
         module.aq, module.wq = aq, wq
         layer = PackedLayer(name="linear", kind="linear", bits=wq.bitwidth.bits, shape=w.shape,
                             words=pack_weights(act_quantize(w, wq), wq.bitwidth.bits))

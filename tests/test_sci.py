@@ -144,10 +144,11 @@ class TestSynthVideo:
         b = synth_video(11, 4, 16, 16).frames
         np.testing.assert_array_equal(a, b)
 
-    def test_no_objects_static(self):
-        clip = synth_video(12, 5, 16, 16, n_objects=0)
-        for t in range(1, 5):
-            np.testing.assert_array_equal(clip.frames[t], clip.frames[0])
+    def test_no_shapes_repeat_the_background(self):
+        background = np.linspace(0.0, 1.0, 48, dtype=np.float32).reshape(6, 8)
+        clip = render_clip([], t=3, h=6, w=8, background=background)
+        for t in range(3):
+            np.testing.assert_array_equal(clip.frames[t], background)
 
     def test_value_range(self):
         clip = synth_video(13, 4, 32, 32)
@@ -158,7 +159,7 @@ class TestSynthVideo:
         # the intensity-weighted column centroid advances 1 px per frame
         shape = MovingShape(kind="disk", center=(10.0, 16.0), velocity=(1.0, 0.0),
                             size=4.0, intensity=1.0)
-        clip = render_clip([shape], t=6, h=32, w=32)
+        clip = render_clip([shape], t=6, h=32, w=32, background=np.zeros((32, 32), np.float32))
         cols = np.arange(32, dtype=np.float64)
         centroids = []
         for t in range(6):
@@ -170,6 +171,6 @@ class TestSynthVideo:
     def test_rect_shape_renders(self):
         shape = MovingShape(kind="rect", center=(8.0, 8.0), velocity=(0.0, 0.0),
                             size=3.0, intensity=1.0, aspect=1.0)
-        clip = render_clip([shape], t=1, h=16, w=16)
+        clip = render_clip([shape], t=1, h=16, w=16, background=np.zeros((16, 16), np.float32))
         assert clip.frames[0, 8, 8] == pytest.approx(1.0)
         assert clip.frames[0, 0, 0] == 0.0

@@ -1,5 +1,6 @@
 """Every function, class and method the package defines has a user that is
-not a test: the package itself or the benchmark harness."""
+not a test (the package itself or the benchmark harness), and such a user
+passes each parameter that has a default some other value."""
 
 import ast
 import re
@@ -34,3 +35,92 @@ def test_no_src_name_is_reached_only_from_tests():
             if not re.search(rf"(?<!def )(?<!class )\b{re.escape(name)}\b", rest):
                 unused.append(f"{path.name}:{first} {name}")
     assert not unused, f"defined in src/ but used by no command: {unused}"
+
+
+def _defaulted_params(tree):
+    """(key, label, index, name, default) of every parameter with a default,
+    nested functions included: ``key`` is the name a call uses (the class
+    name for ``__init__``) and ``index`` the parameter's position among a
+    call's arguments (None for a keyword-only one), after ``self``/``cls``
+    for a method."""
+    owners = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(id(fn))
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        key = owner if fn.name == "__init__" else fn.name
+        label = key if fn.name == "__init__" or not owner else f"{owner}.{fn.name}"
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if owner and not static else 0
+        first = len(positional) - len(args.defaults)
+        for i, (a, d) in enumerate(zip(positional[first:], args.defaults), start=first):
+            yield key, label, i - skip, a.arg, d
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield key, label, None, a.arg, d
+
+
+def _calls(tree):
+    """(key, call) of every call: the key is the called name, or, for
+    ``super().__init__`` inside a class, the name of each base class."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    supers = {id(call): [b.id for b in cls.bases if isinstance(b, ast.Name)]
+              for cls in classes for call in ast.walk(cls)
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+              and call.func.attr == "__init__" and isinstance(call.func.value, ast.Call)
+              and getattr(call.func.value.func, "id", None) == "super"}
+    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        if id(call) in supers:
+            for base in supers[id(call)]:
+                yield base, call
+        elif isinstance(call.func, ast.Name):
+            yield call.func.id, call
+        elif isinstance(call.func, ast.Attribute):
+            yield call.func.attr, call
+
+
+def _literal(node):
+    """(True, value) of a literal expression, else (False, None)."""
+    try:
+        return True, ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False, None
+
+
+def _sets(call, index, name, default) -> bool:
+    """Whether ``call`` passes the parameter something other than the
+    default's literal; ``*args`` and ``**kwargs`` count as setting it."""
+    passed = [k.value for k in call.keywords if k.arg == name]
+    if any(k.arg is None for k in call.keywords):
+        return True
+    if index is not None:
+        for i, a in enumerate(call.args):
+            if isinstance(a, ast.Starred) and i <= index:
+                return True
+            if i == index:
+                passed.append(a)
+    is_literal, value = _literal(default)
+    return any(not (is_literal and _literal(a) == (True, value)) for a in passed)
+
+
+def test_every_src_default_is_overridden_by_a_command():
+    """A ``src/`` parameter with a default must be passed something other
+    than that default, by a call in ``src/`` or in a non-test
+    ``perfbench/*.py``; else the default is the only value any command uses
+    and the parameter is a constant. The check is textual: calls match by
+    the called name (for ``__init__``, the class name or ``super().__init__``
+    inside a subclass), so a call to another function or method of the same
+    name counts, and an argument counts unless it is the default's literal."""
+    src = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qsci").rglob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    calls = {}
+    for tree in src + bench:
+        for key, call in _calls(tree):
+            calls.setdefault(key, []).append(call)
+    constant = [f"{label}.{name}" for tree in src
+                for key, label, index, name, default in _defaulted_params(tree)
+                if not any(_sets(c, index, name, default) for c in calls.get(key, ()))]
+    assert not constant, f"parameters no command sets off their default: {constant}"

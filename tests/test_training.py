@@ -9,21 +9,22 @@ from qsci.errors import ConfigError
 from qsci.evaluation import psnr
 from qsci.network import QNet, make_variant
 from qsci.sci import encode, generate_masks, synth_video
-from qsci.training import (HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, Adam, TrainConfig, augment,
-                           evaluate_psnr, make_synth_dataset, mse_loss, train)
+from qsci.training import (EVAL_BATCH, HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, Adam, TrainConfig,
+                           augment, evaluate_psnr, make_synth_dataset, mse_loss, train)
 
 TINY = dict(base_channels=8, resdnet_blocks=1, cformer_per_block=1, heads=2, cr=2)
 
 
 class TestAdam:
     def test_step_matches_hand_formula_with_floors(self):
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        lr, eps = 0.01, 1e-8
+        assert (Adam.BETA1, Adam.BETA2, Adam.EPS) == (0.9, 0.999, eps)
         w = Tensor(np.float32([0.5, -1.0, 2.0]), requires_grad=True)
         scale = Tensor(np.float32([0.004]), requires_grad=True)
         g_w = np.float32([0.2, -0.4, 0.0])
         w.grad, scale.grad = g_w.copy(), np.float32([3.0])
         w0, s0 = w.data.copy(), scale.data.copy()
-        opt = Adam([w, scale], lr, b1, b2, eps, floors=[(scale, 0.001)])
+        opt = Adam([w, scale], lr, floors=[(scale, 0.001)])
         opt.step()
         # t = 1: m_hat = g, v_hat = g^2
         expect_w = w0 - lr * g_w / (np.sqrt(np.float64(g_w) ** 2) + eps)
@@ -70,13 +71,12 @@ class TestDataset:
 
 class TestEvaluatePsnr:
     def test_equals_mean_per_clip_psnr(self):
-        ds = make_synth_dataset(2, n_train=1, n_holdout=3, t=2, train_hw=8, crop=8)
+        ds = make_synth_dataset(2, n_train=1, n_holdout=EVAL_BATCH + 1, t=2, train_hw=8, crop=8)
         net = QNet(make_variant("fp32", **TINY), seed=0)
         per_clip = [psnr(net.reconstruct(encode(c, ds.masks), ds.masks).frames, c.frames)
                     for c in ds.holdout_clips]
-        # batches of 2 and 1 clips against one clip per forward
-        assert evaluate_psnr(net, ds, batch_size=2) == pytest.approx(np.mean(per_clip),
-                                                                     rel=1e-9)
+        # a full batch and a batch of one clip against one clip per forward
+        assert evaluate_psnr(net, ds) == pytest.approx(np.mean(per_clip), rel=1e-9)
 
     def test_no_holdout_is_nan(self):
         ds = make_synth_dataset(2, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
