@@ -550,9 +550,9 @@ def sample_patches(x: np.ndarray, kshape, stride, padding):
         yield flat
 
 
-def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
-           stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
-    """Cross-correlation of [N,C,T,H,W] input with [O,C,kt,kh,kw] kernels.
+def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
+    """Cross-correlation of [N,C,T,H,W] input with [O,C,kt,kh,kw] kernels,
+    plus a per-output-channel ``bias``.
 
     Each sample is one GEMM against its patch matrix (:func:`sample_patches`;
     for an unpadded 1x1x1 unit-stride kernel, a view of the input). The tape
@@ -583,10 +583,8 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         for i, patches_i in enumerate(sample_patches(x.data, *geometry)):
             np.matmul(w2, patches_i, out=out[i])
     out = out.reshape(n, o, to, ho, wo)
-    if bias is not None:
-        out += bias.data.reshape(1, o, 1, 1, 1)
+    out += bias.data.reshape(1, o, 1, 1, 1)
 
-    inputs = (x, w) if bias is None else (x, w, bias)
     # the input gradient of a unit-stride conv is itself a conv of the
     # (re-padded) output gradient with the channel-transposed flipped kernel,
     # which beats the scatter-add path when o <= c
@@ -616,11 +614,9 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             for k, dst, src in tap_windows(x.shape[2:], (kt, kh, kw), stride, padding,
                                             (to, ho, wo)):
                 dx[(...,) + src] += dpatch[:, :, k][(...,) + dst]
-        if bias is None:
-            return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3, 4))
 
-    return _finish(out, inputs, bwd, "conv3d")
+    return _finish(out, (x, w, bias), bwd, "conv3d")
 
 
 # ---------------------------------------------------------------------------

@@ -174,11 +174,10 @@ def cmd_train(args, workdir: Path) -> int:
             "quantized variant requires --init pointing at a full-precision "
             "checkpoint with identical geometry"
         )
+    result = train(_train_config(cfg), netcfg, _dataset(cfg), init_state, init_geometry)
     out = _resolve(workdir, cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
-
-    result = train(_train_config(cfg), netcfg, _dataset(cfg), init_state, init_geometry)
     save_checkpoint(out / "checkpoint.qsc", result.fingerprint, result.state)
     _write_loss_csv(out / "loss.csv", result.curve)
     print(f"trained {netcfg.fingerprint()} -> {out / 'checkpoint.qsc'} "

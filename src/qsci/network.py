@@ -10,11 +10,13 @@ frames with an upsampling conv stack (again optionally shortcut-bridged) and
 clamps the output to [0, 1].
 
 Every weight-bearing layer in the body carries one activation quantizer and
-one weight quantizer at its assigned bit-width; a 32-bit assignment disables
-quantization for that layer. Under a tape, a quantized layer runs fake-quant
-values through the float contraction, which training differentiates; without
-one (evaluation, calibration, a packed model) it computes the same layer in
-the code domain, an exact contraction of integer codes (see
+one weight quantizer at its assigned bit-width; a 32-bit quantizer is the
+identity. Under a tape, every layer runs fake-quant values through the float
+contraction of :func:`~qsci.autodiff.conv3d` or
+:func:`~qsci.autodiff.matmul`, which training differentiates; without one
+(evaluation, calibration, the audit, a packed model) every layer, 32-bit
+ones included, runs the code-domain forward: an exact contraction of integer
+codes, or at 32 bits a float32 contraction of the float values (see
 :class:`QLayer`). A forward writes nothing to the modules:
 calibration and the structural audit see the data reaching each quantizer
 through its one-shot ``on_next`` hook (see :mod:`qsci.quantize`).
@@ -249,16 +251,17 @@ def _he_weight(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class QLayer(Module):
     """What :class:`QConv3d` and :class:`QLinear` share: a weight with one
     weight quantizer, one input activation quantizer, a full-precision bias,
-    all at ``bits`` (32 disables quantization), an optional GELU on the
-    output, and the code-domain forward.
+    all at ``bits`` (at 32 the quantizers are the identity), an optional
+    GELU on the output, and the code-domain forward.
 
-    A sub-32-bit layer runs without a tape in the code domain
+    Without a tape every layer runs in the code domain
     (:meth:`code_forward`): on its installed integer kernel if it has one,
-    else on the codes of its float weight. Under a tape it runs
-    ``fake_quant`` on input and weight, the float contraction and, with
-    ``gelu`` set, :func:`~qsci.autodiff.gelu`, which training
-    differentiates. The two forwards are equal in exact arithmetic and
-    differ by float rounding only.
+    else on the codes of its float weight; a 32-bit layer's codes are its
+    float values. Under a tape it runs ``fake_quant`` on input and weight,
+    the float contraction and, with ``gelu`` set,
+    :func:`~qsci.autodiff.gelu`, which training differentiates. The two
+    forwards are equal in exact arithmetic and differ by float rounding
+    only.
     """
 
     def __init__(self, weight: np.ndarray, out_features: int, bits: int, gelu: bool = False):
@@ -272,12 +275,12 @@ class QLayer(Module):
         self.int_kernel = None       # set by packed.install_packed; forward then runs it
 
     def _untaped(self, x: Tensor) -> Optional[Tensor]:
-        """The forward in the code domain, or None where the fake-quant
-        forward runs: under a tape, or at 32 bits. A GELU layer's output is
-        marked as scanned: ``gelu`` scanned it, or the table it came from."""
+        """The forward in the code domain, or None under a tape, where the
+        fake-quant forward runs. A GELU layer's output is marked as scanned:
+        ``gelu`` scanned it, or the table it came from."""
         if self.int_kernel is not None:
             out = Tensor(self.int_kernel(x))
-        elif self.bits < 32 and ad.active_tape() is None:
+        elif ad.active_tape() is None:
             out = Tensor(self.code_forward(x, act_quantize(self.weight.data, self.wq)))
         else:
             return None
@@ -298,15 +301,19 @@ class QLayer(Module):
         x = alpha_x * x_code + z and w = alpha_w * w_code, the float32
         epilogue is then ``fl(fl(acc*s) + off)``, with ``s = alpha_x*alpha_w``
         and ``off = alpha_w*z*corr + bias``, where ``corr`` sums the weight
-        codes over the taps that meet each output.
+        codes over the taps that meet each output. A 32-bit layer takes the
+        same steps on its float values with alpha = 1 and z = 0, so its
+        output is the float32 contraction plus the bias; that contraction
+        rounds, and its grouping decides the last bits.
 
         A GELU layer then runs :func:`~qsci.autodiff.gelu` on that. Where
-        ``off`` is one value per channel (an unpadded layer), an output is a
-        function of its channel and its integer accumulator alone, so,
-        tape-free, the epilogue and GELU run once per accumulator value in
-        each channel's [min, max] and every output is gathered by its
-        accumulator (:func:`_gelu_by_accumulator`): the same bits, by
-        construction. A padded layer and a table that would hold more than a
+        the accumulators are integers (below 32 bits) and ``off`` is one
+        value per channel (an unpadded layer), an output is a function of
+        its channel and its accumulator alone, so the epilogue and GELU run
+        once per accumulator value in each channel's [min, max] and every
+        output is gathered by its accumulator
+        (:func:`_gelu_by_accumulator`): the same bits, by construction. A
+        32-bit layer, a padded layer and a table that would hold more than a
         quarter as many entries as the output (as at 8 bits) run the
         epilogue and GELU on every output.
         """
@@ -317,7 +324,7 @@ class QLayer(Module):
         offset = self.correction(x.shape, w_codes).astype(np.float32, copy=False)
         offset *= np.float32(float(self.wq.alpha.data[0]) * float(self.aq.z.data[0]))
         offset += self.bias.data.reshape((-1,) + (1,) * (offset.ndim - 1))
-        if self.gelu and offset.size == self.out_features:
+        if self.gelu and self.bits < 32 and offset.size == self.out_features:
             out = _gelu_by_accumulator(acc, step, offset)
             if out is not None:
                 return out
@@ -331,7 +338,8 @@ class QLayer(Module):
         return np.float32(float(self.aq.alpha.data[0]) * float(self.wq.alpha.data[0]))
 
     def code_dtype(self):
-        """The float type in which this layer's code contraction is exact."""
+        """The float type in which this layer's code contraction is exact;
+        float32 at 32 bits, where the contraction rounds."""
         return code_dtype(self.weight_count() // self.out_features, self.bits)
 
     def weight_count(self) -> int:
@@ -340,7 +348,8 @@ class QLayer(Module):
 
 class QConv3d(QLayer):
     """3-D convolution with one input activation quantizer and one weight
-    quantizer; bias stays full precision. 32-bit disables quantization."""
+    quantizer; bias stays full precision. A 32-bit quantizer is the
+    identity."""
 
     def __init__(self, rng, in_ch, out_ch, kernel, stride=(1, 1, 1), padding=(0, 0, 0),
                  bits=32, zero_init=False, gelu=False):
@@ -386,10 +395,13 @@ class QConv3d(QLayer):
           only padding adds nothing. A tap that covers every output frame
           writes first, else the output starts from zeros.
 
-        Regrouping the sum is exact: every partial sum of a code contraction
-        is an integer whose magnitude the dtype bound of
+        Regrouping the sum is exact for codes: every partial sum of a code
+        contraction is an integer whose magnitude the dtype bound of
         :func:`~qsci.quantize.code_dtype` keeps exactly representable, so the
-        result equals one 27-tap GEMM, bit for bit.
+        result equals one 27-tap GEMM, bit for bit. For the float values of
+        a 32-bit layer it is a rounding: each route sums in its own order,
+        so the result is within float32 summation error of that GEMM, not
+        equal to it.
         """
         n, o, to, ho, wo = conv3d_output_shape(x_codes.shape, self.weight.shape,
                                                self.stride, self.padding)

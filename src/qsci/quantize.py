@@ -9,7 +9,8 @@ to real values. ``fake_quant`` is the tape-recorded quantize-then-dequantize
 used during training: its input gradient passes through where the pre-clip
 value lies inside the clip range and is zero outside, and the
 scale/zero-point gradients treat the rounding as identity (clipped elements
-contribute the saturated code instead).
+contribute the saturated code instead). A 32-bit quantizer is the
+identity: both ``fake_quant`` and ``act_quantize`` return their input.
 
 Each quantizer can carry a one-shot hook, ``on_next``: the next
 ``fake_quant`` or ``act_quantize`` through it clears the hook and calls it
@@ -153,7 +154,9 @@ def act_quantize(x, q: ActQuantizer) -> np.ndarray:
     """Integer codes round(clip((x - z)/alpha, -q_n, q_p)), half to even.
     The input's type decides its scan for non-finite values: a Tensor that
     carries the scan mark is not scanned, and one without it is scanned and
-    marked; an array is always scanned."""
+    marked; an array is always scanned. A 32-bit quantizer is the identity:
+    after the hook and the scan it returns the input array itself, as
+    float32, so a 32-bit layer's "codes" are its float values."""
     tensor = isinstance(x, Tensor)
     arr = x.data if tensor else np.asarray(x, dtype=np.float32)
     _run_hook(q, arr)
@@ -162,7 +165,7 @@ def act_quantize(x, q: ActQuantizer) -> np.ndarray:
         if tensor:
             x.mark_scanned()
     if q.bitwidth.passthrough:
-        raise ConfigError("act_quantize on a pass-through quantizer")
+        return arr
     v = _pre_clip(arr, float(q.alpha.data[0]), float(q.z.data[0]))
     return _codes(v, q.bitwidth, out=v)
 
@@ -172,7 +175,11 @@ def code_dtype(k: int, bits: int):
     every integer up to k * 2^(bits-1) * 2^(bits-1), the worst-case
     |accumulator| of k products of two bits-wide codes. A code contraction in
     that type is therefore exact in any summation order. A contraction that
-    neither holds is a ConfigError."""
+    neither holds is a ConfigError. At 32 bits the operands are the float32
+    values themselves (:func:`act_quantize` is the identity there), so the
+    type is float32 and the contraction rounds as any float32 sum does."""
+    if bits == 32:
+        return np.float32
     bound = k << (2 * bits - 2)
     for dtype, limit in _EXACT_FLOATS:
         if bound < limit:

@@ -16,6 +16,11 @@ from qsci.network import QConv3d
 from qsci.quantize import ActQuantizer, fake_quant
 
 
+def zero_bias(w) -> Tensor:
+    """A zero bias for the output channels of conv weight ``w``."""
+    return Tensor(np.zeros(w.shape[0], np.float32))
+
+
 def loop_conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0)):
     """Nested-loop cross-correlation oracle (independent of the GEMM path)."""
     n, c, t, h, wd = x.shape
@@ -93,7 +98,7 @@ class TestConv3d:
     def test_scalar_product(self):
         x = Tensor(np.full((1, 1, 1, 1, 1), 3.0, np.float32))
         w = Tensor(np.full((1, 1, 1, 1, 1), 2.0, np.float32))
-        out = ad.conv3d(x, w)
+        out = ad.conv3d(x, w, zero_bias(w))
         assert out.data.reshape(()) == pytest.approx(6.0)
 
     def test_identity_kernel(self):
@@ -101,14 +106,14 @@ class TestConv3d:
         x = Tensor(rng.random((1, 1, 3, 5, 5)).astype(np.float32))
         w = np.zeros((1, 1, 3, 3, 3), np.float32)
         w[0, 0, 1, 1, 1] = 1.0
-        out = ad.conv3d(x, Tensor(w), padding=(1, 1, 1))
+        out = ad.conv3d(x, Tensor(w), zero_bias(w), padding=(1, 1, 1))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 3, 4, 4)).astype(np.float32)
         w = rng.standard_normal((2, 2, 1, 3, 3)).astype(np.float32)
-        out = ad.conv3d(Tensor(x), Tensor(w))
+        out = ad.conv3d(Tensor(x), Tensor(w), zero_bias(w))
         np.testing.assert_allclose(out.data, loop_conv3d(x, w), atol=1e-5)
 
     @pytest.mark.parametrize("stride,padding", [((1, 2, 2), (1, 1, 1)), ((2, 1, 1), (0, 1, 1))])
@@ -116,7 +121,7 @@ class TestConv3d:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 4, 6, 6)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3, 3)).astype(np.float32)
-        out = ad.conv3d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        out = ad.conv3d(Tensor(x), Tensor(w), zero_bias(w), stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, loop_conv3d(x, w, stride, padding),
                                    atol=1e-4, rtol=1e-5)
 
@@ -133,13 +138,13 @@ class TestConv3d:
         x = Tensor(np.zeros((1, 3, 2, 2, 2), np.float32))
         w = Tensor(np.zeros((1, 2, 1, 1, 1), np.float32))
         with pytest.raises(ShapeError, match="channel"):
-            ad.conv3d(x, w)
+            ad.conv3d(x, w, zero_bias(w))
 
     def test_kernel_too_large_names_axis(self):
         x = Tensor(np.zeros((1, 1, 2, 2, 2), np.float32))
         w = Tensor(np.zeros((1, 1, 3, 1, 1), np.float32))
         with pytest.raises(ShapeError, match="temporal"):
-            ad.conv3d(x, w)
+            ad.conv3d(x, w, zero_bias(w))
 
 
 class TestPointwiseConv:
@@ -254,7 +259,8 @@ class TestTapeFootprint:
         n, c, o = 4, 4, 4
         x = Tensor(rng.standard_normal((n, c, 4, 8, 8)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((o, c, 3, 3, 3)).astype(np.float32), requires_grad=True)
-        out, held = self.held_after(lambda: ad.conv3d(x, w, padding=(1, 1, 1)))
+        b = zero_bias(w)
+        out, held = self.held_after(lambda: ad.conv3d(x, w, b, padding=(1, 1, 1)))
         # [N, C*27, P] with P = T*H*W at unit stride and padding 1
         assert held - out.data.nbytes < 27 * x.data.nbytes
 
@@ -279,13 +285,17 @@ class TestTapeFootprint:
         w = Tensor(rng.standard_normal((self.C, self.C, 3, 3, 3)).astype(np.float32),
                    requires_grad=True)
 
+        b = zero_bias(w)
+
         def forward():
             with Tape():
-                return ad.conv3d(x, w, padding=(1, 1, 1))
+                return ad.conv3d(x, w, b, padding=(1, 1, 1))
 
         out, peak = self.peak_of(forward)
         one_patch_matrix = self.C * 27 * out.data[0, 0].nbytes
-        assert peak - out.data.nbytes - one_patch_matrix < self.PADDED // 2
+        # numpy buffers the broadcast in-place bias add, at most getbufsize() elements
+        bias_buffer = min(out.data.size, np.getbufsize()) * out.data.itemsize
+        assert peak - out.data.nbytes - one_patch_matrix - bias_buffer < self.PADDED // 2
 
     def test_code_contraction_pads_no_copy_of_the_batch(self):
         rng = np.random.default_rng(26)
@@ -665,7 +675,7 @@ class TestBackwardBasics:
         gc.disable()
         try:
             with Tape():
-                hidden = ad.conv3d(x, w)
+                hidden = ad.conv3d(x, w, zero_bias(w))
                 act = ad.gelu(hidden)
                 unused = ad.scale(hidden, 2.0)    # recorded, reached by no gradient
                 loss = reference_impl.sum_(act * act)
@@ -757,14 +767,15 @@ class TestFiniteDifferences:
     def test_conv3d_strided_padded(self):
         x = self._rand((1, 2, 3, 4, 4))
         w = self._rand((2, 2, 3, 3, 3), scale=0.5)
-        fd_check(lambda: weighted(ad.conv3d(x, w, stride=(1, 2, 2), padding=(1, 1, 1)),
+        fd_check(lambda: weighted(ad.conv3d(x, w, zero_bias(w), stride=(1, 2, 2),
+                                            padding=(1, 1, 1)),
                                   np.random.default_rng(12)), [x, w])
 
     def test_conv3d_dx_as_conv_route(self):
         # o <= c and unit stride exercises the transposed-conv backward
         x = self._rand((1, 3, 2, 4, 4))
         w = self._rand((2, 3, 1, 3, 3), scale=0.5)
-        fd_check(lambda: weighted(ad.conv3d(x, w, padding=(0, 1, 1)),
+        fd_check(lambda: weighted(ad.conv3d(x, w, zero_bias(w), padding=(0, 1, 1)),
                                   np.random.default_rng(13)), [x, w])
 
     def test_pixel_shuffle(self):
@@ -783,7 +794,7 @@ class TestFiniteDifferences:
         w2 = self._rand((8, 4), scale=0.4)
 
         def loss():
-            h = ad.leaky_relu(ad.conv3d(x, w1, padding=(0, 1, 1)))
+            h = ad.leaky_relu(ad.conv3d(x, w1, zero_bias(w1), padding=(0, 1, 1)))
             tok = ad.reshape(ad.transpose(h, (0, 2, 3, 4, 1)), (16, 2, 4))
             tok2 = ad.reshape(tok, (16, 8))
             out = ad.gelu(ad.matmul(tok2, w2))

@@ -146,7 +146,8 @@ class TestCorruptContainers:
         rc, err = run("--workdir", tmp_path, *argv)
         assert rc == 3, err
         assert f"'{entry}' is int64" in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        # train writes to the config's out.dir, "run"; eval and infer-int to "out"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.qsc", "data", "q4.cfg"]
 
 
     def test_non_numeric_fingerprint_field_is_a_config_error(self, work, tmp_path):
@@ -193,6 +194,18 @@ class TestMissingInput:
         assert rc == code, err
         assert err.startswith("error:") and "missing." in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "q4.cfg"]
+
+    def test_init_of_another_geometry_writes_nothing(self, tmp_path):
+        # a C=8 fp32 checkpoint cannot initialize a C=16 q4 network
+        net = QNet(make_variant("fp32", base_channels=8, cformer_per_block=1, cr=T), seed=0)
+        save_checkpoint(tmp_path / "fp32.qsc", net.cfg.fingerprint(), net.state_dict())
+        cfg = TRAIN_CFG.format(variant="q4", t=T, out="run")
+        (tmp_path / "q4.cfg").write_text(cfg.replace("base_channels = 8", "base_channels = 16"),
+                                         encoding="ascii")
+        rc, err = run("--workdir", tmp_path, "train", "--config", "q4.cfg", "--init", "fp32.qsc")
+        assert rc == 2, err
+        assert err.startswith("error:") and "does not match" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fp32.qsc", "q4.cfg"]
 
     def test_quantized_train_without_init_writes_nothing(self, tmp_path):
         (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),

@@ -11,9 +11,9 @@ import qsci.autodiff as ad
 import reference_impl as ref
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
-from qsci.network import (BACKBONE, CFormerBlock, LayerNorm, QConv3d, QNet, QNetConfig,
-                          ShiftedAttention, _gelu_by_accumulator, check_state, make_variant,
-                          parse_fingerprint)
+from qsci.network import (BACKBONE, CFormerBlock, LayerNorm, QConv3d, QLinear, QNet,
+                          QNetConfig, ShiftedAttention, _gelu_by_accumulator, check_state,
+                          make_variant, parse_fingerprint)
 from qsci.quantize import act_quantize, fake_quant
 from qsci.sci import encode, generate_masks, initial_estimate, synth_video
 from small_models import calibrated_net, small_inputs
@@ -457,6 +457,75 @@ class TestGeluByAccumulator:
         if tabled:
             direct = acc * np.float32(0.25) + offset
             assert same_bits(got, ad.gelu(Tensor(direct)).data)
+
+
+U32 = 2.0 ** -24     # unit roundoff of float32
+
+
+def gamma(m):
+    """Higham's gamma_m = m*u / (1 - m*u): a float32 sum of m terms, in any
+    order, is within gamma_m * (sum of their magnitudes) of the exact sum."""
+    return m * U32 / (1 - m * U32)
+
+
+class TestFloat32CodeForward:
+    """A 32-bit layer runs the same code-domain forward as a quantized one,
+    with its float values as codes. Tape-free and taped, each output is a
+    float32 sum of the layer's n = C*k3 (or in_features) products and its
+    bias, in each route's own order, so the two differ by at most
+    2*gamma_{n+1} * (sum |w||x| + |b|), elementwise."""
+
+    @pytest.mark.parametrize("geometry", [
+        dict(in_ch=16, out_ch=32, kernel=(1, 1, 1)),
+        dict(in_ch=16, out_ch=1, kernel=(1, 3, 3), padding=(0, 1, 1)),
+        dict(in_ch=8, out_ch=8, kernel=(3, 3, 3), padding=(1, 1, 1)),
+        dict(in_ch=8, out_ch=32, kernel=(1, 3, 3), padding=(0, 1, 1)),
+        dict(in_ch=8, out_ch=8, kernel=(3, 3, 3), stride=(1, 2, 2), padding=(1, 1, 1)),
+    ], ids=["k111", "channels-first-conv_out", "k333-temporal-taps", "k133", "strided-conv_b"])
+    def test_conv_within_float32_summation_error(self, geometry):
+        rng = np.random.default_rng(geometry["out_ch"] + sum(geometry["kernel"]))
+        layer = QConv3d(rng, **geometry)
+        layer.bias.data[:] = rng.standard_normal(layer.out_ch)
+        x = rng.standard_normal((2, layer.in_ch, 4, 8, 8)).astype(np.float32)
+        mass = ref.conv3d(np.abs(x), np.abs(layer.weight.data), np.abs(layer.bias.data),
+                          layer.stride, layer.padding)
+        self.check(layer, x, mass)
+
+    def test_linear_within_float32_summation_error(self):
+        rng = np.random.default_rng(9)
+        layer = QLinear(rng, 16, 24)
+        layer.bias.data[:] = rng.standard_normal(24)
+        x = rng.standard_normal((6, 4, 16)).astype(np.float32)
+        mass = (np.abs(x).astype(np.float64) @ np.abs(layer.weight.data)
+                + np.abs(layer.bias.data))
+        self.check(layer, x, mass)
+
+    @staticmethod
+    def check(layer, x, mass):
+        free = layer.forward(Tensor(x)).data
+        with Tape():
+            taped = layer.forward(Tensor(x)).data
+        n = layer.weight_count() // layer.out_features
+        assert free.shape == taped.shape == mass.shape
+        assert np.all(np.abs(free.astype(np.float64) - taped) <= 2 * gamma(n + 1) * mass)
+
+
+class TestOneTapeFreeRoute:
+    @pytest.mark.parametrize("variant", ["fp32", "q4"])
+    def test_tape_free_forwards_never_run_autodiff_conv3d(self, monkeypatch, variant):
+        net = calibrated_net(variant, hw=16)
+        masks, _, meas = small_inputs(4, 16, seed=1, count=1)
+        stack = initial_estimate(meas[0], masks)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("autodiff.conv3d reached")
+
+        monkeypatch.setattr(ad, "conv3d", refuse)
+        net.reconstruct(meas[0], masks)
+        net.calibrate_quantizers(stack)
+        net.audit((16, 16))
+        with Tape(), pytest.raises(RuntimeError, match="conv3d reached"):
+            net.forward_stack(Tensor(stack))       # the taped forward does run it
 
 
 def memory_of(a):

@@ -266,6 +266,11 @@ class TestAccumulatorGuard:
         with pytest.raises(ConfigError, match="not exact in float64"):
             code_dtype(1 << 51, 2)
 
+    def test_32_bits_contract_in_float32(self):
+        # 32-bit operands are float32 values, not codes: no type is exact
+        assert code_dtype(1, 32) is np.float32
+        assert code_dtype(1 << 51, 32) is np.float32
+
     def test_kernel_construction_raises(self):
         # a weight of 2^40 inputs, as a zero-stride view: K * 2^14 >= 2^53
         layer = QLinear(np.random.default_rng(0), 1, 1, bits=8)

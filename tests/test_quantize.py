@@ -308,6 +308,26 @@ class TestScanOnce:
         act_quantize(x, q)
         assert sum(a is x for a in scanned) == 2
 
+    def test_32_bit_act_quantize_returns_its_input(self, monkeypatch):
+        # the identity, after one hook call and one scan
+        x = Tensor(np.float32([1.234, -5.6, 3e30]))
+        q = ActQuantizer(32)
+        seen = []
+        q.on_next = seen.append
+        scanned = self.spy(monkeypatch)
+        assert act_quantize(x, q) is x.data
+        assert act_quantize(x, q) is x.data
+        assert len(seen) == 1 and seen[0] is x.data
+        assert sum(a is x.data for a in scanned) == 1 and x.scanned
+
+    def test_32_bit_weight_array_returned_and_scanned_each_call(self, monkeypatch):
+        w = np.float32([[0.5, -7.0], [1e-30, 2.0]])
+        q = WeightQuantizer(32)
+        scanned = self.spy(monkeypatch)
+        assert act_quantize(w, q) is w
+        assert act_quantize(w, q) is w
+        assert sum(a is w for a in scanned) == 2
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @QUANTIZERS
     def test_hook_runs_before_the_scan_raises(self, quantize, bad):
