@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +33,7 @@ from .evaluation import count_efficiency, psnr, ssim
 from .network import BACKBONE, QNet, QNetConfig, make_variant, parse_fingerprint
 from .packed import pack_model, packed_layers, packed_net, read_packed
 from .sci import MaskSet, Measurement, VideoClip, encode, generate_masks, synth_video
-from .training import MASK_SEED_OFFSET, Dataset, TrainConfig, make_synth_dataset, train
+from .training import MASK_SEED_OFFSET, Dataset, make_synth_dataset, train
 
 
 def worker_count() -> int:
@@ -69,22 +70,6 @@ def _net_config(cfg: ExperimentConfig) -> QNetConfig:
     return make_variant(cfg.net_variant, **{f: getattr(cfg, f"net_{f}") for _, f in BACKBONE})
 
 
-def _train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(
-        lr_phase1=cfg.train_lr_phase1,
-        lr_phase2=cfg.train_lr_phase2,
-        epochs_phase1=cfg.train_epochs_phase1,
-        epochs_phase2=cfg.train_epochs_phase2,
-        batch_size=cfg.train_batch_size,
-        crop=cfg.train_crop,
-        aug_crop=cfg.train_aug_crop,
-        aug_flip=cfg.train_aug_flip,
-        aug_scale=cfg.train_aug_scale,
-        noise_sigma=cfg.data_noise_sigma,
-        seed=cfg.train_seed,
-    )
-
-
 def _dataset(cfg: ExperimentConfig) -> Dataset:
     return make_synth_dataset(cfg.data_seed, cfg.data_count, cfg.data_holdout,
                               cfg.net_cr, cfg.data_clip_hw, cfg.train_crop,
@@ -104,10 +89,10 @@ def _write_loss_csv(path: Path, curve):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args, workdir: Path) -> int:
-    out = _resolve(workdir, args.out)
-    out.mkdir(parents=True, exist_ok=True)
     mask_seed = args.mask_seed if args.mask_seed is not None else args.seed + MASK_SEED_OFFSET
     masks = generate_masks(mask_seed, args.T, args.H, args.W, args.p)
+    out = _resolve(workdir, args.out)
+    out.mkdir(parents=True, exist_ok=True)
     np.save(out / "masks.npy", masks.masks)
     rows = ["index,clip,measurement,clip_sha256,meas_sha256"]
     for i in range(args.count):
@@ -128,7 +113,8 @@ def _load_data_dir(path: Path, cr: int):
     """(masks, [(index, clip, measurement)]) of a gen-data directory. The
     masks must be a binary [T, H, W] stack with the model's compression
     ratio ``cr`` as T, each clip [T, H, W] and each measurement [H, W]; a
-    missing, unreadable or misshapen file raises DataError naming it."""
+    missing, unreadable or misshapen file, or an index the manifest lists
+    twice, raises DataError naming it."""
     def load(name: str, shape=None) -> np.ndarray:
         try:
             arr = np.load(path / name).astype(np.float32)
@@ -156,6 +142,8 @@ def _load_data_dir(path: Path, cr: int):
             idx = int(idx)
         except ValueError as exc:
             raise DataError(f"{path / 'manifest.csv'} row '{line}': {exc}") from exc
+        if any(idx == e[0] for e in entries):
+            raise DataError(f"{path / 'manifest.csv'} lists index {idx} twice")
         entries.append((idx, VideoClip(frames=load(clip_name, masks.masks.shape)),
                         Measurement(y=load(meas_name, masks.frame_shape), cr=masks.t)))
     return masks, entries
@@ -174,7 +162,7 @@ def cmd_train(args, workdir: Path) -> int:
             "quantized variant requires --init pointing at a full-precision "
             "checkpoint with identical geometry"
         )
-    result = train(_train_config(cfg), netcfg, _dataset(cfg), init_state, init_geometry)
+    result = train(cfg, netcfg, _dataset(cfg), init_state, init_geometry)
     out = _resolve(workdir, cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
@@ -278,11 +266,10 @@ def cmd_ablate(args, workdir: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
     dataset = _dataset(cfg)
-    tcfg = _train_config(cfg)
     holdout = [(i, c, encode(c, dataset.masks)) for i, c in enumerate(dataset.holdout_clips)]
 
     # shared full-precision backbone, identical seeds for every row
-    fp32 = train(tcfg, fp32_cfg, dataset)
+    fp32 = train(cfg, fp32_cfg, dataset)
     save_checkpoint(out / "fp32_init.qsc", fp32.fingerprint, fp32.state)
     trained = {}   # network key -> state: rows of one network train once
     for csv_name, rows in tables.items():
@@ -290,12 +277,12 @@ def cmd_ablate(args, workdir: Path) -> int:
         for name, rowcfg in rows:
             key = _network_key(rowcfg)
             if key not in trained:
-                trained[key] = train(tcfg, rowcfg, dataset, fp32.state,
+                trained[key] = train(cfg, rowcfg, dataset, fp32.state,
                                      fp32_cfg.backbone_geometry()).state
             save_checkpoint(out / f"{name}.qsc", rowcfg.fingerprint(), trained[key])
             net = _load_net(out / f"{name}.qsc")
             results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
-            rep = count_efficiency(net, (tcfg.crop, tcfg.crop))
+            rep = count_efficiency(net, (cfg.train_crop, cfg.train_crop))
             lines.append(f"{name},{_mean_psnr_ssim([r[2] for r in results])},"
                          f"{rep.params_m:.6f},{rep.ops_g:.6f}")
         (out / csv_name).write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -349,20 +336,35 @@ def cmd_report(args, workdir: Path) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _at_least(low, kind=int):
+    """An argparse ``type``: a finite ``kind`` number >= ``low``; any other
+    argument is a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if math.isfinite(value) and value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} >= {low}, "
+                                         f"got '{text}'")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qsci", description=__doc__)
     ap.add_argument("--workdir", default=".", help="root for relative paths")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="emit synthetic clips, masks and measurements")
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--count", type=int, required=True)
-    g.add_argument("--T", type=int, default=4)
-    g.add_argument("--H", type=int, default=32)
-    g.add_argument("--W", type=int, default=32)
+    g.add_argument("--seed", type=_at_least(0), required=True)
+    g.add_argument("--count", type=_at_least(0), required=True)
+    g.add_argument("--T", type=_at_least(1), default=4)
+    g.add_argument("--H", type=_at_least(1), default=32)
+    g.add_argument("--W", type=_at_least(1), default=32)
     g.add_argument("--p", type=float, default=0.5)
-    g.add_argument("--noise-sigma", type=float, default=0.0, dest="noise_sigma")
-    g.add_argument("--mask-seed", type=int, default=None, dest="mask_seed")
+    g.add_argument("--noise-sigma", type=_at_least(0, float), default=0.0, dest="noise_sigma")
+    g.add_argument("--mask-seed", type=_at_least(0), default=None, dest="mask_seed")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen_data)
 
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("report", help="bit-adjusted Params/OPs table")
     r.add_argument("--ckpt", default=None)
     r.add_argument("--variant", default="fp32")
-    r.add_argument("--input-hw", type=int, default=32, dest="input_hw")
+    r.add_argument("--input-hw", type=_at_least(1), default=32, dest="input_hw")
     r.add_argument("--out", default=None)
     r.set_defaults(fn=cmd_report)
     return ap

@@ -11,14 +11,16 @@ network, tells them apart for every loader. The reader checks every length
 against the bytes left, so a truncated or corrupt file raises FormatError,
 and so does a file with bytes after its last entry or a repeated entry.
 The experiment config is a ``section.key = value`` text file with a fixed
-key schema; unknown and repeated keys are rejected and the parsed values
-are echoed into the run directory for provenance.
+key schema; unknown and repeated keys and out-of-range numbers are
+rejected, and the parsed values are echoed into the run directory for
+provenance.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -160,10 +162,20 @@ class ExperimentConfig:
     # out.*
     out_dir: str = "run"
 
+    def __post_init__(self):
+        """Reject a value outside its range in ``_RANGES``. ``net.*`` values
+        are checked where the network config is built
+        (:class:`~qsci.network.QNetConfig`)."""
+        for key, rule in _RANGES.items():
+            value = getattr(self, _KEY_MAP[key][0])
+            op, bound = rule.split()
+            if not (math.isfinite(value) and _COMPARE[op](value, int(bound))):
+                raise ConfigError(f"key '{key}' must be finite and {rule}, got {value}")
+
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
-        cfg = cls()
-        seen = {}   # key -> line that set it
+        values = {}   # field -> parsed value
+        seen = {}     # key -> line that set it
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -179,8 +191,8 @@ class ExperimentConfig:
                 raise ConfigError(f"line {lineno}: key '{key}' is already set on line {seen[key]}")
             seen[key] = lineno
             fname, tname = _KEY_MAP[key]
-            setattr(cfg, fname, _convert(key, value, tname))
-        return cfg
+            values[fname] = _convert(key, value, tname)
+        return cls(**values)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -206,6 +218,14 @@ class ExperimentConfig:
 # "section.key" -> (field name, type name): the field net_base_channels is the
 # key net.base_channels; annotations are postponed, so each type is a string
 _KEY_MAP = {f.name.replace("_", ".", 1): (f.name, f.type) for f in fields(ExperimentConfig)}
+
+# the range of each train.* and data.* number, checked on every construction;
+# data.mask_p is checked by generate_masks
+_RANGES = {"train.lr_phase1": "> 0", "train.lr_phase2": "> 0", "train.epochs_phase1": ">= 0",
+           "train.epochs_phase2": ">= 0", "train.batch_size": ">= 1", "train.crop": ">= 1",
+           "train.seed": ">= 0", "data.seed": ">= 0", "data.count": ">= 1",
+           "data.holdout": ">= 0", "data.clip_hw": ">= 1", "data.noise_sigma": ">= 0"}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
 def _convert(key, value, tname):

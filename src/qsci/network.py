@@ -33,8 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, axis_windows, conv3d_output_shape, sample_patches, tap_windows
 from .errors import ConfigError, FormatError, ShapeError
-from .quantize import (VALID_BITS, ActQuantizer, WeightQuantizer, act_quantize, code_dtype,
-                       fake_quant)
+from .quantize import VALID_BITS, ActQuantizer, act_quantize, code_dtype, fake_quant
 from .sci import MaskSet, Measurement, VideoClip, initial_estimate
 
 
@@ -60,6 +59,9 @@ class QNetConfig:
     vrm_bits: Optional[int] = None
 
     def __post_init__(self):
+        if self.base_channels < 1 or self.heads < 1:
+            raise ConfigError(f"base_channels {self.base_channels} and heads {self.heads} "
+                              f"must be >= 1")
         if self.base_channels % self.heads != 0:
             raise ConfigError(
                 f"base_channels {self.base_channels} not divisible by heads {self.heads}"
@@ -271,7 +273,7 @@ class QLayer(Module):
         self.weight = self.register_param("weight", Tensor(weight))
         self.bias = self.register_param("bias", Tensor(np.zeros(out_features, np.float32)))
         self.aq = self.register_quantizer("aq", ActQuantizer(bits))
-        self.wq = self.register_quantizer("wq", WeightQuantizer(bits))
+        self.wq = self.register_quantizer("wq", ActQuantizer(bits, symmetric=True))
         self.int_kernel = None       # set by packed.install_packed; forward then runs it
 
     def _untaped(self, x: Tensor) -> Optional[Tensor]:
@@ -453,8 +455,11 @@ class QConv3d(QLayer):
         """[O, To, Ho, Wo]: each output's sum of the weight codes over the
         taps that meet the zero-padded input. The codes are summed over C,
         then each tap axis is contracted with its 0/1 valid-tap matrix; an
-        unpadded axis stays size 1 (every tap meets every output)."""
-        if not any(self.padding):
+        unpadded axis stays size 1 (every tap meets every output). An
+        unpadded layer and a 32-bit one return [O, 1, 1, 1], the sum over
+        all taps: at 32 bits :meth:`code_forward` multiplies the map by
+        alpha_w*z = 0, so no map over the outputs is built."""
+        if self.bits == 32 or not any(self.padding):
             return w_codes.reshape(self.out_ch, -1).sum(axis=1).reshape(-1, 1, 1, 1)
         out_dims = conv3d_output_shape(in_shape, self.weight.shape, self.stride,
                                        self.padding)[2:]
@@ -831,7 +836,7 @@ class QNet(Module):
 
     def alpha_params(self):
         """Learnable quantizer scales (clamped positive after each step)."""
-        return [q.alpha for q in self.quantizers() if not q.bitwidth.passthrough]
+        return [q.alpha for q in self.quantizers() if q.bits < 32]
 
     def quant_layers(self):
         """(name, layer) for every weight-bearing layer, forward order."""

@@ -1,16 +1,17 @@
 """Learnable fake quantizers with straight-through gradients.
 
-One quantizer serves both kinds: asymmetric activation quantization (scale
-``alpha`` plus real-valued zero-point ``z``) and symmetric weight
-quantization (:class:`WeightQuantizer`, whose ``z`` stays pinned at 0 and is
-neither learned nor saved). Codes are produced by scale/shift, clip to the
-signed b-bit range, then round half to even; dequantization maps codes back
-to real values. ``fake_quant`` is the tape-recorded quantize-then-dequantize
-used during training: its input gradient passes through where the pre-clip
-value lies inside the clip range and is zero outside, and the
-scale/zero-point gradients treat the rounding as identity (clipped elements
-contribute the saturated code instead). A 32-bit quantizer is the
-identity: both ``fake_quant`` and ``act_quantize`` return their input.
+One class, :class:`ActQuantizer`, serves both kinds: asymmetric activation
+quantization (scale ``alpha`` plus real-valued zero-point ``z``) and, with
+``symmetric`` set, symmetric weight quantization, whose ``z`` stays pinned
+at 0 and is neither learned nor saved. Codes are produced by scale/shift,
+clip to the signed b-bit range, then round half to even; dequantization
+maps codes back to real values. ``fake_quant`` is the tape-recorded
+quantize-then-dequantize used during training: its input gradient passes
+through where the pre-clip value lies inside the clip range and is zero
+outside, and the scale/zero-point gradients treat the rounding as identity
+(clipped elements contribute the saturated code instead). A 32-bit
+quantizer is the identity: both ``fake_quant`` and ``act_quantize`` return
+their input.
 
 Each quantizer can carry a one-shot hook, ``on_next``: the next
 ``fake_quant`` or ``act_quantize`` through it clears the hook and calls it
@@ -29,8 +30,6 @@ a weight's ``data``, is scanned on every call and never marked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -46,50 +45,26 @@ _EXACT_FLOATS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
 ALPHA_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class BitWidth:
-    """Signed integer bit-width; 32 marks a full-precision pass-through."""
-
-    bits: int
-
-    def __post_init__(self):
-        if self.bits not in VALID_BITS:
-            raise ConfigError(f"unsupported bit-width {self.bits}; expected one of {VALID_BITS}")
-
-    @property
-    def passthrough(self) -> bool:
-        return self.bits == 32
-
-    @property
-    def q_n(self) -> int:
-        """Magnitude of the lower clip bound, 2^(bits-1)."""
-        if self.passthrough:
-            raise ConfigError("pass-through quantizer has no clip range")
-        return 1 << (self.bits - 1)
-
-    @property
-    def q_p(self) -> int:
-        """Upper clip bound, 2^(bits-1) - 1."""
-        if self.passthrough:
-            raise ConfigError("pass-through quantizer has no clip range")
-        return (1 << (self.bits - 1)) - 1
-
-
 class ActQuantizer:
-    """Learnable scale ``alpha`` and zero-point ``z`` (asymmetric, for
-    activations); with ``symmetric`` set, ``z`` stays 0 and is not a
-    parameter."""
+    """A ``bits``-wide quantizer with a learnable scale ``alpha`` and
+    zero-point ``z`` (asymmetric, for activations); with ``symmetric`` set,
+    ``z`` stays 0 and is not a parameter (for weights). Codes clip to
+    [-q_n, q_p] = [-2^(bits-1), 2^(bits-1) - 1]; at 32 bits the quantizer is
+    the identity and no code reads that range."""
 
-    symmetric = False
-
-    def __init__(self, bits: int):
-        self.bitwidth = BitWidth(bits)
+    def __init__(self, bits: int, symmetric: bool = False):
+        if bits not in VALID_BITS:
+            raise ConfigError(f"unsupported bit-width {bits}; expected one of {VALID_BITS}")
+        self.bits = bits
+        self.q_n = 1 << (bits - 1)
+        self.q_p = self.q_n - 1
+        self.symmetric = symmetric
         self.alpha = Tensor([1.0], requires_grad=True)
-        self.z = Tensor([0.0], requires_grad=not self.symmetric)
+        self.z = Tensor([0.0], requires_grad=not symmetric)
         self.on_next = None     # one-shot hook, see _run_hook
 
     def params(self):
-        if self.bitwidth.passthrough:
+        if self.bits == 32:
             return []
         if self.symmetric:
             return [("alpha", self.alpha)]
@@ -100,23 +75,16 @@ class ActQuantizer:
         the clip interval: max|w|/q_p when symmetric, else the min/max midpoint
         and half-range/q_p. Non-finite samples raise NumericError and leave both
         unchanged."""
-        if self.bitwidth.passthrough:
+        if self.bits == 32:
             return
         _check_input(samples, "calibration sample")
-        q_p = self.bitwidth.q_p
         if self.symmetric:
-            self.alpha.data[0] = max(float(np.abs(samples).max()) / q_p, ALPHA_FLOOR)
+            self.alpha.data[0] = max(float(np.abs(samples).max()) / self.q_p, ALPHA_FLOOR)
             return
         lo = float(samples.min())
         hi = float(samples.max())
         self.z.data[0] = 0.5 * (hi + lo)
-        self.alpha.data[0] = max(0.5 * (hi - lo) / q_p, ALPHA_FLOOR)
-
-
-class WeightQuantizer(ActQuantizer):
-    """Symmetric weight quantizer: learnable scale, zero-point fixed at 0."""
-
-    symmetric = True
+        self.alpha.data[0] = max(0.5 * (hi - lo) / self.q_p, ALPHA_FLOOR)
 
 
 def _check_input(x: np.ndarray, what: str):
@@ -143,10 +111,10 @@ def _pre_clip(x: np.ndarray, alpha: float, z: float) -> np.ndarray:
     return v
 
 
-def _codes(v: np.ndarray, bw: BitWidth, out=None) -> np.ndarray:
+def _codes(v: np.ndarray, q: ActQuantizer, out=None) -> np.ndarray:
     """The codes rint(clip(v, -q_n, q_p)), half to even, of pre-clip values
     ``v``, into ``out`` (which may be ``v``) or a fresh array."""
-    out = np.clip(v, -bw.q_n, bw.q_p, out=out)
+    out = np.clip(v, -q.q_n, q.q_p, out=out)
     return np.rint(out, out=out)
 
 
@@ -164,10 +132,10 @@ def act_quantize(x, q: ActQuantizer) -> np.ndarray:
         _check_input(arr, "input")
         if tensor:
             x.mark_scanned()
-    if q.bitwidth.passthrough:
+    if q.bits == 32:
         return arr
     v = _pre_clip(arr, float(q.alpha.data[0]), float(q.z.data[0]))
-    return _codes(v, q.bitwidth, out=v)
+    return _codes(v, q, out=v)
 
 
 def code_dtype(k: int, bits: int):
@@ -211,22 +179,21 @@ def fake_quant(x: Tensor, q) -> Tensor:
     Adam's ``eps``.
     """
     _run_hook(q, x.data)
-    if q.bitwidth.passthrough:
+    if q.bits == 32:
         return x
     if not x.scanned:
         _check_input(x.data, "fake_quant input")
     alpha = float(q.alpha.data[0])
     z = float(q.z.data[0])
-    bw = q.bitwidth
-    q_n, q_p = bw.q_n, bw.q_p
+    q_n, q_p = q.q_n, q.q_p
     out = _pre_clip(x.data, alpha, z)
-    _codes(out, bw, out=out)
+    _codes(out, q, out=out)
     out *= np.float32(alpha)
     out += np.float32(z)
 
     def bwd(g):
         v = _pre_clip(x.data, alpha, z)
-        codes = _codes(v, bw)
+        codes = _codes(v, q)
         clipped = v < -q_n
         clipped |= v > q_p
         mid = ~clipped

@@ -18,6 +18,7 @@ from scipy.ndimage import zoom as nd_zoom
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .containers import ExperimentConfig
 from .errors import ConfigError, ShapeError
 from .evaluation import psnr
 from .network import QNet, QNetConfig
@@ -70,29 +71,6 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
-
-
-@dataclass
-class TrainConfig:
-    lr_phase1: float = 1e-4
-    lr_phase2: float = 1e-5
-    epochs_phase1: int = 60
-    epochs_phase2: int = 20
-    batch_size: int = 8
-    crop: int = 32
-    aug_crop: bool = True
-    aug_flip: bool = True
-    aug_scale: bool = True
-    noise_sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.lr_phase1 <= 0 or self.lr_phase2 <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.epochs_phase1 < 0 or self.epochs_phase2 < 0:
-            raise ConfigError("epoch counts must be non-negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
 
 
 SCALE_RANGE = (0.75, 1.25)
@@ -192,14 +170,16 @@ class TrainResult:
         return self.curve[-1]["val_psnr"] if self.curve else float("nan")
 
 
-def train(cfg: TrainConfig, netcfg: QNetConfig, dataset: Dataset,
+def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
           init_state: Optional[dict] = None,
           init_geometry: Optional[str] = None) -> TrainResult:
-    """Run both learning-rate phases; returns the final parameter state and
-    the per-epoch loss / held-out PSNR curve. Deterministic per seed."""
+    """Run both learning-rate phases of ``cfg``'s ``train.*`` recipe, with
+    its ``data.noise_sigma`` on every training measurement; returns the
+    final parameter state and the per-epoch loss / held-out PSNR curve.
+    Deterministic per seed."""
     if netcfg.cr != dataset.masks.t:
         raise ConfigError(f"model T={netcfg.cr} but mask set has T={dataset.masks.t}")
-    net = QNet(netcfg, seed=cfg.seed)
+    net = QNet(netcfg, seed=cfg.train_seed)
 
     if netcfg.quantized:
         if init_state is None:
@@ -208,33 +188,34 @@ def train(cfg: TrainConfig, netcfg: QNetConfig, dataset: Dataset,
                 "with identical geometry (pass init_state)"
             )
         net.init_from_backbone(init_state, init_geometry or netcfg.backbone_geometry())
-        calib_rng = np.random.default_rng(cfg.seed)
-        calib = [augment(c, cfg.crop, calib_rng, cfg.aug_crop, False, False)
-                 for c in dataset.train_clips[: cfg.batch_size]]
+        calib_rng = np.random.default_rng(cfg.train_seed)
+        calib = [augment(c, cfg.train_crop, calib_rng, cfg.train_aug_crop, False, False)
+                 for c in dataset.train_clips[: cfg.train_batch_size]]
         stacks, _ = _batch_stacks(calib, dataset.masks, 0.0, 0)
         net.calibrate_quantizers(stacks)
     elif init_state is not None:
         net.init_from_backbone(init_state, init_geometry or netcfg.backbone_geometry())
 
     floors = [(p, ALPHA_FLOOR) for p in net.alpha_params()]
-    opt = Adam(net.params(), cfg.lr_phase1, floors=floors)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3,)))
+    opt = Adam(net.params(), cfg.train_lr_phase1, floors=floors)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(3,)))
 
     result = TrainResult(state={}, fingerprint=netcfg.fingerprint())
     n = len(dataset.train_clips)
     epoch_global = 0
-    for phase, (lr, epochs) in enumerate(
-            [(cfg.lr_phase1, cfg.epochs_phase1), (cfg.lr_phase2, cfg.epochs_phase2)], start=1):
+    for phase, (lr, epochs) in enumerate([(cfg.train_lr_phase1, cfg.train_epochs_phase1),
+                                          (cfg.train_lr_phase2, cfg.train_epochs_phase2)],
+                                         start=1):
         opt.lr = lr
         for _ in range(epochs):
             order = rng.permutation(n)
             losses = []
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                batch = [augment(dataset.train_clips[i], cfg.crop, rng,
-                                 cfg.aug_crop, cfg.aug_flip, cfg.aug_scale) for i in idx]
-                noise_seed = cfg.seed * 1_000_003 + epoch_global * 1009 + start
-                stacks, gts = _batch_stacks(batch, dataset.masks, cfg.noise_sigma, noise_seed)
+            for start in range(0, n, cfg.train_batch_size):
+                idx = order[start:start + cfg.train_batch_size]
+                batch = [augment(dataset.train_clips[i], cfg.train_crop, rng, cfg.train_aug_crop,
+                                 cfg.train_aug_flip, cfg.train_aug_scale) for i in idx]
+                noise_seed = cfg.train_seed * 1_000_003 + epoch_global * 1009 + start
+                stacks, gts = _batch_stacks(batch, dataset.masks, cfg.data_noise_sigma, noise_seed)
                 with ad.Tape():
                     pred = net.forward_stack(Tensor(stacks))
                     loss = mse_loss(pred, gts)

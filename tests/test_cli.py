@@ -1,6 +1,7 @@
 """CLI behaviour: malformed containers and data dirs, a file of the wrong
 kind, an entry of the wrong dtype and a missing checkpoint end in exit code
-3, a missing config and a malformed ``QSCI_THREADS`` in exit code 2, ``train``, ``eval``, ``pack``,
+3, a missing config and a malformed ``QSCI_THREADS`` in exit code 2, no
+config value or argument ends in a traceback, ``train``, ``eval``, ``pack``,
 ``infer-int`` and ``ablate`` reruns are byte-identical, threaded ``eval``
 and ``infer-int`` match serial runs, ``eval`` and ``infer-int`` report the
 same PSNR, every ``ablate`` row is ``eval`` of its checkpoint and each
@@ -9,6 +10,7 @@ bit-adjusted formulas."""
 
 import ast
 import contextlib
+import dataclasses
 import io
 import os
 import shutil
@@ -21,7 +23,7 @@ import pytest
 
 import qsci
 from qsci import cli
-from qsci.containers import load_checkpoint, save_checkpoint
+from qsci.containers import ExperimentConfig, load_checkpoint, save_checkpoint
 from qsci.errors import FormatError
 from qsci.evaluation import count_efficiency
 from qsci.network import QNet, make_variant
@@ -34,10 +36,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
-    """(exit code, stderr) of one in-process CLI command."""
+    """(exit code, stderr) of one in-process CLI command; an argument that
+    the parser rejects exits 2."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = cli.main([str(a) for a in argv])
+        try:
+            rc = cli.main([str(a) for a in argv])
+        except SystemExit as exc:
+            rc = exc.code
     return rc, err.getvalue()
 
 
@@ -216,6 +222,72 @@ class TestMissingInput:
         assert not (tmp_path / "run").exists()
 
 
+GUARD_CFG = """\
+net.base_channels = 4
+net.resdnet_blocks = 1
+net.cformer_per_block = 1
+net.cr = 2
+train.epochs_phase1 = 0
+train.epochs_phase2 = 0
+train.batch_size = 2
+train.crop = 8
+data.count = 2
+data.holdout = 1
+data.clip_hw = 8
+out.dir = run
+"""
+NUMERIC_KEYS = [f.name.replace("_", ".", 1) for f in dataclasses.fields(ExperimentConfig)
+                if f.type in ("int", "float")]
+GEN_DATA = {"--seed": 1, "--count": 1, "--T": 2, "--H": 8, "--W": 8, "--p": 0.5,
+            "--noise-sigma": 0.01, "--mask-seed": 3}
+
+
+class TestNoTraceback:
+    """User input never ends in a traceback: each run exits 0, or 2, 3 or 4
+    with an ``error:`` line and nothing written. A negative or non-finite
+    number is rejected (exit 2) wherever it is given."""
+
+    @staticmethod
+    def check(tmp_path, argv, inputs, rejected):
+        rc, err = run("--workdir", tmp_path, *argv)
+        assert rc in ((2,) if rejected else (0, 2, 3, 4)), (rc, err)
+        assert "Traceback" not in err
+        if rc:
+            assert "error:" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_train_config_value(self, tmp_path, key, value):
+        lines = [line for line in GUARD_CFG.splitlines() if not line.startswith(key + " ")]
+        (tmp_path / "guard.cfg").write_text("\n".join(lines + [f"{key} = {value}"]) + "\n",
+                                            encoding="ascii")
+        self.check(tmp_path, ["train", "--config", "guard.cfg"], ["guard.cfg"], value != "0")
+
+    @pytest.mark.parametrize("value", [-1, 0])
+    @pytest.mark.parametrize("flag", list(GEN_DATA))
+    def test_gen_data_argument(self, tmp_path, flag, value):
+        args = {**GEN_DATA, flag: value}
+        self.check(tmp_path, ["gen-data", *(x for kv in args.items() for x in kv),
+                              "--out", "data"], [], value < 0)
+
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_report_input_size(self, tmp_path, value):
+        self.check(tmp_path, ["report", "--input-hw", value, "--out", "report.csv"], [],
+                   value < 0)
+
+    @pytest.mark.parametrize("old,new", [(";heads=2;", ";heads=0;"), (";heads=2;", ";heads=-2;"),
+                                         ("v1;C=8;", "v1;C=0;")])
+    @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc")])
+    def test_fingerprint_without_channels_or_heads(self, work, tmp_path, command, flag,
+                                                   name, old, new):
+        fingerprint, state = load_checkpoint(work / name)
+        save_checkpoint(tmp_path / name, fingerprint.replace(old, new), state)
+        self.check(tmp_path, [command, flag, name, "--data", work / "data", "--out", "out"],
+                   [name], True)
+
+
 class TestDataValidation:
     @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
                                                    ("eval", "--ckpt", "q4.qsc")])
@@ -258,6 +330,21 @@ class TestDataValidation:
                       "--out", tmp_path / "out")
         assert rc == 3, err
         assert name in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc")])
+    def test_repeated_manifest_index_exits_3(self, work, tmp_path, command, flag, name):
+        data = tmp_path / "data"
+        shutil.copytree(work / "data", data)
+        manifest = (data / "manifest.csv").read_text(encoding="ascii").splitlines()
+        second = manifest[2].replace("1,", "0,", 1)
+        (data / "manifest.csv").write_text("\n".join(manifest[:2] + [second]) + "\n",
+                                           encoding="ascii")
+        rc, err = run("--workdir", work, command, flag, name, "--data", data,
+                      "--out", tmp_path / "out")
+        assert rc == 3, err
+        assert "lists index 0 twice" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["abc", "0"])

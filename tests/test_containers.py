@@ -109,3 +109,12 @@ def test_echo_parses_back_with_every_section_set():
     assert all(getattr(cfg, name) != getattr(ExperimentConfig(), name) for name in changed)
     assert ExperimentConfig.parse(cfg.echo()) == cfg
     assert ExperimentConfig.parse(cfg.echo()).echo() == cfg.echo()
+
+
+@pytest.mark.parametrize("field,value", [("train_lr_phase1", float("inf")), ("train_crop", 0),
+                                         ("data_seed", -1), ("data_noise_sigma", float("nan"))])
+def test_construction_checks_each_range(field, value):
+    # the check runs on every construction, dataclasses.replace's included
+    key = field.replace("_", ".", 1)
+    with pytest.raises(ConfigError, match=f"key '{key}' must be finite and"):
+        dataclasses.replace(ExperimentConfig(), **{field: value})

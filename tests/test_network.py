@@ -9,6 +9,7 @@ import pytest
 
 import qsci.autodiff as ad
 import reference_impl as ref
+from qsci import network
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
 from qsci.network import (BACKBONE, CFormerBlock, LayerNorm, QConv3d, QLinear, QNet,
@@ -318,7 +319,7 @@ class TestAudit:
         net = QNet(make_variant("q4", **TINY), seed=0)
         for name, layer in net.quant_layers():
             assert layer.aq is not None and layer.wq is not None
-            assert layer.aq.bitwidth.bits == layer.bits and layer.wq.bitwidth.bits == layer.bits
+            assert layer.aq.bits == layer.bits and layer.wq.bits == layer.bits
 
     def test_audit_lists_all_layers_with_bits(self):
         cfg = make_variant("q4", **TINY)
@@ -527,6 +528,19 @@ class TestOneTapeFreeRoute:
         with Tape(), pytest.raises(RuntimeError, match="conv3d reached"):
             net.forward_stack(Tensor(stack))       # the taped forward does run it
 
+    def test_only_quantized_layers_build_a_correction_map(self, monkeypatch):
+        # at 32 bits code_forward multiplies the map by alpha_w * z = 0
+        fp32, q4 = calibrated_net("fp32", hw=16), calibrated_net("q4", hw=16)
+        masks, _, meas = small_inputs(4, 16, seed=1, count=1)
+
+        def refuse(*args):
+            raise RuntimeError("correction map built")
+
+        monkeypatch.setattr(network, "_valid_taps", refuse)
+        fp32.reconstruct(meas[0], masks)
+        with pytest.raises(RuntimeError, match="correction map built"):
+            q4.reconstruct(meas[0], masks)
+
 
 def memory_of(a):
     return a.__array_interface__["data"][0], a.nbytes
@@ -718,7 +732,7 @@ class TestQuantizerHooks:
         net.calibrate_quantizers(stack)
         conv = net.fem.conv_a
         lo, hi = float(stack.min()), float(stack.max())
-        q_p = conv.aq.bitwidth.q_p
+        q_p = conv.aq.q_p
         assert conv.aq.z.data[0] == np.float32(0.5 * (hi + lo))
         assert conv.aq.alpha.data[0] == np.float32(0.5 * (hi - lo) / q_p)
         assert conv.wq.alpha.data[0] == np.float32(float(np.abs(conv.weight.data).max()) / q_p)

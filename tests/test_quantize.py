@@ -11,7 +11,7 @@ from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import ConfigError, NumericError
 from qsci.network import QLinear
 from qsci.packed import IntKernel, PackedLayer, pack_weights
-from qsci.quantize import ActQuantizer, BitWidth, WeightQuantizer, act_quantize, fake_quant
+from qsci.quantize import ActQuantizer, act_quantize, fake_quant
 
 LOW_BITS = (2, 3, 4, 8)
 
@@ -24,28 +24,29 @@ def make_act(bits, alpha=1.0, z=0.0):
 
 
 def make_weight(bits, alpha=1.0):
-    q = WeightQuantizer(bits)
+    q = ActQuantizer(bits, symmetric=True)
     q.alpha.data[0] = alpha
     return q
 
 
-class TestBitWidth:
-    def test_clip_bounds_8bit(self):
-        bw = BitWidth(8)
-        assert bw.q_n == 128 and bw.q_p == 127
-
+class TestClipRange:
+    @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("bits,qn,qp", [(2, 2, 1), (3, 4, 3), (4, 8, 7), (8, 128, 127)])
-    def test_clip_bounds(self, bits, qn, qp):
-        bw = BitWidth(bits)
-        assert (bw.q_n, bw.q_p) == (qn, qp)
+    def test_clip_bounds(self, bits, qn, qp, symmetric):
+        q = ActQuantizer(bits, symmetric)
+        assert (q.bits, q.q_n, q.q_p) == (bits, qn, qp)
 
-    def test_32_is_passthrough(self):
-        assert BitWidth(32).passthrough
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_32_bits_has_no_parameters_and_ignores_calibration(self, symmetric):
+        q = ActQuantizer(32, symmetric)
+        q.calibrate(np.float32([-3.0, 5.0]))
+        assert q.params() == [] and q.alpha.data[0] == 1.0 and q.z.data[0] == 0.0
 
+    @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("bits", [1, 5, 16, 0])
-    def test_invalid_bits(self, bits):
-        with pytest.raises(ConfigError):
-            BitWidth(bits)
+    def test_invalid_bits(self, bits, symmetric):
+        with pytest.raises(ConfigError, match=f"unsupported bit-width {bits}"):
+            ActQuantizer(bits, symmetric)
 
 
 class TestActQuantize:
@@ -100,8 +101,7 @@ class TestActQuantize:
         q = make_act(bits, alpha, z)
         x = np.sort(np.random.default_rng(seed).uniform(-50, 50, 64).astype(np.float32))
         codes = act_quantize(x, q)
-        bw = BitWidth(bits)
-        assert codes.min() >= -bw.q_n and codes.max() <= bw.q_p
+        assert codes.min() >= -q.q_n and codes.max() <= q.q_p
         assert np.all(np.diff(codes) >= 0)
         assert np.array_equal(codes, np.rint(codes))
 
@@ -128,8 +128,7 @@ class TestWeightQuantize:
         q = make_weight(bits, alpha)
         w = np.random.default_rng(seed).standard_normal(128).astype(np.float32) * 10
         codes = act_quantize(w, q)
-        bw = BitWidth(bits)
-        assert codes.min() >= -bw.q_n and codes.max() <= bw.q_p
+        assert codes.min() >= -q.q_n and codes.max() <= q.q_p
 
 
 class TestFakeQuant:
@@ -195,15 +194,14 @@ class TestFakeQuant:
         # nonzero x-grad exactly where the pre-clip value is inside the range
         rng = np.random.default_rng(bits)
         q = make_act(bits, 0.31, 0.07)
-        bw = BitWidth(bits)
-        x_arr = rng.uniform(-2.5 * bw.q_n * 0.31, 2.5 * bw.q_p * 0.31, 10_000).astype(np.float32)
+        x_arr = rng.uniform(-2.5 * q.q_n * 0.31, 2.5 * q.q_p * 0.31, 10_000).astype(np.float32)
         v = (x_arr - 0.07) / np.float32(0.31)
-        on_boundary = (np.abs(v + bw.q_n) < 1e-3) | (np.abs(v - bw.q_p) < 1e-3)
+        on_boundary = (np.abs(v + q.q_n) < 1e-3) | (np.abs(v - q.q_p) < 1e-3)
         x = Tensor(x_arr, requires_grad=True)
         with Tape():
             loss = reference_impl.sum_(fake_quant(x, q))
         backward(loss)
-        inside = (v >= -bw.q_n) & (v <= bw.q_p)
+        inside = (v >= -q.q_n) & (v <= q.q_p)
         keep = ~on_boundary
         np.testing.assert_array_equal(x.grad[keep] != 0, inside[keep])
 
@@ -322,7 +320,7 @@ class TestScanOnce:
 
     def test_32_bit_weight_array_returned_and_scanned_each_call(self, monkeypatch):
         w = np.float32([[0.5, -7.0], [1e-30, 2.0]])
-        q = WeightQuantizer(32)
+        q = ActQuantizer(32, symmetric=True)
         scanned = self.spy(monkeypatch)
         assert act_quantize(w, q) is w
         assert act_quantize(w, q) is w
@@ -347,17 +345,16 @@ class TestMatchesMaskedFormula:
     @pytest.mark.parametrize("kind", ["act", "weight"])
     def test_out_and_grads_bit_exact(self, bits, kind):
         rng = np.random.default_rng(bits)
-        bw = BitWidth(bits)
         # a scale and zero-point exact in binary, so x = z + alpha * k lands
         # exactly on code k (and on the rounding tie k + 0.5)
         alpha, z = 0.375, (0.625 if kind == "act" else 0.0)
         q = make_act(bits, alpha, z) if kind == "act" else make_weight(bits, alpha)
-        exact = np.arange(-bw.q_n - 2, bw.q_p + 3, 0.5, dtype=np.float32)
-        spread = rng.uniform(-3.0 * bw.q_n, 3.0 * bw.q_p, 500).astype(np.float32)
+        exact = np.arange(-q.q_n - 2, q.q_p + 3, 0.5, dtype=np.float32)
+        spread = rng.uniform(-3.0 * q.q_n, 3.0 * q.q_p, 500).astype(np.float32)
         x_arr = np.float32(z) + np.float32(alpha) * np.concatenate([exact, spread])
         v = (x_arr - np.float32(z)) / np.float32(alpha)
-        assert (v < -bw.q_n).any() and (v > bw.q_p).any()
-        assert (v == -bw.q_n).any() and (v == bw.q_p).any()
+        assert (v < -q.q_n).any() and (v > q.q_p).any()
+        assert (v == -q.q_n).any() and (v == q.q_p).any()
 
         g = rng.standard_normal(x_arr.size).astype(np.float32)
         x = Tensor(x_arr, requires_grad=True)
@@ -383,10 +380,10 @@ class TestQLinear:
 
     @staticmethod
     def q_linear(x, w, aq, wq):
-        module = QLinear(np.random.default_rng(0), *w.shape, bits=wq.bitwidth.bits)  # bias 0
+        module = QLinear(np.random.default_rng(0), *w.shape, bits=wq.bits)  # bias 0
         module.aq, module.wq = aq, wq
-        layer = PackedLayer(name="linear", kind="linear", bits=wq.bitwidth.bits, shape=w.shape,
-                            words=pack_weights(act_quantize(w, wq), wq.bitwidth.bits))
+        layer = PackedLayer(name="linear", kind="linear", bits=wq.bits, shape=w.shape,
+                            words=pack_weights(act_quantize(w, wq), wq.bits))
         return IntKernel(layer, module)(x)
 
     def test_integral_exact(self):
@@ -416,14 +413,13 @@ class TestCalibration:
         samples = rng.uniform(-3.0, 9.0, 1000).astype(np.float32)
         q.calibrate(samples)
         codes = act_quantize(samples, q)
-        bw = q.bitwidth
-        assert codes.min() >= -bw.q_n and codes.max() <= bw.q_p
+        assert codes.min() >= -q.q_n and codes.max() <= q.q_p
         # extremes are representable, not saturated past the range
         xhat = reference_impl.dequantize(codes, q)
         assert abs(float(xhat.max()) - 9.0) < 2 * float(q.alpha.data[0])
 
     def test_weight_scale_from_max(self):
-        q = WeightQuantizer(4)
+        q = ActQuantizer(4, symmetric=True)
         w = np.float32([-1.4, 0.7])
         q.calibrate(w)
         assert q.alpha.data[0] == pytest.approx(1.4 / 7)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from qsci.autodiff import Tensor
+from qsci.containers import ExperimentConfig
 from qsci.errors import ConfigError
 from qsci.evaluation import psnr
 from qsci.network import QNet, make_variant
 from qsci.sci import encode, generate_masks, synth_video
-from qsci.training import (EVAL_BATCH, HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, Adam, TrainConfig,
-                           augment, evaluate_psnr, make_synth_dataset, mse_loss, train)
+from qsci.training import (EVAL_BATCH, HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, Adam, augment,
+                           evaluate_psnr, make_synth_dataset, mse_loss, train)
 
 TINY = dict(base_channels=8, resdnet_blocks=1, cformer_per_block=1, heads=2, cr=2)
 
@@ -87,10 +88,11 @@ class TestTrainChecks:
     def test_quantized_without_init_rejected(self):
         ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
         with pytest.raises(ConfigError, match="init"):
-            train(TrainConfig(epochs_phase1=1, epochs_phase2=0), make_variant("q4", **TINY), ds)
+            train(ExperimentConfig(train_epochs_phase1=1, train_epochs_phase2=0),
+                  make_variant("q4", **TINY), ds)
 
     def test_mask_frame_count_must_match(self):
         ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
         with pytest.raises(ConfigError, match="T="):
-            train(TrainConfig(), make_variant("fp32", **{**TINY, "cr": 4}), ds)
+            train(ExperimentConfig(), make_variant("fp32", **{**TINY, "cr": 4}), ds)
 
