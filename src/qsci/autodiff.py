@@ -8,15 +8,21 @@ node saved as it goes, and a second call is rejected. Gradients add across
 fan-out and across successive backward passes, so callers must zero them
 between optimizer steps.
 
-A node saves what its backward rule closes over: its input tensors, plus
-an array only where rebuilding it would cost more than keeping it. The
-elementwise ops keep their inputs; ``gelu`` keeps its ``Phi(x)`` too,
-``softmax`` its output, and ``layer_norm`` its centred input and each row's
-deviation. ``leaky_relu`` and ``clamp`` keep no mask and recompute it from
-their input. Shape ops keep shapes only. ``conv3d`` keeps its input and
-weight and rebuilds its im2col patch matrices in backward;
-``quantize.fake_quant`` keeps its input, scale and zero-point and rebuilds
-the pre-clip value and the codes. No conv pads its input: a patch matrix
+A node holds a gradient sink for each input, not the input: the node that
+made the input, if that node is on the same tape; else the input itself, if
+it is a leaf that requires grad; else ``None``. The sink is fixed when the
+input is recorded, so ``requires_grad`` is read then, not at ``backward``.
+A node's backward rule closes over the arrays it reads and nothing else, so
+an input that no rule reads is freed as soon as its caller drops it. The
+data-movement ops, ``add``, ``sub``, ``scale`` and ``mean`` keep no array;
+``softmax`` keeps its output, and ``layer_norm`` its centred input, each
+row's deviation and its gain. ``mul``, ``matmul``, ``gelu``, ``leaky_relu``
+and ``clamp`` keep their input arrays; ``gelu`` keeps its ``Phi(x)`` too,
+and ``leaky_relu`` and ``clamp`` keep no mask and recompute it. ``conv3d``
+keeps its input and weight and rebuilds its im2col patch matrices in
+backward; ``quantize.fake_quant`` keeps its input, scale and zero-point and
+rebuilds the pre-clip value and the codes. Both compute no gradient for an
+input that does not require grad. No conv pads its input: a patch matrix
 holds zeros where a tap reads outside it (:func:`sample_patches`).
 
 Each array is scanned for NaN/Inf once. Every arithmetic op scans its
@@ -44,8 +50,10 @@ _INV_SQRT2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
 
 
 class Node:
-    """One recorded operation: its inputs and the rule mapping the output
-    gradient to input gradients (aligned with ``inputs``, ``None`` allowed)."""
+    """One recorded operation: the gradient sink of each input (its node on
+    this tape, a leaf that requires grad, or ``None``; see the module
+    docstring) and the rule mapping the output gradient to input gradients
+    (aligned with ``inputs``, ``None`` allowed)."""
 
     __slots__ = ("tape", "index", "inputs", "backward_fn", "name")
 
@@ -78,9 +86,17 @@ class Tape:
         return False
 
     def record(self, out: "Tensor", inputs: Sequence["Tensor"], backward_fn, name: str):
-        node = Node(self, len(self.nodes), tuple(inputs), backward_fn, name)
+        node = Node(self, len(self.nodes), tuple(self._sink(t) for t in inputs),
+                    backward_fn, name)
         self.nodes.append(node)
         out.node = node
+
+    def _sink(self, t: "Tensor"):
+        """Where the gradient of input ``t`` goes: its node on this tape, a
+        leaf that requires grad, or nowhere (``None``)."""
+        if t.node is not None:
+            return t.node if t.node.tape is self else None
+        return t if t.requires_grad else None
 
 
 _TAPE_STACK: list[Tape] = []
@@ -199,27 +215,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _finish(out, (a, b), bwd, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _finish(out, (a, b), bwd, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
 
     return _finish(out, (a, b), bwd, "mul")
 
@@ -238,10 +257,11 @@ def leaky_relu(x: Tensor) -> Tensor:
     """``x`` where positive, else ``x * 0.01``. As the slope lies in [0, 1],
     that is ``max(x, x * 0.01)``, bit for bit, signed zeros included."""
     ns = np.float32(0.01)
-    out = np.maximum(x.data, x.data * ns)
+    xd = x.data
+    out = np.maximum(xd, xd * ns)
 
     def bwd(g):
-        return (np.where(x.data > 0, g, g * ns),)
+        return (np.where(xd > 0, g, g * ns),)
 
     return _finish(out, (x,), bwd, "leaky_relu")
 
@@ -254,22 +274,24 @@ def gelu(x: Tensor) -> Tensor:
     """``x * Phi(x)`` in the exact erf form; derivative ``Phi(x) + x * phi(x)``.
     A non-finite input raises NumericError and warns nothing, although
     ``-inf * Phi(-inf)`` is ``-inf * 0``."""
+    xd = x.data
     with np.errstate(invalid="ignore"):
-        cdf = _gelu_cdf(x.data)
-        out = x.data * cdf
+        cdf = _gelu_cdf(xd)
+        out = xd * cdf
 
     def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (cdf + x.data * pdf),)
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * xd * xd)
+        return (g * (cdf + xd * pdf),)
 
     return _finish(out, (x,), bwd, "gelu")
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    out = np.clip(x.data, lo, hi)
+    xd = x.data
+    out = np.clip(xd, lo, hi)
 
     def bwd(g):
-        return (g * ((x.data >= lo) & (x.data <= hi)),)
+        return (g * ((xd >= lo) & (xd <= hi)),)
 
     return _finish(out, (x,), bwd, "clamp")
 
@@ -277,10 +299,10 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 def mean(x: Tensor) -> Tensor:
     """The float32 mean of every element, as a one-element tensor."""
     out = x.data.mean(dtype=np.float32)
-    count = x.data.size
+    count, shape = x.size, x.shape
 
     def bwd(g):
-        return (np.broadcast_to(g.reshape(()) / count, x.shape).astype(np.float32),)
+        return (np.broadcast_to(g.reshape(()) / count, shape).astype(np.float32),)
 
     return _finish(np.asarray(out), (x,), bwd, "mean")
 
@@ -292,9 +314,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     the backward its numpy operations in its order, fan-out sums included.
     The input is listed twice among the node's inputs, so its gradient
     reaches the tape as the chain's did: through the subtraction, then the
-    mean. The tape keeps the centred input and each row's deviation. The
-    variance (for an overflowing square) and the output are scanned; a
-    non-finite input raises NumericError and warns nothing."""
+    mean. The tape keeps the centred input, each row's deviation and the
+    gain's array. The variance (for an overflowing square) and the output
+    are scanned; a non-finite input raises NumericError and warns nothing."""
     c = x.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float32)
@@ -307,11 +329,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     np.divide(xc, std, out=out)
     out *= gain.data
     out += bias.data
+    gain_data, bias_shape = gain.data, bias.shape
 
     def bwd(g):
-        dbias = _unbroadcast(g, bias.shape)
-        dgain = _unbroadcast(g * (xc / std), gain.shape)
-        dxc = g * gain.data
+        dbias = _unbroadcast(g, bias_shape)
+        dgain = _unbroadcast(g * (xc / std), gain_data.shape)
+        dxc = g * gain_data
         dstd = _unbroadcast(-dxc * xc / (std * std), std.shape)
         dxc /= std
         dstd *= 0.5 / std
@@ -320,8 +343,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
         dsq *= xc
         dxc += dsq
         dxc += dsq
-        dmu = _unbroadcast(-dxc, mu.shape)
-        return dxc, (np.broadcast_to(dmu, x.shape) / c).astype(np.float32), dgain, dbias
+        dmu = _unbroadcast(-dxc, std.shape)
+        return dxc, (np.broadcast_to(dmu, xc.shape) / c).astype(np.float32), dgain, dbias
 
     return _finish(out, (x, x, gain, bias), bwd, "layer_norm")
 
@@ -333,9 +356,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = x.data.reshape(shape)
+    in_shape = x.shape
 
     def bwd(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(in_shape),)
 
     return _finish(out, (x,), bwd, "reshape", scan=False)
 
@@ -361,9 +385,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = tuple(slice(None) if a != axis else slice(start, start + length)
                 for a in range(x.data.ndim))
     out = np.ascontiguousarray(x.data[idx])
+    in_shape = x.shape
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(in_shape, dtype=np.float32)
         gx[idx] = g
         return (gx,)
 
@@ -442,11 +467,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner extents differ: {a.shape[-1]} (last axis of a) vs "
             f"{b.shape[-2]} (second-to-last axis of b)"
         )
-    out = a.data @ b.data
+    a_data, b_data = a.data, b.data
+    out = a_data @ b_data
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
+        gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
         return ga, gb
 
     return _finish(out, (a, b), bwd, "matmul")
@@ -556,12 +582,13 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 
 
     Each sample is one GEMM against its patch matrix (:func:`sample_patches`;
     for an unpadded 1x1x1 unit-stride kernel, a view of the input). The tape
-    keeps only the input and the weight: the backward pass rebuilds each
+    keeps only the input and weight arrays: the backward pass rebuilds each
     sample's patch matrix the same way and sums the per-sample weight
     gradients in sample order, so the result is bit for bit that of one
     batched GEMM and an axis-0 sum. The input gradient scatter-adds the
     transposed GEMM back into the input, tap by tap, or is itself a conv
-    (see below), one GEMM per sample.
+    (see below), one GEMM per sample. For an input that does not require
+    grad when the conv is recorded, it is ``None`` and neither is built.
     """
     stride = tuple(int(s) for s in stride)
     padding = tuple(int(p) for p in padding)
@@ -572,15 +599,17 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 
     p_count = to * ho * wo
     geometry = ((kt, kh, kw), stride, padding)
 
-    w2 = w.data.reshape(o, c * k3)
+    xd, wd = x.data, w.data
+    need_dx = x.requires_grad
+    w2 = wd.reshape(o, c * k3)
     unit_stride = stride == (1, 1, 1)
     if unit_stride and k3 == 1 and not any(padding):
-        patches = x.data.reshape(n, c, p_count)   # the kernel sees each voxel once
+        patches = xd.reshape(n, c, p_count)   # the kernel sees each voxel once
         out = w2 @ patches
     else:
         patches = None
         out = np.empty((n, o, p_count), dtype=np.float32)
-        for i, patches_i in enumerate(sample_patches(x.data, *geometry)):
+        for i, patches_i in enumerate(sample_patches(xd, *geometry)):
             np.matmul(w2, patches_i, out=out[i])
     out = out.reshape(n, o, to, ho, wo)
     out += bias.data.reshape(1, o, 1, 1, 1)
@@ -593,25 +622,27 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 
 
     def bwd(g):
         gm = g.reshape(n, o, p_count)
-        each = patches if patches is not None else sample_patches(x.data, *geometry)
+        each = patches if patches is not None else sample_patches(xd, *geometry)
         terms = (gi @ pi.T for gi, pi in zip(gm, each))
         dw = next(terms)
         for term in terms:
             dw += term
-        dw = dw.reshape(w.shape)
-        if patches is not None:
+        dw = dw.reshape(wd.shape)
+        if not need_dx:
+            dx = None
+        elif patches is not None:
             # channel GEMM: the patch gradient is the input gradient
-            dx = (w2.T @ gm).reshape(x.shape)
+            dx = (w2.T @ gm).reshape(xd.shape)
         elif dx_as_conv:
-            wflip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c, o * k3)
-            dx = np.empty(x.shape, dtype=np.float32)
+            wflip = wd[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c, o * k3)
+            dx = np.empty(xd.shape, dtype=np.float32)
             for dx_i, gpatches_i in zip(dx, sample_patches(
                     g, (kt, kh, kw), (1, 1, 1), (kt - 1 - pt, kh - 1 - ph, kw - 1 - pw))):
                 np.matmul(wflip, gpatches_i, out=dx_i.reshape(c, -1))
         else:
             dpatch = (w2.T @ gm).reshape(n, c, k3, to, ho, wo)
-            dx = np.zeros(x.shape, dtype=x.data.dtype)
-            for k, dst, src in tap_windows(x.shape[2:], (kt, kh, kw), stride, padding,
+            dx = np.zeros(xd.shape, dtype=xd.dtype)
+            for k, dst, src in tap_windows(xd.shape[2:], (kt, kh, kw), stride, padding,
                                             (to, ho, wo)):
                 dx[(...,) + src] += dpatch[:, :, k][(...,) + dst]
         return dx, dw, g.sum(axis=(0, 2, 3, 4))
@@ -643,23 +674,23 @@ def backward(loss: Tensor):
     for node in reversed(tape.nodes):
         g = slots[node.index]
         slots[node.index] = None
-        # drop the rule and its saved arrays once used (or never needed):
-        # this breaks the tensor -> node -> rule -> tensor cycles, so the
-        # step's activations are freed by reference counting
-        backward_fn, inputs = node.backward_fn, node.inputs
+        # drop the rule and its saved arrays once used (or never needed),
+        # so the step's activations are freed by reference counting as the
+        # walk passes them
+        backward_fn, sinks = node.backward_fn, node.inputs
         node.backward_fn = node.inputs = None
         if g is None:
             continue
         grads = backward_fn(g)
-        for inp, gin in zip(inputs, grads):
-            if gin is None:
+        for sink, gin in zip(sinks, grads):
+            if gin is None or sink is None:
                 continue
-            if inp.node is not None and inp.node.tape is tape:
-                idx = inp.node.index
+            if isinstance(sink, Node):
+                idx = sink.index
                 if slots[idx] is None:
                     slots[idx] = np.asarray(gin, dtype=np.float32)
                 else:
                     slots[idx] = slots[idx] + gin
-            elif inp.requires_grad:
-                inp.accumulate_grad(np.asarray(gin, dtype=np.float32))
+            else:
+                sink.accumulate_grad(np.asarray(gin, dtype=np.float32))
     tape.nodes.clear()

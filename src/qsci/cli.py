@@ -11,12 +11,14 @@ on the held-out clips. Rows that build the same network are trained once,
 and a ``net.variant`` other than fp32 is a config error. ``eval``,
 ``infer-int`` and ``ablate`` reconstruct clips on ``QSCI_THREADS`` threads
 (default 1; outputs do not depend on it).
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error (an output path that cannot be
+created or written among them), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -48,6 +50,17 @@ def worker_count() -> int:
 def _resolve(workdir: Path, p: str) -> Path:
     path = Path(p)
     return path if path.is_absolute() else workdir / path
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Turn an OSError raised while creating or writing the output ``path``
+    (a file, or a directory and what goes into it) into a ConfigError that
+    names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def _sha256(path: Path) -> str:
@@ -92,19 +105,20 @@ def cmd_gen_data(args, workdir: Path) -> int:
     mask_seed = args.mask_seed if args.mask_seed is not None else args.seed + MASK_SEED_OFFSET
     masks = generate_masks(mask_seed, args.T, args.H, args.W, args.p)
     out = _resolve(workdir, args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "masks.npy", masks.masks)
-    rows = ["index,clip,measurement,clip_sha256,meas_sha256"]
-    for i in range(args.count):
-        clip = synth_video(args.seed + i, args.T, args.H, args.W)
-        meas = encode(clip, masks, args.noise_sigma, noise_seed=args.seed + i)
-        clip_path = out / f"clip_{i:04d}.npy"
-        meas_path = out / f"meas_{i:04d}.npy"
-        np.save(clip_path, clip.frames)
-        np.save(meas_path, meas.y)
-        rows.append(f"{i},{clip_path.name},{meas_path.name},"
-                    f"{_sha256(clip_path)},{_sha256(meas_path)}")
-    (out / "manifest.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        np.save(out / "masks.npy", masks.masks)
+        rows = ["index,clip,measurement,clip_sha256,meas_sha256"]
+        for i in range(args.count):
+            clip = synth_video(args.seed + i, args.T, args.H, args.W)
+            meas = encode(clip, masks, args.noise_sigma, noise_seed=args.seed + i)
+            clip_path = out / f"clip_{i:04d}.npy"
+            meas_path = out / f"meas_{i:04d}.npy"
+            np.save(clip_path, clip.frames)
+            np.save(meas_path, meas.y)
+            rows.append(f"{i},{clip_path.name},{meas_path.name},"
+                        f"{_sha256(clip_path)},{_sha256(meas_path)}")
+        (out / "manifest.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
     print(f"wrote {args.count} clips to {out}")
     return 0
 
@@ -164,10 +178,11 @@ def cmd_train(args, workdir: Path) -> int:
         )
     result = train(cfg, netcfg, _dataset(cfg), init_state, init_geometry)
     out = _resolve(workdir, cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
-    save_checkpoint(out / "checkpoint.qsc", result.fingerprint, result.state)
-    _write_loss_csv(out / "loss.csv", result.curve)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
+        save_checkpoint(out / "checkpoint.qsc", result.fingerprint, result.state)
+        _write_loss_csv(out / "loss.csv", result.curve)
     print(f"trained {netcfg.fingerprint()} -> {out / 'checkpoint.qsc'} "
           f"(final holdout PSNR {result.final_psnr:.3f} dB)")
     return 0
@@ -210,16 +225,17 @@ def cmd_eval(args, workdir: Path) -> int:
     results = _reconstruct_all(net, masks, entries, _psnr_ssim)
 
     out = _resolve(workdir, args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = ["index,psnr_db,ssim"]
-    for idx, frames, (p, s) in results:
-        rows.append(f"{idx},{p:.6f},{s:.6f}")
-        if args.dump_frames:
-            for t, frame in enumerate(frames):
-                _write_pgm(out / f"recon_{idx:04d}_f{t}.pgm", frame)
-    if results:
-        rows.append("average," + _mean_psnr_ssim([r[2] for r in results]))
-    (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for idx, frames, (p, s) in results:
+            rows.append(f"{idx},{p:.6f},{s:.6f}")
+            if args.dump_frames:
+                for t, frame in enumerate(frames):
+                    _write_pgm(out / f"recon_{idx:04d}_f{t}.pgm", frame)
+        if results:
+            rows.append("average," + _mean_psnr_ssim([r[2] for r in results]))
+        (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
     print((out / "metrics.csv").read_text(encoding="ascii"), end="")
     return 0
 
@@ -262,31 +278,32 @@ def cmd_ablate(args, workdir: Path) -> int:
     fp32_cfg = _net_config(cfg)
     tables = {"ladder.csv": _ladder_configs(fp32_cfg, args.bits),
               "grid.csv": _grid_configs(fp32_cfg, args.bits)}
-    out = _resolve(workdir, cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
     dataset = _dataset(cfg)
     holdout = [(i, c, encode(c, dataset.masks)) for i, c in enumerate(dataset.holdout_clips)]
+    out = _resolve(workdir, cfg.out_dir)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
 
-    # shared full-precision backbone, identical seeds for every row
-    fp32 = train(cfg, fp32_cfg, dataset)
-    save_checkpoint(out / "fp32_init.qsc", fp32.fingerprint, fp32.state)
-    trained = {}   # network key -> state: rows of one network train once
-    for csv_name, rows in tables.items():
-        lines = ["row,psnr_db,ssim,params_m,ops_g"]
-        for name, rowcfg in rows:
-            key = _network_key(rowcfg)
-            if key not in trained:
-                trained[key] = train(cfg, rowcfg, dataset, fp32.state,
-                                     fp32_cfg.backbone_geometry()).state
-            save_checkpoint(out / f"{name}.qsc", rowcfg.fingerprint(), trained[key])
-            net = _load_net(out / f"{name}.qsc")
-            results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
-            rep = count_efficiency(net, (cfg.train_crop, cfg.train_crop))
-            lines.append(f"{name},{_mean_psnr_ssim([r[2] for r in results])},"
-                         f"{rep.params_m:.6f},{rep.ops_g:.6f}")
-        (out / csv_name).write_text("\n".join(lines) + "\n", encoding="ascii")
-        print((out / csv_name).read_text(encoding="ascii"), end="")
+        # shared full-precision backbone, identical seeds for every row
+        fp32 = train(cfg, fp32_cfg, dataset)
+        save_checkpoint(out / "fp32_init.qsc", fp32.fingerprint, fp32.state)
+        trained = {}   # network key -> state: rows of one network train once
+        for csv_name, rows in tables.items():
+            lines = ["row,psnr_db,ssim,params_m,ops_g"]
+            for name, rowcfg in rows:
+                key = _network_key(rowcfg)
+                if key not in trained:
+                    trained[key] = train(cfg, rowcfg, dataset, fp32.state,
+                                         fp32_cfg.backbone_geometry()).state
+                save_checkpoint(out / f"{name}.qsc", rowcfg.fingerprint(), trained[key])
+                net = _load_net(out / f"{name}.qsc")
+                results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
+                rep = count_efficiency(net, (cfg.train_crop, cfg.train_crop))
+                lines.append(f"{name},{_mean_psnr_ssim([r[2] for r in results])},"
+                             f"{rep.params_m:.6f},{rep.ops_g:.6f}")
+            (out / csv_name).write_text("\n".join(lines) + "\n", encoding="ascii")
+            print((out / csv_name).read_text(encoding="ascii"), end="")
     return 0
 
 
@@ -294,7 +311,8 @@ def cmd_pack(args, workdir: Path) -> int:
     net = _load_net(_resolve(workdir, args.ckpt))
     model = pack_model(net)
     out = _resolve(workdir, args.out)
-    save_checkpoint(out, model.fingerprint, model.state)
+    with _writing(out):
+        save_checkpoint(out, model.fingerprint, model.state)
     layers = [layer for _, layer in packed_layers(net)]
     n_codes = sum(layer.weight_count() for layer in layers)
     print(f"packed {len(layers)} layers / {n_codes} codes -> {out}")
@@ -304,13 +322,15 @@ def cmd_pack(args, workdir: Path) -> int:
 def cmd_infer_int(args, workdir: Path) -> int:
     net = packed_net(read_packed(_resolve(workdir, args.packed)))
     masks, entries = _load_data_dir(_resolve(workdir, args.data), net.cfg.cr)
+    results = _reconstruct_all(net, masks, entries, psnr)
     out = _resolve(workdir, args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = ["index,psnr_db"]
-    for idx, frames, p in _reconstruct_all(net, masks, entries, psnr):
-        np.save(out / f"recon_{idx:04d}.npy", frames)
-        rows.append(f"{idx},{p:.6f}")
-    (out / "int_metrics.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for idx, frames, p in results:
+            np.save(out / f"recon_{idx:04d}.npy", frames)
+            rows.append(f"{idx},{p:.6f}")
+        (out / "int_metrics.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
     print((out / "int_metrics.csv").read_text(encoding="ascii"), end="")
     return 0
 
@@ -329,7 +349,9 @@ def cmd_report(args, workdir: Path) -> int:
     rows.append(f"total,,,,,,{rep.params_m * 1e6:.1f},,{rep.ops_g * 1e9:.1f}")
     text = "\n".join(rows) + "\n"
     if args.out:
-        _resolve(workdir, args.out).write_text(text, encoding="ascii")
+        out = _resolve(workdir, args.out)
+        with _writing(out):
+            out.write_text(text, encoding="ascii")
     print(text, end="")
     return 0
 

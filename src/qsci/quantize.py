@@ -168,9 +168,11 @@ def fake_quant(x: Tensor, q) -> Tensor:
     an input without the scan mark is scanned.
 
     The forward dequantizes the codes, made as :func:`act_quantize` makes
-    them, in place. The tape keeps only the node's inputs: the backward
-    recomputes the pre-clip value from the input, with the forward's scale
-    and zero-point, and the codes from that.
+    them, in place. The tape keeps only the input array, the scale and the
+    zero-point: the backward recomputes the pre-clip value from the input,
+    with the forward's scale and zero-point, and the codes from that. For an
+    input that does not require grad when it is recorded, the input gradient
+    is ``None`` and is not computed.
 
     LSQ (Esser et al., arXiv 1902.08153) also multiplies the scale gradient
     by 1/sqrt(N * q_p); that factor is omitted on purpose. Every scale is its
@@ -183,21 +185,23 @@ def fake_quant(x: Tensor, q) -> Tensor:
         return x
     if not x.scanned:
         _check_input(x.data, "fake_quant input")
+    xd = x.data
+    need_dx = x.requires_grad
     alpha = float(q.alpha.data[0])
     z = float(q.z.data[0])
     q_n, q_p = q.q_n, q.q_p
-    out = _pre_clip(x.data, alpha, z)
+    out = _pre_clip(xd, alpha, z)
     _codes(out, q, out=out)
     out *= np.float32(alpha)
     out += np.float32(z)
 
     def bwd(g):
-        v = _pre_clip(x.data, alpha, z)
+        v = _pre_clip(xd, alpha, z)
         codes = _codes(v, q)
         clipped = v < -q_n
         clipped |= v > q_p
         mid = ~clipped
-        dx = g * mid
+        dx = g * mid if need_dx else None
         # codes - v in range; where clipped, the code itself (q_p or -q_n)
         field = np.multiply(v, mid, out=v)
         np.subtract(codes, field, out=field)

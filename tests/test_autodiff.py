@@ -14,6 +14,9 @@ from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import NumericError, ShapeError
 from qsci.network import QConv3d
 from qsci.quantize import ActQuantizer, fake_quant
+from qsci.sci import initial_estimate
+from qsci.training import mse_loss
+from small_models import calibrated_net, small_inputs
 
 
 def zero_bias(w) -> Tensor:
@@ -706,6 +709,163 @@ class TestBackwardBasics:
                 loss = reference_impl.sum_(x * 2.0)
             backward(loss)
         np.testing.assert_allclose(x.grad, [4.0])
+
+
+@pytest.fixture
+def no_gc():
+    """Run with the cyclic collector off, so an array that lives on is held
+    by a reference, not by a cycle that waits for the collector."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+_RNG = np.random.default_rng(30)
+_SHAPE = (1, 4, 2, 4, 4)
+_CONST = Tensor(_RNG.standard_normal(_SHAPE).astype(np.float32))
+_LEAVES = {name: Tensor(_RNG.standard_normal(shape).astype(np.float32), requires_grad=True)
+           for name, shape in (("gain", (4,)), ("bias", (4,)), ("m", (4, 4)),
+                               ("w", (4, 4, 3, 3, 3)), ("b", (4,)))}
+_QUANT = ActQuantizer(4)
+_QUANT.calibrate(_CONST.data)
+
+# ops whose backward rules read nothing of the input ``x``
+UNREAD = {
+    "add": lambda x: ad.add(x, _CONST),
+    "sub": lambda x: ad.sub(x, _CONST),
+    "scale": lambda x: ad.scale(x, 2.0),
+    "reshape": lambda x: ad.reshape(x, (4, 32)),
+    "transpose": lambda x: ad.transpose(x, (0, 2, 1, 3, 4)),
+    "narrow": lambda x: ad.narrow(x, 1, 1, 2),
+    "concat": lambda x: ad.concat([x, _CONST], axis=1),
+    "pixel_shuffle": lambda x: ad.pixel_shuffle_spatial(x, 2),
+    "pixel_unshuffle": lambda x: ad.pixel_unshuffle_spatial(x, 2),
+    "mean": ad.mean,
+    "softmax": ad.softmax,
+    "layer_norm": lambda x: ad.layer_norm(x, _LEAVES["gain"], _LEAVES["bias"], 1e-5),
+}
+# ops whose backward rules read the input's data
+READ = {
+    "conv3d": lambda x: ad.conv3d(x, _LEAVES["w"], _LEAVES["b"], padding=(1, 1, 1)),
+    "matmul": lambda x: ad.matmul(x, _LEAVES["m"]),
+    "mul": lambda x: ad.mul(x, _CONST),
+    "gelu": ad.gelu,
+    "leaky_relu": ad.leaky_relu,
+    "clamp": lambda x: ad.clamp(x, -0.5, 0.5),
+    "fake_quant": lambda x: fake_quant(x, _QUANT),
+}
+
+
+class TestGradientSinks:
+    """A node holds the gradient sink of each input, not the input, and its
+    rule closes over only the arrays it reads: an input array that no rule
+    reads dies with its caller's last reference, and one that a rule reads
+    lives until ``backward``."""
+
+    @staticmethod
+    def taped(op):
+        """(weak reference to the data of ``x``, loss) of a taped
+        ``mean(op(x))``, where ``x`` is made on the tape, so that its sink is
+        its node. Nothing but the tape refers to ``x`` or ``op(x)``."""
+        leaf = Tensor(_RNG.standard_normal(_SHAPE).astype(np.float32), requires_grad=True)
+        with Tape():
+            x = ad.scale(leaf, 1.0)
+            loss = ad.mean(op(x))
+        return weakref.ref(x.data), loss
+
+    @pytest.mark.parametrize("name", list(UNREAD))
+    def test_unread_input_is_freed_before_backward(self, no_gc, name):
+        ref, loss = self.taped(UNREAD[name])
+        assert ref() is None
+        backward(loss)
+
+    @pytest.mark.parametrize("name", list(READ))
+    def test_read_input_lives_until_backward(self, no_gc, name):
+        ref, loss = self.taped(READ[name])
+        assert ref() is not None
+        backward(loss)
+        assert ref() is None
+
+    @pytest.mark.parametrize("variant", ["fp32", "q4"])
+    def test_network_nodes_hold_only_sinks(self, variant):
+        masks, _, meas = small_inputs()
+        net = calibrated_net(variant)
+        stack = Tensor(np.concatenate([initial_estimate(m, masks) for m in meas]))
+        with Tape() as tape:
+            net.forward_stack(stack)
+        sinks = [s for node in tape.nodes for s in node.inputs]
+        for sink in sinks:
+            assert (sink is None or (isinstance(sink, ad.Node) and sink.tape is tape)
+                    or (isinstance(sink, Tensor) and sink.node is None and sink.requires_grad))
+        params = {id(p) for _, p in net.named_params()}
+        assert {id(s) for s in sinks if isinstance(s, Tensor)} <= params
+        assert None in sinks     # the input stack requires no grad
+
+
+class TestNoGradientForAConstantInput:
+    """An input that does not require grad when it is recorded gets no
+    gradient: ``conv3d`` builds no ``dx`` on any of its routes and
+    ``fake_quant`` no ``g * mid``, and every other gradient keeps its bits."""
+
+    @staticmethod
+    def grads(op, x_arr, requires_grad):
+        x = Tensor(x_arr, requires_grad=requires_grad)
+        with Tape():
+            out = op(x)
+        return out.node.backward_fn(np.ones_like(out.data))
+
+    @pytest.mark.parametrize("o,kshape,stride,padding", [
+        (4, (1, 1, 1), (1, 1, 1), (0, 0, 0)),   # channel GEMM
+        (3, (3, 3, 3), (1, 1, 1), (1, 1, 1)),   # input gradient as a conv
+        (6, (3, 3, 3), (1, 1, 1), (1, 1, 1)),   # scatter-add
+        (3, (1, 3, 3), (1, 2, 2), (0, 1, 1)),   # scatter-add, strided
+    ], ids=["k111", "as-conv", "scatter", "strided"])
+    def test_conv3d(self, o, kshape, stride, padding):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((2, 4, 4, 6, 6)).astype(np.float32)
+        w = Tensor(rng.standard_normal((o, 4) + kshape).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(o).astype(np.float32), requires_grad=True)
+
+        def op(t):
+            return ad.conv3d(t, w, b, stride, padding)
+
+        dx, dw, db = self.grads(op, x, False)
+        want = self.grads(op, x, True)
+        assert dx is None and want[0] is not None
+        assert same_bits(dw, want[1]) and same_bits(db, want[2])
+
+    def test_fake_quant(self):
+        rng = np.random.default_rng(33)
+        x = (rng.standard_normal(4096) * 2).astype(np.float32)
+        q = ActQuantizer(4)
+        q.calibrate(x * 0.5)     # some inputs clip
+        dx, dalpha, dz = self.grads(lambda t: fake_quant(t, q), x, False)
+        want = self.grads(lambda t: fake_quant(t, q), x, True)
+        assert dx is None and want[0] is not None
+        assert same_bits(dalpha, want[1]) and same_bits(dz, want[2])
+
+    @pytest.mark.parametrize("variant", ["fp32", "q4"])
+    def test_training_step_parameter_gradients_keep_their_bits(self, variant):
+        """One step's parameter gradients are those of the same step with an
+        input stack that requires grad, whose input gradient every rule
+        builds."""
+        masks, clips, meas = small_inputs()
+        stack = np.concatenate([initial_estimate(m, masks) for m in meas])
+        gt = np.stack([c.frames for c in clips])
+
+        def step(requires_grad):
+            net = calibrated_net(variant)
+            with Tape():
+                loss = mse_loss(net.forward_stack(Tensor(stack, requires_grad=requires_grad)), gt)
+            backward(loss)
+            return {name: p.grad for name, p in net.named_params()}
+
+        got, want = step(False), step(True)
+        assert got.keys() == want.keys()
+        for name in got:
+            assert got[name] is not None and same_bits(got[name], want[name]), name
 
 
 class TestFiniteDifferences:

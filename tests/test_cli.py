@@ -255,6 +255,7 @@ class TestNoTraceback:
         if rc:
             assert "error:" in err
             assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+        return err
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("key", NUMERIC_KEYS)
@@ -286,6 +287,29 @@ class TestNoTraceback:
         save_checkpoint(tmp_path / name, fingerprint.replace(old, new), state)
         self.check(tmp_path, [command, flag, name, "--data", work / "data", "--out", "out"],
                    [name], True)
+
+    @pytest.mark.parametrize("command", ["gen-data", "eval", "infer-int", "train", "ablate",
+                                         "pack", "report"])
+    def test_unwritable_output(self, work, tmp_path, command):
+        """An output directory that is an existing file, a file under one, or
+        a file in a directory that does not exist is a config error that
+        names the path."""
+        (tmp_path / "taken").write_text("", encoding="ascii")
+        (tmp_path / "guard.cfg").write_text(GUARD_CFG.replace("out.dir = run", "out.dir = taken"),
+                                            encoding="ascii")
+        data = ["--data", work / "data", "--out", "taken"]
+        argv, path = {
+            "gen-data": (["gen-data", *(x for kv in GEN_DATA.items() for x in kv),
+                          "--out", "taken"], "taken"),
+            "eval": (["eval", "--ckpt", work / "q4.qsc", *data], "taken"),
+            "infer-int": (["infer-int", "--packed", work / "q4.pack", *data], "taken"),
+            "train": (["train", "--config", "guard.cfg"], "taken"),
+            "ablate": (["ablate", "--config", "guard.cfg"], "taken"),
+            "pack": (["pack", "--ckpt", work / "q4.qsc", "--out", "taken/q4.pack"], "taken"),
+            "report": (["report", "--out", "/nonexistent/x.csv"], "/nonexistent/x.csv"),
+        }[command]
+        assert not Path("/nonexistent").exists()
+        assert path in self.check(tmp_path, argv, ["guard.cfg", "taken"], True)
 
 
 class TestDataValidation:
