@@ -7,10 +7,10 @@ round-trip bit-exactly and CSV outputs are byte-identical across reruns.
 shared backbone ``fp32_init.qsc``, one ``<row>.qsc`` per row, and
 ``ladder.csv`` and ``grid.csv`` (``row,psnr_db,ssim,params_m,ops_g``); a
 row's ``psnr_db,ssim`` are the ``average`` row of ``eval`` of its checkpoint
-on the held-out clips. Rows that build the same network are trained once,
-and a ``net.variant`` other than fp32 is a config error. ``eval``,
-``infer-int`` and ``ablate`` reconstruct clips on ``QSCI_THREADS`` threads
-(default 1; outputs do not depend on it).
+on the held-out clips. Rows that build the same network are trained once;
+a ``net.variant`` other than fp32 or a ``data.holdout`` of 0 is a config
+error. ``eval``, ``infer-int`` and ``ablate`` reconstruct clips on
+``QSCI_THREADS`` threads (default 1; outputs do not depend on it).
 Exit codes: 0 success, 2 config error (an output path that cannot be
 created or written among them), 3 data error, 4 numeric failure.
 """
@@ -126,9 +126,9 @@ def cmd_gen_data(args, workdir: Path) -> int:
 def _load_data_dir(path: Path, cr: int):
     """(masks, [(index, clip, measurement)]) of a gen-data directory. The
     masks must be a binary [T, H, W] stack with the model's compression
-    ratio ``cr`` as T, each clip [T, H, W] and each measurement [H, W]; a
-    missing, unreadable or misshapen file, or an index the manifest lists
-    twice, raises DataError naming it."""
+    ratio ``cr`` as T, each clip [T, H, W] and finite, and each measurement
+    [H, W]; a missing, unreadable, misshapen or non-finite clip file, or an
+    index the manifest lists twice, raises DataError naming it."""
     def load(name: str, shape=None) -> np.ndarray:
         try:
             arr = np.load(path / name).astype(np.float32)
@@ -158,7 +158,10 @@ def _load_data_dir(path: Path, cr: int):
             raise DataError(f"{path / 'manifest.csv'} row '{line}': {exc}") from exc
         if any(idx == e[0] for e in entries):
             raise DataError(f"{path / 'manifest.csv'} lists index {idx} twice")
-        entries.append((idx, VideoClip(frames=load(clip_name, masks.masks.shape)),
+        frames = load(clip_name, masks.masks.shape)
+        if not np.isfinite(frames).all():   # it would be scored as nan
+            raise DataError(f"{path / clip_name} holds a non-finite value")
+        entries.append((idx, VideoClip(frames=frames),
                         Measurement(y=load(meas_name, masks.frame_shape), cr=masks.t)))
     return masks, entries
 
@@ -166,17 +169,8 @@ def _load_data_dir(path: Path, cr: int):
 def cmd_train(args, workdir: Path) -> int:
     cfg = ExperimentConfig.load(_resolve(workdir, args.config))
     netcfg = _net_config(cfg)
-    init_state = None
-    init_geometry = None
-    if args.init is not None:
-        fp, init_state = load_checkpoint(_resolve(workdir, args.init))
-        init_geometry = parse_fingerprint(fp).backbone_geometry()
-    elif netcfg.quantized:
-        raise ConfigError(
-            "quantized variant requires --init pointing at a full-precision "
-            "checkpoint with identical geometry"
-        )
-    result = train(cfg, netcfg, _dataset(cfg), init_state, init_geometry)
+    init = None if args.init is None else load_checkpoint(_resolve(workdir, args.init))
+    result = train(cfg, netcfg, _dataset(cfg), init)
     out = _resolve(workdir, cfg.out_dir)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -274,6 +268,9 @@ def cmd_ablate(args, workdir: Path) -> int:
     if cfg.net_variant != "fp32":
         raise ConfigError(f"ablate trains its rows from an fp32 backbone; "
                           f"net.variant must be fp32, got '{cfg.net_variant}'")
+    if cfg.data_holdout == 0:
+        raise ConfigError("ablate scores its rows on the held-out clips; "
+                          "data.holdout must be >= 1, got 0")
     worker_count()   # a malformed QSCI_THREADS fails before any training
     fp32_cfg = _net_config(cfg)
     tables = {"ladder.csv": _ladder_configs(fp32_cfg, args.bits),
@@ -294,8 +291,8 @@ def cmd_ablate(args, workdir: Path) -> int:
             for name, rowcfg in rows:
                 key = _network_key(rowcfg)
                 if key not in trained:
-                    trained[key] = train(cfg, rowcfg, dataset, fp32.state,
-                                         fp32_cfg.backbone_geometry()).state
+                    trained[key] = train(cfg, rowcfg, dataset,
+                                         (fp32.fingerprint, fp32.state)).state
                 save_checkpoint(out / f"{name}.qsc", rowcfg.fingerprint(), trained[key])
                 net = _load_net(out / f"{name}.qsc")
                 results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
@@ -309,10 +306,9 @@ def cmd_ablate(args, workdir: Path) -> int:
 
 def cmd_pack(args, workdir: Path) -> int:
     net = _load_net(_resolve(workdir, args.ckpt))
-    model = pack_model(net)
     out = _resolve(workdir, args.out)
     with _writing(out):
-        save_checkpoint(out, model.fingerprint, model.state)
+        save_checkpoint(out, *pack_model(net))
     layers = [layer for _, layer in packed_layers(net)]
     n_codes = sum(layer.weight_count() for layer in layers)
     print(f"packed {len(layers)} layers / {n_codes} codes -> {out}")

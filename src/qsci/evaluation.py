@@ -92,9 +92,9 @@ def bit_adjusted_params(raw_params: float, bits: int) -> float:
     return raw_params * bits / 32.0
 
 
-def bit_adjusted_ops(flops: float, w_bits: int, a_bits: int) -> float:
-    """FLOPs scaled by max(weight bits, activation bits)/32."""
-    return flops * max(w_bits, a_bits) / 32.0
+def bit_adjusted_ops(flops: float, bits: int) -> float:
+    """FLOPs scaled by bits/32, a layer's one width for weights and inputs."""
+    return flops * bits / 32.0
 
 
 @dataclass
@@ -116,7 +116,7 @@ def count_efficiency(net_or_cfg, input_hw) -> EffReport:
     rows = []
     for r in net.audit(input_hw):
         adj_params = bit_adjusted_params(r["weight_params"], r["w_bits"]) + r["bias_params"]
-        adj_ops = bit_adjusted_ops(r["flops"], r["w_bits"], r["a_bits"])
+        adj_ops = bit_adjusted_ops(r["flops"], r["w_bits"])
         rows.append({**r, "adj_params": adj_params, "adj_ops": adj_ops})
     params_m = sum(r["adj_params"] for r in rows) / 1e6
     ops_g = sum(r["adj_ops"] for r in rows) / 1e9

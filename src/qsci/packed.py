@@ -1,7 +1,8 @@
 """Deployment-style integer inference: bit-packed weights run through the
 network's own code-domain forward.
 
-A packed model is a ``QSCICKPT`` checkpoint (see :mod:`qsci.containers`):
+A packed model is a ``QSCICKPT`` checkpoint (see :mod:`qsci.containers`),
+held as the ``(fingerprint, state)`` pair that ``load_checkpoint`` returns:
 the network's parameters, with each sub-32-bit layer's float weight replaced
 by a ``<layer>.words`` entry that holds its weight codes as b-bit
 two's-complement fields packed little-endian into uint64 words (no field
@@ -116,46 +117,42 @@ class IntKernel:
         return self.module.code_forward(x, self.w_codes)
 
 
-@dataclass
-class PackedModel:
-    """The contents of a packed-model checkpoint: a config fingerprint and
-    its named entries (``<layer>.words`` uint64 codes, float32 parameters)."""
-
-    fingerprint: str
-    state: dict
-
-
 def packed_layers(net: QNet) -> list:
     """(name, layer) of every weight layer whose codes are packed: those
     below 32 bits, forward order."""
     return [(name, layer) for name, layer in net.quant_layers() if layer.bits < 32]
 
 
-def pack_model(net: QNet) -> PackedModel:
-    """The network's parameters with every sub-32-bit weight replaced by its
-    bit-packed codes."""
+def pack_model(net: QNet) -> tuple:
+    """The packed model of ``net``: the ``(fingerprint, state)`` pair that
+    ``load_checkpoint`` returns, whose state is the network's parameters
+    with every sub-32-bit weight replaced by its bit-packed codes."""
     state = net.state_dict()
     for name, layer in packed_layers(net):
         codes = act_quantize(state.pop(f"{name}.weight"), layer.wq)
         state[f"{name}.words"] = pack_weights(codes, layer.bits)
-    return PackedModel(fingerprint=net.cfg.fingerprint(), state=state)
+    return net.cfg.fingerprint(), state
 
 
-def read_packed(path) -> PackedModel:
-    """Read a packed model; a truncated or corrupt file raises FormatError.
-    Whether its entries fit a network is checked by :func:`install_packed`."""
-    return PackedModel(*load_checkpoint(path))
+def read_packed(path) -> tuple:
+    """Read a packed model, the ``(fingerprint, state)`` pair that
+    ``load_checkpoint`` returns; a truncated or corrupt file raises
+    FormatError, and :func:`install_packed` checks that its entries fit."""
+    return load_checkpoint(path)
 
 
-def install_packed(net: QNet, model: PackedModel):
-    """Load a packed model into a network skeleton and attach an integer
-    kernel to every packed layer. The entries are the network's parameters
-    with each packed ``.weight`` replaced by its ``.words``; a state that does
-    not fit (for words: the wrong count) raises FormatError, see
+def install_packed(net: QNet, model: tuple):
+    """Load a packed model, the ``(fingerprint, state)`` pair that
+    ``load_checkpoint`` returns, into a network skeleton and attach an
+    integer kernel to every packed layer. The entries are the network's
+    parameters with each packed ``.weight`` replaced by its ``.words``; a
+    fingerprint other than the network's, or a state that does not fit (for
+    words: the wrong count), raises FormatError, see
     :func:`~qsci.network.check_state`."""
-    if net.cfg.fingerprint() != model.fingerprint:
+    fingerprint, state = model
+    if net.cfg.fingerprint() != fingerprint:
         raise FormatError(
-            f"packed model fingerprint '{model.fingerprint}' does not match "
+            f"packed model fingerprint '{fingerprint}' does not match "
             f"network '{net.cfg.fingerprint()}'"
         )
     expect = net.expected_state()
@@ -163,22 +160,24 @@ def install_packed(net: QNet, model: PackedModel):
         del expect[f"{name}.weight"]
         n_words = packed_word_count(layer.weight_count(), layer.bits)
         expect[f"{name}.words"] = (np.dtype(np.uint64), (n_words,))
-    net.load_state(model.state, expect)
+    net.load_state(state, expect)
     for name, layer in packed_layers(net):
         kind = "conv3d" if isinstance(layer, QConv3d) else "linear"
         pl = PackedLayer(name=name, kind=kind, bits=layer.bits, shape=layer.weight.shape,
-                         words=model.state[f"{name}.words"])
+                         words=state[f"{name}.words"])
         layer.int_kernel = IntKernel(pl, layer)
 
 
-def packed_net(model: PackedModel) -> QNet:
-    """A network skeleton for the model's fingerprint with the model installed."""
-    net = QNet(parse_fingerprint(model.fingerprint), seed=0)
+def packed_net(model: tuple) -> QNet:
+    """A network skeleton for the fingerprint of ``model``, the
+    ``(fingerprint, state)`` pair that ``load_checkpoint`` returns, with the
+    model installed."""
+    net = QNet(parse_fingerprint(model[0]), seed=0)
     install_packed(net, model)
     return net
 
 
-def infer_packed(model: PackedModel, meas: Measurement, masks: MaskSet) -> VideoClip:
+def infer_packed(model: tuple, meas: Measurement, masks: MaskSet) -> VideoClip:
     """Full-network inference over the integer path (one-shot: builds the
     network each call; reuse :func:`packed_net` for many clips)."""
     return packed_net(model).reconstruct(meas, masks)

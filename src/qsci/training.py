@@ -21,7 +21,7 @@ from .autodiff import Tensor
 from .containers import ExperimentConfig
 from .errors import ConfigError, ShapeError
 from .evaluation import psnr
-from .network import QNet, QNetConfig
+from .network import QNet, QNetConfig, parse_fingerprint
 from .quantize import ALPHA_FLOOR
 from .sci import MaskSet, VideoClip, encode, generate_masks, initial_estimate, synth_video
 
@@ -171,30 +171,29 @@ class TrainResult:
 
 
 def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
-          init_state: Optional[dict] = None,
-          init_geometry: Optional[str] = None) -> TrainResult:
+          init: Optional[tuple] = None) -> TrainResult:
     """Run both learning-rate phases of ``cfg``'s ``train.*`` recipe, with
     its ``data.noise_sigma`` on every training measurement; returns the
     final parameter state and the per-epoch loss / held-out PSNR curve.
-    Deterministic per seed."""
+    Deterministic per seed. ``init``, the ``(fingerprint, state)`` pair that
+    ``load_checkpoint`` returns, starts the network from that checkpoint;
+    its fingerprint's backbone geometry must be the network's. A quantized
+    network needs one."""
     if netcfg.cr != dataset.masks.t:
         raise ConfigError(f"model T={netcfg.cr} but mask set has T={dataset.masks.t}")
+    if netcfg.quantized and init is None:
+        raise ConfigError("quantized variant requires --init pointing at a full-precision "
+                          "checkpoint with identical geometry")
     net = QNet(netcfg, seed=cfg.train_seed)
-
+    if init is not None:
+        fingerprint, state = init
+        net.init_from_backbone(state, parse_fingerprint(fingerprint).backbone_geometry())
     if netcfg.quantized:
-        if init_state is None:
-            raise ConfigError(
-                "quantized training requires a full-precision init checkpoint "
-                "with identical geometry (pass init_state)"
-            )
-        net.init_from_backbone(init_state, init_geometry or netcfg.backbone_geometry())
         calib_rng = np.random.default_rng(cfg.train_seed)
         calib = [augment(c, cfg.train_crop, calib_rng, cfg.train_aug_crop, False, False)
                  for c in dataset.train_clips[: cfg.train_batch_size]]
         stacks, _ = _batch_stacks(calib, dataset.masks, 0.0, 0)
         net.calibrate_quantizers(stacks)
-    elif init_state is not None:
-        net.init_from_backbone(init_state, init_geometry or netcfg.backbone_geometry())
 
     floors = [(p, ALPHA_FLOOR) for p in net.alpha_params()]
     opt = Adam(net.params(), cfg.train_lr_phase1, floors=floors)

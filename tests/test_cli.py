@@ -71,7 +71,7 @@ class TestCorruptContainers:
         net = QNet(make_variant("q4", base_channels=2, heads=1, resdnet_blocks=1,
                                 cformer_per_block=1, cr=2), seed=0)
         whole = tmp_path / f"whole.{suffix}"
-        state = pack_model(net).state if suffix == "pack" else net.state_dict()
+        state = pack_model(net)[1] if suffix == "pack" else net.state_dict()
         save_checkpoint(whole, net.cfg.fingerprint(), state)
         data = whole.read_bytes()
         reader(whole)
@@ -369,6 +369,22 @@ class TestDataValidation:
                       "--out", tmp_path / "out")
         assert rc == 3, err
         assert "lists index 0 twice" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc")])
+    def test_non_finite_clip_exits_3(self, work, tmp_path, command, flag, name, bad):
+        # a ground-truth clip is only scored, so its NaN would be a nan score
+        data = tmp_path / "data"
+        shutil.copytree(work / "data", data)
+        frames = np.load(data / "clip_0001.npy")
+        frames[1, 2, 3] = bad
+        np.save(data / "clip_0001.npy", frames)
+        rc, err = run("--workdir", work, command, flag, name, "--data", data,
+                      "--out", tmp_path / "out")
+        assert rc == 3, err
+        assert "clip_0001.npy" in err and "non-finite" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["abc", "0"])
@@ -740,6 +756,16 @@ class TestAblate:
         trained = counting_train(monkeypatch)
         rc, err = run("--workdir", tmp_path, "ablate", "--config", "ablate.cfg")
         assert rc == 2 and "net.variant must be fp32" in err
+        assert trained == [] and not (tmp_path / "ablate").exists()
+
+    def test_no_holdout_rejected_before_training(self, tmp_path, monkeypatch):
+        # its rows are scored on the held-out clips: none would score nan
+        (tmp_path / "ablate.cfg").write_text(ABLATE_CFG.replace("data.holdout = 2",
+                                                                "data.holdout = 0"),
+                                             encoding="ascii")
+        trained = counting_train(monkeypatch)
+        rc, err = run("--workdir", tmp_path, "ablate", "--config", "ablate.cfg")
+        assert rc == 2 and "data.holdout" in err, err
         assert trained == [] and not (tmp_path / "ablate").exists()
 
 

@@ -20,7 +20,7 @@ def test_appended_bytes_are_a_format_error(tmp_path, suffix, reader, tail):
     net = QNet(make_variant("q4", base_channels=2, heads=1, resdnet_blocks=1,
                             cformer_per_block=1, cr=2), seed=0)
     path = tmp_path / f"model.{suffix}"
-    state = pack_model(net).state if suffix == "pack" else net.state_dict()
+    state = pack_model(net)[1] if suffix == "pack" else net.state_dict()
     save_checkpoint(path, net.cfg.fingerprint(), state)
     data = path.read_bytes()
     reader(path)

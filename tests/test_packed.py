@@ -307,8 +307,7 @@ class TestInstallChecks:
 
     @staticmethod
     def faulty(fault):
-        model = pack_model(tiny_q4())
-        state = model.state
+        fingerprint, state = pack_model(tiny_q4())
         words = state["fem.conv_a.words"]
         if fault == "missing":
             del state["fem.conv_a.words"]
@@ -325,8 +324,8 @@ class TestInstallChecks:
         elif fault == "float dtype":
             state["fem.conv_a.bias"] = state["fem.conv_a.bias"].astype(np.int64)
         elif fault == "fingerprint":
-            model.fingerprint = model.fingerprint.replace("body=4", "body=3")
-        return model
+            fingerprint = fingerprint.replace("body=4", "body=3")
+        return fingerprint, state
 
     @pytest.mark.parametrize("fault,match", [
         ("missing", "no entry 'fem.conv_a.words'"),

@@ -1,6 +1,8 @@
 """Optimizer, augmentation, loss, held-out PSNR and the training entry
 checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -87,9 +89,28 @@ class TestEvaluatePsnr:
 class TestTrainChecks:
     def test_quantized_without_init_rejected(self):
         ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
-        with pytest.raises(ConfigError, match="init"):
+        with pytest.raises(ConfigError, match="--init"):
             train(ExperimentConfig(train_epochs_phase1=1, train_epochs_phase2=0),
                   make_variant("q4", **TINY), ds)
+
+    def test_init_of_another_geometry_names_both(self):
+        # the geometry is read off the init pair's own fingerprint
+        ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
+        other = QNet(make_variant("fp32", **{**TINY, "base_channels": 4}), seed=0)
+        init = (other.cfg.fingerprint(), other.state_dict())
+        q4 = make_variant("q4", **TINY)
+        with pytest.raises(ConfigError, match=re.escape(other.cfg.backbone_geometry())) as info:
+            train(ExperimentConfig(train_epochs_phase1=0, train_epochs_phase2=0), q4, ds, init)
+        assert q4.backbone_geometry() in str(info.value)
+
+    def test_untrained_run_returns_its_init(self):
+        ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
+        init_net = QNet(make_variant("fp32", **TINY), seed=5)
+        init = (init_net.cfg.fingerprint(), init_net.state_dict())
+        got = train(ExperimentConfig(train_epochs_phase1=0, train_epochs_phase2=0),
+                    make_variant("fp32", **TINY), ds, init).state
+        assert got.keys() == init[1].keys()
+        assert all(np.array_equal(got[k], init[1][k]) for k in got)
 
     def test_mask_frame_count_must_match(self):
         ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
