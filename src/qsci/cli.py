@@ -30,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .containers import ExperimentConfig, load_checkpoint, save_checkpoint
-from .errors import ConfigError, DataError, QsciError
-from .evaluation import count_efficiency, psnr, ssim
-from .network import BACKBONE, QNet, QNetConfig, make_variant, parse_fingerprint
+from .errors import ConfigError, DataError, QsciError, ShapeError
+from .evaluation import SSIM_WINDOW, count_efficiency, psnr, ssim
+from .network import (BACKBONE, QNet, QNetConfig, check_frame_size, every_stage, make_variant,
+                      parse_fingerprint)
 from .packed import pack_model, packed_layers, packed_net, read_packed
 from .sci import MaskSet, Measurement, VideoClip, encode, generate_masks, synth_video
 from .training import MASK_SEED_OFFSET, Dataset, make_synth_dataset, train
@@ -123,12 +124,15 @@ def cmd_gen_data(args, workdir: Path) -> int:
     return 0
 
 
-def _load_data_dir(path: Path, cr: int):
+def _load_data_dir(path: Path, cr: int, min_hw: int = 1):
     """(masks, [(index, clip, measurement)]) of a gen-data directory. The
     masks must be a binary [T, H, W] stack with the model's compression
     ratio ``cr`` as T, each clip [T, H, W] and finite, and each measurement
     [H, W]; a missing, unreadable, misshapen or non-finite clip file, or an
-    index the manifest lists twice, raises DataError naming it."""
+    index the manifest lists twice, raises DataError naming it. Frames the
+    network cannot take (see :func:`~qsci.network.check_frame_size`), or
+    smaller than ``min_hw`` on a side (the SSIM window, where the clips are
+    scored by SSIM), raise DataError naming the dir."""
     def load(name: str, shape=None) -> np.ndarray:
         try:
             arr = np.load(path / name).astype(np.float32)
@@ -149,6 +153,14 @@ def _load_data_dir(path: Path, cr: int):
         raise DataError(f"{path / 'masks.npy'}: {exc}") from exc
     if masks.t != cr:
         raise DataError(f"data compression ratio {masks.t} vs model {cr}")
+    h, w = masks.frame_shape
+    try:
+        check_frame_size(h, w)
+    except ShapeError as exc:
+        raise DataError(f"data dir {path}: {exc}") from exc
+    if min(h, w) < min_hw:
+        raise DataError(f"data dir {path}: frames {h}x{w} are smaller than the "
+                        f"{min_hw}x{min_hw} SSIM window")
     entries = []
     for line in filter(str.strip, rows):
         try:
@@ -215,7 +227,7 @@ def _mean_psnr_ssim(scores) -> str:
 
 def cmd_eval(args, workdir: Path) -> int:
     net = _load_net(_resolve(workdir, args.ckpt))
-    masks, entries = _load_data_dir(_resolve(workdir, args.data), net.cfg.cr)
+    masks, entries = _load_data_dir(_resolve(workdir, args.data), net.cfg.cr, SSIM_WINDOW)
     results = _reconstruct_all(net, masks, entries, _psnr_ssim)
 
     out = _resolve(workdir, args.out)
@@ -237,7 +249,7 @@ def cmd_eval(args, workdir: Path) -> int:
 def _ladder_configs(fp32: QNetConfig, bits: int):
     """Break-down ladder from the plain ``bits``-bit net: each step switches
     on one more addition."""
-    step = dataclasses.replace(fp32, body_bits=bits, shortcut_bits=8)
+    step = dataclasses.replace(fp32, **every_stage(bits), shortcut_bits=8)
     rows, name = [("baseline", step)], ""
     for suffix, flag in (("+shift", "use_qk_shift"), ("+fem", "use_fem_shortcuts"),
                          ("+vrm", "use_vrm_shortcuts")):
@@ -249,18 +261,10 @@ def _ladder_configs(fp32: QNetConfig, bits: int):
 
 def _grid_configs(fp32: QNetConfig, bits: int):
     """Per-stage bit-width grid: one stage of the plain 8-bit net at ``bits``."""
-    all_8bit = dataclasses.replace(fp32, body_bits=8, shortcut_bits=8)
+    all_8bit = dataclasses.replace(fp32, **every_stage(8), shortcut_bits=8)
     return [("all_8bit", all_8bit)] + [
         (f"{stage}_{bits}bit", dataclasses.replace(all_8bit, **{f"{stage}_bits": bits}))
         for stage in ("fem", "enh", "vrm")]
-
-
-def _network_key(netcfg: QNetConfig) -> QNetConfig:
-    """``netcfg`` with each stage's bits spelt out: configs that build the
-    same network, such as an 8-bit net with and without an 8-bit stage
-    override, have the same key."""
-    return dataclasses.replace(netcfg, **{f"{stage}_bits": netcfg.stage_bits(stage)
-                                          for stage in ("fem", "enh", "vrm")})
 
 
 def cmd_ablate(args, workdir: Path) -> int:
@@ -285,15 +289,14 @@ def cmd_ablate(args, workdir: Path) -> int:
         # shared full-precision backbone, identical seeds for every row
         fp32 = train(cfg, fp32_cfg, dataset)
         save_checkpoint(out / "fp32_init.qsc", fp32.fingerprint, fp32.state)
-        trained = {}   # network key -> state: rows of one network train once
+        trained = {}   # row config -> state: rows of one network train once
         for csv_name, rows in tables.items():
             lines = ["row,psnr_db,ssim,params_m,ops_g"]
             for name, rowcfg in rows:
-                key = _network_key(rowcfg)
-                if key not in trained:
-                    trained[key] = train(cfg, rowcfg, dataset,
-                                         (fp32.fingerprint, fp32.state)).state
-                save_checkpoint(out / f"{name}.qsc", rowcfg.fingerprint(), trained[key])
+                if rowcfg not in trained:
+                    trained[rowcfg] = train(cfg, rowcfg, dataset,
+                                            (fp32.fingerprint, fp32.state)).state
+                save_checkpoint(out / f"{name}.qsc", rowcfg.fingerprint(), trained[rowcfg])
                 net = _load_net(out / f"{name}.qsc")
                 results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
                 rep = count_efficiency(net, (cfg.train_crop, cfg.train_crop))
@@ -400,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("ablate", help="break-down ladder and per-stage bit grid")
     a.add_argument("--config", required=True)
-    a.add_argument("--bits", type=int, default=4)
+    a.add_argument("--bits", type=int, choices=(2, 3, 4, 8), default=4)
     a.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("pack", help="write a checkpoint whose sub-32-bit weights are "

@@ -148,7 +148,6 @@ class ExperimentConfig:
     train_epochs_phase2: int = 20
     train_batch_size: int = 8
     train_crop: int = 32
-    train_aug_crop: bool = True
     train_aug_flip: bool = True
     train_aug_scale: bool = True
     train_seed: int = 0

@@ -87,14 +87,10 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
 # bit-adjusted Params / OPs accounting
 # ---------------------------------------------------------------------------
 
-def bit_adjusted_params(raw_params: float, bits: int) -> float:
-    """Parameter count scaled by bits/32 (32-bit entries unadjusted)."""
-    return raw_params * bits / 32.0
-
-
-def bit_adjusted_ops(flops: float, bits: int) -> float:
-    """FLOPs scaled by bits/32, a layer's one width for weights and inputs."""
-    return flops * bits / 32.0
+def bit_adjusted(count: float, bits: int) -> float:
+    """A parameter or FLOP count scaled by bits/32, the layer's one width for
+    weights and inputs (32-bit counts unadjusted)."""
+    return count * bits / 32.0
 
 
 @dataclass
@@ -115,8 +111,8 @@ def count_efficiency(net_or_cfg, input_hw) -> EffReport:
     net = net_or_cfg if isinstance(net_or_cfg, QNet) else QNet(net_or_cfg, seed=0)
     rows = []
     for r in net.audit(input_hw):
-        adj_params = bit_adjusted_params(r["weight_params"], r["w_bits"]) + r["bias_params"]
-        adj_ops = bit_adjusted_ops(r["flops"], r["w_bits"])
+        adj_params = bit_adjusted(r["weight_params"], r["w_bits"]) + r["bias_params"]
+        adj_ops = bit_adjusted(r["flops"], r["w_bits"])
         rows.append({**r, "adj_params": adj_params, "adj_ops": adj_ops})
     params_m = sum(r["adj_params"] for r in rows) / 1e6
     ops_g = sum(r["adj_ops"] for r in rows) / 1e9

@@ -43,20 +43,24 @@ from .sci import MaskSet, Measurement, VideoClip, initial_estimate
 
 @dataclass(frozen=True)
 class QNetConfig:
+    """One network: its backbone geometry, the bit-width of each of its
+    three stages (the paper's per-module assignment: ``fem_bits`` for
+    feature extraction, ``enh_bits`` for the feature enhancement blocks,
+    ``vrm_bits`` for video reconstruction; 32 is full precision), and its
+    additions: shortcut convs at ``shortcut_bits`` and the query/key shift."""
+
     base_channels: int = 16
     resdnet_blocks: int = 2
     cformer_per_block: int = 2
     heads: int = 2
     cr: int = 4                      # compression ratio T
-    body_bits: int = 32
+    fem_bits: int = 32
+    enh_bits: int = 32
+    vrm_bits: int = 32
     shortcut_bits: int = 32
     use_fem_shortcuts: bool = False
     use_vrm_shortcuts: bool = False
     use_qk_shift: bool = False
-    # optional per-stage overrides of body_bits (bit-width ablation grid)
-    fem_bits: Optional[int] = None
-    enh_bits: Optional[int] = None
-    vrm_bits: Optional[int] = None
 
     def __post_init__(self):
         if self.base_channels < 1 or self.heads < 1:
@@ -66,27 +70,18 @@ class QNetConfig:
             raise ConfigError(
                 f"base_channels {self.base_channels} not divisible by heads {self.heads}"
             )
-        for label, bits in (("body_bits", self.body_bits), ("shortcut_bits", self.shortcut_bits)):
-            if bits not in VALID_BITS:
-                raise ConfigError(f"{label}={bits} not in {VALID_BITS}")
-        for label, bits in (("fem_bits", self.fem_bits), ("enh_bits", self.enh_bits),
-                            ("vrm_bits", self.vrm_bits)):
-            if bits is not None and bits not in VALID_BITS:
-                raise ConfigError(f"{label}={bits} not in {VALID_BITS}")
-        if self.shortcut_bits < self.body_bits:
-            raise ConfigError(
-                f"shortcut_bits {self.shortcut_bits} must be >= body_bits {self.body_bits}"
-            )
+        for label in ("fem_bits", "enh_bits", "vrm_bits", "shortcut_bits"):
+            if getattr(self, label) not in VALID_BITS:
+                raise ConfigError(f"{label}={getattr(self, label)} not in {VALID_BITS}")
+        widest = max(self.fem_bits, self.enh_bits, self.vrm_bits)
+        if self.shortcut_bits < widest:
+            raise ConfigError(f"shortcut_bits {self.shortcut_bits} must be >= the widest "
+                              f"stage's {widest} bits")
         if self.cr < 1 or self.resdnet_blocks < 1 or self.cformer_per_block < 1:
             raise ConfigError("cr, resdnet_blocks and cformer_per_block must be >= 1")
 
-    def stage_bits(self, stage: str) -> int:
-        override = {"fem": self.fem_bits, "enh": self.enh_bits, "vrm": self.vrm_bits}[stage]
-        return self.body_bits if override is None else override
-
     def fingerprint(self) -> str:
-        return ";".join(["v1"] + [f"{key}={_fp_value(getattr(self, f))}"
-                                  for key, f in FINGERPRINT])
+        return ";".join(["v2"] + [f"{key}={int(getattr(self, f))}" for key, f in FINGERPRINT])
 
     def backbone_geometry(self) -> str:
         """The part of the fingerprint that must match for checkpoint init."""
@@ -94,43 +89,36 @@ class QNetConfig:
 
     @property
     def quantized(self) -> bool:
-        bits = [self.stage_bits(s) for s in ("fem", "enh", "vrm")]
-        if any(b < 32 for b in bits):
+        if min(self.fem_bits, self.enh_bits, self.vrm_bits) < 32:
             return True
         return (self.use_fem_shortcuts or self.use_vrm_shortcuts) and self.shortcut_bits < 32
 
 
-# (key, field) of each fingerprint entry, in order. The first five rows are
-# the backbone geometry, which an init checkpoint must share with the network.
+def every_stage(bits: int) -> dict:
+    """The stage widths of a network that runs all three stages at ``bits``."""
+    return dict(fem_bits=bits, enh_bits=bits, vrm_bits=bits)
+
+
+# (key, field) of each entry of a "v2;..." fingerprint, in order; every value
+# is an integer (a flag is 0 or 1). The first five rows are the backbone
+# geometry, which an init checkpoint must share with the network.
 FINGERPRINT = (("C", "base_channels"), ("N", "resdnet_blocks"), ("K", "cformer_per_block"),
-               ("heads", "heads"), ("T", "cr"), ("body", "body_bits"),
-               ("short", "shortcut_bits"), ("fem", "use_fem_shortcuts"),
-               ("vrm", "use_vrm_shortcuts"), ("shift", "use_qk_shift"), ("femb", "fem_bits"),
-               ("enhb", "enh_bits"), ("vrmb", "vrm_bits"))
+               ("heads", "heads"), ("T", "cr"), ("femb", "fem_bits"), ("enhb", "enh_bits"),
+               ("vrmb", "vrm_bits"), ("short", "shortcut_bits"), ("fem", "use_fem_shortcuts"),
+               ("vrm", "use_vrm_shortcuts"), ("shift", "use_qk_shift"))
 BACKBONE = FINGERPRINT[:5]
-
-
-def _fp_value(v) -> str:
-    return "-" if v is None else str(int(v))
 
 
 def parse_fingerprint(fp: str) -> QNetConfig:
     """The config a fingerprint names. A fingerprint that is not exactly the
     ``fingerprint()`` of that config is a ConfigError."""
     head, *parts = fp.split(";")
-    if head != "v1":
+    if head != "v2":
         raise ConfigError(f"unrecognized config fingerprint '{fp}'")
     kv = dict(part.partition("=")[::2] for part in parts)
-    types = {f.name: f.type for f in fields(QNetConfig)}
-
-    def value(key, field):
-        text = kv[key]
-        if text == "-" and types[field].startswith("Optional"):
-            return None
-        return bool(int(text)) if types[field] == "bool" else int(text)
-
+    types = {f.name: bool if f.type == "bool" else int for f in fields(QNetConfig)}
     try:
-        cfg = QNetConfig(**{field: value(key, field) for key, field in FINGERPRINT})
+        cfg = QNetConfig(**{field: types[field](int(kv[key])) for key, field in FINGERPRINT})
     except (KeyError, ValueError) as exc:   # a missing or non-integer field
         raise ConfigError(f"malformed config fingerprint '{fp}': {exc!r}") from exc
     if cfg.fingerprint() != fp:   # an unknown, repeated, reordered or padded entry
@@ -143,24 +131,23 @@ VARIANT_NAMES = ("fp32", "q8", "q4", "q3", "q2", "q4_baseline", "q3_baseline", "
 
 
 def make_variant(name: str, **overrides) -> QNetConfig:
-    """Named quantization presets.
+    """Named quantization presets; ``overrides`` set further config fields.
 
-    q8 keeps every layer at 8-bit and only adds the query/key shift; q4/q3/q2
-    quantize the body to 4/3/2 bits and enable the 8-bit shortcut modules plus
-    the shift; the *_baseline presets quantize everything directly with no
-    additions; fp32 is the unquantized backbone.
+    q8 runs every stage and the shortcuts at 8 bits and only adds the
+    query/key shift; q4/q3/q2 run all three stages at 4/3/2 bits and enable
+    the 8-bit shortcut modules plus the shift; the *_baseline presets run
+    all three stages at 4/3/2 bits with no additions; fp32 is the
+    unquantized backbone.
     """
     if name == "fp32":
-        return QNetConfig(body_bits=32, shortcut_bits=32, **overrides)
+        return QNetConfig(**overrides)
     if name == "q8":
-        return QNetConfig(body_bits=8, shortcut_bits=8, use_qk_shift=True, **overrides)
+        return QNetConfig(**every_stage(8), shortcut_bits=8, use_qk_shift=True, **overrides)
     if name in ("q4", "q3", "q2"):
-        bits = int(name[1])
-        return QNetConfig(body_bits=bits, shortcut_bits=8, use_fem_shortcuts=True,
+        return QNetConfig(**every_stage(int(name[1])), shortcut_bits=8, use_fem_shortcuts=True,
                           use_vrm_shortcuts=True, use_qk_shift=True, **overrides)
     if name.endswith("_baseline") and name[:2] in ("q4", "q3", "q2"):
-        bits = int(name[1])
-        return QNetConfig(body_bits=bits, shortcut_bits=8, **overrides)
+        return QNetConfig(**every_stage(int(name[1])), shortcut_bits=8, **overrides)
     raise ConfigError(f"unknown variant '{name}'; expected one of {VARIANT_NAMES}")
 
 
@@ -679,6 +666,13 @@ class ResDNetBlock(Module):
         return x + self.tail.forward(h)
 
 
+def check_frame_size(h: int, w: int):
+    """Raise ShapeError unless the network takes h x w frames: the strided
+    stage halves both extents, so they must be even."""
+    if h % 2 or w % 2:
+        raise ShapeError(f"spatial extents must be even for the strided stage, got {h}x{w}")
+
+
 class FeatureExtraction(Module):
     """Strided conv stack over the estimate stack; optional zero-initialized
     8-bit 1x1x1 shortcut convs bridge each stage, the last one fed through a
@@ -689,7 +683,7 @@ class FeatureExtraction(Module):
     def __init__(self, rng, cfg: QNetConfig):
         super().__init__()
         c = cfg.base_channels
-        bits = cfg.stage_bits("fem")
+        bits = cfg.fem_bits
         self.use_shortcuts = cfg.use_fem_shortcuts
         self.conv_a = self.register_module(
             "conv_a", QConv3d(rng, self.IN_CH, c, (3, 3, 3), padding=(1, 1, 1), bits=bits))
@@ -707,8 +701,7 @@ class FeatureExtraction(Module):
         n, ch, t, h, w = x.shape
         if ch != self.IN_CH:
             raise ShapeError(f"estimate stack must have {self.IN_CH} channels, got {ch}")
-        if h % 2 or w % 2:
-            raise ShapeError(f"spatial extents must be even for the strided stage, got {h}x{w}")
+        check_frame_size(h, w)
         h1 = self.conv_a.forward(x)
         if self.use_shortcuts:
             h1 = h1 + self.short_a.forward(x)
@@ -731,7 +724,7 @@ class VideoReconstruction(Module):
     def __init__(self, rng, cfg: QNetConfig):
         super().__init__()
         c = cfg.base_channels
-        bits = cfg.stage_bits("vrm")
+        bits = cfg.vrm_bits
         self.use_shortcuts = cfg.use_vrm_shortcuts
         self.conv_up = self.register_module(
             "conv_up", QConv3d(rng, c, 4 * c, (1, 3, 3), padding=(0, 1, 1), bits=bits))
@@ -766,12 +759,11 @@ class QNet(Module):
         self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
         self.fem = self.register_module("fem", FeatureExtraction(rng, cfg))
-        enh_bits = cfg.stage_bits("enh")
         self.blocks = [
             self.register_module(
                 f"block{i}",
                 ResDNetBlock(rng, cfg.base_channels, cfg.heads, cfg.cformer_per_block,
-                             enh_bits, cfg.use_qk_shift))
+                             cfg.enh_bits, cfg.use_qk_shift))
             for i in range(cfg.resdnet_blocks)
         ]
         self.vrm = self.register_module("vrm", VideoReconstruction(rng, cfg))

@@ -91,28 +91,24 @@ def _apply_flips(frames: np.ndarray, do_h: bool, do_v: bool) -> np.ndarray:
 
 
 def augment(clip: VideoClip, crop: int, rng: np.random.Generator,
-            do_crop=True, do_flip=True, do_scale=True) -> VideoClip:
+            do_flip=True, do_scale=True) -> VideoClip:
     """Random rescale (bilinear, factor in [0.75, 1.25]) then random crop to
     the training size, then 0.5-probability horizontal/vertical flips. With
-    all switches off the clip passes through untouched."""
+    both switches off the clip is only cropped."""
     frames = clip.frames
     if do_scale:
         t, h, w = frames.shape
-        lo = SCALE_RANGE[0]
-        if do_crop:
-            # keep the rescaled clip croppable (+0.5 covers zoom rounding)
-            lo = max(lo, (crop + 0.5) / h, (crop + 0.5) / w)
-        lo = min(lo, SCALE_RANGE[1])
+        # keep the rescaled clip croppable (+0.5 covers zoom rounding)
+        lo = min(max(SCALE_RANGE[0], (crop + 0.5) / h, (crop + 0.5) / w), SCALE_RANGE[1])
         factor = float(rng.uniform(lo, SCALE_RANGE[1]))
         scaled = [nd_zoom(f, factor, order=1, prefilter=False) for f in frames]
         frames = np.clip(np.stack(scaled), 0.0, 1.0).astype(np.float32)
-    if do_crop:
-        t, h, w = frames.shape
-        if h < crop or w < crop:
-            raise ShapeError(f"clip {h}x{w} smaller than crop {crop}")
-        top = int(rng.integers(0, h - crop + 1))
-        left = int(rng.integers(0, w - crop + 1))
-        frames = frames[:, top:top + crop, left:left + crop]
+    t, h, w = frames.shape
+    if h < crop or w < crop:
+        raise ShapeError(f"clip {h}x{w} smaller than crop {crop}")
+    top = int(rng.integers(0, h - crop + 1))
+    left = int(rng.integers(0, w - crop + 1))
+    frames = frames[:, top:top + crop, left:left + crop]
     if do_flip:
         frames = _apply_flips(frames, bool(rng.random() < 0.5), bool(rng.random() < 0.5))
     return VideoClip(frames=np.ascontiguousarray(frames, dtype=np.float32))
@@ -190,7 +186,7 @@ def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
         net.init_from_backbone(state, parse_fingerprint(fingerprint).backbone_geometry())
     if netcfg.quantized:
         calib_rng = np.random.default_rng(cfg.train_seed)
-        calib = [augment(c, cfg.train_crop, calib_rng, cfg.train_aug_crop, False, False)
+        calib = [augment(c, cfg.train_crop, calib_rng, False, False)
                  for c in dataset.train_clips[: cfg.train_batch_size]]
         stacks, _ = _batch_stacks(calib, dataset.masks, 0.0, 0)
         net.calibrate_quantizers(stacks)
@@ -211,7 +207,7 @@ def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
             losses = []
             for start in range(0, n, cfg.train_batch_size):
                 idx = order[start:start + cfg.train_batch_size]
-                batch = [augment(dataset.train_clips[i], cfg.train_crop, rng, cfg.train_aug_crop,
+                batch = [augment(dataset.train_clips[i], cfg.train_crop, rng,
                                  cfg.train_aug_flip, cfg.train_aug_scale) for i in idx]
                 noise_seed = cfg.train_seed * 1_000_003 + epoch_global * 1009 + start
                 stacks, gts = _batch_stacks(batch, dataset.masks, cfg.data_noise_sigma, noise_seed)

@@ -59,6 +59,12 @@ def test_unknown_key_names_its_line():
         ExperimentConfig.parse("net.cr = 2\n\nnet.width = 8\n")
 
 
+def test_aug_crop_is_an_unknown_key():
+    # training always crops to train.crop: the masks are that size
+    with pytest.raises(ConfigError, match="line 2: unknown key 'train.aug_crop'"):
+        ExperimentConfig.parse("train.aug_flip = true\ntrain.aug_crop = false\n")
+
+
 def test_repeated_key_names_both_lines():
     with pytest.raises(ConfigError, match="line 3: key 'train.seed' is already set on line 1"):
         ExperimentConfig.parse("train.seed = 1\nnet.cr = 2\ntrain.seed = 2\n")

@@ -14,7 +14,7 @@ from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
 from qsci.network import (BACKBONE, CFormerBlock, LayerNorm, QConv3d, QLinear, QNet,
                           QNetConfig, ShiftedAttention, _gelu_by_accumulator, check_state,
-                          make_variant, parse_fingerprint)
+                          every_stage, make_variant, parse_fingerprint)
 from qsci.quantize import act_quantize, fake_quant
 from qsci.sci import encode, generate_masks, initial_estimate, synth_video
 from small_models import calibrated_net, small_inputs
@@ -40,21 +40,21 @@ class TestConfig:
             QNetConfig(base_channels=6, heads=4)
 
     def test_shortcut_bits_floor(self):
-        with pytest.raises(ConfigError, match="shortcut_bits"):
-            QNetConfig(body_bits=8, shortcut_bits=4)
+        # the widest stage sets the floor
+        with pytest.raises(ConfigError, match="shortcut_bits 4 must be >= the widest stage's 8"):
+            QNetConfig(fem_bits=4, enh_bits=8, vrm_bits=4, shortcut_bits=4)
 
     def test_fingerprint_round_trip(self):
-        cfg = tiny_cfg(body_bits=4, shortcut_bits=8, use_fem_shortcuts=True,
-                       use_qk_shift=True, fem_bits=8)
+        cfg = tiny_cfg(fem_bits=8, enh_bits=4, vrm_bits=4, shortcut_bits=8,
+                       use_fem_shortcuts=True, use_qk_shift=True)
         assert parse_fingerprint(cfg.fingerprint()) == cfg
 
-    # a quantized base, so that shortcut_bits (>= body_bits) can change too,
-    # and a value other than the base's for every QNetConfig field
-    FP_BASE = QNetConfig(body_bits=4, shortcut_bits=8)
+    # a quantized base, so that shortcut_bits (>= every stage's bits) can
+    # change too, and a value other than the base's for every QNetConfig field
+    FP_BASE = QNetConfig(**every_stage(4), shortcut_bits=8)
     FP_CHANGED = dict(base_channels=8, resdnet_blocks=3, cformer_per_block=1, heads=4, cr=2,
-                      body_bits=2, shortcut_bits=32, use_fem_shortcuts=True,
-                      use_vrm_shortcuts=True, use_qk_shift=True, fem_bits=8, enh_bits=3,
-                      vrm_bits=32)
+                      fem_bits=8, enh_bits=3, vrm_bits=2, shortcut_bits=32,
+                      use_fem_shortcuts=True, use_vrm_shortcuts=True, use_qk_shift=True)
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(QNetConfig)])
     def test_fingerprint_round_trips_each_field(self, field):
@@ -71,43 +71,43 @@ class TestConfig:
         lambda fp: fp + ";C=16",                             # repeated key, later value
         lambda fp: fp + ";C=8",                              # repeated key, same value
         lambda fp: fp.replace("C=8;N=2", "N=2;C=8"),         # reordered
-        lambda fp: fp.replace("body=4", "body=04"),          # padded value
+        lambda fp: fp.replace("femb=4", "femb=04"),          # padded value
     ], ids=["unknown", "repeated", "repeated-same", "reordered", "padded"])
     def test_non_canonical_fingerprint_rejected(self, edit):
-        fp = QNetConfig(base_channels=8, resdnet_blocks=2, body_bits=4,
+        fp = QNetConfig(base_channels=8, resdnet_blocks=2, **every_stage(4),
                         shortcut_bits=8).fingerprint()
         assert parse_fingerprint(fp).fingerprint() == fp
         with pytest.raises(ConfigError, match="malformed config fingerprint"):
             parse_fingerprint(edit(fp))
 
     def test_quantized_flag(self):
-        assert not tiny_cfg(body_bits=32, shortcut_bits=32).quantized
-        assert tiny_cfg(body_bits=8, shortcut_bits=8).quantized
-        assert tiny_cfg(body_bits=32, fem_bits=4).quantized
+        assert not tiny_cfg().quantized
+        assert tiny_cfg(**every_stage(8), shortcut_bits=8).quantized
+        assert tiny_cfg(fem_bits=4).quantized
 
 
 class TestVariants:
     def test_q8_flags(self):
         cfg = make_variant("q8")
-        assert cfg.body_bits == 8
+        assert (cfg.fem_bits, cfg.enh_bits, cfg.vrm_bits) == (8, 8, 8)
         assert not cfg.use_fem_shortcuts and not cfg.use_vrm_shortcuts
         assert cfg.use_qk_shift
 
     @pytest.mark.parametrize("name,bits", [("q4", 4), ("q3", 3), ("q2", 2)])
     def test_low_bit_variants(self, name, bits):
         cfg = make_variant(name)
-        assert cfg.body_bits == bits
+        assert (cfg.fem_bits, cfg.enh_bits, cfg.vrm_bits) == (bits, bits, bits)
         assert cfg.shortcut_bits == 8
         assert cfg.use_fem_shortcuts and cfg.use_vrm_shortcuts and cfg.use_qk_shift
 
     def test_fp32(self):
         cfg = make_variant("fp32")
-        assert cfg.body_bits == 32
+        assert (cfg.fem_bits, cfg.enh_bits, cfg.vrm_bits) == (32, 32, 32)
         assert not (cfg.use_fem_shortcuts or cfg.use_vrm_shortcuts or cfg.use_qk_shift)
 
     def test_baseline(self):
         cfg = make_variant("q4_baseline")
-        assert cfg.body_bits == 4
+        assert (cfg.fem_bits, cfg.enh_bits, cfg.vrm_bits) == (4, 4, 4)
         assert not (cfg.use_fem_shortcuts or cfg.use_vrm_shortcuts or cfg.use_qk_shift)
 
     def test_unknown(self):
@@ -118,25 +118,25 @@ class TestVariants:
 class TestForward:
     def test_output_shape_and_range(self):
         masks, clip, meas = tiny_inputs()
-        net = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=0)
+        net = QNet(tiny_cfg(), seed=0)
         rec = net.reconstruct(meas, masks)
         assert rec.frames.shape == clip.frames.shape
         assert rec.frames.min() >= 0.0 and rec.frames.max() <= 1.0
 
     def test_deterministic(self):
         masks, _, meas = tiny_inputs()
-        net = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=0)
+        net = QNet(tiny_cfg(), seed=0)
         a = net.reconstruct(meas, masks).frames
         b = net.reconstruct(meas, masks).frames
         np.testing.assert_array_equal(a, b)
 
     def test_wrong_t_rejected(self):
-        net = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=0)
+        net = QNet(tiny_cfg(), seed=0)
         with pytest.raises(ShapeError, match="T="):
             net.forward_stack(Tensor(np.zeros((1, 2, 3, 8, 8), np.float32)))
 
     def test_odd_spatial_rejected(self):
-        net = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=0)
+        net = QNet(tiny_cfg(), seed=0)
         with pytest.raises(ShapeError, match="even"):
             net.forward_stack(Tensor(np.zeros((1, 2, 2, 7, 7), np.float32)))
 
@@ -158,7 +158,7 @@ class TestFloatReference:
         dict(use_fem_shortcuts=True, use_vrm_shortcuts=True, use_qk_shift=True),
     ])
     def test_32bit_matches_independent_reference(self, flags):
-        cfg = tiny_cfg(body_bits=32, shortcut_bits=32, **flags)
+        cfg = tiny_cfg(**flags)
         net = QNet(cfg, seed=3)
         # shortcut convs are zero-initialized; randomize so the test is not
         # comparing zeros, and give the shifts a nonzero value too
@@ -308,8 +308,8 @@ class TestResidualStructure:
 
     def test_zero_init_shortcuts_match_plain_stack(self):
         masks, _, meas = tiny_inputs()
-        plain = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=9)
-        with_sc = QNet(tiny_cfg(body_bits=32, shortcut_bits=32, use_fem_shortcuts=True,
+        plain = QNet(tiny_cfg(), seed=9)
+        with_sc = QNet(tiny_cfg(use_fem_shortcuts=True,
                                 use_vrm_shortcuts=True), seed=9)
         shared = dict(plain.named_params())
         for name, p in with_sc.named_params():
@@ -320,7 +320,7 @@ class TestResidualStructure:
         np.testing.assert_array_equal(a, b)
 
     def test_shortcut_params_absent_without_flags(self):
-        net = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=0)
+        net = QNet(tiny_cfg(), seed=0)
         assert not any("short_" in n for n, _ in net.named_params())
 
 
@@ -342,7 +342,7 @@ class TestAudit:
         assert all(r["flops"] > 0 and r["weight_params"] > 0 for r in rows)
 
     def test_stage_bit_overrides(self):
-        cfg = tiny_cfg(body_bits=8, shortcut_bits=8, fem_bits=4)
+        cfg = tiny_cfg(fem_bits=4, enh_bits=8, vrm_bits=8, shortcut_bits=8)
         net = QNet(cfg, seed=0)
         rows = {r["name"]: r for r in net.audit((8, 8))}
         assert rows["fem.conv_a"]["w_bits"] == 4
@@ -598,20 +598,20 @@ class TestLayerNormNode:
 
 class TestCheckpointInit:
     def test_quantized_init_from_fp32_backbone(self):
-        fp32 = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=1)
+        fp32 = QNet(tiny_cfg(), seed=1)
         q4 = QNet(make_variant("q4", **TINY), seed=2)
         q4.init_from_backbone(fp32.state_dict(), fp32.cfg.backbone_geometry())
         np.testing.assert_array_equal(q4.fem.conv_a.weight.data, fp32.fem.conv_a.weight.data)
 
     def test_geometry_mismatch_rejected(self):
-        fp32 = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=1)
+        fp32 = QNet(tiny_cfg(), seed=1)
         other = QNet(QNetConfig(base_channels=16, resdnet_blocks=1, cformer_per_block=1,
-                                heads=2, cr=2, body_bits=8, shortcut_bits=8), seed=0)
+                                heads=2, cr=2, **every_stage(8), shortcut_bits=8), seed=0)
         with pytest.raises(ConfigError, match="geometry"):
             other.init_from_backbone(fp32.state_dict(), fp32.cfg.backbone_geometry())
 
     def test_missing_backbone_param_rejected(self):
-        fp32 = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=1)
+        fp32 = QNet(tiny_cfg(), seed=1)
         state = fp32.state_dict()
         del state["fem.conv_a.weight"]
         q8 = QNet(make_variant("q8", **TINY), seed=0)
@@ -624,7 +624,7 @@ class TestCheckpointInit:
         ("fem.short_a.weight", (3,)),       # a shortcut weight of the wrong shape
     ])
     def test_entry_no_network_carries_rejected(self, name, shape):
-        state = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=1).state_dict()
+        state = QNet(tiny_cfg(), seed=1).state_dict()
         state[name] = np.zeros(shape, np.float32)
         net = QNet(make_variant("q4_baseline", **TINY), seed=0)
         with pytest.raises(FormatError, match=name):
@@ -632,7 +632,7 @@ class TestCheckpointInit:
 
     def test_wrong_dtype_entry_rejected(self):
         # nothing is cast: a float64 weight does not fit a float32 network
-        state = QNet(tiny_cfg(body_bits=32, shortcut_bits=32), seed=1).state_dict()
+        state = QNet(tiny_cfg(), seed=1).state_dict()
         state["fem.conv_a.weight"] = state["fem.conv_a.weight"].astype(np.float64)
         net = QNet(make_variant("q4", **TINY), seed=0)
         with pytest.raises(FormatError, match="'fem.conv_a.weight' is float64"):

@@ -324,7 +324,7 @@ class TestInstallChecks:
         elif fault == "float dtype":
             state["fem.conv_a.bias"] = state["fem.conv_a.bias"].astype(np.int64)
         elif fault == "fingerprint":
-            fingerprint = fingerprint.replace("body=4", "body=3")
+            fingerprint = fingerprint.replace("enhb=4", "enhb=3")
         return fingerprint, state
 
     @pytest.mark.parametrize("fault,match", [
