@@ -65,9 +65,7 @@ def _writing(path: Path):
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_pgm(path: Path, frame: np.ndarray):
@@ -102,14 +100,19 @@ def _write_loss_csv(path: Path, curve):
 # commands
 # ---------------------------------------------------------------------------
 
+# the first line of a data dir's manifest.csv; its rows follow in this order
+MANIFEST_HEADER = "index,clip,measurement,clip_sha256,meas_sha256"
+
+
 def cmd_gen_data(args, workdir: Path) -> int:
+    check_frame_size(args.H, args.W)   # frames the model commands would reject
     mask_seed = args.mask_seed if args.mask_seed is not None else args.seed + MASK_SEED_OFFSET
     masks = generate_masks(mask_seed, args.T, args.H, args.W, args.p)
     out = _resolve(workdir, args.out)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         np.save(out / "masks.npy", masks.masks)
-        rows = ["index,clip,measurement,clip_sha256,meas_sha256"]
+        rows = [MANIFEST_HEADER]
         for i in range(args.count):
             clip = synth_video(args.seed + i, args.T, args.H, args.W)
             meas = encode(clip, masks, args.noise_sigma, noise_seed=args.seed + i)
@@ -128,11 +131,12 @@ def _load_data_dir(path: Path, cr: int, min_hw: int = 1):
     """(masks, [(index, clip, measurement)]) of a gen-data directory. The
     masks must be a binary [T, H, W] stack with the model's compression
     ratio ``cr`` as T, each clip [T, H, W] and finite, and each measurement
-    [H, W]; a missing, unreadable, misshapen or non-finite clip file, or an
-    index the manifest lists twice, raises DataError naming it. Frames the
-    network cannot take (see :func:`~qsci.network.check_frame_size`), or
-    smaller than ``min_hw`` on a side (the SSIM window, where the clips are
-    scored by SSIM), raise DataError naming the dir."""
+    [H, W]; a missing, unreadable, misshapen or non-finite clip file, or a
+    manifest without ``MANIFEST_HEADER`` or listing an index twice, raises
+    DataError naming it. Frames the network cannot take (see
+    :func:`~qsci.network.check_frame_size`), or smaller than ``min_hw`` on a
+    side (the SSIM window, where the clips are scored by SSIM), raise
+    DataError naming the dir."""
     def load(name: str, shape=None) -> np.ndarray:
         try:
             arr = np.load(path / name).astype(np.float32)
@@ -143,9 +147,11 @@ def _load_data_dir(path: Path, cr: int, min_hw: int = 1):
         return arr
 
     try:
-        rows = (path / "manifest.csv").read_text(encoding="ascii").splitlines()[1:]
+        header, *rows = (path / "manifest.csv").read_text(encoding="ascii").splitlines() or [""]
     except (OSError, ValueError) as exc:
         raise DataError(f"unreadable data dir {path}: {exc}") from exc
+    if header != MANIFEST_HEADER:
+        raise DataError(f"{path / 'manifest.csv'} lacks the header line '{MANIFEST_HEADER}'")
     masks_arr = load("masks.npy")
     try:
         masks = MaskSet(masks=masks_arr, seed=-1, density=float(masks_arr.mean()))
@@ -182,15 +188,16 @@ def cmd_train(args, workdir: Path) -> int:
     cfg = ExperimentConfig.load(_resolve(workdir, args.config))
     netcfg = _net_config(cfg)
     init = None if args.init is None else load_checkpoint(_resolve(workdir, args.init))
-    result = train(cfg, netcfg, _dataset(cfg), init)
+    model, curve = train(cfg, netcfg, _dataset(cfg), init)
     out = _resolve(workdir, cfg.out_dir)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
-        save_checkpoint(out / "checkpoint.qsc", result.fingerprint, result.state)
-        _write_loss_csv(out / "loss.csv", result.curve)
+        save_checkpoint(out / "checkpoint.qsc", *model)
+        _write_loss_csv(out / "loss.csv", curve)
+    last_psnr = curve[-1]["val_psnr"] if curve else float("nan")
     print(f"trained {netcfg.fingerprint()} -> {out / 'checkpoint.qsc'} "
-          f"(final holdout PSNR {result.final_psnr:.3f} dB)")
+          f"(final holdout PSNR {last_psnr:.3f} dB)")
     return 0
 
 
@@ -249,7 +256,7 @@ def cmd_eval(args, workdir: Path) -> int:
 def _ladder_configs(fp32: QNetConfig, bits: int):
     """Break-down ladder from the plain ``bits``-bit net: each step switches
     on one more addition."""
-    step = dataclasses.replace(fp32, **every_stage(bits), shortcut_bits=8)
+    step = dataclasses.replace(fp32, **every_stage(bits))
     rows, name = [("baseline", step)], ""
     for suffix, flag in (("+shift", "use_qk_shift"), ("+fem", "use_fem_shortcuts"),
                          ("+vrm", "use_vrm_shortcuts")):
@@ -261,7 +268,7 @@ def _ladder_configs(fp32: QNetConfig, bits: int):
 
 def _grid_configs(fp32: QNetConfig, bits: int):
     """Per-stage bit-width grid: one stage of the plain 8-bit net at ``bits``."""
-    all_8bit = dataclasses.replace(fp32, **every_stage(8), shortcut_bits=8)
+    all_8bit = dataclasses.replace(fp32, **every_stage(8))
     return [("all_8bit", all_8bit)] + [
         (f"{stage}_{bits}bit", dataclasses.replace(all_8bit, **{f"{stage}_bits": bits}))
         for stage in ("fem", "enh", "vrm")]
@@ -287,16 +294,15 @@ def cmd_ablate(args, workdir: Path) -> int:
         (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
 
         # shared full-precision backbone, identical seeds for every row
-        fp32 = train(cfg, fp32_cfg, dataset)
-        save_checkpoint(out / "fp32_init.qsc", fp32.fingerprint, fp32.state)
-        trained = {}   # row config -> state: rows of one network train once
+        fp32, _ = train(cfg, fp32_cfg, dataset)
+        save_checkpoint(out / "fp32_init.qsc", *fp32)
+        trained = {}   # row config -> (fingerprint, state): rows of one network train once
         for csv_name, rows in tables.items():
             lines = ["row,psnr_db,ssim,params_m,ops_g"]
             for name, rowcfg in rows:
                 if rowcfg not in trained:
-                    trained[rowcfg] = train(cfg, rowcfg, dataset,
-                                            (fp32.fingerprint, fp32.state)).state
-                save_checkpoint(out / f"{name}.qsc", rowcfg.fingerprint(), trained[rowcfg])
+                    trained[rowcfg], _ = train(cfg, rowcfg, dataset, fp32)
+                save_checkpoint(out / f"{name}.qsc", *trained[rowcfg])
                 net = _load_net(out / f"{name}.qsc")
                 results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
                 rep = count_efficiency(net, (cfg.train_crop, cfg.train_crop))

@@ -25,7 +25,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, ShapeError
+from .network import check_frame_size
 
 CKPT_MAGIC = b"QSCICKPT"
 CKPT_VERSION = 1
@@ -162,14 +163,19 @@ class ExperimentConfig:
     out_dir: str = "run"
 
     def __post_init__(self):
-        """Reject a value outside its range in ``_RANGES``. ``net.*`` values
-        are checked where the network config is built
-        (:class:`~qsci.network.QNetConfig`)."""
+        """Reject a value outside its range in ``_RANGES`` and a ``train.crop``
+        the network cannot take. ``net.*`` values are checked where the
+        network config is built (:class:`~qsci.network.QNetConfig`)."""
         for key, rule in _RANGES.items():
             value = getattr(self, _KEY_MAP[key][0])
             op, bound = rule.split()
-            if not (math.isfinite(value) and _COMPARE[op](value, int(bound))):
+            limit = getattr(self, _KEY_MAP[bound][0]) if bound in _KEY_MAP else int(bound)
+            if not (math.isfinite(value) and _COMPARE[op](value, limit)):
                 raise ConfigError(f"key '{key}' must be finite and {rule}, got {value}")
+        try:
+            check_frame_size(self.train_crop, self.train_crop)
+        except ShapeError as exc:
+            raise ConfigError(f"key 'train.crop': {exc}") from exc
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
@@ -218,12 +224,12 @@ class ExperimentConfig:
 # key net.base_channels; annotations are postponed, so each type is a string
 _KEY_MAP = {f.name.replace("_", ".", 1): (f.name, f.type) for f in fields(ExperimentConfig)}
 
-# the range of each train.* and data.* number, checked on every construction;
-# data.mask_p is checked by generate_masks
+# each train.* and data.* number's range, checked in order on every construction
+# (a bound may name an earlier key); data.mask_p is checked by generate_masks
 _RANGES = {"train.lr_phase1": "> 0", "train.lr_phase2": "> 0", "train.epochs_phase1": ">= 0",
            "train.epochs_phase2": ">= 0", "train.batch_size": ">= 1", "train.crop": ">= 1",
            "train.seed": ">= 0", "data.seed": ">= 0", "data.count": ">= 1",
-           "data.holdout": ">= 0", "data.clip_hw": ">= 1", "data.noise_sigma": ">= 0"}
+           "data.holdout": ">= 0", "data.clip_hw": ">= train.crop", "data.noise_sigma": ">= 0"}
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
 

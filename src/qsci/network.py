@@ -47,7 +47,7 @@ class QNetConfig:
     three stages (the paper's per-module assignment: ``fem_bits`` for
     feature extraction, ``enh_bits`` for the feature enhancement blocks,
     ``vrm_bits`` for video reconstruction; 32 is full precision), and its
-    additions: shortcut convs at ``shortcut_bits`` and the query/key shift."""
+    additions: shortcut convs at a derived ``shortcut_bits`` and the query/key shift."""
 
     base_channels: int = 16
     resdnet_blocks: int = 2
@@ -57,7 +57,6 @@ class QNetConfig:
     fem_bits: int = 32
     enh_bits: int = 32
     vrm_bits: int = 32
-    shortcut_bits: int = 32
     use_fem_shortcuts: bool = False
     use_vrm_shortcuts: bool = False
     use_qk_shift: bool = False
@@ -70,13 +69,9 @@ class QNetConfig:
             raise ConfigError(
                 f"base_channels {self.base_channels} not divisible by heads {self.heads}"
             )
-        for label in ("fem_bits", "enh_bits", "vrm_bits", "shortcut_bits"):
+        for label in ("fem_bits", "enh_bits", "vrm_bits"):
             if getattr(self, label) not in VALID_BITS:
                 raise ConfigError(f"{label}={getattr(self, label)} not in {VALID_BITS}")
-        widest = max(self.fem_bits, self.enh_bits, self.vrm_bits)
-        if self.shortcut_bits < widest:
-            raise ConfigError(f"shortcut_bits {self.shortcut_bits} must be >= the widest "
-                              f"stage's {widest} bits")
         if self.cr < 1 or self.resdnet_blocks < 1 or self.cformer_per_block < 1:
             raise ConfigError("cr, resdnet_blocks and cformer_per_block must be >= 1")
 
@@ -88,10 +83,14 @@ class QNetConfig:
         return ";".join(f"{key}={getattr(self, f)}" for key, f in BACKBONE)
 
     @property
+    def shortcut_bits(self) -> int:
+        """The shortcut convs' width: 8 bits, or the widest stage's if wider."""
+        return max(8, self.fem_bits, self.enh_bits, self.vrm_bits)
+
+    @property
     def quantized(self) -> bool:
-        if min(self.fem_bits, self.enh_bits, self.vrm_bits) < 32:
-            return True
-        return (self.use_fem_shortcuts or self.use_vrm_shortcuts) and self.shortcut_bits < 32
+        """Some stage runs below 32 bits (the shortcuts only if every stage does)."""
+        return min(self.fem_bits, self.enh_bits, self.vrm_bits) < 32
 
 
 def every_stage(bits: int) -> dict:
@@ -99,9 +98,9 @@ def every_stage(bits: int) -> dict:
     return dict(fem_bits=bits, enh_bits=bits, vrm_bits=bits)
 
 
-# (key, field) of each entry of a "v2;..." fingerprint, in order; every value
-# is an integer (a flag is 0 or 1). The first five rows are the backbone
-# geometry, which an init checkpoint must share with the network.
+# (key, attribute) of each entry of a "v2;..." fingerprint, in order; every
+# value is an integer (a flag is 0 or 1), ``short`` the derived shortcut width.
+# The first five rows are the backbone geometry, shared with an init checkpoint.
 FINGERPRINT = (("C", "base_channels"), ("N", "resdnet_blocks"), ("K", "cformer_per_block"),
                ("heads", "heads"), ("T", "cr"), ("femb", "fem_bits"), ("enhb", "enh_bits"),
                ("vrmb", "vrm_bits"), ("short", "shortcut_bits"), ("fem", "use_fem_shortcuts"),
@@ -110,18 +109,18 @@ BACKBONE = FINGERPRINT[:5]
 
 
 def parse_fingerprint(fp: str) -> QNetConfig:
-    """The config a fingerprint names. A fingerprint that is not exactly the
-    ``fingerprint()`` of that config is a ConfigError."""
+    """The config a fingerprint names, built from its field entries; one that
+    is not exactly that config's ``fingerprint()`` is a ConfigError."""
     head, *parts = fp.split(";")
     if head != "v2":
         raise ConfigError(f"unrecognized config fingerprint '{fp}'")
     kv = dict(part.partition("=")[::2] for part in parts)
     types = {f.name: bool if f.type == "bool" else int for f in fields(QNetConfig)}
     try:
-        cfg = QNetConfig(**{field: types[field](int(kv[key])) for key, field in FINGERPRINT})
+        cfg = QNetConfig(**{f: types[f](int(kv[key])) for key, f in FINGERPRINT if f in types})
     except (KeyError, ValueError) as exc:   # a missing or non-integer field
         raise ConfigError(f"malformed config fingerprint '{fp}': {exc!r}") from exc
-    if cfg.fingerprint() != fp:   # an unknown, repeated, reordered or padded entry
+    if cfg.fingerprint() != fp:   # an unknown, repeated, reordered or padded entry; a wrong short
         raise ConfigError(f"malformed config fingerprint '{fp}': "
                           f"the canonical form is '{cfg.fingerprint()}'")
     return cfg
@@ -133,8 +132,8 @@ VARIANT_NAMES = ("fp32", "q8", "q4", "q3", "q2", "q4_baseline", "q3_baseline", "
 def make_variant(name: str, **overrides) -> QNetConfig:
     """Named quantization presets; ``overrides`` set further config fields.
 
-    q8 runs every stage and the shortcuts at 8 bits and only adds the
-    query/key shift; q4/q3/q2 run all three stages at 4/3/2 bits and enable
+    q8 runs every stage at 8 bits and only adds the query/key shift (it has
+    no shortcuts); q4/q3/q2 run all three stages at 4/3/2 bits and enable
     the 8-bit shortcut modules plus the shift; the *_baseline presets run
     all three stages at 4/3/2 bits with no additions; fp32 is the
     unquantized backbone.
@@ -142,12 +141,12 @@ def make_variant(name: str, **overrides) -> QNetConfig:
     if name == "fp32":
         return QNetConfig(**overrides)
     if name == "q8":
-        return QNetConfig(**every_stage(8), shortcut_bits=8, use_qk_shift=True, **overrides)
+        return QNetConfig(**every_stage(8), use_qk_shift=True, **overrides)
     if name in ("q4", "q3", "q2"):
-        return QNetConfig(**every_stage(int(name[1])), shortcut_bits=8, use_fem_shortcuts=True,
+        return QNetConfig(**every_stage(int(name[1])), use_fem_shortcuts=True,
                           use_vrm_shortcuts=True, use_qk_shift=True, **overrides)
     if name.endswith("_baseline") and name[:2] in ("q4", "q3", "q2"):
-        return QNetConfig(**every_stage(int(name[1])), shortcut_bits=8, **overrides)
+        return QNetConfig(**every_stage(int(name[1])), **overrides)
     raise ConfigError(f"unknown variant '{name}'; expected one of {VARIANT_NAMES}")
 
 

@@ -10,8 +10,7 @@ ranges are then calibrated on one batch before the first step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import zoom as nd_zoom
@@ -155,26 +154,15 @@ def _batch_stacks(clips, masks: MaskSet, noise_sigma: float, noise_seed: int):
     return np.concatenate(stacks, axis=0), np.stack(gts)
 
 
-@dataclass
-class TrainResult:
-    state: dict
-    fingerprint: str
-    curve: list = field(default_factory=list)   # per-epoch records
-
-    @property
-    def final_psnr(self) -> float:
-        return self.curve[-1]["val_psnr"] if self.curve else float("nan")
-
-
 def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
-          init: Optional[tuple] = None) -> TrainResult:
+          init: tuple | None = None) -> tuple:
     """Run both learning-rate phases of ``cfg``'s ``train.*`` recipe, with
-    its ``data.noise_sigma`` on every training measurement; returns the
-    final parameter state and the per-epoch loss / held-out PSNR curve.
-    Deterministic per seed. ``init``, the ``(fingerprint, state)`` pair that
-    ``load_checkpoint`` returns, starts the network from that checkpoint;
-    its fingerprint's backbone geometry must be the network's. A quantized
-    network needs one."""
+    its ``data.noise_sigma`` on every training measurement; returns
+    ``(model, curve)``: the trained model as the ``(fingerprint, state)``
+    pair that ``load_checkpoint`` returns, and the per-epoch loss / held-out
+    PSNR records. Deterministic per seed. ``init``, such a pair, starts the
+    network from that checkpoint; its fingerprint's backbone geometry must
+    be the network's. A quantized network needs one."""
     if netcfg.cr != dataset.masks.t:
         raise ConfigError(f"model T={netcfg.cr} but mask set has T={dataset.masks.t}")
     if netcfg.quantized and init is None:
@@ -195,7 +183,7 @@ def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
     opt = Adam(net.params(), cfg.train_lr_phase1, floors=floors)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(3,)))
 
-    result = TrainResult(state={}, fingerprint=netcfg.fingerprint())
+    curve = []
     n = len(dataset.train_clips)
     epoch_global = 0
     for phase, (lr, epochs) in enumerate([(cfg.train_lr_phase1, cfg.train_epochs_phase1),
@@ -219,12 +207,11 @@ def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
                 opt.zero_grad()
                 losses.append(loss.item())
             epoch_global += 1
-            result.curve.append({
+            curve.append({
                 "epoch": epoch_global,
                 "phase": phase,
                 "lr": lr,
                 "train_loss": float(np.mean(losses)) if losses else float("nan"),
                 "val_psnr": evaluate_psnr(net, dataset),
             })
-    result.state = net.state_dict()
-    return result
+    return (netcfg.fingerprint(), net.state_dict()), curve

@@ -28,6 +28,7 @@ from qsci.errors import FormatError
 from qsci.evaluation import count_efficiency
 from qsci.network import QNet, make_variant
 from qsci.packed import infer_packed, pack_model, read_packed
+from qsci.sci import encode, generate_masks, synth_video
 from qsci.training import HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, train
 from small_models import calibrated_net
 
@@ -57,6 +58,19 @@ def work(tmp_path_factory):
     assert run("--workdir", root, "gen-data", "--seed", 5, "--count", 2, "--T", T,
                "--H", HW, "--W", HW, "--out", "data")[0] == 0
     return root
+
+
+def write_data_dir(path, hw):
+    """A data dir of one T-frame clip in gen-data's layout (without the hash
+    columns), at a frame size that gen-data may refuse."""
+    masks = generate_masks(5 + MASK_SEED_OFFSET, T, hw, hw)
+    clip = synth_video(5, T, hw, hw)
+    path.mkdir()
+    np.save(path / "masks.npy", masks.masks)
+    np.save(path / "clip_0000.npy", clip.frames)
+    np.save(path / "meas_0000.npy", encode(clip, masks).y)
+    (path / "manifest.csv").write_text(f"{cli.MANIFEST_HEADER}\n0,clip_0000.npy,meas_0000.npy\n",
+                                       encoding="ascii")
 
 
 def cuts(size, samples):
@@ -220,6 +234,27 @@ class TestMissingInput:
         assert rc == 2, err
         assert err.startswith("error:") and "--init" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+
+class TestUntrainableConfig:
+    """A config that the training loop cannot run is a config error when it
+    is read: before any data is synthesized and before the out dir exists."""
+
+    @pytest.mark.parametrize("edit,key", [
+        (("train.crop = 16", "train.crop = 15"), "train.crop"),
+        (("data.clip_hw = 16", "data.clip_hw = 12"), "data.clip_hw"),
+    ], ids=["odd-crop", "clip-below-crop"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_exits_2_naming_the_key(self, tmp_path, monkeypatch, command, edit, key):
+        text = (TRAIN_CFG.format(variant="fp32", t=T, out="run") if command == "train"
+                else ABLATE_CFG)
+        (tmp_path / "run.cfg").write_text(text.replace(*edit), encoding="ascii")
+        synthesized, synth = [], cli.make_synth_dataset
+        monkeypatch.setattr(cli, "make_synth_dataset",
+                            lambda *a: synthesized.append(a) or synth(*a))
+        rc, err = run("--workdir", tmp_path, command, "--config", "run.cfg")
+        assert rc == 2 and f"key '{key}'" in err and "Traceback" not in err, err
+        assert synthesized == [] and [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 GUARD_CFG = """\
@@ -399,8 +434,7 @@ class TestDataValidation:
         # than the SSIM window that eval scores with, and infer-int scores none
         for hw, rejected in ((9, True), (4, command == "eval")):
             data = tmp_path / f"data{hw}"
-            assert run("--workdir", tmp_path, "gen-data", "--seed", 5, "--count", 1,
-                       "--T", T, "--H", hw, "--W", hw, "--out", data)[0] == 0
+            write_data_dir(data, hw)
             out = tmp_path / f"out{hw}"
             rc, err = run("--workdir", work, command, flag, name, "--data", data, "--out", out)
             if not rejected:
@@ -409,6 +443,37 @@ class TestDataValidation:
             assert rc == 3, err
             assert err.startswith(f"error: data dir {data}: ") and "Traceback" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("header", [None, "", "index,clip,measurement"],
+                             ids=["missing", "empty", "short"])
+    @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc")])
+    def test_manifest_without_its_header_exits_3(self, work, tmp_path, command, flag, name,
+                                                 header):
+        # a first line that is not the header is not skipped as one: without
+        # a header, clip 0 would go unscored
+        data = tmp_path / "data"
+        shutil.copytree(work / "data", data)
+        rows = (data / "manifest.csv").read_text(encoding="ascii").splitlines()[1:]
+        lines = rows if header is None else [header] + rows
+        (data / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+        rc, err = run("--workdir", work, command, flag, name, "--data", data,
+                      "--out", tmp_path / "out")
+        assert rc == 3, err
+        assert str(data / "manifest.csv") in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_data_refuses_frames_the_network_cannot_take(self, work, tmp_path):
+        for h, w in ((9, 9), (8, 9), (9, 8)):
+            rc, err = run("--workdir", tmp_path, "gen-data", "--seed", 5, "--count", 1,
+                          "--T", T, "--H", h, "--W", w, "--out", "data")
+            assert rc == 2 and f"got {h}x{w}" in err and "Traceback" not in err, err
+            assert list(tmp_path.iterdir()) == []
+        # small even frames are taken: infer-int scores them without SSIM
+        assert run("--workdir", tmp_path, "gen-data", "--seed", 5, "--count", 1, "--T", T,
+                   "--H", 4, "--W", 4, "--out", "data")[0] == 0
+        assert run("--workdir", tmp_path, "infer-int", "--packed", work / "q4.pack",
+                   "--data", "data", "--out", "out")[0] == 0
 
     @pytest.mark.parametrize("threads", ["abc", "0"])
     def test_malformed_thread_count_exits_2(self, work, tmp_path, monkeypatch, threads):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import qsci.autodiff as ad
 import reference_impl as ref
-from qsci import network
+from qsci import cli, network
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
 from qsci.network import (BACKBONE, CFormerBlock, LayerNorm, QConv3d, QLinear, QNet,
@@ -39,21 +40,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match="divisible"):
             QNetConfig(base_channels=6, heads=4)
 
-    def test_shortcut_bits_floor(self):
-        # the widest stage sets the floor
-        with pytest.raises(ConfigError, match="shortcut_bits 4 must be >= the widest stage's 8"):
-            QNetConfig(fem_bits=4, enh_bits=8, vrm_bits=4, shortcut_bits=4)
+    def test_shortcut_width_is_derived(self):
+        # every preset and ablate row runs its shortcuts at 8 bits, the widest
+        # stage's width where that is wider: 32 bits for fp32 alone
+        fp32 = make_variant("fp32")
+        rows = [cfg for bits in (2, 3, 4, 8) for table in (cli._ladder_configs, cli._grid_configs)
+                for _, cfg in table(fp32, bits)]
+        for cfg in [make_variant(name) for name in network.VARIANT_NAMES] + rows:
+            widest = max(cfg.fem_bits, cfg.enh_bits, cfg.vrm_bits)
+            assert cfg.shortcut_bits == max(8, widest) == (32 if cfg == fp32 else 8), cfg
+        with pytest.raises(TypeError):   # a property, not a field
+            QNetConfig(shortcut_bits=8)
+        # so a fingerprint naming any other width names no network
+        cfg = QNetConfig(**every_stage(4))
+        fp = cfg.fingerprint()
+        assert ";short=8;fem=0;vrm=0;" in fp and parse_fingerprint(fp) == cfg
+        for short in (4, 32):
+            with pytest.raises(ConfigError, match=f"canonical form is '{re.escape(fp)}'"):
+                parse_fingerprint(fp.replace(";short=8;", f";short={short};"))
 
     def test_fingerprint_round_trip(self):
-        cfg = tiny_cfg(fem_bits=8, enh_bits=4, vrm_bits=4, shortcut_bits=8,
+        cfg = tiny_cfg(fem_bits=8, enh_bits=4, vrm_bits=4,
                        use_fem_shortcuts=True, use_qk_shift=True)
         assert parse_fingerprint(cfg.fingerprint()) == cfg
 
-    # a quantized base, so that shortcut_bits (>= every stage's bits) can
-    # change too, and a value other than the base's for every QNetConfig field
-    FP_BASE = QNetConfig(**every_stage(4), shortcut_bits=8)
+    # a value other than the base's for every QNetConfig field
+    FP_BASE = QNetConfig(**every_stage(4))
     FP_CHANGED = dict(base_channels=8, resdnet_blocks=3, cformer_per_block=1, heads=4, cr=2,
-                      fem_bits=8, enh_bits=3, vrm_bits=2, shortcut_bits=32,
+                      fem_bits=8, enh_bits=3, vrm_bits=2,
                       use_fem_shortcuts=True, use_vrm_shortcuts=True, use_qk_shift=True)
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(QNetConfig)])
@@ -74,15 +88,14 @@ class TestConfig:
         lambda fp: fp.replace("femb=4", "femb=04"),          # padded value
     ], ids=["unknown", "repeated", "repeated-same", "reordered", "padded"])
     def test_non_canonical_fingerprint_rejected(self, edit):
-        fp = QNetConfig(base_channels=8, resdnet_blocks=2, **every_stage(4),
-                        shortcut_bits=8).fingerprint()
+        fp = QNetConfig(base_channels=8, resdnet_blocks=2, **every_stage(4)).fingerprint()
         assert parse_fingerprint(fp).fingerprint() == fp
         with pytest.raises(ConfigError, match="malformed config fingerprint"):
             parse_fingerprint(edit(fp))
 
     def test_quantized_flag(self):
         assert not tiny_cfg().quantized
-        assert tiny_cfg(**every_stage(8), shortcut_bits=8).quantized
+        assert tiny_cfg(**every_stage(8)).quantized
         assert tiny_cfg(fem_bits=4).quantized
 
 
@@ -342,7 +355,7 @@ class TestAudit:
         assert all(r["flops"] > 0 and r["weight_params"] > 0 for r in rows)
 
     def test_stage_bit_overrides(self):
-        cfg = tiny_cfg(fem_bits=4, enh_bits=8, vrm_bits=8, shortcut_bits=8)
+        cfg = tiny_cfg(fem_bits=4, enh_bits=8, vrm_bits=8)
         net = QNet(cfg, seed=0)
         rows = {r["name"]: r for r in net.audit((8, 8))}
         assert rows["fem.conv_a"]["w_bits"] == 4
@@ -606,7 +619,7 @@ class TestCheckpointInit:
     def test_geometry_mismatch_rejected(self):
         fp32 = QNet(tiny_cfg(), seed=1)
         other = QNet(QNetConfig(base_channels=16, resdnet_blocks=1, cformer_per_block=1,
-                                heads=2, cr=2, **every_stage(8), shortcut_bits=8), seed=0)
+                                heads=2, cr=2, **every_stage(8)), seed=0)
         with pytest.raises(ConfigError, match="geometry"):
             other.init_from_backbone(fp32.state_dict(), fp32.cfg.backbone_geometry())
 

@@ -107,8 +107,9 @@ class TestTrainChecks:
         ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
         init_net = QNet(make_variant("fp32", **TINY), seed=5)
         init = (init_net.cfg.fingerprint(), init_net.state_dict())
-        got = train(ExperimentConfig(train_epochs_phase1=0, train_epochs_phase2=0),
-                    make_variant("fp32", **TINY), ds, init).state
+        cfg = ExperimentConfig(train_epochs_phase1=0, train_epochs_phase2=0)
+        (fingerprint, got), curve = train(cfg, make_variant("fp32", **TINY), ds, init)
+        assert fingerprint == init[0] and curve == []
         assert got.keys() == init[1].keys()
         assert all(np.array_equal(got[k], init[1][k]) for k in got)
 
