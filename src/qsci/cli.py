@@ -9,10 +9,8 @@ shared backbone ``fp32_init.qsc``, one ``<row>.qsc`` per row, and
 row's ``psnr_db,ssim`` are the ``average`` row of ``eval`` of its checkpoint
 on the held-out clips. Rows that build the same network are trained once;
 a ``net.variant`` other than fp32 or a ``data.holdout`` of 0 is a config
-error. ``eval``, ``infer-int`` and ``ablate`` reconstruct clips on
-``QSCI_THREADS`` threads (default 1; outputs do not depend on it).
-Exit codes: 0 success, 2 config error (an output path that cannot be
-created or written among them), 3 data error, 4 numeric failure.
+error. Exit codes: 0 success, 2 config error (an output path that cannot
+be created or written among them), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +32,7 @@ from .network import (BACKBONE, QNet, QNetConfig, check_frame_size, every_stage,
                       parse_fingerprint)
 from .packed import pack_model, packed_layers, packed_net, read_packed
 from .sci import MaskSet, Measurement, VideoClip, encode, generate_masks, synth_video
-from .training import MASK_SEED_OFFSET, Dataset, make_synth_dataset, train
-
-
-def worker_count() -> int:
-    """Worker threads from QSCI_THREADS (default 1: fully serial runs); a
-    value that is not an integer >= 1 is a ConfigError."""
-    raw = os.environ.get("QSCI_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"QSCI_THREADS must be an integer >= 1, got '{raw}'")
-    return int(raw)
+from .training import MASK_SEED_OFFSET, Dataset, make_synth_dataset, start_net, train
 
 
 def _resolve(workdir: Path, p: str) -> Path:
@@ -188,7 +175,8 @@ def cmd_train(args, workdir: Path) -> int:
     cfg = ExperimentConfig.load(_resolve(workdir, args.config))
     netcfg = _net_config(cfg)
     init = None if args.init is None else load_checkpoint(_resolve(workdir, args.init))
-    model, curve = train(cfg, netcfg, _dataset(cfg), init)
+    net = start_net(cfg, netcfg, init)   # checks the init before any clip is made
+    model, curve = train(cfg, net, _dataset(cfg))
     out = _resolve(workdir, cfg.out_dir)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -210,17 +198,12 @@ def _load_net(ckpt_path: Path) -> QNet:
 
 def _reconstruct_all(net: QNet, masks: MaskSet, entries, score):
     """[(index, frames, score(frames, clip frames))] for each (index, clip,
-    measurement) entry, in order; clips run on worker_count() threads."""
-    def one(entry):
-        idx, clip, meas = entry
+    measurement) entry, in order."""
+    results = []
+    for idx, clip, meas in entries:
         frames = net.reconstruct(meas, masks).frames
-        return idx, frames, score(frames, clip.frames)
-
-    workers = worker_count()
-    if workers > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, entries))
-    return [one(e) for e in entries]
+        results.append((idx, frames, score(frames, clip.frames)))
+    return results
 
 
 def _psnr_ssim(frames: np.ndarray, gt: np.ndarray):
@@ -282,7 +265,6 @@ def cmd_ablate(args, workdir: Path) -> int:
     if cfg.data_holdout == 0:
         raise ConfigError("ablate scores its rows on the held-out clips; "
                           "data.holdout must be >= 1, got 0")
-    worker_count()   # a malformed QSCI_THREADS fails before any training
     fp32_cfg = _net_config(cfg)
     tables = {"ladder.csv": _ladder_configs(fp32_cfg, args.bits),
               "grid.csv": _grid_configs(fp32_cfg, args.bits)}
@@ -294,14 +276,14 @@ def cmd_ablate(args, workdir: Path) -> int:
         (out / "config_echo.txt").write_text(cfg.echo(), encoding="ascii")
 
         # shared full-precision backbone, identical seeds for every row
-        fp32, _ = train(cfg, fp32_cfg, dataset)
+        fp32, _ = train(cfg, start_net(cfg, fp32_cfg, None), dataset)
         save_checkpoint(out / "fp32_init.qsc", *fp32)
         trained = {}   # row config -> (fingerprint, state): rows of one network train once
         for csv_name, rows in tables.items():
             lines = ["row,psnr_db,ssim,params_m,ops_g"]
             for name, rowcfg in rows:
                 if rowcfg not in trained:
-                    trained[rowcfg], _ = train(cfg, rowcfg, dataset, fp32)
+                    trained[rowcfg], _ = train(cfg, start_net(cfg, rowcfg, fp32), dataset)
                 save_checkpoint(out / f"{name}.qsc", *trained[rowcfg])
                 net = _load_net(out / f"{name}.qsc")
                 results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
@@ -319,7 +301,7 @@ def cmd_pack(args, workdir: Path) -> int:
     with _writing(out):
         save_checkpoint(out, *pack_model(net))
     layers = [layer for _, layer in packed_layers(net)]
-    n_codes = sum(layer.weight_count() for layer in layers)
+    n_codes = sum(layer.weight.size for layer in layers)
     print(f"packed {len(layers)} layers / {n_codes} codes -> {out}")
     return 0
 

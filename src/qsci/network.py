@@ -328,10 +328,7 @@ class QLayer(Module):
     def code_dtype(self):
         """The float type in which this layer's code contraction is exact;
         float32 at 32 bits, where the contraction rounds."""
-        return code_dtype(self.weight_count() // self.out_features, self.bits)
-
-    def weight_count(self) -> int:
-        return self.weight.size
+        return code_dtype(self.weight.size // self.out_features, self.bits)
 
 
 class QConv3d(QLayer):
@@ -876,7 +873,7 @@ class QNet(Module):
                 "geometry": geometry,
                 "w_bits": layer.bits,
                 "a_bits": layer.bits,
-                "weight_params": layer.weight_count(),
+                "weight_params": layer.weight.size,
                 "bias_params": layer.out_features,
                 "flops": 2 * macs,
             })

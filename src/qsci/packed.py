@@ -158,7 +158,7 @@ def install_packed(net: QNet, model: tuple):
     expect = net.expected_state()
     for name, layer in packed_layers(net):
         del expect[f"{name}.weight"]
-        n_words = packed_word_count(layer.weight_count(), layer.bits)
+        n_words = packed_word_count(layer.weight.size, layer.bits)
         expect[f"{name}.words"] = (np.dtype(np.uint64), (n_words,))
     net.load_state(state, expect)
     for name, layer in packed_layers(net):

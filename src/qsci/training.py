@@ -154,17 +154,11 @@ def _batch_stacks(clips, masks: MaskSet, noise_sigma: float, noise_seed: int):
     return np.concatenate(stacks, axis=0), np.stack(gts)
 
 
-def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
-          init: tuple | None = None) -> tuple:
-    """Run both learning-rate phases of ``cfg``'s ``train.*`` recipe, with
-    its ``data.noise_sigma`` on every training measurement; returns
-    ``(model, curve)``: the trained model as the ``(fingerprint, state)``
-    pair that ``load_checkpoint`` returns, and the per-epoch loss / held-out
-    PSNR records. Deterministic per seed. ``init``, such a pair, starts the
-    network from that checkpoint; its fingerprint's backbone geometry must
-    be the network's. A quantized network needs one."""
-    if netcfg.cr != dataset.masks.t:
-        raise ConfigError(f"model T={netcfg.cr} but mask set has T={dataset.masks.t}")
+def start_net(cfg: ExperimentConfig, netcfg: QNetConfig, init: tuple | None) -> QNet:
+    """The network ``train`` starts from, seeded by ``cfg``'s ``train.seed``.
+    ``init``, a ``(fingerprint, state)`` pair as ``load_checkpoint``
+    returns, loads that checkpoint, whose backbone geometry must be the
+    network's; a quantized network needs one. It reads no data."""
     if netcfg.quantized and init is None:
         raise ConfigError("quantized variant requires --init pointing at a full-precision "
                           "checkpoint with identical geometry")
@@ -172,7 +166,19 @@ def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
     if init is not None:
         fingerprint, state = init
         net.init_from_backbone(state, parse_fingerprint(fingerprint).backbone_geometry())
-    if netcfg.quantized:
+    return net
+
+
+def train(cfg: ExperimentConfig, net: QNet, dataset: Dataset) -> tuple:
+    """Run both learning-rate phases of ``cfg``'s ``train.*`` recipe on
+    ``net`` (see :func:`start_net`), with ``cfg``'s ``data.noise_sigma`` on
+    every training measurement; returns ``(model, curve)``: the trained
+    model as the ``(fingerprint, state)`` pair that ``load_checkpoint``
+    returns, and the per-epoch loss / held-out PSNR records. Deterministic
+    per seed."""
+    if net.cfg.cr != dataset.masks.t:
+        raise ConfigError(f"model T={net.cfg.cr} but mask set has T={dataset.masks.t}")
+    if net.cfg.quantized:
         calib_rng = np.random.default_rng(cfg.train_seed)
         calib = [augment(c, cfg.train_crop, calib_rng, False, False)
                  for c in dataset.train_clips[: cfg.train_batch_size]]
@@ -214,4 +220,4 @@ def train(cfg: ExperimentConfig, netcfg: QNetConfig, dataset: Dataset,
                 "train_loss": float(np.mean(losses)) if losses else float("nan"),
                 "val_psnr": evaluate_psnr(net, dataset),
             })
-    return (netcfg.fingerprint(), net.state_dict()), curve
+    return (net.cfg.fingerprint(), net.state_dict()), curve

@@ -1,9 +1,8 @@
 """CLI behaviour: malformed containers and data dirs, a file of the wrong
 kind, an entry of the wrong dtype and a missing checkpoint end in exit code
-3, a missing config and a malformed ``QSCI_THREADS`` in exit code 2, no
-config value or argument ends in a traceback, ``train``, ``eval``, ``pack``,
-``infer-int`` and ``ablate`` reruns are byte-identical, threaded ``eval``
-and ``infer-int`` match serial runs, ``eval`` and ``infer-int`` report the
+3, a missing config and a missing or mismatched ``train --init`` in exit
+code 2, no config value or argument ends in a traceback, the reruns of
+every command are byte-identical, ``eval`` and ``infer-int`` report the
 same PSNR, every ``ablate`` row is ``eval`` of its checkpoint and each
 distinct row network trains once, and the ``report`` table follows the
 bit-adjusted formulas."""
@@ -71,6 +70,13 @@ def write_data_dir(path, hw):
     np.save(path / "meas_0000.npy", encode(clip, masks).y)
     (path / "manifest.csv").write_text(f"{cli.MANIFEST_HEADER}\n0,clip_0000.npy,meas_0000.npy\n",
                                        encoding="ascii")
+
+
+def count_synthesis(monkeypatch):
+    """Wrap cli.make_synth_dataset; returns the list of the calls' arguments."""
+    synthesized, synth = [], cli.make_synth_dataset
+    monkeypatch.setattr(cli, "make_synth_dataset", lambda *a: synthesized.append(a) or synth(*a))
+    return synthesized
 
 
 def cuts(size, samples):
@@ -215,25 +221,27 @@ class TestMissingInput:
         assert err.startswith("error:") and "missing." in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "q4.cfg"]
 
-    def test_init_of_another_geometry_writes_nothing(self, tmp_path):
-        # a C=8 fp32 checkpoint cannot initialize a C=16 q4 network
-        net = QNet(make_variant("fp32", base_channels=8, cformer_per_block=1, cr=T), seed=0)
+    def test_init_of_another_geometry_writes_nothing(self, tmp_path, monkeypatch):
+        # a C=4 fp32 checkpoint cannot initialize a C=8 q4 network
+        net = QNet(make_variant("fp32", base_channels=4, cformer_per_block=1, cr=T), seed=0)
         save_checkpoint(tmp_path / "fp32.qsc", net.cfg.fingerprint(), net.state_dict())
-        cfg = TRAIN_CFG.format(variant="q4", t=T, out="run")
-        (tmp_path / "q4.cfg").write_text(cfg.replace("base_channels = 8", "base_channels = 16"),
+        (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),
                                          encoding="ascii")
+        synthesized = count_synthesis(monkeypatch)
         rc, err = run("--workdir", tmp_path, "train", "--config", "q4.cfg", "--init", "fp32.qsc")
         assert rc == 2, err
         assert err.startswith("error:") and "does not match" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fp32.qsc", "q4.cfg"]
+        assert synthesized == []   # the init is checked before any clip is made
 
-    def test_quantized_train_without_init_writes_nothing(self, tmp_path):
+    def test_quantized_train_without_init_writes_nothing(self, tmp_path, monkeypatch):
         (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),
                                          encoding="ascii")
+        synthesized = count_synthesis(monkeypatch)
         rc, err = run("--workdir", tmp_path, "train", "--config", "q4.cfg")
         assert rc == 2, err
         assert err.startswith("error:") and "--init" in err and "Traceback" not in err
-        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "run").exists() and synthesized == []
 
 
 class TestUntrainableConfig:
@@ -249,9 +257,7 @@ class TestUntrainableConfig:
         text = (TRAIN_CFG.format(variant="fp32", t=T, out="run") if command == "train"
                 else ABLATE_CFG)
         (tmp_path / "run.cfg").write_text(text.replace(*edit), encoding="ascii")
-        synthesized, synth = [], cli.make_synth_dataset
-        monkeypatch.setattr(cli, "make_synth_dataset",
-                            lambda *a: synthesized.append(a) or synth(*a))
+        synthesized = count_synthesis(monkeypatch)
         rc, err = run("--workdir", tmp_path, command, "--config", "run.cfg")
         assert rc == 2 and f"key '{key}'" in err and "Traceback" not in err, err
         assert synthesized == [] and [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
@@ -474,18 +480,6 @@ class TestDataValidation:
                    "--H", 4, "--W", 4, "--out", "data")[0] == 0
         assert run("--workdir", tmp_path, "infer-int", "--packed", work / "q4.pack",
                    "--data", "data", "--out", "out")[0] == 0
-
-    @pytest.mark.parametrize("threads", ["abc", "0"])
-    def test_malformed_thread_count_exits_2(self, work, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("QSCI_THREADS", threads)
-        rc, err = run("--workdir", work, "eval", "--ckpt", "q4.qsc", "--data", "data",
-                      "--out", tmp_path / "out")
-        assert rc == 2
-        assert f"QSCI_THREADS must be an integer >= 1, got '{threads}'" in err
-        # ablate reads it before it trains anything
-        (tmp_path / "ablate.cfg").write_text(ABLATE_CFG, encoding="ascii")
-        assert run("--workdir", tmp_path, "ablate", "--config", "ablate.cfg")[0] == 2
-        assert not (tmp_path / "ablate").exists()
 
 
 class TestNonFiniteParameters:
@@ -714,20 +708,26 @@ class TestRerunDeterminism:
         assert run("--workdir", work, "pack", "--ckpt", "q4.qsc", "--out", "again.pack")[0] == 0
         assert (work / "again.pack").read_bytes() == (work / "q4.pack").read_bytes()
 
-    def test_threaded_eval_matches_serial(self, work, monkeypatch):
-        # infer-int too: both reconstruct their clips through one loop
-        for command, flag, name, n_files in (("eval", "--ckpt", "q4.qsc", 1),
-                                             ("infer-int", "--packed", "q4.pack", 3)):
-            outs = {}
-            for threads in ("1", "2"):
-                monkeypatch.setenv("QSCI_THREADS", threads)
-                assert cli.worker_count() == int(threads)
-                out = work / f"{command}_threads{threads}"
-                assert run("--workdir", work, command, flag, name, "--data", "data",
-                           "--out", out)[0] == 0
-                outs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
-            assert len(outs["1"]) == n_files
-            assert outs["1"] == outs["2"]
+    def test_gen_data_reruns_byte_identical(self, tmp_path):
+        outs = [tmp_path / "data_a", tmp_path / "data_b"]
+        for out in outs:
+            assert run("--workdir", tmp_path, "gen-data", "--seed", 7, "--count", 2, "--T", T,
+                       "--H", HW, "--W", HW, "--noise-sigma", 0.01, "--out", out)[0] == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == ["clip_0000.npy", "clip_0001.npy", "manifest.csv", "masks.npy",
+                         "meas_0000.npy", "meas_0001.npy"]
+        for f in files:
+            assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+    def test_report_reruns_byte_identical(self, work):
+        printed = []
+        for out in ("report_a.csv", "report_b.csv"):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert cli.main(["--workdir", str(work), "report", "--ckpt", "q4.qsc",
+                                 "--input-hw", str(HW), "--out", out]) == 0
+            printed.append(stdout.getvalue())
+        assert (work / "report_a.csv").read_bytes() == (work / "report_b.csv").read_bytes()
+        assert printed[0] == printed[1] == (work / "report_a.csv").read_text(encoding="ascii")
 
 
 ABLATE_CFG = """\
@@ -752,9 +752,9 @@ def counting_train(monkeypatch):
     """Replace cli.train with a wrapper; returns the list of configs it trains."""
     trained = []
 
-    def wrapper(tcfg, netcfg, *rest):
-        trained.append(netcfg)
-        return train(tcfg, netcfg, *rest)
+    def wrapper(tcfg, net, *rest):
+        trained.append(net.cfg)
+        return train(tcfg, net, *rest)
 
     monkeypatch.setattr(cli, "train", wrapper)
     return trained

@@ -529,7 +529,7 @@ class TestFloat32CodeForward:
         free = layer.forward(Tensor(x)).data
         with Tape():
             taped = layer.forward(Tensor(x)).data
-        n = layer.weight_count() // layer.out_features
+        n = layer.weight.size // layer.out_features
         assert free.shape == taped.shape == mass.shape
         assert np.all(np.abs(free.astype(np.float64) - taped) <= 2 * gamma(n + 1) * mass)
 

@@ -1,6 +1,7 @@
 """Every function, class and method the package defines has a user that is
-not a test (the package itself or the benchmark harness), and such a user
-passes each parameter that has a default some other value."""
+not a test (the package itself or the benchmark harness), such a user
+passes each parameter that has a default some other value, and no module
+reads the process environment."""
 
 import ast
 import re
@@ -124,3 +125,15 @@ def test_every_src_default_is_overridden_by_a_command():
                 for key, label, index, name, default in _defaulted_params(tree)
                 if not any(_sets(c, index, name, default) for c in calls.get(key, ()))]
     assert not constant, f"parameters no command sets off their default: {constant}"
+
+
+def test_no_src_module_reads_the_environment():
+    """No ``src/`` module reads the process environment (``os.environ``,
+    ``os.getenv``). A setting that the traffic never varies is a constant,
+    and one that it does vary is a command-line argument or a config key,
+    which a command's inputs record. The check is textual: the words
+    ``environ`` and ``getenv`` appear nowhere in ``src/``."""
+    readers = [f"{p.name}:{n}" for p in sorted((ROOT / "src" / "qsci").rglob("*.py"))
+               for n, line in enumerate(p.read_text().splitlines(), start=1)
+               if re.search(r"\b(environ|getenv)\b", line)]
+    assert not readers, f"src/ lines that read the environment: {readers}"

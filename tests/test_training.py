@@ -13,7 +13,7 @@ from qsci.evaluation import psnr
 from qsci.network import QNet, make_variant
 from qsci.sci import encode, generate_masks, synth_video
 from qsci.training import (EVAL_BATCH, HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, Adam, augment,
-                           evaluate_psnr, make_synth_dataset, mse_loss, train)
+                           evaluate_psnr, make_synth_dataset, mse_loss, start_net, train)
 
 TINY = dict(base_channels=8, resdnet_blocks=1, cformer_per_block=1, heads=2, cr=2)
 
@@ -88,19 +88,16 @@ class TestEvaluatePsnr:
 
 class TestTrainChecks:
     def test_quantized_without_init_rejected(self):
-        ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
         with pytest.raises(ConfigError, match="--init"):
-            train(ExperimentConfig(train_epochs_phase1=1, train_epochs_phase2=0),
-                  make_variant("q4", **TINY), ds)
+            start_net(ExperimentConfig(), make_variant("q4", **TINY), None)
 
     def test_init_of_another_geometry_names_both(self):
         # the geometry is read off the init pair's own fingerprint
-        ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
         other = QNet(make_variant("fp32", **{**TINY, "base_channels": 4}), seed=0)
         init = (other.cfg.fingerprint(), other.state_dict())
         q4 = make_variant("q4", **TINY)
         with pytest.raises(ConfigError, match=re.escape(other.cfg.backbone_geometry())) as info:
-            train(ExperimentConfig(train_epochs_phase1=0, train_epochs_phase2=0), q4, ds, init)
+            start_net(ExperimentConfig(), q4, init)
         assert q4.backbone_geometry() in str(info.value)
 
     def test_untrained_run_returns_its_init(self):
@@ -108,13 +105,16 @@ class TestTrainChecks:
         init_net = QNet(make_variant("fp32", **TINY), seed=5)
         init = (init_net.cfg.fingerprint(), init_net.state_dict())
         cfg = ExperimentConfig(train_epochs_phase1=0, train_epochs_phase2=0)
-        (fingerprint, got), curve = train(cfg, make_variant("fp32", **TINY), ds, init)
+        net = start_net(cfg, make_variant("fp32", **TINY), init)
+        (fingerprint, got), curve = train(cfg, net, ds)
         assert fingerprint == init[0] and curve == []
         assert got.keys() == init[1].keys()
         assert all(np.array_equal(got[k], init[1][k]) for k in got)
 
     def test_mask_frame_count_must_match(self):
         ds = make_synth_dataset(0, n_train=1, n_holdout=0, t=2, train_hw=8, crop=8)
+        cfg = ExperimentConfig()
+        net = start_net(cfg, make_variant("fp32", **{**TINY, "cr": 4}), None)
         with pytest.raises(ConfigError, match="T="):
-            train(ExperimentConfig(), make_variant("fp32", **{**TINY, "cr": 4}), ds)
+            train(cfg, net, ds)
 
