@@ -21,15 +21,15 @@ and ``clamp`` keep their input arrays; ``gelu`` keeps its ``Phi(x)`` too,
 and ``leaky_relu`` and ``clamp`` keep no mask and recompute it. ``conv3d``
 keeps its input and weight and rebuilds its im2col patch matrices in
 backward; ``quantize.fake_quant`` keeps its input, scale and zero-point and
-rebuilds the pre-clip value and the codes. Both compute no gradient for an
-input that does not require grad. No conv pads its input: a patch matrix
-holds zeros where a tap reads outside it (:func:`sample_patches`).
+rebuilds the pre-clip value and the codes. Both skip ``x``'s gradient, and
+no other, when ``x`` does not require grad. No conv pads its input: a patch
+matrix holds zeros where a tap reads outside it (:func:`sample_patches`).
 
 Each array is scanned for NaN/Inf once. Every arithmetic op scans its
 output, raises :class:`~qsci.errors.NumericError` on a non-finite value and
 marks the result (:attr:`Tensor.scanned`). The data-movement ops
-(``reshape``, ``transpose``, ``narrow``, ``concat``, the pixel shuffles)
-scan nothing; their output is marked only if every input is. A quantizer,
+(``reshape``, ``transpose``, ``concat``, the pixel shuffles) scan
+nothing; their output is marked only if every input is. A quantizer,
 whose clip would hide an infinity, scans an unmarked input itself (see
 :mod:`qsci.quantize`). Data is not changed in place once an op has read
 it, so a mark stays true; assigning new data clears it.
@@ -373,26 +373,6 @@ def transpose(x: Tensor, axes) -> Tensor:
         return (np.ascontiguousarray(g.transpose(inv)),)
 
     return _finish(out, (x,), bwd, "transpose", scan=False)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; gradient zero-pads the complement."""
-    if start < 0 or start + length > x.shape[axis]:
-        raise ShapeError(
-            f"narrow [{start}:{start + length}] out of range for axis {axis} "
-            f"of extent {x.shape[axis]}"
-        )
-    idx = tuple(slice(None) if a != axis else slice(start, start + length)
-                for a in range(x.data.ndim))
-    out = np.ascontiguousarray(x.data[idx])
-    in_shape = x.shape
-
-    def bwd(g):
-        gx = np.zeros(in_shape, dtype=np.float32)
-        gx[idx] = g
-        return (gx,)
-
-    return _finish(out, (x,), bwd, "narrow", scan=False)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

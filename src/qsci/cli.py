@@ -262,9 +262,10 @@ def cmd_ablate(args, workdir: Path) -> int:
     if cfg.net_variant != "fp32":
         raise ConfigError(f"ablate trains its rows from an fp32 backbone; "
                           f"net.variant must be fp32, got '{cfg.net_variant}'")
-    if cfg.data_holdout == 0:
-        raise ConfigError("ablate scores its rows on the held-out clips; "
-                          "data.holdout must be >= 1, got 0")
+    if cfg.data_holdout == 0 or cfg.train_crop < SSIM_WINDOW:
+        raise ConfigError(f"ablate scores its rows by SSIM on train.crop-sized held-out clips; "
+                          f"data.holdout must be >= 1 and train.crop >= {SSIM_WINDOW} (the SSIM "
+                          f"window), got {cfg.data_holdout} and {cfg.train_crop}")
     fp32_cfg = _net_config(cfg)
     tables = {"ladder.csv": _ladder_configs(fp32_cfg, args.bits),
               "grid.csv": _grid_configs(fp32_cfg, args.bits)}

@@ -765,14 +765,15 @@ class QNet(Module):
         self.vrm = self.register_module("vrm", VideoReconstruction(rng, cfg))
 
     def forward_stack(self, stack: Tensor) -> Tensor:
-        """[B, 2, T, H, W] estimate stacks -> [B, T, H, W] frames."""
+        """[B, 2, T, H, W] estimate stacks -> [B, T, H, W] frames. The stack
+        is data, which no gradient reaches; its estimate channel is copied."""
         b, _, t, h, w = stack.shape
         if t != self.cfg.cr:
             raise ShapeError(f"stack has T={t}, model expects T={self.cfg.cr}")
         feat = self.fem.forward(stack)
         for blk in self.blocks:
             feat = blk.forward(feat)
-        base = ad.narrow(stack, 1, 0, 1)   # the broadcast estimate channel
+        base = Tensor(stack.data[:, :1])   # the broadcast estimate channel
         y = self.vrm.forward(feat, base)
         return ad.reshape(y, (b, t, h, w))
 

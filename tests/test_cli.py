@@ -24,7 +24,7 @@ import qsci
 from qsci import cli
 from qsci.containers import ExperimentConfig, load_checkpoint, save_checkpoint
 from qsci.errors import FormatError
-from qsci.evaluation import count_efficiency
+from qsci.evaluation import SSIM_WINDOW, count_efficiency
 from qsci.network import QNet, make_variant
 from qsci.packed import infer_packed, pack_model, read_packed
 from qsci.sci import encode, generate_masks, synth_video
@@ -340,8 +340,11 @@ class TestNoTraceback:
         a file in a directory that does not exist is a config error that
         names the path."""
         (tmp_path / "taken").write_text("", encoding="ascii")
-        (tmp_path / "guard.cfg").write_text(GUARD_CFG.replace("out.dir = run", "out.dir = taken"),
-                                            encoding="ascii")
+        # a crop that ablate takes: it scores its rows by SSIM on crop-sized clips
+        (tmp_path / "guard.cfg").write_text(
+            GUARD_CFG.replace("out.dir = run", "out.dir = taken")
+            .replace("train.crop = 8", "train.crop = 12").replace("clip_hw = 8", "clip_hw = 12"),
+            encoding="ascii")
         data = ["--data", work / "data", "--out", "taken"]
         argv, path = {
             "gen-data": (["gen-data", *(x for kv in GEN_DATA.items() for x in kv),
@@ -858,6 +861,16 @@ class TestAblate:
         trained = counting_train(monkeypatch)
         rc, err = run("--workdir", tmp_path, "ablate", "--config", "ablate.cfg")
         assert rc == 2 and "data.holdout" in err, err
+        assert trained == [] and not (tmp_path / "ablate").exists()
+
+    def test_crop_below_the_ssim_window_rejected_before_training(self, tmp_path, monkeypatch):
+        # its held-out clips are train.crop wide, too small to score by SSIM
+        (tmp_path / "ablate.cfg").write_text(ABLATE_CFG.replace("train.crop = 16",
+                                                                "train.crop = 8"),
+                                             encoding="ascii")
+        trained = counting_train(monkeypatch)
+        rc, err = run("--workdir", tmp_path, "ablate", "--config", "ablate.cfg")
+        assert rc == 2 and "train.crop" in err and f">= {SSIM_WINDOW}" in err, err
         assert trained == [] and not (tmp_path / "ablate").exists()
 
 

@@ -1,11 +1,21 @@
 """Every function, class and method the package defines has a user that is
 not a test (the package itself or the benchmark harness), such a user
-passes each parameter that has a default some other value, and no module
-reads the process environment."""
+passes each parameter that has a default some other value, no module
+reads the process environment, and a training step records every
+differentiable op the package defines: an op that training never records
+is a capability no command uses, and its gradient rule is code that never
+runs."""
 
 import ast
 import re
 from pathlib import Path
+
+import numpy as np
+
+from qsci.autodiff import Tape, Tensor
+from qsci.sci import initial_estimate
+from qsci.training import mse_loss
+from small_models import calibrated_net, small_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -137,3 +147,26 @@ def test_no_src_module_reads_the_environment():
                for n, line in enumerate(p.read_text().splitlines(), start=1)
                if re.search(r"\b(environ|getenv)\b", line)]
     assert not readers, f"src/ lines that read the environment: {readers}"
+
+
+def test_training_records_every_differentiable_op():
+    """Every op name that ``src/`` passes to ``autodiff._finish`` (the
+    autodiff ops and ``quantize.fake_quant``) is recorded by one taped q4
+    forward plus ``mse_loss``, the step that ``train`` differentiates."""
+    ops = {}
+    for path in sorted((ROOT / "src" / "qsci").rglob("*.py")):
+        for key, call in _calls(ast.parse(path.read_text())):
+            if key == "_finish":
+                arg = call.args[3] if len(call.args) > 3 else next(
+                    k.value for k in call.keywords if k.arg == "name")
+                is_literal, name = _literal(arg)
+                assert is_literal, f"{path.name}:{call.lineno} passes _finish a computed op name"
+                ops[name] = f"{path.name}:{call.lineno}"
+    masks, clips, meas = small_inputs()
+    stack = Tensor(np.concatenate([initial_estimate(m, masks) for m in meas]))
+    with Tape() as tape:
+        mse_loss(calibrated_net("q4").forward_stack(stack), np.stack([c.frames for c in clips]))
+    recorded = {node.name for node in tape.nodes}
+    unrecorded = {name: where for name, where in ops.items() if name not in recorded}
+    assert {"conv3d", "fake_quant"} <= set(ops)   # both modules' calls were found
+    assert not unrecorded, f"ops that training never records: {unrecorded}"
