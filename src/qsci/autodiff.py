@@ -14,16 +14,17 @@ it is a leaf that requires grad; else ``None``. The sink is fixed when the
 input is recorded, so ``requires_grad`` is read then, not at ``backward``.
 A node's backward rule closes over the arrays it reads and nothing else, so
 an input that no rule reads is freed as soon as its caller drops it. The
-data-movement ops, ``add``, ``sub``, ``scale`` and ``mean`` keep no array;
-``softmax`` keeps its output, and ``layer_norm`` its centred input, each
-row's deviation and its gain. ``mul``, ``matmul``, ``gelu``, ``leaky_relu``
-and ``clamp`` keep their input arrays; ``gelu`` keeps its ``Phi(x)`` too,
-and ``leaky_relu`` and ``clamp`` keep no mask and recompute it. ``conv3d``
-keeps its input and weight and rebuilds its im2col patch matrices in
-backward; ``quantize.fake_quant`` keeps its input, scale and zero-point and
-rebuilds the pre-clip value and the codes. Both skip ``x``'s gradient, and
-no other, when ``x`` does not require grad. No conv pads its input: a patch
-matrix holds zeros where a tap reads outside it (:func:`sample_patches`).
+data-movement ops, ``add`` and ``scale`` keep no array; ``softmax`` keeps
+its output, ``layer_norm`` its centred input, each row's deviation and its
+gain, and ``training.mse_loss`` the difference of its operands. ``matmul``,
+``gelu``, ``leaky_relu`` and ``clamp`` keep their input arrays; ``gelu``
+keeps its ``Phi(x)`` too, and ``leaky_relu`` and ``clamp`` keep no mask and
+recompute it. ``conv3d`` keeps its input and weight and rebuilds its im2col
+patch matrices in backward; ``quantize.fake_quant`` keeps its input, scale
+and zero-point and rebuilds the pre-clip value and the codes. Both skip
+``x``'s gradient, and no other, when ``x`` does not require grad. No conv
+pads its input: a patch matrix holds zeros where a tap reads outside it
+(:func:`sample_patches`).
 
 Each array is scanned for NaN/Inf once. Every arithmetic op scans its
 output, raises :class:`~qsci.errors.NumericError` on a non-finite value and
@@ -158,21 +159,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars are promoted to constant tensors
+    # operator sugar for adding two tensors
     def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-
-def _coerce(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float32))
+        return add(self, other)
 
 
 def _scan(arr: np.ndarray, name: str):
@@ -221,26 +210,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _finish(out, (a, b), bwd, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    a_shape, b_shape = a.shape, b.shape
-
-    def bwd(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return _finish(out, (a, b), bwd, "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a_data, b_data = a.data, b.data
-    out = a_data * b_data
-
-    def bwd(g):
-        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
-
-    return _finish(out, (a, b), bwd, "mul")
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -294,17 +263,6 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
         return (g * ((xd >= lo) & (xd <= hi)),)
 
     return _finish(out, (x,), bwd, "clamp")
-
-
-def mean(x: Tensor) -> Tensor:
-    """The float32 mean of every element, as a one-element tensor."""
-    out = x.data.mean(dtype=np.float32)
-    count, shape = x.size, x.shape
-
-    def bwd(g):
-        return (np.broadcast_to(g.reshape(()) / count, shape).astype(np.float32),)
-
-    return _finish(np.asarray(out), (x,), bwd, "mean")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:

@@ -117,10 +117,11 @@ def cmd_gen_data(args, workdir: Path) -> int:
 def _load_data_dir(path: Path, cr: int, min_hw: int = 1):
     """(masks, [(index, clip, measurement)]) of a gen-data directory. The
     masks must be a binary [T, H, W] stack with the model's compression
-    ratio ``cr`` as T, each clip [T, H, W] and finite, and each measurement
-    [H, W]; a missing, unreadable, misshapen or non-finite clip file, or a
-    manifest without ``MANIFEST_HEADER`` or listing an index twice, raises
-    DataError naming it. Frames the network cannot take (see
+    ratio ``cr`` as T, each clip [T, H, W] and each measurement [H, W], all
+    finite (a clip is scored, a measurement reconstructed); a missing,
+    unreadable, misshapen or non-finite file, or a manifest without
+    ``MANIFEST_HEADER`` or listing an index twice, raises DataError naming
+    it. Frames the network cannot take (see
     :func:`~qsci.network.check_frame_size`), or smaller than ``min_hw`` on a
     side (the SSIM window, where the clips are scored by SSIM), raise
     DataError naming the dir."""
@@ -131,6 +132,8 @@ def _load_data_dir(path: Path, cr: int, min_hw: int = 1):
             raise DataError(f"unreadable {path / name}: {exc}") from exc
         if shape is not None and arr.shape != shape:
             raise DataError(f"{path / name} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path / name} holds a non-finite value")
         return arr
 
     try:
@@ -163,10 +166,7 @@ def _load_data_dir(path: Path, cr: int, min_hw: int = 1):
             raise DataError(f"{path / 'manifest.csv'} row '{line}': {exc}") from exc
         if any(idx == e[0] for e in entries):
             raise DataError(f"{path / 'manifest.csv'} lists index {idx} twice")
-        frames = load(clip_name, masks.masks.shape)
-        if not np.isfinite(frames).all():   # it would be scored as nan
-            raise DataError(f"{path / clip_name} holds a non-finite value")
-        entries.append((idx, VideoClip(frames=frames),
+        entries.append((idx, VideoClip(frames=load(clip_name, masks.masks.shape)),
                         Measurement(y=load(meas_name, masks.frame_shape), cr=masks.t)))
     return masks, entries
 

@@ -25,15 +25,26 @@ from .quantize import ALPHA_FLOOR
 from .sci import MaskSet, VideoClip, encode, generate_masks, initial_estimate, synth_video
 
 
-def mse_loss(pred: Tensor, gt) -> Tensor:
+def mse_loss(pred: Tensor, gt: np.ndarray) -> Tensor:
     """Mean squared error over all frame pixels: for a [T, H, W] pair this is
     exactly (1/(T*nx*ny)) * sum_t ||pred_t - gt_t||^2; batched inputs are
-    additionally averaged over the batch."""
-    gt_t = gt if isinstance(gt, Tensor) else Tensor(np.asarray(gt, dtype=np.float32))
-    if pred.shape != gt_t.shape:
-        raise ShapeError(f"loss operands differ in shape: {pred.shape} vs {gt_t.shape}")
-    diff = pred - gt_t
-    return ad.mean(diff * diff)
+    additionally averaged over the batch. ``gt`` is data and gets no gradient.
+
+    One tape node, which keeps ``d = pred - gt``, with the bits of the chain
+    ``sub, mul, mean``: the mean passed ``g / count`` to the square, whose
+    two operands, both ``d``, each got ``t = (g / count) * d``; ``backward``
+    added them, and the subtraction passed ``t + t`` to ``pred`` unchanged."""
+    gt = np.asarray(gt, dtype=np.float32)
+    if pred.shape != gt.shape:
+        raise ShapeError(f"loss operands differ in shape: {pred.shape} vs {gt.shape}")
+    d = pred.data - gt
+
+    def bwd(g):
+        t = np.broadcast_to(g.reshape(()) / d.size, d.shape).astype(np.float32)
+        t *= d
+        return (t + t,)
+
+    return ad._finish(np.asarray((d * d).mean(dtype=np.float32)), (pred,), bwd, "mse_loss")
 
 
 class Adam:
@@ -57,8 +68,6 @@ class Adam:
         bc2 = 1.0 - b2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             m_hat = self.m[i] / bc1

@@ -8,9 +8,9 @@ Gaussian window with ``scipy.signal.convolve2d``, frame by frame.
 and zero-point.
 
 Two helpers are built on engine nodes (``autodiff._finish``) instead:
-:func:`sum_`, the full-reduction loss that gradient tests backpropagate
-from, and :func:`layer_norm_ops`, the chain of engine ops whose bits the
-engine's one-node ``layer_norm`` must keep.
+:func:`sum_`, the weighted full-reduction loss that gradient tests
+backpropagate from, and :func:`layer_norm_ops`, the chain of ops whose bits
+the engine's one-node ``layer_norm`` must keep.
 """
 
 import numpy as np
@@ -62,15 +62,16 @@ def layer_norm(tok, gain, bias, eps=1e-5):
     return xc / np.sqrt(var + eps) * gain + bias
 
 
-def sum_(x):
-    """The sum of every element of a Tensor, as one tape node whose
-    gradient is ones."""
+def sum_(x, w=None):
+    """The sum of every element of a Tensor times the fixed weight array
+    ``w`` (ones if None), as one tape node whose gradient is ``g * w``."""
     import qsci.autodiff as ad
 
-    out = x.data.sum()
+    w = np.ones(x.shape, np.float32) if w is None else np.asarray(w, np.float32)
+    out = (x.data * w).sum()
 
     def bwd(g):
-        return (np.broadcast_to(g.reshape(()), x.shape).copy(),)
+        return (g.reshape(()) * w,)
 
     return ad._finish(np.asarray(out), (x,), bwd, "sum")
 
@@ -82,10 +83,27 @@ def dequantize(codes, q):
 
 
 def layer_norm_ops(x, gain, bias, eps=1e-5):
-    """LayerNorm over the last axis of a Tensor as nine engine ops, each its
-    own tape node: mean, sub, mul, mean, add, sqrt, div, mul, add. The two
-    last-axis means, the square root and the division are built here."""
+    """LayerNorm over the last axis of a Tensor as nine ops, each its own
+    tape node: mean, sub, mul, mean, add, sqrt, div, mul, add. All but the
+    engine's ``add`` are built here."""
     import qsci.autodiff as ad
+
+    def sub(a, b):
+        a_shape, b_shape = a.shape, b.shape
+
+        def bwd(g):
+            return ad._unbroadcast(g, a_shape), ad._unbroadcast(-g, b_shape)
+
+        return ad._finish(a.data - b.data, (a, b), bwd, "sub")
+
+    def mul(a, b):
+        a_data, b_data = a.data, b.data
+
+        def bwd(g):
+            return (ad._unbroadcast(g * b_data, a_data.shape),
+                    ad._unbroadcast(g * a_data, b_data.shape))
+
+        return ad._finish(a_data * b_data, (a, b), bwd, "mul")
 
     def mean(t):
         out = t.data.mean(axis=-1, keepdims=True, dtype=np.float32)
@@ -115,11 +133,10 @@ def layer_norm_ops(x, gain, bias, eps=1e-5):
 
         return ad._finish(out, (a, b), bwd, "div")
 
-    mu = mean(x)
-    xc = x - mu
-    var = mean(xc * xc)
-    normed = div(xc, sqrt(var + eps))
-    return normed * gain + bias
+    xc = sub(x, mean(x))
+    var = mean(mul(xc, xc))
+    normed = div(xc, sqrt(var + ad.Tensor(eps)))
+    return mul(normed, gain) + bias
 
 
 def softmax(x):

@@ -23,13 +23,13 @@ import pytest
 import qsci
 from qsci import cli
 from qsci.containers import ExperimentConfig, load_checkpoint, save_checkpoint
-from qsci.errors import FormatError
+from qsci.errors import FormatError, NumericError
 from qsci.evaluation import SSIM_WINDOW, count_efficiency
 from qsci.network import QNet, make_variant
-from qsci.packed import infer_packed, pack_model, read_packed
-from qsci.sci import encode, generate_masks, synth_video
+from qsci.packed import infer_packed, pack_model, packed_net, read_packed
+from qsci.sci import Measurement, encode, generate_masks, synth_video
 from qsci.training import HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, train
-from small_models import calibrated_net
+from small_models import SMALL, calibrated_net
 
 T, HW = 4, 16
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -435,6 +435,26 @@ class TestDataValidation:
         assert "clip_0001.npy" in err and "non-finite" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc"),
+                                                   ("eval", "--ckpt", "fp32.qsc")])
+    def test_non_finite_measurement_exits_3(self, work, tmp_path, command, flag, name, bad):
+        # a measurement is data: it is refused by name before any network,
+        # quantized or not, reads it
+        fp32 = QNet(make_variant("fp32", **SMALL, cr=T), seed=0)
+        save_checkpoint(tmp_path / "fp32.qsc", fp32.cfg.fingerprint(), fp32.state_dict())
+        data = tmp_path / "data"
+        shutil.copytree(work / "data", data)
+        y = np.load(data / "meas_0001.npy")
+        y[3, 5] = bad
+        np.save(data / "meas_0001.npy", y)
+        model = tmp_path / name if name == "fp32.qsc" else work / name
+        rc, err = run("--workdir", tmp_path, command, flag, model, "--data", data, "--out", "out")
+        assert rc == 3, err
+        assert "meas_0001.npy" in err and "non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
                                                    ("eval", "--ckpt", "q4.qsc")])
     def test_frames_the_network_or_ssim_cannot_take_exit_3(self, work, tmp_path, command,
@@ -505,25 +525,23 @@ class TestNonFiniteParameters:
 
 
 class TestNonFiniteScannedOnce:
-    """A NaN or +inf ends in NumericError, exit 4, without a RuntimeWarning
-    (Tier-1 turns warnings into errors) wherever it enters: the input stack,
-    a conv weight, ``fuse.bias`` (its code-domain output feeds ``mlp_in``
-    directly) and ``out_proj.bias`` (which reaches ``fuse`` through a
-    transpose and a concat). Each array is scanned once, so these are the
-    inputs no op scanned before a quantizer clips them."""
+    """A NaN or +inf ends in NumericError, exit 4 at the CLI, without a
+    RuntimeWarning (Tier-1 turns warnings into errors) wherever it enters:
+    the input stack, a conv weight, ``fuse.bias`` (its code-domain output
+    feeds ``mlp_in`` directly) and ``out_proj.bias`` (which reaches ``fuse``
+    through a transpose and a concat). Each array is scanned once, so these
+    are the inputs no op scanned before a quantizer clips them. A data dir
+    refuses a non-finite measurement first, so the input stack is given to
+    ``QNet.reconstruct`` directly."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_input_stack(self, work, tmp_path, bad):
-        data = tmp_path / "data"
-        shutil.copytree(work / "data", data)
-        meas = data / (data / "manifest.csv").read_text().splitlines()[1].split(",")[2]
-        y = np.load(meas)
+    def test_input_stack(self, work, bad):
+        masks, entries = cli._load_data_dir(work / "data", T)
+        y = entries[0][2].y.copy()
         y[3, 5] = bad
-        np.save(meas, y)
-        for argv in (["eval", "--ckpt", work / "q4.qsc"],
-                     ["infer-int", "--packed", work / "q4.pack"]):
-            rc, err = run("--workdir", tmp_path, *argv, "--data", data, "--out", "out")
-            assert rc == 4 and "non-finite" in err, err
+        for net in (cli._load_net(work / "q4.qsc"), packed_net(read_packed(work / "q4.pack"))):
+            with pytest.raises(NumericError, match="non-finite"):
+                net.reconstruct(Measurement(y=y, cr=T), masks)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("entry", ["block0.cf0.conv.weight", "block0.cf0.fuse.bias",

@@ -168,5 +168,5 @@ def test_training_records_every_differentiable_op():
         mse_loss(calibrated_net("q4").forward_stack(stack), np.stack([c.frames for c in clips]))
     recorded = {node.name for node in tape.nodes}
     unrecorded = {name: where for name, where in ops.items() if name not in recorded}
-    assert {"conv3d", "fake_quant"} <= set(ops)   # both modules' calls were found
+    assert {"conv3d", "fake_quant", "mse_loss"} <= set(ops)   # every module's calls were found
     assert not unrecorded, f"ops that training never records: {unrecorded}"

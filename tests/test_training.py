@@ -6,14 +6,15 @@ import re
 import numpy as np
 import pytest
 
-from qsci.autodiff import Tensor
+from qsci.autodiff import Tape, Tensor, backward
 from qsci.containers import ExperimentConfig
 from qsci.errors import ConfigError
 from qsci.evaluation import psnr
-from qsci.network import QNet, make_variant
-from qsci.sci import encode, generate_masks, synth_video
+from qsci.network import VARIANT_NAMES, QNet, make_variant
+from qsci.sci import encode, generate_masks, initial_estimate, synth_video
 from qsci.training import (EVAL_BATCH, HOLDOUT_SEED_OFFSET, MASK_SEED_OFFSET, Adam, augment,
                            evaluate_psnr, make_synth_dataset, mse_loss, start_net, train)
+from small_models import calibrated_net, small_inputs
 
 TINY = dict(base_channels=8, resdnet_blocks=1, cformer_per_block=1, heads=2, cr=2)
 
@@ -36,10 +37,20 @@ class TestAdam:
         assert scale.data[0] == np.float32(0.001)
         assert w.data.dtype == np.float32 and scale.data.dtype == np.float32
 
-    def test_missing_grad_counts_as_zero(self):
-        p = Tensor(np.float32([1.0, 2.0]), requires_grad=True)
-        Adam([p], 0.1).step()
-        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+
+@pytest.mark.parametrize("variant,bits", [(v, {}) for v in VARIANT_NAMES] + [
+    ("fp32", dict(fem_bits=8, enh_bits=4, vrm_bits=8))], ids=list(VARIANT_NAMES) + ["enh_4bit"])
+def test_one_step_reaches_every_parameter(variant, bits):
+    """One taped training step of every preset, and of a mixed-width row of
+    ``ablate``'s grid, leaves a gradient on every parameter ``train`` hands
+    its optimizer."""
+    masks, clips, meas = small_inputs()
+    net = calibrated_net(variant, **bits)
+    stack = np.concatenate([initial_estimate(m, masks) for m in meas])
+    with Tape():
+        loss = mse_loss(net.forward_stack(Tensor(stack)), np.stack([c.frames for c in clips]))
+    backward(loss)
+    assert [name for name, p in net.named_params() if p.grad is None] == []
 
 
 class TestAugment:
@@ -61,6 +72,26 @@ class TestLoss:
         gt = rng.random((2, 3, 4, 5)).astype(np.float32)
         expect = np.mean((np.float64(pred) - gt) ** 2)
         assert mse_loss(Tensor(pred), gt).item() == pytest.approx(expect, rel=1e-6)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (1, 3, 3, 5)])
+    def test_one_node_with_the_bits_of_the_float32_chain(self, shape):
+        # the chain it replaced: d = pred - gt, then the mean of d * d; the
+        # mean passes 1 / count on, and each operand of the square gets
+        # that times d, which backward adds
+        rng = np.random.default_rng(len(shape))
+        pred = rng.standard_normal(shape).astype(np.float32)
+        gt = rng.standard_normal(shape).astype(np.float32)
+        pred.flat[:4] = [0.0, -0.0, -0.0, 0.0]
+        gt.flat[:4] = [0.0, 0.0, -0.0, -0.0]
+        x = Tensor(pred, requires_grad=True)
+        with Tape() as tape:
+            loss = mse_loss(x, gt)
+        assert [node.name for node in tape.nodes] == ["mse_loss"]
+        backward(loss)
+        d = pred - gt
+        m = np.broadcast_to(np.float32(1) / d.size, shape).astype(np.float32)
+        assert loss.data.tobytes() == np.float32([(d * d).mean(dtype=np.float32)]).tobytes()
+        assert x.grad.tobytes() == (m * d + m * d).tobytes()
 
 
 class TestDataset:
