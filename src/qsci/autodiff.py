@@ -29,11 +29,11 @@ pads its input: a patch matrix holds zeros where a tap reads outside it
 Each array is scanned for NaN/Inf once. Every arithmetic op scans its
 output, raises :class:`~qsci.errors.NumericError` on a non-finite value and
 marks the result (:attr:`Tensor.scanned`). The data-movement ops
-(``reshape``, ``transpose``, ``concat``, the pixel shuffles) scan
-nothing; their output is marked only if every input is. A quantizer,
-whose clip would hide an infinity, scans an unmarked input itself (see
-:mod:`qsci.quantize`). Data is not changed in place once an op has read
-it, so a mark stays true; assigning new data clears it.
+(``reshape``, ``transpose``, ``concat``) scan nothing; their output is
+marked only if every input is. A quantizer, whose clip would hide an
+infinity, scans an unmarked input itself (see :mod:`qsci.quantize`). Data
+is not changed in place once an op has read it, so a mark stays true;
+assigning new data clears it.
 """
 
 from __future__ import annotations
@@ -343,54 +343,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _finish(out, tensors, bwd, "concat", scan=False)
-
-
-def pixel_shuffle_spatial(x: Tensor, r: int) -> Tensor:
-    """Rearrange [N, C*r*r, T, H, W] -> [N, C, T, H*r, W*r].
-
-    Channel index decomposes as ``c*(r*r) + i*r + j`` with (i, j) the offsets
-    inside each r x r output block. Pure permutation, so exactly invertible.
-    """
-    out = _shuffle_fwd(x.data, r)
-
-    def bwd(g):
-        return (_shuffle_inv(g, r),)
-
-    return _finish(out, (x,), bwd, "pixel_shuffle_spatial", scan=False)
-
-
-def pixel_unshuffle_spatial(x: Tensor, r: int) -> Tensor:
-    """Inverse of :func:`pixel_shuffle_spatial`: space to channel."""
-    out = _shuffle_inv(x.data, r)
-
-    def bwd(g):
-        return (_shuffle_fwd(g, r),)
-
-    return _finish(out, (x,), bwd, "pixel_unshuffle_spatial", scan=False)
-
-
-def _shuffle_fwd(a: np.ndarray, r: int) -> np.ndarray:
-    if a.ndim != 5:
-        raise ShapeError(f"pixel shuffle expects a 5-D tensor, got {a.ndim}-D")
-    n, crr, t, h, w = a.shape
-    if crr % (r * r) != 0:
-        raise ShapeError(f"channel extent {crr} not divisible by r^2={r * r}")
-    c = crr // (r * r)
-    a = a.reshape(n, c, r, r, t, h, w)
-    a = a.transpose(0, 1, 4, 5, 2, 6, 3)
-    return np.ascontiguousarray(a).reshape(n, c, t, h * r, w * r)
-
-
-def _shuffle_inv(a: np.ndarray, r: int) -> np.ndarray:
-    if a.ndim != 5:
-        raise ShapeError(f"pixel unshuffle expects a 5-D tensor, got {a.ndim}-D")
-    n, c, t, hr, wr = a.shape
-    if hr % r != 0 or wr % r != 0:
-        raise ShapeError(f"spatial extents ({hr},{wr}) not divisible by r={r}")
-    h, w = hr // r, wr // r
-    a = a.reshape(n, c, t, h, r, w, r)
-    a = a.transpose(0, 1, 4, 6, 2, 3, 5)
-    return np.ascontiguousarray(a).reshape(n, c * r * r, t, h, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Miniature three-stage quantized reconstruction network.
 
 Stage 1 extracts features from the measurement stack with a small strided
-conv path (optionally bridged by 8-bit 1x1x1 shortcut convolutions, with a
-channel-packing pixel rearrangement before the last shortcut so its spatial
-size matches the strided main path). Stage 2 enhances features with residual
-blocks that fuse a 3-D conv branch and a temporal attention branch whose
-query/key can carry learnable distribution shifts. Stage 3 reconstructs the
-frames with an upsampling conv stack (again optionally shortcut-bridged) and
-clamps the output to [0, 1].
+conv path (optionally bridged by 8-bit 1x1x1 shortcut convolutions, the last
+one fed through :func:`_space_to_channel`, which packs each 2x2 pixel block
+into channels so its spatial size matches the strided main path). Stage 2
+enhances features with residual blocks that fuse a 3-D conv branch and a
+temporal attention branch whose query/key can carry learnable distribution
+shifts. Stage 3 reconstructs the frames with a conv stack (again optionally
+shortcut-bridged) that upsamples by :func:`_channel_to_space`, the inverse
+rearrangement, and clamps the output to [0, 1].
 
 Every weight-bearing layer in the body carries one activation quantizer and
 one weight quantizer at its assigned bit-width; a 32-bit quantizer is the
@@ -610,6 +611,24 @@ def _from_tokens(tok: Tensor, shape) -> Tensor:
     return ad.transpose(x, (0, 4, 3, 1, 2))
 
 
+def _space_to_channel(x: Tensor) -> Tensor:
+    """[N, C, T, 2H, 2W] -> [N, 4C, T, H, W]: pixel (2h + i, 2w + j) of
+    channel c becomes pixel (h, w) of channel ``4c + 2i + j``."""
+    n, c, t, h, w = x.shape
+    x = ad.reshape(x, (n, c, t, h // 2, 2, w // 2, 2))
+    x = ad.transpose(x, (0, 1, 4, 6, 2, 3, 5))
+    return ad.reshape(x, (n, 4 * c, t, h // 2, w // 2))
+
+
+def _channel_to_space(x: Tensor) -> Tensor:
+    """[N, 4C, T, H, W] -> [N, C, T, 2H, 2W], the inverse of
+    :func:`_space_to_channel`: the sub-pixel shuffle."""
+    n, c, t, h, w = x.shape
+    x = ad.reshape(x, (n, c // 4, 2, 2, t, h, w))
+    x = ad.transpose(x, (0, 1, 4, 5, 2, 6, 3))
+    return ad.reshape(x, (n, c // 4, t, 2 * h, 2 * w))
+
+
 class CFormerBlock(Module):
     """Residual block fusing a 3-D conv branch with the temporal attention
     branch (concat + 1x1x1), followed by a quantized pointwise MLP whose GELU
@@ -704,7 +723,7 @@ class FeatureExtraction(Module):
         h1 = ad.leaky_relu(h1)
         h2 = self.conv_b.forward(h1)
         if self.use_shortcuts:
-            h2 = h2 + self.short_b.forward(ad.pixel_unshuffle_spatial(h1, 2))
+            h2 = h2 + self.short_b.forward(_space_to_channel(h1))
         return ad.leaky_relu(h2)
 
 
@@ -739,7 +758,7 @@ class VideoReconstruction(Module):
         u = self.conv_up.forward(x)
         if self.use_shortcuts:
             u = u + self.short_up.forward(x)
-        u = ad.leaky_relu(ad.pixel_shuffle_spatial(u, 2))
+        u = ad.leaky_relu(_channel_to_space(u))
         y = self.conv_out.forward(u)
         if self.use_shortcuts:
             y = y + self.short_out.forward(u)

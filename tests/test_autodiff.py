@@ -483,33 +483,6 @@ class TestElementwise:
             ad.add(Tensor([np.inf]), Tensor([1.0]))
 
 
-class TestPixelShuffle:
-    def test_r1_identity(self):
-        rng = np.random.default_rng(11)
-        x = rng.random((1, 3, 2, 4, 4)).astype(np.float32)
-        np.testing.assert_array_equal(ad.pixel_shuffle_spatial(Tensor(x), 1).data, x)
-
-    def test_index_map(self):
-        # channels [a,b,c,d] land as the 2x2 block [[a,b],[c,d]]
-        x = np.array([1.0, 2.0, 3.0, 4.0], np.float32).reshape(1, 4, 1, 1, 1)
-        out = ad.pixel_shuffle_spatial(Tensor(x), 2)
-        assert out.shape == (1, 1, 1, 2, 2)
-        np.testing.assert_array_equal(out.data[0, 0, 0], [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_bijection_bit_exact(self):
-        rng = np.random.default_rng(12)
-        x = rng.random((2, 8, 3, 4, 5)).astype(np.float32)
-        out = ad.pixel_unshuffle_spatial(ad.pixel_shuffle_spatial(Tensor(x), 2), 2)
-        np.testing.assert_array_equal(out.data, x)
-        y = rng.random((2, 2, 3, 4, 6)).astype(np.float32)
-        out2 = ad.pixel_shuffle_spatial(ad.pixel_unshuffle_spatial(Tensor(y), 2), 2)
-        np.testing.assert_array_equal(out2.data, y)
-
-    def test_indivisible_channels(self):
-        with pytest.raises(ShapeError, match="divisible"):
-            ad.pixel_shuffle_spatial(Tensor(np.zeros((1, 3, 1, 1, 1), np.float32)), 2)
-
-
 def same_bits(a, b):
     a, b = np.asarray(a, np.float32), np.asarray(b, np.float32)
     return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
@@ -609,7 +582,6 @@ class TestScanMark:
         scanned = self.spy(monkeypatch)
         for x in (plain, marked):
             outs = [ad.reshape(x, (4, 32)), ad.transpose(x, (0, 2, 1, 3, 4)),
-                    ad.pixel_unshuffle_spatial(x, 2), ad.pixel_shuffle_spatial(x, 2),
                     ad.concat([x, marked], axis=1)]
             assert [o.scanned for o in outs] == [x is marked] * len(outs)
         assert scanned == []
@@ -737,8 +709,6 @@ UNREAD = {
     "reshape": lambda x: ad.reshape(x, (4, 32)),
     "transpose": lambda x: ad.transpose(x, (0, 2, 1, 3, 4)),
     "concat": lambda x: ad.concat([x, _CONST], axis=1),
-    "pixel_shuffle": lambda x: ad.pixel_shuffle_spatial(x, 2),
-    "pixel_unshuffle": lambda x: ad.pixel_unshuffle_spatial(x, 2),
     "mse_loss": lambda x: mse_loss(x, _CONST.data),
     "softmax": ad.softmax,
     "layer_norm": lambda x: ad.layer_norm(x, _LEAVES["gain"], _LEAVES["bias"], 1e-5),
@@ -931,11 +901,6 @@ class TestFiniteDifferences:
         w = self._rand((2, 3, 1, 3, 3), scale=0.5)
         fd_check(lambda: weighted(ad.conv3d(x, w, zero_bias(w), padding=(0, 1, 1)),
                                   np.random.default_rng(13)), [x, w])
-
-    def test_pixel_shuffle(self):
-        x = self._rand((1, 8, 2, 2, 2))
-        fd_check(lambda: weighted(ad.pixel_shuffle_spatial(x, 2),
-                                  np.random.default_rng(14)), [x])
 
     def test_clamp(self):
         x = self._rand((3, 3))

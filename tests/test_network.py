@@ -166,6 +166,74 @@ class TestForward:
         np.testing.assert_allclose(rec.frames, np.clip(stack[0, 0], 0, 1), atol=1e-5)
 
 
+def signed_zeros(rng, shape):
+    """Random float32 data with a quarter of its entries +0.0 or -0.0."""
+    x = rng.standard_normal(shape).astype(np.float32)
+    x[rng.random(shape) < 0.25] = 0.0
+    return np.where(rng.random(shape) < 0.5, x, -x)
+
+
+class TestSpaceChannelRearrangement:
+    """``_space_to_channel`` and ``_channel_to_space`` are compositions of
+    ``reshape`` and ``transpose``: the permutations of the reference's
+    pixel unshuffle and shuffle (r=2), forward and backward."""
+
+    # helper: (its reference, the reference's inverse, an input shape)
+    HELPERS = {
+        network._space_to_channel: (ref.pixel_unshuffle, ref.pixel_shuffle, (2, 3, 3, 6, 10)),
+        network._channel_to_space: (ref.pixel_shuffle, ref.pixel_unshuffle, (2, 12, 3, 3, 5)),
+    }
+
+    def test_index_map(self):
+        # channels [a,b,c,d] land as the 2x2 block [[a,b],[c,d]]
+        x = np.array([1.0, 2.0, 3.0, 4.0], np.float32).reshape(1, 4, 1, 1, 1)
+        out = network._channel_to_space(Tensor(x))
+        assert out.shape == (1, 1, 1, 2, 2)
+        np.testing.assert_array_equal(out.data[0, 0, 0], [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_bijection_bit_exact(self):
+        rng = np.random.default_rng(12)
+        x = rng.random((2, 8, 3, 4, 5)).astype(np.float32)
+        out = network._space_to_channel(network._channel_to_space(Tensor(x)))
+        np.testing.assert_array_equal(out.data, x)
+        y = rng.random((2, 2, 3, 4, 6)).astype(np.float32)
+        out2 = network._channel_to_space(network._space_to_channel(Tensor(y)))
+        np.testing.assert_array_equal(out2.data, y)
+
+    @pytest.mark.parametrize("helper", list(HELPERS), ids=lambda f: f.__name__)
+    def test_bit_equal_to_reference(self, helper):
+        forward, _, shape = self.HELPERS[helper]
+        x = signed_zeros(np.random.default_rng(40), shape)
+        out = helper(Tensor(x)).data
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert out.tobytes() == forward(x, 2).tobytes()
+
+    @pytest.mark.parametrize("helper", list(HELPERS), ids=lambda f: f.__name__)
+    def test_gradient_is_the_inverse_permutation(self, helper):
+        _, inverse, shape = self.HELPERS[helper]
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            out = helper(x)
+            g = signed_zeros(rng, out.shape)
+            loss = ref.sum_(out, g)
+        assert [n.name for n in tape.nodes] == ["reshape", "transpose", "reshape", "sum"]
+        ad.backward(loss)
+        assert x.grad.tobytes() == inverse(g, 2).tobytes()
+
+    def test_scans_nothing_and_passes_the_mark(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        plain = Tensor(rng.random((1, 4, 2, 4, 4)).astype(np.float32))
+        marked = ad.scale(plain, 2.0)
+        scanned = []
+        real = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: (scanned.append(a), real(a))[1])
+        for x in (plain, marked):
+            outs = [network._space_to_channel(x), network._channel_to_space(x)]
+            assert [o.scanned for o in outs] == [x is marked] * 2
+        assert scanned == []
+
+
 class TestFloatReference:
     @pytest.mark.parametrize("flags", [
         dict(),
@@ -189,8 +257,10 @@ class TestFloatReference:
 
 class TestWholeNetworkGradient:
     """The engine's gradient of a whole fp32 network with the query/key
-    shift, checked tensor by tensor against central differences of the
-    same MSE loss, computed by the float64 reference forward.
+    shift and both stages' shortcuts (so the FEM's space-to-channel and the
+    VRM's channel-to-space rearrangements, and every ``short_*`` weight),
+    checked tensor by tensor against central differences of the same MSE
+    loss, computed by the float64 reference forward.
 
     The directional derivative ``s = <g, d>`` along a fixed random direction
     ``d`` of each parameter tensor must match ``(L(θ + εd) - L(θ - εd)) / 2ε``.
@@ -213,10 +283,11 @@ class TestWholeNetworkGradient:
 
     def test_directional_derivatives_match_central_differences(self, monkeypatch):
         cfg = QNetConfig(base_channels=4, resdnet_blocks=1, cformer_per_block=1, heads=2,
-                         cr=2, use_qk_shift=True)
+                         cr=2, use_fem_shortcuts=True, use_vrm_shortcuts=True,
+                         use_qk_shift=True)
         net = QNet(cfg, seed=0)
         rng = np.random.default_rng(11)
-        # conv_out, the biases and the shifts start at zero; give them values
+        # conv_out, the shortcuts, the biases and the shifts start at zero; give them values
         for _, p in net.named_params():
             if not p.data.any():
                 p.data = (rng.standard_normal(p.shape) * 0.01).astype(np.float32)

@@ -4,7 +4,8 @@ passes each parameter that has a default some other value, no module
 reads the process environment, and a training step records every
 differentiable op the package defines: an op that training never records
 is a capability no command uses, and its gradient rule is code that never
-runs."""
+runs. The only data-movement ops are ``reshape``, ``transpose`` and
+``concat``."""
 
 import ast
 import re
@@ -93,6 +94,14 @@ def _calls(tree):
             yield call.func.attr, call
 
 
+def _arg(call, index, name):
+    """The node that ``call`` passes as parameter ``name``, at position
+    ``index`` or by keyword, or None if it passes none."""
+    if len(call.args) > index:
+        return call.args[index]
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
 def _literal(node):
     """(True, value) of a literal expression, else (False, None)."""
     try:
@@ -157,9 +166,7 @@ def test_training_records_every_differentiable_op():
     for path in sorted((ROOT / "src" / "qsci").rglob("*.py")):
         for key, call in _calls(ast.parse(path.read_text())):
             if key == "_finish":
-                arg = call.args[3] if len(call.args) > 3 else next(
-                    k.value for k in call.keywords if k.arg == "name")
-                is_literal, name = _literal(arg)
+                is_literal, name = _literal(_arg(call, 3, "name"))
                 assert is_literal, f"{path.name}:{call.lineno} passes _finish a computed op name"
                 ops[name] = f"{path.name}:{call.lineno}"
     masks, clips, meas = small_inputs()
@@ -170,3 +177,16 @@ def test_training_records_every_differentiable_op():
     unrecorded = {name: where for name, where in ops.items() if name not in recorded}
     assert {"conv3d", "fake_quant", "mse_loss"} <= set(ops)   # every module's calls were found
     assert not unrecorded, f"ops that training never records: {unrecorded}"
+
+
+def test_data_movement_ops_are_reshape_transpose_concat():
+    """The ops that ``src/`` records with ``_finish(..., scan=False)``, the
+    data-movement ops that scan nothing, are exactly ``reshape``,
+    ``transpose`` and ``concat``: any other rearrangement is a composition
+    of them, whose gradient rules already exist."""
+    movers = set()
+    for path in sorted((ROOT / "src" / "qsci").rglob("*.py")):
+        for key, call in _calls(ast.parse(path.read_text())):
+            if key == "_finish" and _literal(_arg(call, 4, "scan")) == (True, False):
+                movers.add(_literal(_arg(call, 3, "name"))[1])
+    assert movers == {"reshape", "transpose", "concat"}
