@@ -14,9 +14,9 @@ it is a leaf that requires grad; else ``None``. The sink is fixed when the
 input is recorded, so ``requires_grad`` is read then, not at ``backward``.
 A node's backward rule closes over the arrays it reads and nothing else, so
 an input that no rule reads is freed as soon as its caller drops it. The
-data-movement ops, ``add`` and ``scale`` keep no array; ``softmax`` keeps
-its output, ``layer_norm`` its centred input, each row's deviation and its
-gain, and ``training.mse_loss`` the difference of its operands. ``matmul``,
+data-movement ops and ``add`` keep no array; ``softmax`` keeps its output,
+``layer_norm`` its centred input, each row's deviation and its gain, and
+``training.mse_loss`` the difference of its operands. ``matmul``,
 ``gelu``, ``leaky_relu`` and ``clamp`` keep their input arrays; ``gelu``
 keeps its ``Phi(x)`` too, and ``leaky_relu`` and ``clamp`` keep no mask and
 recompute it. ``conv3d`` keeps its input and weight and rebuilds its im2col
@@ -212,16 +212,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), bwd, "add")
 
 
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = x.data * np.float32(s)
-
-    def bwd(g):
-        return (g * np.float32(s),)
-
-    return _finish(out, (x,), bwd, "scale")
-
-
 def leaky_relu(x: Tensor) -> Tensor:
     """``x`` where positive, else ``x * 0.01``. As the slope lies in [0, 1],
     that is ``max(x, x * 0.01)``, bit for bit, signed zeros included."""
@@ -368,15 +358,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), bwd, "matmul")
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    shifted = x.data - _reduce_last(np.maximum, x.data)
-    e = np.exp(shifted)
+def softmax(x: Tensor, scale: float) -> Tensor:
+    """Softmax over the last axis of ``x * float32(scale)``, its gradient the
+    softmax gradient times ``float32(scale)``: the float32 steps, in order,
+    and so the bits of a scaling node followed by a softmax node."""
+    s = np.float32(scale)
+    xs = x.data * s
+    e = np.exp(xs - _reduce_last(np.maximum, xs))
     out = e / _reduce_last(np.add, e)
 
     def bwd(g):
         dot = _reduce_last(np.add, g * out)
-        return ((g - dot) * out,)
+        return ((g - dot) * out * s,)
 
     return _finish(out, (x,), bwd, "softmax")
 

@@ -545,16 +545,14 @@ class ShiftedAttention(Module):
     """Temporal self-attention with quantized projections and optional
     learnable query/key distribution shifts.
 
-    Logits use the dequantized query/key values scaled by 1/sqrt(head_dim);
-    attention probabilities pass through their own quantizer before weighting
-    the (unquantized) values. With zero shifts the layer is exactly the
-    unshifted quantized attention.
+    Logits are the dequantized query/key products, which the softmax node
+    scales by 1/sqrt(head_dim); attention probabilities pass through their
+    own quantizer before weighting the (unquantized) values. With zero
+    shifts the layer is exactly the unshifted quantized attention.
     """
 
     def __init__(self, rng, channels: int, heads: int, bits: int, shift: bool):
         super().__init__()
-        if channels % heads != 0:
-            raise ShapeError(f"channels {channels} not divisible by heads {heads}")
         self.channels = channels
         self.heads = heads
         self.head_dim = channels // heads
@@ -590,9 +588,8 @@ class ShiftedAttention(Module):
         qh = self._split_heads(fake_quant(q, self.qq), b, t)
         kh = self._split_heads(fake_quant(k, self.kq), b, t)
         vh = self._split_heads(v, b, t)
-        logits = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
-                          1.0 / math.sqrt(self.head_dim))
-        probs = ad.softmax(logits)
+        probs = ad.softmax(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
+                           1.0 / math.sqrt(self.head_dim))
         mixed = ad.matmul(fake_quant(probs, self.pq), vh)
         merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, t, c))
         return self.out_proj.forward(merged)

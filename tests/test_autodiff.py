@@ -364,39 +364,40 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_single_element(self):
-        out = ad.softmax(Tensor([[5.0]]))
+        out = ad.softmax(Tensor([[5.0]]), 1.0)
         assert out.data.reshape(()) == pytest.approx(1.0)
 
     def test_symmetry(self):
-        out = ad.softmax(Tensor([0.0, 0.0]))
+        out = ad.softmax(Tensor([0.0, 0.0]), 1.0)
         np.testing.assert_allclose(out.data, [0.5, 0.5])
 
     def test_direct_formula(self):
         x = np.array([1.0, 2.0, 3.0])
         e = np.exp(x)
-        out = ad.softmax(Tensor(x))
+        out = ad.softmax(Tensor(x), 1.0)
         np.testing.assert_allclose(out.data, e / e.sum(), atol=1e-6)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 7)).astype(np.float32) * 5
-        out = ad.softmax(Tensor(x))
+        out = ad.softmax(Tensor(x), 1.0)
         assert out.data.min() > 0 and out.data.max() < 1
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(3), atol=1e-6)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 5)).astype(np.float32)
-        a = ad.softmax(Tensor(x)).data
-        b = ad.softmax(Tensor(x + 3.7)).data
+        a = ad.softmax(Tensor(x), 1.0).data
+        b = ad.softmax(Tensor(x + 3.7), 1.0).data
         np.testing.assert_allclose(a, b, atol=1e-6)
 
 
-    @pytest.mark.parametrize("t", range(1, 10))
-    def test_bytes_equal_numpy_reductions(self, t):
-        # below 8 the last-axis max and sums run as slice folds; the value
-        # and gradient keep the bits of numpy's own reductions, signed
-        # zeros included
+    @staticmethod
+    def check_bytes(t, scale):
+        # the one node keeps the bits of the float32 chain x·s, softmax,
+        # then the softmax gradient times s; below 8 the last-axis max and
+        # sums run as slice folds, with the bits of numpy's own reductions,
+        # signed zeros included
         rng = np.random.default_rng(t)
         x_arr = (rng.standard_normal((5, 2, 3, t)) * 4).astype(np.float32)
         x_arr[0, 0] = 0.0
@@ -404,14 +405,25 @@ class TestSoftmax:
         g = rng.standard_normal(x_arr.shape).astype(np.float32)
         g[1] = -0.0
         x = Tensor(x_arr, requires_grad=True)
-        with Tape():
-            out = ad.softmax(x)
+        with Tape() as tape:
+            out = ad.softmax(x, scale)
         (dx,) = out.node.backward_fn(g)
-        e = np.exp(x_arr - x_arr.max(axis=-1, keepdims=True))
+        s = np.float32(scale)
+        xs = x_arr * s
+        e = np.exp(xs - xs.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
-        want_dx = (g - (g * want).sum(axis=-1, keepdims=True)) * want
+        want_dx = ((g - (g * want).sum(axis=-1, keepdims=True)) * want) * s
+        assert [n.name for n in tape.nodes] == ["softmax"]
         assert out.data.tobytes() == want.tobytes()
         assert dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("t", range(1, 10))
+    def test_bytes_equal_numpy_reductions(self, t):
+        self.check_bytes(t, 1.0)
+
+    @pytest.mark.parametrize("t", range(1, 10))
+    def test_scaled_bytes_equal_float32_chain(self, t):
+        self.check_bytes(t, 3 ** -0.5)
 
 
 class TestElementwise:
@@ -506,11 +518,11 @@ class TestLayerNorm:
         bias = Tensor(rng.standard_normal(c).astype(np.float32), requires_grad=True)
         g, g2 = (rng.standard_normal((5, 3, c)).astype(np.float32) for _ in range(2))
         with Tape():
-            h = x if fanout in ("none", "leaf-after") else ad.scale(x, 1.5)
-            other = ad.scale(h, 0.5) if fanout == "node-before" else None
+            h = x if fanout in ("none", "leaf-after") else x + x
+            other = h + h if fanout == "node-before" else None
             out = norm(h, gain, bias, 1e-5)
             if fanout in ("leaf-after", "node-after"):
-                other = ad.scale(h, 0.5)
+                other = h + h
             loss = reference_impl.sum_(out, g)
             if other is not None:
                 loss = loss + reference_impl.sum_(other, g2)
@@ -578,7 +590,7 @@ class TestScanMark:
     def test_data_movement_scans_nothing_and_passes_the_mark(self, monkeypatch):
         rng = np.random.default_rng(13)
         plain = Tensor(rng.random((1, 4, 2, 4, 4)).astype(np.float32))
-        marked = ad.scale(plain, 2.0)
+        marked = plain + plain
         scanned = self.spy(monkeypatch)
         for x in (plain, marked):
             outs = [ad.reshape(x, (4, 32)), ad.transpose(x, (0, 2, 1, 3, 4)),
@@ -587,7 +599,8 @@ class TestScanMark:
         assert scanned == []
 
     def test_new_data_clears_the_mark(self):
-        x = ad.scale(Tensor(np.ones(3, np.float32)), 2.0)
+        one = Tensor(np.ones(3, np.float32))
+        x = one + one
         same = Tensor(x)
         assert x.scanned and not same.scanned and same.data is x.data
         x.data = x.data.copy()
@@ -651,7 +664,7 @@ class TestBackwardBasics:
             with Tape():
                 hidden = ad.conv3d(x, w, zero_bias(w))
                 act = ad.gelu(hidden)
-                unused = ad.scale(hidden, 2.0)    # recorded, reached by no gradient
+                unused = hidden + hidden     # recorded, reached by no gradient
                 loss = reference_impl.sum_(act)
             hidden_data = weakref.ref(hidden.data)
             del hidden, unused
@@ -677,7 +690,7 @@ class TestBackwardBasics:
         x = Tensor([1.0], requires_grad=True)
         for _ in range(2):
             with Tape():
-                loss = reference_impl.sum_(ad.scale(x, 2.0))
+                loss = reference_impl.sum_(x + x)
             backward(loss)
         np.testing.assert_allclose(x.grad, [4.0])
 
@@ -705,12 +718,11 @@ _QUANT.calibrate(_CONST.data)
 # ops whose backward rules read nothing of the input ``x``
 UNREAD = {
     "add": lambda x: ad.add(x, _CONST),
-    "scale": lambda x: ad.scale(x, 2.0),
     "reshape": lambda x: ad.reshape(x, (4, 32)),
     "transpose": lambda x: ad.transpose(x, (0, 2, 1, 3, 4)),
     "concat": lambda x: ad.concat([x, _CONST], axis=1),
     "mse_loss": lambda x: mse_loss(x, _CONST.data),
-    "softmax": ad.softmax,
+    "softmax": lambda x: ad.softmax(x, 1.0),
     "layer_norm": lambda x: ad.layer_norm(x, _LEAVES["gain"], _LEAVES["bias"], 1e-5),
 }
 # ops whose backward rules read the input's data
@@ -737,7 +749,7 @@ class TestGradientSinks:
         its node. Nothing but the tape refers to ``x`` or ``op(x)``."""
         leaf = Tensor(_RNG.standard_normal(_SHAPE).astype(np.float32), requires_grad=True)
         with Tape():
-            x = ad.scale(leaf, 1.0)
+            x = leaf + leaf
             loss = reference_impl.sum_(op(x))
         return weakref.ref(x.data), loss
 
@@ -862,7 +874,11 @@ class TestFiniteDifferences:
 
     def test_softmax(self):
         x = self._rand((2, 5))
-        fd_check(lambda: weighted(ad.softmax(x), np.random.default_rng(5)), [x])
+        fd_check(lambda: weighted(ad.softmax(x, 1.0), np.random.default_rng(5)), [x])
+
+    def test_softmax_scaled(self):
+        x = self._rand((2, 5))
+        fd_check(lambda: weighted(ad.softmax(x, 0.35), np.random.default_rng(5)), [x])
 
     def test_reductions_and_shapes(self):
         x = self._rand((2, 3, 4))
