@@ -4,9 +4,10 @@ A :class:`Tape` records every operation executed while it is active; calling
 :func:`backward` on a scalar loss walks the recording once in reverse and
 accumulates gradients into the ``grad`` field of every ``requires_grad`` leaf.
 Tapes are single-use: ``backward`` consumes the tape, releasing what each
-node saved as it goes, and a second call is rejected. Gradients add across
-fan-out and across successive backward passes, so callers must zero them
-between optimizer steps.
+node saved as it goes, and a second call is rejected. A node or leaf holds
+its gradient in its ``grad`` field: the first to reach it is cast to
+float32, and later ones add to it in reverse record order, across fan-out
+and successive backward passes, so callers zero them between steps.
 
 A node holds a gradient sink for each input, not the input: the node that
 made the input, if that node is on the same tape; else the input itself, if
@@ -53,17 +54,18 @@ _INV_SQRT2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
 class Node:
     """One recorded operation: the gradient sink of each input (its node on
     this tape, a leaf that requires grad, or ``None``; see the module
-    docstring) and the rule mapping the output gradient to input gradients
-    (aligned with ``inputs``, ``None`` allowed)."""
+    docstring), the rule mapping the output gradient to input gradients
+    (aligned with ``inputs``, ``None`` allowed), and ``grad``, the gradient
+    that has reached the node, held until the backward walk passes it."""
 
-    __slots__ = ("tape", "index", "inputs", "backward_fn", "name")
+    __slots__ = ("tape", "inputs", "backward_fn", "name", "grad")
 
-    def __init__(self, tape, index, inputs, backward_fn, name):
+    def __init__(self, tape, inputs, backward_fn, name):
         self.tape = tape
-        self.index = index
         self.inputs = inputs
         self.backward_fn = backward_fn
         self.name = name
+        self.grad: Optional[np.ndarray] = None
 
 
 class Tape:
@@ -87,8 +89,7 @@ class Tape:
         return False
 
     def record(self, out: "Tensor", inputs: Sequence["Tensor"], backward_fn, name: str):
-        node = Node(self, len(self.nodes), tuple(self._sink(t) for t in inputs),
-                    backward_fn, name)
+        node = Node(self, tuple(self._sink(t) for t in inputs), backward_fn, name)
         self.nodes.append(node)
         out.node = node
 
@@ -144,12 +145,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.asarray(g, dtype=np.float32)
-        else:
-            self.grad = self.grad + g
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -541,6 +536,8 @@ def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf.
 
     The loss must be a scalar produced on a live tape; the tape is consumed.
+    A sink's first gradient is cast to float32, and later ones add to it in
+    reverse record order, whether the sink is a node or a leaf.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -551,29 +548,18 @@ def backward(loss: Tensor):
         raise RuntimeError("tape already consumed by a previous backward()")
     tape.consumed = True
 
-    slots: list[Optional[np.ndarray]] = [None] * len(tape.nodes)
-    slots[loss.node.index] = np.ones_like(loss.data)
-
+    loss.node.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        g = slots[node.index]
-        slots[node.index] = None
-        # drop the rule and its saved arrays once used (or never needed),
-        # so the step's activations are freed by reference counting as the
-        # walk passes them
-        backward_fn, sinks = node.backward_fn, node.inputs
-        node.backward_fn = node.inputs = None
+        # drop the gradient, the rule and its saved arrays once used (or
+        # never needed), so the step's activations are freed by reference
+        # counting as the walk passes them
+        g, backward_fn, sinks = node.grad, node.backward_fn, node.inputs
+        node.grad = node.backward_fn = node.inputs = None
         if g is None:
             continue
-        grads = backward_fn(g)
-        for sink, gin in zip(sinks, grads):
+        for sink, gin in zip(sinks, backward_fn(g)):
             if gin is None or sink is None:
                 continue
-            if isinstance(sink, Node):
-                idx = sink.index
-                if slots[idx] is None:
-                    slots[idx] = np.asarray(gin, dtype=np.float32)
-                else:
-                    slots[idx] = slots[idx] + gin
-            else:
-                sink.accumulate_grad(np.asarray(gin, dtype=np.float32))
+            gin = np.asarray(gin, dtype=np.float32)
+            sink.grad = gin if sink.grad is None else sink.grad + gin
     tape.nodes.clear()

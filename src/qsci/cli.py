@@ -288,7 +288,7 @@ def cmd_ablate(args, workdir: Path) -> int:
                 save_checkpoint(out / f"{name}.qsc", *trained[rowcfg])
                 net = _load_net(out / f"{name}.qsc")
                 results = _reconstruct_all(net, dataset.masks, holdout, _psnr_ssim)
-                rep = count_efficiency(net, (cfg.train_crop, cfg.train_crop))
+                rep = count_efficiency(rowcfg, (cfg.train_crop, cfg.train_crop))
                 lines.append(f"{name},{_mean_psnr_ssim([r[2] for r in results])},"
                              f"{rep.params_m:.6f},{rep.ops_g:.6f}")
             (out / csv_name).write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -325,10 +325,10 @@ def cmd_infer_int(args, workdir: Path) -> int:
 
 def cmd_report(args, workdir: Path) -> int:
     if args.ckpt:
-        net = _load_net(_resolve(workdir, args.ckpt))
+        cfg = _load_net(_resolve(workdir, args.ckpt)).cfg
     else:
-        net = QNet(make_variant(args.variant), seed=0)
-    rep = count_efficiency(net, (args.input_hw, args.input_hw))
+        cfg = make_variant(args.variant)
+    rep = count_efficiency(cfg, (args.input_hw, args.input_hw))
     rows = ["layer,kind,geometry,w_bits,a_bits,raw_params,adj_params,flops,adj_ops"]
     for r in rep.rows:
         rows.append(f"{r['name']},{r['kind']},{r['geometry']},{r['w_bits']},{r['a_bits']},"

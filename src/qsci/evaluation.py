@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .network import QNet
+from .network import QNet, QNetConfig
 
 PSNR_CAP_DB = 100.0
 
@@ -102,15 +102,14 @@ class EffReport:
     ops_g: float
 
 
-def count_efficiency(net_or_cfg, input_hw) -> EffReport:
-    """Bit-adjusted Params/OPs of a network, or of one built from a config,
-    on an ``input_hw`` frame.
+def count_efficiency(cfg: QNetConfig, input_hw) -> EffReport:
+    """Bit-adjusted Params/OPs of the network a config describes, on an
+    ``input_hw`` frame.
 
     Biases stay full precision, so their count enters unadjusted.
     """
-    net = net_or_cfg if isinstance(net_or_cfg, QNet) else QNet(net_or_cfg, seed=0)
     rows = []
-    for r in net.audit(input_hw):
+    for r in QNet(cfg, seed=0).audit(input_hw):
         adj_params = bit_adjusted(r["weight_params"], r["w_bits"]) + r["bias_params"]
         adj_ops = bit_adjusted(r["flops"], r["w_bits"])
         rows.append({**r, "adj_params": adj_params, "adj_ops": adj_ops})

@@ -1,9 +1,10 @@
 """Independent plain-numpy forward pass used as the float reference oracle.
 
 Deliberately avoids the package's tensor engine: convolutions are computed
-per output voxel with explicit window sums, attention and normalization with
-direct formulas. Only suitable for tiny shapes. SSIM applies the full 2-D
-Gaussian window with ``scipy.signal.convolve2d``, frame by frame.
+one kernel tap at a time with explicit window sums, attention and
+normalization with direct formulas. Only suitable for tiny shapes. SSIM
+applies the full 2-D Gaussian window with ``scipy.signal.convolve2d``,
+frame by frame.
 :func:`dequantize` maps codes back to real values with a quantizer's scale
 and zero-point.
 
@@ -19,26 +20,32 @@ from scipy.special import erf
 
 
 def conv3d(x, w, b, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """Float64 cross-correlation plus a per-output-channel bias ``b``."""
+    out = _tap_sum(np.asarray(x, np.float64), np.asarray(w, np.float64), stride, padding)
+    if b is not None:
+        out += b.reshape(1, -1, 1, 1, 1)
+    return out
+
+
+def _tap_sum(x, w, stride, padding):
+    """Cross-correlation in the dtype of ``x`` and ``w``, one kernel tap at a
+    time: each tap's strided window of the zero-padded input, contracted
+    over channels with that tap's weights (no patch matrix anywhere)."""
     n, c, t, h, wd = x.shape
     o, _, kt, kh, kw = w.shape
     st, sh, sw = stride
     pt, ph, pw = padding
-    xp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, wd + 2 * pw), dtype=np.float64)
+    xp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, wd + 2 * pw), dtype=x.dtype)
     xp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd] = x
     to = (t + 2 * pt - kt) // st + 1
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (wd + 2 * pw - kw) // sw + 1
-    out = np.zeros((n, o, to, ho, wo), dtype=np.float64)
-    for ni in range(n):
-        for oi in range(o):
-            for ti in range(to):
-                for hi in range(ho):
-                    for wi in range(wo):
-                        window = xp[ni, :, ti * st:ti * st + kt,
-                                    hi * sh:hi * sh + kh, wi * sw:wi * sw + kw]
-                        out[ni, oi, ti, hi, wi] = np.sum(window * w[oi])
-    if b is not None:
-        out += b.reshape(1, o, 1, 1, 1)
+    out = np.zeros((n, o, to, ho, wo), dtype=x.dtype)
+    for it in range(kt):
+        for ih in range(kh):
+            for iw in range(kw):
+                window = xp[:, :, it:it + to * st:st, ih:ih + ho * sh:sh, iw:iw + wo * sw:sw]
+                out += np.einsum("nctij,oc->notij", window, w[:, :, it, ih, iw])
     return out
 
 
@@ -166,13 +173,54 @@ def pixel_unshuffle(x, r):
     return out
 
 
-def attention(tok, p, prefix, heads):
+class StraightThrough:
+    """The quantizers of :func:`forward` as functions of their parameters.
+
+    Each site, such as ``fem.conv_a.aq``, maps ``x`` to
+    ``alpha * (clip(v) + c) + z`` with ``v = (x - z) / alpha`` in float64
+    and ``z = 0`` for a weight quantizer, which has none. ``c`` is fixed at
+    the site's first call, to ``code - clip(v)`` with the site's ``code``
+    from the engine, so that there the value is the engine's dequantized
+    code. Elsewhere the function is smooth but at the clip edges, and its
+    derivatives are the straight-through gradient of ``x`` (Bengio et al.,
+    arXiv 1308.3432) and the LSQ gradients of ``alpha`` and ``z`` (Esser et
+    al., arXiv 1902.08153). ``sites`` maps each site to its (bits, codes).
+    ``pre_clip`` holds each site's ``v`` of the last call."""
+
+    def __init__(self, sites):
+        self.sites = sites
+        self.offsets = {}
+        self.pre_clip = {}
+
+    def __call__(self, site, x, p):
+        bits, codes = self.sites[site]
+        alpha, z = p[site + ".alpha"], p.get(site + ".z", 0.0)
+        v = self.pre_clip[site] = (x - z) / alpha
+        clipped = np.clip(v, -(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+        return alpha * (clipped + self.offsets.setdefault(site, codes - clipped)) + z
+
+
+def _identity(site, x, p):
+    return x
+
+
+def linear(tok, p, name, quant):
+    return (quant(name + ".aq", tok, p) @ quant(name + ".wq", p[name + ".weight"], p)
+            + p[name + ".bias"])
+
+
+def conv(x, p, name, quant, **geometry):
+    return conv3d(quant(name + ".aq", x, p), quant(name + ".wq", p[name + ".weight"], p),
+                  p[name + ".bias"], **geometry)
+
+
+def attention(tok, p, prefix, heads, quant):
     """tok: [B, T, C]; p: parameter dict; prefix like 'block0.cf0.attn.'."""
     bsz, t, c = tok.shape
     d = c // heads
-    q = tok @ p[prefix + "q_proj.weight"] + p[prefix + "q_proj.bias"]
-    k = tok @ p[prefix + "k_proj.weight"] + p[prefix + "k_proj.bias"]
-    v = tok @ p[prefix + "v_proj.weight"] + p[prefix + "v_proj.bias"]
+    q = linear(tok, p, prefix + "q_proj", quant)
+    k = linear(tok, p, prefix + "k_proj", quant)
+    v = linear(tok, p, prefix + "v_proj", quant)
     if prefix + "beta_q" in p:
         q = q + p[prefix + "beta_q"]
         k = k + p[prefix + "beta_k"]
@@ -180,81 +228,64 @@ def attention(tok, p, prefix, heads):
     def split(m):
         return m.reshape(bsz, t, heads, d).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(q), split(k), split(v)
+    qh = split(quant(prefix + "qq", q, p))
+    kh = split(quant(prefix + "kq", k, p))
     logits = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(d)
-    probs = softmax(logits)
-    mixed = (probs @ vh).transpose(0, 2, 1, 3).reshape(bsz, t, c)
-    return mixed @ p[prefix + "out_proj.weight"] + p[prefix + "out_proj.bias"]
+    probs = quant(prefix + "pq", softmax(logits), p)
+    mixed = (probs @ split(v)).transpose(0, 2, 1, 3).reshape(bsz, t, c)
+    return linear(mixed, p, prefix + "out_proj", quant)
 
 
-def cformer_block(x, p, prefix, heads):
+def cformer_block(x, p, prefix, heads, quant):
     n, c, t, h, w = x.shape
-    conv_branch = leaky_relu(conv3d(x, p[prefix + "conv.weight"], p[prefix + "conv.bias"],
-                                    padding=(1, 1, 1)))
+    conv_branch = leaky_relu(conv(x, p, prefix + "conv", quant, padding=(1, 1, 1)))
     tok = x.transpose(0, 3, 4, 2, 1).reshape(n * h * w, t, c)
     tok = layer_norm(tok, p[prefix + "norm.gain"], p[prefix + "norm.bias"])
-    att = attention(tok, p, prefix + "attn.", heads)
+    att = attention(tok, p, prefix + "attn.", heads, quant)
     attn_branch = att.reshape(n, h, w, t, c).transpose(0, 4, 3, 1, 2)
-    fused = conv3d(np.concatenate([conv_branch, attn_branch], axis=1),
-                   p[prefix + "fuse.weight"], p[prefix + "fuse.bias"])
-    hidden = gelu(conv3d(fused, p[prefix + "mlp_in.weight"], p[prefix + "mlp_in.bias"]))
-    return x + conv3d(hidden, p[prefix + "mlp_out.weight"], p[prefix + "mlp_out.bias"])
+    fused = conv(np.concatenate([conv_branch, attn_branch], axis=1), p, prefix + "fuse", quant)
+    hidden = gelu(conv(fused, p, prefix + "mlp_in", quant))
+    return x + conv(hidden, p, prefix + "mlp_out", quant)
 
 
-def forward(stack, p, cfg):
-    """Full reference forward for a 32-bit config; returns [B, T, H, W]."""
+def forward(stack, p, cfg, quant=_identity):
+    """Full reference forward; returns [B, T, H, W]. ``quant(site, x, p)``
+    is each quantizer site's function (:class:`StraightThrough`), by
+    default the identity, as at 32 bits."""
     x = stack.astype(np.float64)
     n, _, t, h, w = x.shape
 
-    h1 = conv3d(x, p["fem.conv_a.weight"], p["fem.conv_a.bias"], padding=(1, 1, 1))
+    h1 = conv(x, p, "fem.conv_a", quant, padding=(1, 1, 1))
     if cfg.use_fem_shortcuts:
-        h1 = h1 + conv3d(x, p["fem.short_a.weight"], p["fem.short_a.bias"])
+        h1 = h1 + conv(x, p, "fem.short_a", quant)
     h1 = leaky_relu(h1)
-    h2 = conv3d(h1, p["fem.conv_b.weight"], p["fem.conv_b.bias"],
-                stride=(1, 2, 2), padding=(1, 1, 1))
+    h2 = conv(h1, p, "fem.conv_b", quant, stride=(1, 2, 2), padding=(1, 1, 1))
     if cfg.use_fem_shortcuts:
-        h2 = h2 + conv3d(pixel_unshuffle(h1, 2), p["fem.short_b.weight"],
-                         p["fem.short_b.bias"])
+        h2 = h2 + conv(pixel_unshuffle(h1, 2), p, "fem.short_b", quant)
     feat = leaky_relu(h2)
 
     for bi in range(cfg.resdnet_blocks):
         skip = feat
         for ki in range(cfg.cformer_per_block):
-            feat = cformer_block(feat, p, f"block{bi}.cf{ki}.", cfg.heads)
-        feat = skip + conv3d(feat, p[f"block{bi}.tail.weight"], p[f"block{bi}.tail.bias"])
+            feat = cformer_block(feat, p, f"block{bi}.cf{ki}.", cfg.heads, quant)
+        feat = skip + conv(feat, p, f"block{bi}.tail", quant)
 
-    u = conv3d(feat, p["vrm.conv_up.weight"], p["vrm.conv_up.bias"], padding=(0, 1, 1))
+    u = conv(feat, p, "vrm.conv_up", quant, padding=(0, 1, 1))
     if cfg.use_vrm_shortcuts:
-        u = u + conv3d(feat, p["vrm.short_up.weight"], p["vrm.short_up.bias"])
+        u = u + conv(feat, p, "vrm.short_up", quant)
     u = leaky_relu(pixel_shuffle(u, 2))
-    y = conv3d(u, p["vrm.conv_out.weight"], p["vrm.conv_out.bias"], padding=(0, 1, 1))
+    y = conv(u, p, "vrm.conv_out", quant, padding=(0, 1, 1))
     if cfg.use_vrm_shortcuts:
-        y = y + conv3d(u, p["vrm.short_out.weight"], p["vrm.short_out.bias"])
+        y = y + conv(u, p, "vrm.short_out", quant)
     base = x[:, 0:1]
     return np.clip(y + base, 0.0, 1.0).reshape(n, t, h, w)
 
 
 def int_conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0)):
-    """Integer cross-correlation of code tensors in int64 arithmetic, one
-    kernel tap at a time (no float and no patch matrix anywhere)."""
-    x = np.asarray(x).astype(np.int64)
-    w = np.asarray(w).astype(np.int64)
-    n, c, t, h, wd = x.shape
-    o, _, kt, kh, kw = w.shape
-    st, sh, sw = stride
-    pt, ph, pw = padding
-    xp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, wd + 2 * pw), dtype=np.int64)
-    xp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd] = x
-    to = (t + 2 * pt - kt) // st + 1
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (wd + 2 * pw - kw) // sw + 1
-    out = np.zeros((n, o, to, ho, wo), dtype=np.int64)
-    for it in range(kt):
-        for ih in range(kh):
-            for iw in range(kw):
-                window = xp[:, :, it:it + to * st:st, ih:ih + ho * sh:sh, iw:iw + wo * sw:sw]
-                out += np.einsum("nctij,oc->notij", window, w[:, :, it, ih, iw])
-    return out
+    """Integer cross-correlation of code tensors in int64 arithmetic (no
+    float anywhere)."""
+    return _tap_sum(np.asarray(x).astype(np.int64), np.asarray(w).astype(np.int64),
+                    stride, padding)
 
 
 def int_linear(x, w):

@@ -695,6 +695,39 @@ class TestBackwardBasics:
         np.testing.assert_allclose(x.grad, [4.0])
 
 
+class TestAccumulationOrder:
+    """A node and a leaf that each feed three consumers receive their
+    gradients in reverse record order, the first cast to float32 and the
+    rest added to it one by one. The terms are chosen so that the order
+    shows: in float32, ``(1e8 + -1e8) + 1`` is 1 but ``(1 + 1e8) + -1e8``
+    is 0."""
+
+    TERMS = np.array([[-1e8, 1.0], [1e8, 1e8], [1.0, -1e8]], np.float32)  # in record order
+
+    def test_sinks_sum_in_reverse_record_order(self):
+        x = Tensor([2.0, 3.0], requires_grad=True)       # a leaf
+        a = Tensor([5.0, 7.0], requires_grad=True)
+        seen = []
+        with Tape() as tape:
+            y = ad.reshape(a, (2,))                      # a node
+            rule = y.node.backward_fn
+            y.node.backward_fn = lambda g: (seen.append(g), rule(g))[1]
+            parts = [reference_impl.sum_(y, w) + reference_impl.sum_(x, w) for w in self.TERMS]
+            loss = parts[0] + parts[1] + parts[2]
+        nodes = list(tape.nodes)
+        backward(loss)
+        expect = self.TERMS[2]
+        for term in self.TERMS[1::-1]:
+            expect = expect + term
+        in_order = self.TERMS[0] + self.TERMS[1] + self.TERMS[2]
+        assert (expect != in_order).all()   # the order shows in every element
+        assert seen[0].tobytes() == expect.tobytes()
+        assert x.grad.tobytes() == expect.tobytes()
+        assert a.grad.tobytes() == expect.tobytes()
+        assert all(node.grad is None and node.backward_fn is None and node.inputs is None
+                   for node in nodes)
+
+
 @pytest.fixture
 def no_gc():
     """Run with the cyclic collector off, so an array that lives on is held

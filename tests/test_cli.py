@@ -825,7 +825,7 @@ class TestAblate:
         _, (out, _), _ = runs
         for csv in ("ladder.csv", "grid.csv"):
             for name, (_, _, params_m, ops_g) in self.table(out / csv)[1].items():
-                rep = count_efficiency(cli._load_net(out / f"{name}.qsc"), (16, 16))
+                rep = count_efficiency(cli._load_net(out / f"{name}.qsc").cfg, (16, 16))
                 assert (params_m, ops_g) == (f"{rep.params_m:.6f}", f"{rep.ops_g:.6f}")
 
     def test_each_row_is_eval_of_its_checkpoint(self, runs):

@@ -256,11 +256,12 @@ class TestFloatReference:
 
 
 class TestWholeNetworkGradient:
-    """The engine's gradient of a whole fp32 network with the query/key
-    shift and both stages' shortcuts (so the FEM's space-to-channel and the
-    VRM's channel-to-space rearrangements, and every ``short_*`` weight),
-    checked tensor by tensor against central differences of the same MSE
-    loss, computed by the float64 reference forward.
+    """The engine's gradient of a whole network with the query/key shift and
+    both stages' shortcuts (so the FEM's space-to-channel and the VRM's
+    channel-to-space rearrangements, and every ``short_*`` weight), checked
+    tensor by tensor against central differences of the same MSE loss,
+    computed by the float64 reference forward: fp32, and q4 and q2 with
+    every quantizer written out (:class:`reference_impl.StraightThrough`).
 
     The directional derivative ``s = <g, d>`` along a fixed random direction
     ``d`` of each parameter tensor must match ``(L(θ + εd) - L(θ - εd)) / 2ε``.
@@ -277,14 +278,34 @@ class TestWholeNetworkGradient:
     each query's logits by one amount, which softmax ignores: their true
     gradient is 0 and their ``S`` is rounding noise, so every tensor's
     bound also carries the largest ``S`` of any tensor.
+
+    In the quantized tests each reference quantizer is
+    ``alpha·(clip(v) + c) + z``, with ``c`` fixed so that at θ it gives the
+    code that the engine's taped forward made (read through the quantizer's
+    ``on_next`` hook); its derivatives at θ are then the straight-through
+    and LSQ gradients. The quantizers are calibrated on the input, and each
+    range is narrowed by a random factor, so that some values clip and none
+    sits on an edge by construction. Each direction there is a unit one
+    scaled by its tensor's RMS ``r``, so that a step moves every tensor by
+    the same fraction: a scale is as small as 2e-4, and a step of 1e-6 would
+    move it by 0.5%. The bound is the one above with the largest ``S`` taken
+    of the unit directions and scaled by ``r``, so that relative to each
+    tensor's own derivative it is what a unit direction gets: at θ the
+    reference's quantized values are the engine's codes, and the engine's
+    rounding is bounded by the same chain and sum lengths. It does not hold
+    where the loss is not smooth: where a pre-clip value crosses a clip edge
+    between θ - 2εd and θ + 2εd, or where the engine's and the reference's
+    pre-clip values at θ lie on two sides of an edge. Each such element is
+    reported, with the tensors whose differences it touched, on stdout and
+    in the failure message.
     """
 
     EPS = 1e-6
 
-    def test_directional_derivatives_match_central_differences(self, monkeypatch):
-        cfg = QNetConfig(base_channels=4, resdnet_blocks=1, cformer_per_block=1, heads=2,
-                         cr=2, use_fem_shortcuts=True, use_vrm_shortcuts=True,
-                         use_qk_shift=True)
+    @staticmethod
+    def build(cfg):
+        """(net, rng, stack, gt) at the test geometry, with every parameter
+        that starts at zero given a small random value."""
         net = QNet(cfg, seed=0)
         rng = np.random.default_rng(11)
         # conv_out, the shortcuts, the biases and the shifts start at zero; give them values
@@ -294,7 +315,12 @@ class TestWholeNetworkGradient:
         masks = generate_masks(3, 2, 8, 8)
         clips = [synth_video(4 + i, 2, 8, 8) for i in range(2)]
         stack = np.concatenate([initial_estimate(encode(c, masks), masks) for c in clips])
-        gt = np.stack([c.frames for c in clips])
+        return net, rng, stack, np.stack([c.frames for c in clips])
+
+    @staticmethod
+    def backward_rel(net, stack, gt, monkeypatch):
+        """Run the taped loss and its backward; return the relative bound
+        λ·sqrt(n)·u of the engine's rounding."""
         # the size of each node's inputs, seen as they are recorded
         sizes = []
         record = Tape.record
@@ -310,30 +336,88 @@ class TestWholeNetworkGradient:
         n = len(tape.nodes) * max(sizes)
         ad.backward(loss)
         lam = math.sqrt(2 * math.log(2 * n / 1e-9))
-        rel = lam * math.sqrt(n) * 2.0 ** -24
+        return lam * math.sqrt(n) * 2.0 ** -24
 
+    def mismatches(self, net, rng, rel, ref_loss, scaled=False):
+        """Each tensor whose directional derivative misses the central
+        difference of ``ref_loss(params, name)`` by more than its bound;
+        ``scaled`` scales each direction by its tensor's RMS."""
         theta = {name: p.data.astype(np.float64) for name, p in net.named_params()}
 
-        def ref_loss(params):
-            return np.mean((ref.forward(stack, params, cfg) - gt) ** 2)
-
         def central(name, d, eps):
-            lp = ref_loss({**theta, name: theta[name] + eps * d})
-            lm = ref_loss({**theta, name: theta[name] - eps * d})
+            lp = ref_loss({**theta, name: theta[name] + eps * d}, name)
+            lm = ref_loss({**theta, name: theta[name] - eps * d}, name)
             return (lp - lm) / (2 * eps)
 
         rows = []
         for name, p in net.named_params():
             assert p.grad is not None, f"no gradient reached {name}"
-            d = rng.standard_normal(p.shape)
+            r = np.sqrt(np.mean(theta[name] ** 2)) if scaled else 1.0
+            d = rng.standard_normal(p.shape) * r
             terms = p.grad.astype(np.float64) * d
             fd = central(name, d, self.EPS)
             fd_err = abs(fd - central(name, d, 2 * self.EPS))
-            rows.append((name, terms.sum(), np.abs(terms).sum(), fd, fd_err))
-        floor = max(r[2] for r in rows)
-        bad = [(name, s, fd) for name, s, total, fd, fd_err in rows
-               if abs(s - fd) > rel * (total + floor) + fd_err]
+            rows.append((name, r, terms.sum(), np.abs(terms).sum(), fd, fd_err))
+        floor = max(total / r for _, r, _, total, _, _ in rows)
+        return [(name, s, fd) for name, r, s, total, fd, fd_err in rows
+                if abs(s - fd) > rel * (total + r * floor) + fd_err]
+
+    def test_directional_derivatives_match_central_differences(self, monkeypatch):
+        cfg = QNetConfig(base_channels=4, resdnet_blocks=1, cformer_per_block=1, heads=2,
+                         cr=2, use_fem_shortcuts=True, use_vrm_shortcuts=True,
+                         use_qk_shift=True)
+        net, rng, stack, gt = self.build(cfg)
+        rel = self.backward_rel(net, stack, gt, monkeypatch)
+
+        def ref_loss(params, name):
+            return np.mean((ref.forward(stack, params, cfg) - gt) ** 2)
+
+        bad = self.mismatches(net, rng, rel, ref_loss)
         assert not bad, f"directional derivative vs central difference: {bad}"
+
+    @pytest.mark.parametrize("variant", ["q4", "q2"])
+    def test_quantized_directional_derivatives_match_central_differences(self, monkeypatch,
+                                                                         variant):
+        cfg = make_variant(variant, base_channels=4, resdnet_blocks=1, cformer_per_block=1,
+                           heads=2, cr=2)
+        net, rng, stack, gt = self.build(cfg)
+        net.calibrate_quantizers(stack)
+        # narrow each range, so that some values clip and none sits on an edge by construction
+        for q in net.quantizers():
+            q.alpha.data *= np.float32(rng.uniform(0.7, 0.9))
+        site_of = {id(p): name[:-len(".alpha")] for name, p in net.named_params()
+                   if name.endswith(".alpha")}
+        codes, sides = {}, {}
+
+        def side(v, bits):
+            """-1 below the clip range, 0 in it (edges included), 1 above."""
+            return (v > (1 << (bits - 1)) - 1).astype(np.int8) - (v < -(1 << (bits - 1)))
+
+        for q in net.quantizers():
+            def capture(arr, site=site_of[id(q.alpha)], q=q):
+                codes[site] = (q.bits, act_quantize(arr, q))
+                v = (arr - np.float32(q.z.data[0])) / np.float32(q.alpha.data[0])
+                sides[site] = side(v, q.bits)
+            q.on_next = capture
+        rel = self.backward_rel(net, stack, gt, monkeypatch)
+        assert set(codes) == set(site_of.values()) and len(codes) == len(net.quantizers())
+
+        quant = ref.StraightThrough(codes)
+        near = {}    # (site, element) -> the tensors whose differences it touched
+
+        def ref_loss(params, name):
+            loss = np.mean((ref.forward(stack, params, cfg, quant) - gt) ** 2)
+            for site, v in quant.pre_clip.items():
+                for i in np.flatnonzero(side(v, codes[site][0]) != sides[site]):
+                    near.setdefault((site, int(i)), set()).add(name)
+            return loss
+
+        ref_loss({name: p.data.astype(np.float64) for name, p in net.named_params()}, "θ")
+        bad = self.mismatches(net, rng, rel, ref_loss, scaled=True)
+        report = {key: sorted(names) for key, names in sorted(near.items())}
+        print(f"{variant}: elements within the finite-difference step of a clip edge: {report}")
+        assert not bad, (f"directional derivative vs central difference: {bad}; "
+                         f"elements within the finite-difference step of a clip edge: {report}")
 
 
 class TestShiftedAttention:

@@ -1,11 +1,11 @@
 """Every function, class and method the package defines has a user that is
 not a test (the package itself or the benchmark harness), such a user
 passes each parameter that has a default some other value, no module
-reads the process environment, and a training step records every
-differentiable op the package defines: an op that training never records
-is a capability no command uses, and its gradient rule is code that never
-runs. The only data-movement ops are ``reshape``, ``transpose`` and
-``concat``."""
+reads the process environment or holds an ``assert``, and a training step
+records every differentiable op the package defines: an op that training
+never records is a capability no command uses, and its gradient rule is
+code that never runs. The only data-movement ops are ``reshape``,
+``transpose`` and ``concat``."""
 
 import ast
 import re
@@ -156,6 +156,14 @@ def test_no_src_module_reads_the_environment():
                for n, line in enumerate(p.read_text().splitlines(), start=1)
                if re.search(r"\b(environ|getenv)\b", line)]
     assert not readers, f"src/ lines that read the environment: {readers}"
+
+
+def test_no_src_assert():
+    """No ``src/`` module holds an ``assert`` statement: a guard that
+    protects results is a ``raise``, because ``python -O`` strips asserts."""
+    asserts = [f"{p.name}:{node.lineno}" for p in sorted((ROOT / "src" / "qsci").rglob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.Assert)]
+    assert not asserts, f"src/ asserts that python -O would strip: {asserts}"
 
 
 def test_training_records_every_differentiable_op():
