@@ -21,6 +21,11 @@ codes, or at 32 bits a float32 contraction of the float values (see
 :class:`QLayer`). A forward writes nothing to the modules:
 calibration and the structural audit see the data reaching each quantizer
 through its one-shot ``on_next`` hook (see :mod:`qsci.quantize`).
+
+A module's attributes are its registry (see :class:`Module`): Tensors are
+parameters, quantizers add their scale and zero-point, and Modules, or lists
+of them, are children; the dotted attribute paths, e.g.
+``block0.cf1.conv.weight``, are the checkpoint entry names.
 """
 
 from __future__ import annotations
@@ -156,45 +161,39 @@ def make_variant(name: str, **overrides) -> QNetConfig:
 # ---------------------------------------------------------------------------
 
 class Module:
-    """Minimal parameter registry with dotted-name traversal."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-        self._modules: dict[str, Module] = {}
-        self._quantizers: list = []
-
-    def register_param(self, name: str, tensor: Tensor):
-        tensor.requires_grad = True
-        self._params[name] = tensor
-        return tensor
-
-    def register_module(self, name: str, module: "Module"):
-        self._modules[name] = module
-        return module
-
-    def register_quantizer(self, name: str, q):
-        for pname, p in q.params():
-            self.register_param(f"{name}.{pname}", p)
-        self._quantizers.append(q)
-        return q
-
-    def named_params(self, prefix: str = ""):
-        for n, p in self._params.items():
-            yield prefix + n, p
-        for n, m in self._modules.items():
-            yield from m.named_params(prefix + n + ".")
+    """A module's attributes are its registry, in assignment order: a Tensor
+    is a parameter, an :class:`~qsci.quantize.ActQuantizer` is a quantizer
+    whose ``params()`` are the parameters ``<attr>.alpha`` and ``<attr>.z``,
+    a Module is a child, and a list of Modules gives the children
+    ``<attr>0``, ``<attr>1``, ... Each walk visits a module before its
+    children, so its own parameters come before theirs."""
 
     def named_modules(self, prefix: str = ""):
         yield prefix.rstrip("."), self
-        for n, m in self._modules.items():
-            yield from m.named_modules(prefix + n + ".")
+        for attr, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from value.named_modules(f"{prefix}{attr}.")
+            elif isinstance(value, list):
+                for i, child in enumerate(value):
+                    yield from child.named_modules(f"{prefix}{attr}{i}.")
+
+    def named_params(self):
+        """(checkpoint entry name, parameter) of every parameter."""
+        for path, m in self.named_modules():
+            prefix = path + "." if path else ""
+            for attr, value in vars(m).items():
+                if isinstance(value, Tensor):
+                    yield prefix + attr, value
+                elif isinstance(value, ActQuantizer):
+                    yield from ((f"{prefix}{attr}.{n}", p) for n, p in value.params())
 
     def params(self):
         return [p for _, p in self.named_params()]
 
     def quantizers(self):
         """Every quantizer, this module's first, then its children's."""
-        return [q for _, m in self.named_modules() for q in m._quantizers]
+        return [q for _, m in self.named_modules() for q in vars(m).values()
+                if isinstance(q, ActQuantizer)]
 
     def state_dict(self) -> dict:
         return {name: p.data.copy() for name, p in self.named_params()}
@@ -205,8 +204,13 @@ class Module:
 
     def load_state(self, state: dict, expect: Optional[dict] = None, required=None):
         """Set each parameter that ``state`` holds, once :func:`check_state`
-        finds that it fits ``expect`` (default: exactly this module's)."""
+        finds that it fits ``expect`` (default: exactly this module's) and
+        every quantizer scale in it is > 0; one that is not (NaN included)
+        is a ConfigError naming its entry."""
         check_state(state, self.expected_state() if expect is None else expect, required)
+        for name in sorted(n for n in state if n.endswith(".alpha")):
+            if not state[name][0] > 0:
+                raise ConfigError(f"quantizer scale '{name}' is {state[name][0]}, not > 0")
         for name, p in self.named_params():
             if name in state:
                 p.data = np.ascontiguousarray(state[name])
@@ -254,13 +258,12 @@ class QLayer(Module):
     """
 
     def __init__(self, weight: np.ndarray, out_features: int, bits: int, gelu: bool = False):
-        super().__init__()
         self.bits = bits
         self.gelu = gelu
-        self.weight = self.register_param("weight", Tensor(weight))
-        self.bias = self.register_param("bias", Tensor(np.zeros(out_features, np.float32)))
-        self.aq = self.register_quantizer("aq", ActQuantizer(bits))
-        self.wq = self.register_quantizer("wq", ActQuantizer(bits, symmetric=True))
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features, np.float32), requires_grad=True)
+        self.aq = ActQuantizer(bits)
+        self.wq = ActQuantizer(bits, symmetric=True)
         self.int_kernel = None       # set by packed.install_packed; forward then runs it
 
     def _untaped(self, x: Tensor) -> Optional[Tensor]:
@@ -533,9 +536,8 @@ class LayerNorm(Module):
     EPS = 1e-5
 
     def __init__(self, channels: int):
-        super().__init__()
-        self.gain = self.register_param("gain", Tensor(np.ones(channels, dtype=np.float32)))
-        self.bias = self.register_param("bias", Tensor(np.zeros(channels, dtype=np.float32)))
+        self.gain = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias, self.EPS)
@@ -552,24 +554,23 @@ class ShiftedAttention(Module):
     """
 
     def __init__(self, rng, channels: int, heads: int, bits: int, shift: bool):
-        super().__init__()
         self.channels = channels
         self.heads = heads
         self.head_dim = channels // heads
         self.shift = shift
-        self.q_proj = self.register_module("q_proj", QLinear(rng, channels, channels, bits))
-        self.k_proj = self.register_module("k_proj", QLinear(rng, channels, channels, bits))
-        self.v_proj = self.register_module("v_proj", QLinear(rng, channels, channels, bits))
-        self.out_proj = self.register_module("out_proj", QLinear(rng, channels, channels, bits))
+        self.q_proj = QLinear(rng, channels, channels, bits)
+        self.k_proj = QLinear(rng, channels, channels, bits)
+        self.v_proj = QLinear(rng, channels, channels, bits)
+        self.out_proj = QLinear(rng, channels, channels, bits)
         if shift:
-            self.beta_q = self.register_param("beta_q", Tensor(np.zeros(channels, np.float32)))
-            self.beta_k = self.register_param("beta_k", Tensor(np.zeros(channels, np.float32)))
+            self.beta_q = Tensor(np.zeros(channels, np.float32), requires_grad=True)
+            self.beta_k = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         else:
             self.beta_q = None
             self.beta_k = None
-        self.qq = self.register_quantizer("qq", ActQuantizer(bits))
-        self.kq = self.register_quantizer("kq", ActQuantizer(bits))
-        self.pq = self.register_quantizer("pq", ActQuantizer(bits))
+        self.qq = ActQuantizer(bits)
+        self.kq = ActQuantizer(bits)
+        self.pq = ActQuantizer(bits)
 
     def _split_heads(self, x: Tensor, b: int, t: int) -> Tensor:
         x = ad.reshape(x, (b, t, self.heads, self.head_dim))
@@ -635,20 +636,14 @@ class CFormerBlock(Module):
     MLP_RATIO = 2
 
     def __init__(self, rng, channels: int, heads: int, bits: int, shift: bool):
-        super().__init__()
         c = channels
-        self.conv = self.register_module(
-            "conv", QConv3d(rng, c, c, (3, 3, 3), padding=(1, 1, 1), bits=bits))
-        self.norm = self.register_module("norm", LayerNorm(c))
-        self.attn = self.register_module(
-            "attn", ShiftedAttention(rng, c, heads, bits, shift))
-        self.fuse = self.register_module(
-            "fuse", QConv3d(rng, 2 * c, c, (1, 1, 1), bits=bits))
+        self.conv = QConv3d(rng, c, c, (3, 3, 3), padding=(1, 1, 1), bits=bits)
+        self.norm = LayerNorm(c)
+        self.attn = ShiftedAttention(rng, c, heads, bits, shift)
+        self.fuse = QConv3d(rng, 2 * c, c, (1, 1, 1), bits=bits)
         hidden = self.MLP_RATIO * c
-        self.mlp_in = self.register_module(
-            "mlp_in", QConv3d(rng, c, hidden, (1, 1, 1), bits=bits, gelu=True))
-        self.mlp_out = self.register_module(
-            "mlp_out", QConv3d(rng, hidden, c, (1, 1, 1), bits=bits))
+        self.mlp_in = QConv3d(rng, c, hidden, (1, 1, 1), bits=bits, gelu=True)
+        self.mlp_out = QConv3d(rng, hidden, c, (1, 1, 1), bits=bits)
 
     def forward(self, x: Tensor) -> Tensor:
         conv_branch = ad.leaky_relu(self.conv.forward(x))
@@ -663,17 +658,12 @@ class ResDNetBlock(Module):
     """K CFormer blocks with a tail fusion conv and a residual skip."""
 
     def __init__(self, rng, channels: int, heads: int, k: int, bits: int, shift: bool):
-        super().__init__()
-        self.cformers = [
-            self.register_module(f"cf{i}", CFormerBlock(rng, channels, heads, bits, shift))
-            for i in range(k)
-        ]
-        self.tail = self.register_module(
-            "tail", QConv3d(rng, channels, channels, (1, 1, 1), bits=bits))
+        self.cf = [CFormerBlock(rng, channels, heads, bits, shift) for _ in range(k)]
+        self.tail = QConv3d(rng, channels, channels, (1, 1, 1), bits=bits)
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
-        for blk in self.cformers:
+        for blk in self.cf:
             h = blk.forward(h)
         return x + self.tail.forward(h)
 
@@ -693,21 +683,16 @@ class FeatureExtraction(Module):
     IN_CH = 2
 
     def __init__(self, rng, cfg: QNetConfig):
-        super().__init__()
         c = cfg.base_channels
         bits = cfg.fem_bits
         self.use_shortcuts = cfg.use_fem_shortcuts
-        self.conv_a = self.register_module(
-            "conv_a", QConv3d(rng, self.IN_CH, c, (3, 3, 3), padding=(1, 1, 1), bits=bits))
-        self.conv_b = self.register_module(
-            "conv_b", QConv3d(rng, c, c, (3, 3, 3), stride=(1, 2, 2), padding=(1, 1, 1),
-                              bits=bits))
+        self.conv_a = QConv3d(rng, self.IN_CH, c, (3, 3, 3), padding=(1, 1, 1), bits=bits)
+        self.conv_b = QConv3d(rng, c, c, (3, 3, 3), stride=(1, 2, 2), padding=(1, 1, 1),
+                              bits=bits)
         if self.use_shortcuts:
             sb = cfg.shortcut_bits
-            self.short_a = self.register_module(
-                "short_a", QConv3d(rng, self.IN_CH, c, (1, 1, 1), bits=sb, zero_init=True))
-            self.short_b = self.register_module(
-                "short_b", QConv3d(rng, 4 * c, c, (1, 1, 1), bits=sb, zero_init=True))
+            self.short_a = QConv3d(rng, self.IN_CH, c, (1, 1, 1), bits=sb, zero_init=True)
+            self.short_b = QConv3d(rng, 4 * c, c, (1, 1, 1), bits=sb, zero_init=True)
 
     def forward(self, x: Tensor) -> Tensor:
         n, ch, t, h, w = x.shape
@@ -734,22 +719,17 @@ class VideoReconstruction(Module):
     """
 
     def __init__(self, rng, cfg: QNetConfig):
-        super().__init__()
         c = cfg.base_channels
         bits = cfg.vrm_bits
         self.use_shortcuts = cfg.use_vrm_shortcuts
-        self.conv_up = self.register_module(
-            "conv_up", QConv3d(rng, c, 4 * c, (1, 3, 3), padding=(0, 1, 1), bits=bits))
+        self.conv_up = QConv3d(rng, c, 4 * c, (1, 3, 3), padding=(0, 1, 1), bits=bits)
         # zero-init so the untrained model emits the estimate unchanged
-        self.conv_out = self.register_module(
-            "conv_out", QConv3d(rng, c, 1, (1, 3, 3), padding=(0, 1, 1), bits=bits,
-                                zero_init=True))
+        self.conv_out = QConv3d(rng, c, 1, (1, 3, 3), padding=(0, 1, 1), bits=bits,
+                                zero_init=True)
         if self.use_shortcuts:
             sb = cfg.shortcut_bits
-            self.short_up = self.register_module(
-                "short_up", QConv3d(rng, c, 4 * c, (1, 1, 1), bits=sb, zero_init=True))
-            self.short_out = self.register_module(
-                "short_out", QConv3d(rng, c, 1, (1, 1, 1), bits=sb, zero_init=True))
+            self.short_up = QConv3d(rng, c, 4 * c, (1, 1, 1), bits=sb, zero_init=True)
+            self.short_out = QConv3d(rng, c, 1, (1, 1, 1), bits=sb, zero_init=True)
 
     def forward(self, x: Tensor, base: Tensor) -> Tensor:
         u = self.conv_up.forward(x)
@@ -767,18 +747,13 @@ class QNet(Module):
     enhancement blocks -> video reconstruction."""
 
     def __init__(self, cfg: QNetConfig, seed: int = 0):
-        super().__init__()
         self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
-        self.fem = self.register_module("fem", FeatureExtraction(rng, cfg))
-        self.blocks = [
-            self.register_module(
-                f"block{i}",
-                ResDNetBlock(rng, cfg.base_channels, cfg.heads, cfg.cformer_per_block,
-                             cfg.enh_bits, cfg.use_qk_shift))
-            for i in range(cfg.resdnet_blocks)
-        ]
-        self.vrm = self.register_module("vrm", VideoReconstruction(rng, cfg))
+        self.fem = FeatureExtraction(rng, cfg)
+        self.block = [ResDNetBlock(rng, cfg.base_channels, cfg.heads, cfg.cformer_per_block,
+                                   cfg.enh_bits, cfg.use_qk_shift)
+                      for _ in range(cfg.resdnet_blocks)]
+        self.vrm = VideoReconstruction(rng, cfg)
 
     def forward_stack(self, stack: Tensor) -> Tensor:
         """[B, 2, T, H, W] estimate stacks -> [B, T, H, W] frames. The stack
@@ -787,7 +762,7 @@ class QNet(Module):
         if t != self.cfg.cr:
             raise ShapeError(f"stack has T={t}, model expects T={self.cfg.cr}")
         feat = self.fem.forward(stack)
-        for blk in self.blocks:
+        for blk in self.block:
             feat = blk.forward(feat)
         base = Tensor(stack.data[:, :1])   # the broadcast estimate channel
         y = self.vrm.forward(feat, base)
@@ -844,7 +819,7 @@ class QNet(Module):
         return [q.alpha for q in self.quantizers() if q.bits < 32]
 
     def quant_layers(self):
-        """(name, layer) for every weight-bearing layer, forward order."""
+        """(name, layer) per weight layer: forward order, but each stage's shortcuts last."""
         return [(name, m) for name, m in self.named_modules()
                 if isinstance(m, QLayer)]
 

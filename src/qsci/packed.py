@@ -119,7 +119,7 @@ class IntKernel:
 
 def packed_layers(net: QNet) -> list:
     """(name, layer) of every weight layer whose codes are packed: those
-    below 32 bits, forward order."""
+    below 32 bits, in :meth:`~qsci.network.QNet.quant_layers` order."""
     return [(name, layer) for name, layer in net.quant_layers() if layer.bits < 32]
 
 

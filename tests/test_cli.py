@@ -198,6 +198,33 @@ class TestCorruptContainers:
         assert not (tmp_path / "out").exists()
 
 
+class TestNonPositiveScale:
+    """A quantizer scale that is not > 0 (NaN included) is refused where a
+    checkpoint or pack is loaded: exit 2, one ``error:`` line that names the
+    entry, no traceback and nothing written."""
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, np.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("argv,source", [
+        (["eval", "--ckpt", "bad", "--data", "data", "--out", "out"], "q4.qsc"),
+        (["pack", "--ckpt", "bad", "--out", "out.pack"], "q4.qsc"),
+        (["infer-int", "--packed", "bad", "--data", "data", "--out", "out"], "q4.pack"),
+        (["train", "--config", "q4.cfg", "--init", "bad"], "q4.qsc"),
+    ], ids=["eval", "pack", "infer-int", "train-init"])
+    def test_exits_2_writing_nothing(self, work, tmp_path, argv, source, alpha):
+        entry = "fem.conv_a.aq.alpha"
+        fingerprint, state = load_checkpoint(work / source)
+        state[entry] = np.float32([alpha])
+        save_checkpoint(tmp_path / "bad", fingerprint, state)
+        (tmp_path / "data").symlink_to(work / "data")
+        (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),
+                                         encoding="ascii")
+        rc, err = run("--workdir", tmp_path, *argv)
+        assert rc == 2, err
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert f"'{entry}'" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "data", "q4.cfg"]
+
+
 class TestMissingInput:
     """A named input file that cannot be read ends in an exit code, 3 for a
     checkpoint or pack and 2 for a config, and nothing is written."""

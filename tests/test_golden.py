@@ -9,7 +9,11 @@ of each quantized preset from the fp32 checkpoint; ``eval --dump-frames``,
 ``infer-int`` of the seven quantized ones; and ``ablate --bits 4`` and
 ``--bits 8``. The fp32 float paths round as the BLAS groups them, so the
 manifest's header names the numpy, scipy and BLAS versions it was written
-with, and the test fails, naming both, under any other.
+with and the OpenBLAS kernel (core type) that ran, and the test fails,
+naming both, under any other version or kernel. The kernel is read from
+numpy's bundled OpenBLAS, ``unknown`` where that cannot be read;
+``OPENBLAS_CORETYPE`` selects another one (e.g. ``Haswell`` on an AVX-512
+CPU).
 
 A change that moves outputs by design rewrites the manifest by running this
 module as a script::
@@ -18,12 +22,17 @@ module as a script::
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 from qsci import cli
@@ -51,12 +60,27 @@ out.dir = {out}
 """
 
 
+def blas_kernel() -> str:
+    """The kernel that numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas*``)
+    runs, as its ``scipy_openblas_get_corename64_`` names it; ``unknown``
+    where that library or symbol is missing."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs")
+                      .glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict:
     """The versions the float outputs depend on, read as perfbench/run.py
-    reads them."""
+    reads them, and the BLAS kernel."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}", "kernel": blas_kernel()}
 
 
 def commands():
@@ -137,6 +161,25 @@ def test_outputs_match_manifest(tmp_path):
     new = sorted(digests.keys() - pinned.keys())
     assert not (changed or missing or new), (
         f"{len(changed)} outputs changed: {changed}; missing: {missing}; new: {new}")
+
+
+def test_another_kernel_fails_naming_both():
+    """Run in a child whose environment alone selects another OpenBLAS
+    kernel, the manifest test fails before it runs the script, and names
+    the pinned kernel and the child's."""
+    pinned = read_manifest()[0]["kernel"]
+    if pinned == "unknown":
+        pytest.skip("the manifest names no kernel")
+    other = "Prescott" if pinned == "Haswell" else "Haswell"
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": other, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_outputs_match_manifest"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout
+    assert f"'kernel': '{pinned}'" in done.stdout and f"'kernel': '{other}'" in done.stdout
 
 
 if __name__ == "__main__":

@@ -13,10 +13,10 @@ import reference_impl as ref
 from qsci import cli, network
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
-from qsci.network import (BACKBONE, CFormerBlock, LayerNorm, QConv3d, QLinear, QNet,
-                          QNetConfig, ShiftedAttention, _gelu_by_accumulator, check_state,
+from qsci.network import (BACKBONE, CFormerBlock, LayerNorm, Module, QConv3d, QLinear,
+                          QNet, QNetConfig, ShiftedAttention, _gelu_by_accumulator, check_state,
                           every_stage, make_variant, parse_fingerprint)
-from qsci.quantize import act_quantize, fake_quant
+from qsci.quantize import ActQuantizer, act_quantize, fake_quant
 from qsci.sci import encode, generate_masks, initial_estimate, synth_video
 from qsci.training import mse_loss
 from small_models import calibrated_net, small_inputs
@@ -826,6 +826,21 @@ class TestCheckpointInit:
         with pytest.raises(FormatError, match="'fem.conv_a.bias' is int64"):
             net.load_state(state)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_non_positive_scale_is_config_error(self, alpha):
+        """Every loader refuses it before it sets any parameter."""
+        net = QNet(make_variant("q4", **TINY), seed=4)
+        state = net.state_dict()
+        state["block0.cf0.attn.kq.alpha"] = np.float32([alpha])
+        before = QNet(make_variant("q4", **TINY), seed=5)
+        for load in (lambda m: m.load_state(state),
+                     lambda m: m.init_from_backbone(state, m.cfg.backbone_geometry())):
+            other = QNet(make_variant("q4", **TINY), seed=5)
+            with pytest.raises(ConfigError, match="'block0.cf0.attn.kq.alpha' is .*, not > 0"):
+                load(other)
+            for (_, p), (_, q) in zip(other.named_params(), before.named_params()):
+                np.testing.assert_array_equal(p.data, q.data)
+
     def test_load_state_round_trip(self):
         net = QNet(make_variant("q8", **TINY), seed=4)
         state = net.state_dict()
@@ -934,3 +949,60 @@ class TestQuantizerHooks:
             after = vars(o)
             assert after.keys() == attrs.keys()
             assert all(after[k] is attrs[k] for k in attrs), type(o).__name__
+
+
+class Leaf(Module):
+    def __init__(self):
+        self.w = Tensor(np.zeros(2, np.float32), requires_grad=True)
+
+
+class Toy(Module):
+    def __init__(self):
+        self.kids = [Leaf(), Leaf()]    # assigned first, walked after the own entries
+        self.t = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        self.a4 = ActQuantizer(4)
+        self.a32 = ActQuantizer(32)
+        self.none = None
+        self.child = Leaf()
+        self.w4 = ActQuantizer(4, symmetric=True)
+        self.bits = 4
+
+
+class TestRegistry:
+    """A module's attributes are its registry: the walks read ``vars``."""
+
+    def test_toy_module_names_and_order(self):
+        toy = Toy()
+        assert [n for n, _ in toy.named_params()] == [
+            "t", "a4.alpha", "a4.z", "w4.alpha", "kids0.w", "kids1.w", "child.w"]
+        assert [n for n, _ in toy.named_params()] == list(toy.state_dict())
+        assert [p for _, p in toy.named_params()] == toy.params()
+        assert list(toy.named_modules()) == [
+            ("", toy), ("kids0", toy.kids[0]), ("kids1", toy.kids[1]), ("child", toy.child)]
+        assert toy.quantizers() == [toy.a4, toy.a32, toy.w4]
+
+    @pytest.mark.parametrize("variant", network.VARIANT_NAMES)
+    def test_quant_layers_in_forward_order_shortcuts_last(self, variant):
+        """The ``report`` CSV lists its rows in this order: the order in which
+        a forward reaches each layer's ``aq`` hook, except that each stage's
+        shortcut convs, assigned after its main convs, follow them."""
+        net = QNet(make_variant(variant, **TINY), seed=0)
+        reached = []
+        net._forward_with_hooks(
+            np.zeros((1, 2, TINY["cr"], 8, 8), np.float32),
+            [(layer.aq, lambda x, name=name: reached.append(name))
+             for name, layer in net.quant_layers()])
+        stages = list(dict.fromkeys(name.split(".")[0] for name in reached))
+        listed = [name for name, _ in net.quant_layers()]
+        assert listed == sorted(reached, key=lambda name: (stages.index(name.split(".")[0]),
+                                                           ".short_" in name))
+        assert (listed == reached) == (variant not in ("q4", "q3", "q2"))
+
+    @pytest.mark.parametrize("variant", ["fp32", "q4"])
+    def test_every_parameter_requires_grad(self, variant):
+        net = QNet(make_variant(variant, **TINY), seed=0)
+        tensors = {f"{name}.{attr}": v for name, m in net.named_modules()
+                   for attr, v in vars(m).items() if isinstance(v, Tensor)}
+        assert tensors and all(t.requires_grad for t in tensors.values()), [
+            name for name, t in tensors.items() if not t.requires_grad]
+        assert all(p.requires_grad for p in net.params())

@@ -48,6 +48,20 @@ class TestClipRange:
             ActQuantizer(bits, symmetric)
 
 
+class TestNonPositiveScale:
+    """A scale of 0 or below is a ConfigError from both quantizing paths, for
+    an activation quantizer and a symmetric weight quantizer alike."""
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    @pytest.mark.parametrize("make", [make_act, make_weight], ids=["act", "weight"])
+    @pytest.mark.parametrize("quantize", [
+        act_quantize, lambda x, q: fake_quant(Tensor(x), q)], ids=["act_quantize", "fake_quant"])
+    def test_raises_config_error(self, quantize, make, alpha):
+        q = make(4, alpha=alpha)
+        with pytest.raises(ConfigError, match=f"scale must be positive, got {alpha}"):
+            quantize(np.float32([0.25, -1.0]), q)
+
+
 class TestActQuantize:
     def test_zero_maps_to_zero(self):
         assert act_quantize(np.float32([0.0]), make_act(8))[0] == 0.0
