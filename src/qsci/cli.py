@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 import sys
 from pathlib import Path
@@ -118,22 +119,26 @@ def _load_data_dir(path: Path, cr: int, min_hw: int = 1):
     """(masks, [(index, clip, measurement)]) of a gen-data directory. The
     masks must be a binary [T, H, W] stack with the model's compression
     ratio ``cr`` as T, each clip [T, H, W] and each measurement [H, W], all
-    finite (a clip is scored, a measurement reconstructed); a missing,
-    unreadable, misshapen or non-finite file, or a manifest without
-    ``MANIFEST_HEADER`` or listing an index twice, raises DataError naming
-    it. Frames the network cannot take (see
-    :func:`~qsci.network.check_frame_size`), or smaller than ``min_hw`` on a
-    side (the SSIM window, where the clips are scored by SSIM), raise
-    DataError naming the dir."""
-    def load(name: str, shape=None) -> np.ndarray:
+    finite (a clip is scored, a measurement reconstructed), and each clip
+    and measurement must have the SHA-256 its manifest row gives. A
+    missing, empty, unreadable, misshapen, non-finite or altered file, or a
+    manifest without ``MANIFEST_HEADER``, with a row of other than its five
+    fields or listing an index twice, raises DataError naming it. Frames the
+    network cannot take (see :func:`~qsci.network.check_frame_size`), or
+    smaller than ``min_hw`` on a side (the SSIM window, where the clips are
+    scored by SSIM), raise DataError naming the dir."""
+    def load(name: str, shape=None, sha256=None) -> np.ndarray:
         try:
-            arr = np.load(path / name).astype(np.float32)
-        except (OSError, ValueError) as exc:
+            raw = (path / name).read_bytes()
+            arr = np.load(io.BytesIO(raw)).astype(np.float32)
+        except (OSError, ValueError, EOFError) as exc:    # EOFError: an empty file
             raise DataError(f"unreadable {path / name}: {exc}") from exc
         if shape is not None and arr.shape != shape:
             raise DataError(f"{path / name} has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
             raise DataError(f"{path / name} holds a non-finite value")
+        if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+            raise DataError(f"{path / name} does not match its SHA-256 in the manifest")
         return arr
 
     try:
@@ -160,14 +165,14 @@ def _load_data_dir(path: Path, cr: int, min_hw: int = 1):
     entries = []
     for line in filter(str.strip, rows):
         try:
-            idx, clip_name, meas_name = line.split(",")[:3]
+            idx, clip_name, meas_name, clip_sha, meas_sha = line.split(",")
             idx = int(idx)
         except ValueError as exc:
             raise DataError(f"{path / 'manifest.csv'} row '{line}': {exc}") from exc
         if any(idx == e[0] for e in entries):
             raise DataError(f"{path / 'manifest.csv'} lists index {idx} twice")
-        entries.append((idx, VideoClip(frames=load(clip_name, masks.masks.shape)),
-                        Measurement(y=load(meas_name, masks.frame_shape), cr=masks.t)))
+        entries.append((idx, VideoClip(frames=load(clip_name, masks.masks.shape, clip_sha)),
+                        Measurement(y=load(meas_name, masks.frame_shape, meas_sha), cr=masks.t)))
     return masks, entries
 
 

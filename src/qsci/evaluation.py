@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import conv3d_output_shape
 from .errors import ShapeError
-from .network import QNet, QNetConfig
+from .network import QConv3d, QNet, QNetConfig
 
 PSNR_CAP_DB = 100.0
 
@@ -87,12 +88,6 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
 # bit-adjusted Params / OPs accounting
 # ---------------------------------------------------------------------------
 
-def bit_adjusted(count: float, bits: int) -> float:
-    """A parameter or FLOP count scaled by bits/32, the layer's one width for
-    weights and inputs (32-bit counts unadjusted)."""
-    return count * bits / 32.0
-
-
 @dataclass
 class EffReport:
     """Per-layer efficiency table plus totals (totals are exact row sums)."""
@@ -104,15 +99,38 @@ class EffReport:
 
 def count_efficiency(cfg: QNetConfig, input_hw) -> EffReport:
     """Bit-adjusted Params/OPs of the network a config describes, on an
-    ``input_hw`` frame.
+    ``input_hw`` frame: one row per weight layer, in ``quant_layers()``
+    order, from the input shape that one forward of zeros brings to the
+    layer's activation quantizer. FLOPs are 2 per multiply-accumulate.
 
-    Biases stay full precision, so their count enters unadjusted.
+    A layer's one width scales its weight count and its FLOPs by bits/32
+    (32-bit counts unadjusted); biases stay full precision, so their count
+    enters unadjusted.
     """
+    net = QNet(cfg, seed=0)
+    layers = net.quant_layers()
+    h, w = input_hw
+    in_shapes = {}
+    net.forward_with_hooks(np.zeros((1, 2, cfg.cr, h, w), np.float32),
+                           [(layer.aq, lambda x, name=name: in_shapes.update({name: x.shape}))
+                            for name, layer in layers])
     rows = []
-    for r in QNet(cfg, seed=0).audit(input_hw):
-        adj_params = bit_adjusted(r["weight_params"], r["w_bits"]) + r["bias_params"]
-        adj_ops = bit_adjusted(r["flops"], r["w_bits"])
-        rows.append({**r, "adj_params": adj_params, "adj_ops": adj_ops})
+    for name, layer in layers:
+        if isinstance(layer, QConv3d):
+            kind, dims = "conv3d", (layer.in_ch, layer.out_ch) + layer.kernel
+            n, _, *out_dims = conv3d_output_shape(in_shapes[name], layer.weight.shape,
+                                                  layer.stride, layer.padding)
+            positions = n * math.prod(out_dims)           # output voxels
+        else:
+            kind, dims = "linear", layer.weight.shape
+            positions = math.prod(in_shapes[name][:-1])   # tokens
+        weight_params, bits = layer.weight.size, layer.bits
+        flops = 2 * positions * weight_params
+        rows.append({"name": name, "kind": kind, "geometry": "x".join(map(str, dims)),
+                     "w_bits": bits, "a_bits": bits, "weight_params": weight_params,
+                     "bias_params": layer.out_features, "flops": flops,
+                     "adj_params": weight_params * bits / 32.0 + layer.out_features,
+                     "adj_ops": flops * bits / 32.0})
     params_m = sum(r["adj_params"] for r in rows) / 1e6
     ops_g = sum(r["adj_ops"] for r in rows) / 1e9
     return EffReport(rows=rows, params_m=params_m, ops_g=ops_g)

@@ -15,12 +15,13 @@ one weight quantizer at its assigned bit-width; a 32-bit quantizer is the
 identity. Under a tape, every layer runs fake-quant values through the float
 contraction of :func:`~qsci.autodiff.conv3d` or
 :func:`~qsci.autodiff.matmul`, which training differentiates; without one
-(evaluation, calibration, the audit, a packed model) every layer, 32-bit
-ones included, runs the code-domain forward: an exact contraction of integer
-codes, or at 32 bits a float32 contraction of the float values (see
-:class:`QLayer`). A forward writes nothing to the modules:
-calibration and the structural audit see the data reaching each quantizer
-through its one-shot ``on_next`` hook (see :mod:`qsci.quantize`).
+(evaluation, calibration, the efficiency count, a packed model) every
+layer, 32-bit ones included, runs the code-domain forward: an exact
+contraction of integer codes, or at 32 bits a float32 contraction of the
+float values (see :class:`QLayer`). A forward writes nothing to the modules:
+calibration and :func:`~qsci.evaluation.count_efficiency` see the data
+reaching each quantizer through its one-shot ``on_next`` hook (see
+:meth:`QNet.forward_with_hooks` and :mod:`qsci.quantize`).
 
 A module's attributes are its registry (see :class:`Module`): Tensors are
 parameters, quantizers add their scale and zero-point, and Modules, or lists
@@ -798,7 +799,7 @@ class QNet(Module):
         self.load_state(state, QNet(make_variant("q4", **geometry)).expected_state(),
                         required=QNet(make_variant("fp32", **geometry)).expected_state())
 
-    def _forward_with_hooks(self, stack: np.ndarray, hooks):
+    def forward_with_hooks(self, stack: np.ndarray, hooks):
         """One forward of ``stack`` with each (quantizer, hook) pair armed;
         every hook is cleared afterwards, also when the forward raises."""
         try:
@@ -812,7 +813,7 @@ class QNet(Module):
     def calibrate_quantizers(self, stack: np.ndarray):
         """One forward pass that refits every quantizer range to the data
         reaching it."""
-        self._forward_with_hooks(stack, [(q, q.calibrate) for q in self.quantizers()])
+        self.forward_with_hooks(stack, [(q, q.calibrate) for q in self.quantizers()])
 
     def alpha_params(self):
         """Learnable quantizer scales (clamped positive after each step)."""
@@ -822,51 +823,3 @@ class QNet(Module):
         """(name, layer) per weight layer: forward order, but each stage's shortcuts last."""
         return [(name, m) for name, m in self.named_modules()
                 if isinstance(m, QLayer)]
-
-    def audit(self, input_hw) -> list:
-        """Structural table: every weight-bearing layer with its bit
-        assignment, parameter count and MAC-based FLOPs for the given input.
-
-        Runs one dummy forward that records each layer's input shape to
-        resolve data-dependent shapes.
-        """
-        h, w = input_hw
-        layers = self.quant_layers()
-        in_shapes = {}
-
-        def recorder(name):
-            def record(x):
-                in_shapes[name] = x.shape
-            return record
-
-        self._forward_with_hooks(np.zeros((1, 2, self.cfg.cr, h, w), dtype=np.float32),
-                                 [(layer.aq, recorder(name)) for name, layer in layers])
-        rows = []
-        for name, layer in layers:
-            if name not in in_shapes:
-                raise ShapeError(f"layer '{name}' not exercised by audit forward")
-            in_shape = in_shapes[name]
-            if isinstance(layer, QConv3d):
-                kt, kh, kw = layer.kernel
-                out_shape = conv3d_output_shape(in_shape, layer.weight.shape,
-                                                layer.stride, layer.padding)
-                positions = int(np.prod(out_shape[2:])) * out_shape[0]
-                macs = positions * layer.out_ch * layer.in_ch * kt * kh * kw
-                kind = "conv3d"
-                geometry = f"{layer.in_ch}x{layer.out_ch}x{kt}x{kh}x{kw}"
-            else:
-                tokens = int(np.prod(in_shape[:-1]))
-                macs = tokens * layer.in_features * layer.out_features
-                kind = "linear"
-                geometry = f"{layer.in_features}x{layer.out_features}"
-            rows.append({
-                "name": name,
-                "kind": kind,
-                "geometry": geometry,
-                "w_bits": layer.bits,
-                "a_bits": layer.bits,
-                "weight_params": layer.weight.size,
-                "bias_params": layer.out_features,
-                "flops": 2 * macs,
-            })
-        return rows

@@ -15,7 +15,7 @@ their input.
 
 Each quantizer can carry a one-shot hook, ``on_next``: the next
 ``fake_quant`` or ``act_quantize`` through it clears the hook and calls it
-with its input array. Calibration and the structural audit use it to see the
+with its input array. Calibration and the efficiency count use it to see the
 data reaching a quantizer without any mode flag or per-forward record.
 
 A non-finite input raises NumericError: the clip would turn an infinity
@@ -102,9 +102,9 @@ def _run_hook(q: ActQuantizer, arr: np.ndarray):
 
 
 def _pre_clip(x: np.ndarray, alpha: float, z: float) -> np.ndarray:
-    """(x - z)/alpha as a fresh float32 array; a non-positive scale is a
-    ConfigError."""
-    if alpha <= 0:
+    """(x - z)/alpha as a fresh float32 array; a scale that is not > 0
+    (NaN included) is a ConfigError."""
+    if not alpha > 0:
         raise ConfigError(f"quantizer scale must be positive, got {alpha}")
     v = x - np.float32(z)
     v /= np.float32(alpha)

@@ -10,6 +10,7 @@ bit-adjusted formulas."""
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import io
 import os
 import shutil
@@ -60,16 +61,19 @@ def work(tmp_path_factory):
 
 
 def write_data_dir(path, hw):
-    """A data dir of one T-frame clip in gen-data's layout (without the hash
-    columns), at a frame size that gen-data may refuse."""
+    """A data dir of one T-frame clip in gen-data's layout, at a frame size
+    that gen-data may refuse."""
     masks = generate_masks(5 + MASK_SEED_OFFSET, T, hw, hw)
     clip = synth_video(5, T, hw, hw)
     path.mkdir()
     np.save(path / "masks.npy", masks.masks)
     np.save(path / "clip_0000.npy", clip.frames)
     np.save(path / "meas_0000.npy", encode(clip, masks).y)
-    (path / "manifest.csv").write_text(f"{cli.MANIFEST_HEADER}\n0,clip_0000.npy,meas_0000.npy\n",
-                                       encoding="ascii")
+    digests = [hashlib.sha256((path / name).read_bytes()).hexdigest()
+               for name in ("clip_0000.npy", "meas_0000.npy")]
+    (path / "manifest.csv").write_text(
+        f"{cli.MANIFEST_HEADER}\n0,clip_0000.npy,meas_0000.npy,{','.join(digests)}\n",
+        encoding="ascii")
 
 
 def count_synthesis(monkeypatch):
@@ -446,6 +450,43 @@ class TestDataValidation:
         assert "lists index 0 twice" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("change,match", [("flip", "does not match its SHA-256"),
+                                              ("empty", "unreadable")])
+    @pytest.mark.parametrize("name", ["clip_0001.npy", "meas_0001.npy"])
+    @pytest.mark.parametrize("command,flag,ckpt", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc")])
+    def test_file_changed_after_gen_data_exits_3(self, work, tmp_path, command, flag, ckpt,
+                                                 name, change, match):
+        # a flipped low mantissa bit leaves the array finite and its shape
+        # intact, so only the manifest's SHA-256 tells
+        data = tmp_path / "data"
+        shutil.copytree(work / "data", data)
+        raw = bytearray((data / name).read_bytes())
+        if change == "flip":
+            raw[-np.load(data / name).itemsize] ^= 1
+            assert np.isfinite(np.load(io.BytesIO(raw))).all()
+        (data / name).write_bytes(raw if change == "flip" else b"")
+        rc, err = run("--workdir", work, command, flag, ckpt, "--data", data,
+                      "--out", tmp_path / "out")
+        assert rc == 3, err
+        assert str(data / name) in err and match in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
+                                                   ("eval", "--ckpt", "q4.qsc")])
+    def test_row_without_hash_columns_exits_3(self, work, tmp_path, command, flag, name):
+        data = tmp_path / "data"
+        shutil.copytree(work / "data", data)
+        header, first, second = (data / "manifest.csv").read_text(encoding="ascii").splitlines()
+        second = ",".join(second.split(",")[:3])
+        (data / "manifest.csv").write_text("\n".join([header, first, second]) + "\n",
+                                           encoding="ascii")
+        rc, err = run("--workdir", work, command, flag, name, "--data", data,
+                      "--out", tmp_path / "out")
+        assert rc == 3, err
+        assert f"{data / 'manifest.csv'} row '{second}'" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("command,flag,name", [("infer-int", "--packed", "q4.pack"),
                                                    ("eval", "--ckpt", "q4.qsc")])
@@ -694,11 +735,11 @@ class TestReport:
         lines = (tmp_path / "report.csv").read_text(encoding="ascii").splitlines()
         header, *rows, total = [line.split(",") for line in lines]
         assert header[0] == "layer" and total[0] == "total"
-        audit = {r["name"]: r for r in QNet(make_variant("q4"), seed=0).audit((16, 16))}
-        assert [r[0] for r in rows] == list(audit)
+        counted = {r["name"]: r for r in count_efficiency(make_variant("q4"), (16, 16)).rows}
+        assert [r[0] for r in rows] == list(counted)
         col = {name: i for i, name in enumerate(header)}
         for r in rows:
-            a = audit[r[0]]
+            a = counted[r[0]]
             ratio = max(int(r[col["w_bits"]]), int(r[col["a_bits"]])) / 32
             assert int(r[col["raw_params"]]) == a["weight_params"] + a["bias_params"]
             assert int(r[col["flops"]]) == a["flops"]

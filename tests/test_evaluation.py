@@ -6,7 +6,7 @@ import pytest
 import reference_impl
 from qsci.errors import ShapeError
 from qsci.evaluation import PSNR_CAP_DB, count_efficiency, psnr, ssim
-from qsci.network import QNet, make_variant
+from qsci.network import make_variant
 
 TINY = dict(base_channels=8, resdnet_blocks=1, cformer_per_block=1, heads=2, cr=2)
 
@@ -80,16 +80,32 @@ class TestEfficiency:
         assert rep.params_m * 1e6 == pytest.approx(sum(r["adj_params"] for r in rep.rows))
         assert rep.ops_g * 1e9 == pytest.approx(sum(r["adj_ops"] for r in rep.rows))
 
-    def test_audit_flops_of_a_conv_and_a_linear_row(self):
-        net = QNet(make_variant("q4", **TINY), seed=0)
-        rows = {r["name"]: r for r in net.audit((8, 8))}
+    def test_hand_count_of_each_kernel_class(self):
+        # an 8 x 16 (H x W) frame, so that a count that reads one extent
+        # twice is off; T = 2 frames and C = 8 channels throughout
+        rows = {r["name"]: r for r in count_efficiency(make_variant("q4", **TINY), (8, 16)).rows}
         # fem.conv_a: 2 -> 8 channels, 3x3x3, padding 1, stride 1 on a
-        # 1 x 2 x 8 x 8 (T x H x W) input: 128 output positions
-        assert rows["fem.conv_a"]["flops"] == 2 * 128 * 8 * 2 * 27
-        # fem.conv_b is strided (1, 2, 2): 2 x 4 x 4 = 32 positions
-        assert rows["fem.conv_b"]["flops"] == 2 * 32 * 8 * 8 * 27
+        # 2 x 8 x 16 (T x H x W) input: 256 output positions
+        assert rows["fem.conv_a"]["flops"] == 2 * 256 * 8 * 2 * 27
+        # fem.conv_b is strided (1, 2, 2): 2 x 4 x 8 = 64 positions
+        assert rows["fem.conv_b"]["flops"] == 2 * 64 * 8 * 8 * 27
+        # vrm.conv_up (k133): 8 -> 32 channels, 1x3x3, padding (0, 1, 1) on
+        # the strided 2 x 4 x 8 features: 64 positions
+        assert rows["vrm.conv_up"]["flops"] == 2 * 64 * 32 * 8 * 9
+        assert rows["vrm.conv_up"]["geometry"] == "8x32x1x3x3"
+        # block0.cf0.fuse (k111): the concat of two branches, 16 -> 8
+        # channels, at the same 64 positions
+        assert rows["block0.cf0.fuse"]["flops"] == 2 * 64 * 8 * 16
+        assert rows["block0.cf0.fuse"]["geometry"] == "16x8x1x1x1"
         # q_proj: one token per (H, W) position after the strided stage and
-        # per frame, 4 * 4 * 2 = 32 tokens of 8 -> 8 features
-        assert rows["block0.cf0.attn.q_proj"]["flops"] == 2 * 32 * 8 * 8
+        # per frame, 4 * 8 * 2 = 64 tokens of 8 -> 8 features
+        assert rows["block0.cf0.attn.q_proj"]["flops"] == 2 * 64 * 8 * 8
+        assert rows["block0.cf0.attn.q_proj"]["geometry"] == "8x8"
         assert rows["block0.cf0.attn.q_proj"]["kind"] == "linear"
+        assert rows["fem.conv_a"]["kind"] == "conv3d"
         assert rows["fem.conv_a"]["w_bits"] == rows["fem.conv_a"]["a_bits"] == 4
+        # 4 of 32 bits: weights and FLOPs scale by 1/8, the bias stays
+        conv_a = rows["fem.conv_a"]
+        assert (conv_a["weight_params"], conv_a["bias_params"]) == (8 * 2 * 27, 8)
+        assert conv_a["adj_params"] == 8 * 2 * 27 / 8 + 8
+        assert conv_a["adj_ops"] == conv_a["flops"] / 8

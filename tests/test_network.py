@@ -13,6 +13,7 @@ import reference_impl as ref
 from qsci import cli, network
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
+from qsci.evaluation import count_efficiency
 from qsci.network import (BACKBONE, CFormerBlock, LayerNorm, Module, QConv3d, QLinear,
                           QNet, QNetConfig, ShiftedAttention, _gelu_by_accumulator, check_state,
                           every_stage, make_variant, parse_fingerprint)
@@ -489,6 +490,8 @@ class TestResidualStructure:
 
 
 class TestAudit:
+    """The network's cost table: one ``count_efficiency`` row per weight layer."""
+
     def test_every_body_layer_has_one_quantizer_pair(self):
         net = QNet(make_variant("q4", **TINY), seed=0)
         for name, layer in net.quant_layers():
@@ -497,9 +500,8 @@ class TestAudit:
 
     def test_audit_lists_all_layers_with_bits(self):
         cfg = make_variant("q4", **TINY)
-        net = QNet(cfg, seed=0)
-        rows = net.audit((8, 8))
-        assert len(rows) == len(net.quant_layers())
+        rows = count_efficiency(cfg, (8, 8)).rows
+        assert [r["name"] for r in rows] == [name for name, _ in QNet(cfg).quant_layers()]
         by_name = {r["name"]: r for r in rows}
         assert by_name["fem.conv_a"]["w_bits"] == 4
         assert by_name["fem.short_a"]["w_bits"] == 8
@@ -507,8 +509,7 @@ class TestAudit:
 
     def test_stage_bit_overrides(self):
         cfg = tiny_cfg(fem_bits=4, enh_bits=8, vrm_bits=8)
-        net = QNet(cfg, seed=0)
-        rows = {r["name"]: r for r in net.audit((8, 8))}
+        rows = {r["name"]: r for r in count_efficiency(cfg, (8, 8)).rows}
         assert rows["fem.conv_a"]["w_bits"] == 4
         assert rows["vrm.conv_up"]["w_bits"] == 8
         assert rows["block0.cf0.conv"]["w_bits"] == 8
@@ -698,7 +699,7 @@ class TestOneTapeFreeRoute:
         monkeypatch.setattr(ad, "conv3d", refuse)
         net.reconstruct(meas[0], masks)
         net.calibrate_quantizers(stack)
-        net.audit((16, 16))
+        count_efficiency(net.cfg, (16, 16))
         with Tape(), pytest.raises(RuntimeError, match="conv3d reached"):
             net.forward_stack(Tensor(stack))       # the taped forward does run it
 
@@ -876,8 +877,9 @@ class TestCheckState:
 
 
 class TestQuantizerHooks:
-    """Calibration and the audit see each quantizer's input through a one-shot
-    hook; nothing stays armed and a forward writes nothing to the modules."""
+    """Calibration and the efficiency count see each quantizer's input
+    through a one-shot hook; nothing stays armed and a forward writes nothing
+    to the modules."""
 
     @staticmethod
     def stack():
@@ -988,7 +990,7 @@ class TestRegistry:
         shortcut convs, assigned after its main convs, follow them."""
         net = QNet(make_variant(variant, **TINY), seed=0)
         reached = []
-        net._forward_with_hooks(
+        net.forward_with_hooks(
             np.zeros((1, 2, TINY["cr"], 8, 8), np.float32),
             [(layer.aq, lambda x, name=name: reached.append(name))
              for name, layer in net.quant_layers()])

@@ -347,12 +347,22 @@ class TestInstallChecks:
         with_kernel = {name for name, layer in net.quant_layers() if layer.int_kernel}
         assert with_kernel == {name for name, _ in packed_layers(net)} != set()
 
-    def test_audit_of_installed_model_matches_float_model(self):
-        # the audit sees each layer's input through its activation quantizer,
+    def test_hooks_see_installed_model_inputs_as_float_model(self):
+        # a hook sees each layer's input through its activation quantizer,
         # which an integer kernel reaches through act_quantize
+        def input_shapes(net):
+            shapes = {}
+            net.forward_with_hooks(
+                np.zeros((1, 2, net.cfg.cr, 8, 8), np.float32),
+                [(layer.aq, lambda x, name=name: shapes.update({name: x.shape}))
+                 for name, layer in net.quant_layers()])
+            return shapes
+
         net = tiny_q4()
         install_packed(net, pack_model(tiny_q4()))
-        assert net.audit((8, 8)) == tiny_q4().audit((8, 8))
+        shapes = input_shapes(net)
+        assert shapes == input_shapes(tiny_q4())
+        assert len(shapes) == len(net.quant_layers())
         assert all(q.on_next is None for q in net.quantizers())
 
 

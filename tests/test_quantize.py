@@ -49,10 +49,11 @@ class TestClipRange:
 
 
 class TestNonPositiveScale:
-    """A scale of 0 or below is a ConfigError from both quantizing paths, for
-    an activation quantizer and a symmetric weight quantizer alike."""
+    """A scale that is not > 0 (0, below 0 or NaN) is a ConfigError from both
+    quantizing paths, for an activation quantizer and a symmetric weight
+    quantizer alike."""
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, np.nan])
     @pytest.mark.parametrize("make", [make_act, make_weight], ids=["act", "weight"])
     @pytest.mark.parametrize("quantize", [
         act_quantize, lambda x, q: fake_quant(Tensor(x), q)], ids=["act_quantize", "fake_quant"])
