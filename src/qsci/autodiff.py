@@ -15,17 +15,21 @@ it is a leaf that requires grad; else ``None``. The sink is fixed when the
 input is recorded, so ``requires_grad`` is read then, not at ``backward``.
 A node's backward rule closes over the arrays it reads and nothing else, so
 an input that no rule reads is freed as soon as its caller drops it. The
-data-movement ops and ``add`` keep no array; ``softmax`` keeps its output,
-``layer_norm`` its centred input, each row's deviation and its gain, and
-``training.mse_loss`` the difference of its operands. ``matmul``,
-``gelu``, ``leaky_relu`` and ``clamp`` keep their input arrays; ``gelu``
-keeps its ``Phi(x)`` too, and ``leaky_relu`` and ``clamp`` keep no mask and
-recompute it. ``conv3d`` keeps its input and weight and rebuilds its im2col
-patch matrices in backward; ``quantize.fake_quant`` keeps its input, scale
-and zero-point and rebuilds the pre-clip value and the codes. Both skip
-``x``'s gradient, and no other, when ``x`` does not require grad. No conv
-pads its input: a patch matrix holds zeros where a tap reads outside it
-(:func:`sample_patches`).
+data-movement ops and ``add`` keep no array; ``softmax`` and ``leaky_relu``
+keep their outputs, ``layer_norm`` its centred input, each row's deviation
+and its gain, and ``training.mse_loss`` the difference of its operands.
+``gelu`` and ``clamp`` keep their input arrays, ``gelu`` its ``Phi(x)`` too
+(recomputing ``erf`` costs time); ``leaky_relu`` and ``clamp`` keep no mask
+and recompute it. ``quantize.fake_quant`` keeps its input, scale and
+zero-point, rebuilds the pre-clip value and the codes in backward, and gives
+its recorded output a :attr:`Tensor.rebuild` of its array. ``matmul`` and
+``conv3d`` keep each operand's rebuild if it has one, else its array
+(:func:`_reader`), so the tape keeps no dequantized operand; the attention
+core's transposed query and key operands have no rebuild and are kept.
+``conv3d`` rebuilds its im2col patch matrices in backward. It and
+``fake_quant`` skip ``x``'s gradient, and no other, when ``x`` does not
+require grad. No conv pads its input: a patch matrix holds zeros where a tap
+reads outside it (:func:`sample_patches`).
 
 Each array is scanned for NaN/Inf once. Every arithmetic op scans its
 output, raises :class:`~qsci.errors.NumericError` on a non-finite value and
@@ -111,9 +115,13 @@ def active_tape() -> Optional[Tape]:
 class Tensor:
     """A dense float32 array, optionally participating in the active tape.
     Made from another Tensor, it shares that tensor's array but not its
-    tape node or scan mark."""
+    tape node, scan mark or rebuild.
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "_scanned")
+    ``rebuild`` is ``None`` except on a ``fake_quant`` output recorded on a
+    tape, where it is a zero-argument function that recomputes ``data``, bit
+    for bit, from what that node keeps anyway (see :func:`_reader`)."""
+
+    __slots__ = ("data", "requires_grad", "grad", "node", "rebuild", "_scanned")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -125,6 +133,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[Node] = None
+        self.rebuild = None
         self._scanned = None
 
     @property
@@ -181,6 +190,16 @@ def _finish(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn, name: s
     return out
 
 
+def _reader(t: Tensor):
+    """A zero-argument function that gives ``t``'s array in backward: its
+    rebuild, if it has one, so that a rule keeps no dequantized copy; else a
+    closure over the array."""
+    if t.rebuild is not None:
+        return t.rebuild
+    data = t.data
+    return lambda: data
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
     if g.shape == shape:
@@ -209,13 +228,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor) -> Tensor:
     """``x`` where positive, else ``x * 0.01``. As the slope lies in [0, 1],
-    that is ``max(x, x * 0.01)``, bit for bit, signed zeros included."""
+    that is ``max(x, x * 0.01)``, bit for bit, signed zeros included. The
+    tape keeps the output: ``out > 0`` is ``x > 0`` for every finite ``x``,
+    as a zero or an underflow to ``-0.0`` fails both."""
     ns = np.float32(0.01)
     xd = x.data
     out = np.maximum(xd, xd * ns)
 
     def bwd(g):
-        return (np.where(xd > 0, g, g * ns),)
+        return (np.where(out > 0, g, g * ns),)
 
     return _finish(out, (x,), bwd, "leaky_relu")
 
@@ -335,6 +356,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` over broadcast batch axes; the tape keeps each operand
+    through :func:`_reader`."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
@@ -342,10 +365,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner extents differ: {a.shape[-1]} (last axis of a) vs "
             f"{b.shape[-2]} (second-to-last axis of b)"
         )
-    a_data, b_data = a.data, b.data
-    out = a_data @ b_data
+    read_a, read_b = _reader(a), _reader(b)
+    out = a.data @ b.data
 
     def bwd(g):
+        a_data, b_data = read_a(), read_b()
         ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
         gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
         return ga, gb
@@ -460,10 +484,12 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 
 
     Each sample is one GEMM against its patch matrix (:func:`sample_patches`;
     for an unpadded 1x1x1 unit-stride kernel, a view of the input). The tape
-    keeps only the input and weight arrays: the backward pass rebuilds each
-    sample's patch matrix the same way and sums the per-sample weight
-    gradients in sample order, so the result is bit for bit that of one
-    batched GEMM and an axis-0 sum. The input gradient scatter-adds the
+    keeps only the input and weight, each through :func:`_reader`, so a
+    ``fake_quant`` operand is rebuilt in backward. The backward pass rebuilds
+    each sample's patch matrix the same way (the 1x1x1 view too, as a view
+    kept from the forward would keep its array) and sums the per-sample
+    weight gradients in sample order, so the result is bit for bit that of
+    one batched GEMM and an axis-0 sum. The input gradient scatter-adds the
     transposed GEMM back into the input, tap by tap, or is itself a conv
     (see below), one GEMM per sample. For an input that does not require
     grad when the conv is recorded, it is ``None`` and neither is built.
@@ -478,14 +504,14 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 
     geometry = ((kt, kh, kw), stride, padding)
 
     xd, wd = x.data, w.data
+    read_x, read_w = _reader(x), _reader(w)
     need_dx = x.requires_grad
     w2 = wd.reshape(o, c * k3)
     unit_stride = stride == (1, 1, 1)
-    if unit_stride and k3 == 1 and not any(padding):
-        patches = xd.reshape(n, c, p_count)   # the kernel sees each voxel once
-        out = w2 @ patches
+    pointwise = unit_stride and k3 == 1 and not any(padding)
+    if pointwise:
+        out = w2 @ xd.reshape(n, c, p_count)   # the kernel sees each voxel once
     else:
-        patches = None
         out = np.empty((n, o, p_count), dtype=np.float32)
         for i, patches_i in enumerate(sample_patches(xd, *geometry)):
             np.matmul(w2, patches_i, out=out[i])
@@ -499,8 +525,10 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 
                   and pt <= kt - 1 and ph <= kh - 1 and pw <= kw - 1)
 
     def bwd(g):
+        xd, wd = read_x(), read_w()
+        w2 = wd.reshape(o, c * k3)
         gm = g.reshape(n, o, p_count)
-        each = patches if patches is not None else sample_patches(xd, *geometry)
+        each = xd.reshape(n, c, p_count) if pointwise else sample_patches(xd, *geometry)
         terms = (gi @ pi.T for gi, pi in zip(gm, each))
         dw = next(terms)
         for term in terms:
@@ -508,7 +536,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 
         dw = dw.reshape(wd.shape)
         if not need_dx:
             dx = None
-        elif patches is not None:
+        elif pointwise:
             # channel GEMM: the patch gradient is the input gradient
             dx = (w2.T @ gm).reshape(xd.shape)
         elif dx_as_conv:

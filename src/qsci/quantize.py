@@ -172,7 +172,10 @@ def fake_quant(x: Tensor, q) -> Tensor:
     zero-point: the backward recomputes the pre-clip value from the input,
     with the forward's scale and zero-point, and the codes from that. For an
     input that does not require grad when it is recorded, the input gradient
-    is ``None`` and is not computed.
+    is ``None`` and is not computed. A recorded output's
+    :attr:`~qsci.autodiff.Tensor.rebuild` runs the forward's float32 steps
+    again on what the tape keeps, so it gives the output's bits, and a
+    ``conv3d`` or ``matmul`` that reads the output keeps that, not the array.
 
     LSQ (Esser et al., arXiv 1902.08153) also multiplies the scale gradient
     by 1/sqrt(N * q_p); that factor is omitted on purpose. Every scale is its
@@ -190,10 +193,13 @@ def fake_quant(x: Tensor, q) -> Tensor:
     alpha = float(q.alpha.data[0])
     z = float(q.z.data[0])
     q_n, q_p = q.q_n, q.q_p
-    out = _pre_clip(xd, alpha, z)
-    _codes(out, q, out=out)
-    out *= np.float32(alpha)
-    out += np.float32(z)
+
+    def dequant():
+        out = _pre_clip(xd, alpha, z)
+        _codes(out, q, out=out)
+        out *= np.float32(alpha)
+        out += np.float32(z)
+        return out
 
     def bwd(g):
         v = _pre_clip(xd, alpha, z)
@@ -209,4 +215,7 @@ def fake_quant(x: Tensor, q) -> Tensor:
         dz = np.array([np.multiply(g, clipped, out=codes).sum()], dtype=np.float32)
         return dx, dalpha, dz
 
-    return ad._finish(out, (x, q.alpha, q.z), bwd, "fake_quant")
+    out = ad._finish(dequant(), (x, q.alpha, q.z), bwd, "fake_quant")
+    if out.node is not None:
+        out.rebuild = dequant
+    return out

@@ -1,0 +1,133 @@
+"""Mutation check of Tier-1: a registry of mutants, each one edit of one
+source snippet, and a runner that reports which of them Tier-1 kills.
+
+    python tests/mutants.py [--out mutants.csv]
+
+The runner first runs Tier-1 on an unedited copy of the tree, and stops if
+that fails. Then, for each mutant in turn, it copies the tree to a temporary
+directory, replaces the snippet there and runs Tier-1 there with ``-x``; the
+checkout itself is never edited. A mutant is killed when that run fails, or
+when it runs longer than ``TIMEOUT`` seconds. The CSV gets one row per
+mutant: its name, whether it was killed, the first failing test, the run's
+wall time and what a test that kills it pins.
+
+This is a script, not a pytest module, so it is not part of Tier-1; it uses
+the standard library only. ``tests/test_source.py`` checks that each snippet
+occurs exactly once in its file, so a change that moves or deletes a
+mutated line updates the registry with it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 900.0     # seconds per Tier-1 run; a hanging mutant counts as killed
+TIER1 = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+NOT_COPIED = shutil.ignore_patterns(".git", ".perfbench", "__pycache__", ".pytest_cache",
+                                    ".hypothesis", ".benchmarks", "mutants.csv")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str           # relative to the root of the tree
+    snippet: str        # occurs exactly once in the file
+    replacement: str
+    why: str            # what a test that kills it pins
+
+
+MUTANTS = (
+    Mutant("alpha_guard_weakened", "src/qsci/quantize.py",
+           "if not alpha > 0:", "if alpha < 0:",
+           "a zero scale is refused, not divided by"),
+    Mutant("alpha_guard_deleted", "src/qsci/quantize.py",
+           "if not alpha > 0:", "if False:",
+           "a scale that is not > 0, NaN included, is a ConfigError"),
+    Mutant("pgm_floor", "src/qsci/cli.py",
+           "np.rint(frame * 255.0)", "np.floor(frame * 255.0)",
+           "a dumped frame rounds to the nearest 8-bit level"),
+    Mutant("rebuild_skips_clip", "src/qsci/quantize.py",
+           "out.rebuild = dequant",
+           "out.rebuild = lambda: np.rint(_pre_clip(xd, alpha, z)) * np.float32(alpha)"
+           " + np.float32(z)",
+           "a rebuilt fake_quant output has the forward's bits, clipped codes included"),
+    Mutant("leaky_relu_grad_at_zero", "src/qsci/autodiff.py",
+           "np.where(out > 0, g, g * ns)", "np.where(out >= 0, g, g * ns)",
+           "at a zero input leaky_relu passes the gradient times the slope"),
+    Mutant("conv_reads_quantizer_input", "src/qsci/quantize.py",
+           "out.rebuild = dequant", "out.rebuild = lambda: xd",
+           "conv3d and matmul differentiate with the dequantized operand"),
+)
+
+
+def first_failure(stdout: str) -> str:
+    """The test id of the first FAILED or ERROR line of pytest's summary."""
+    for line in stdout.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                return line[len(tag):].split(" - ")[0]
+    return ""
+
+
+def run_tier1(tree: Path):
+    """(passed, first failing test, seconds) of Tier-1 with ``-x`` in ``tree``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, timeout=TIMEOUT,
+                              capture_output=True, text=True)
+    except subprocess.TimeoutExpired:
+        return False, "timeout", time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    if proc.returncode == 0:
+        return True, "", seconds
+    return False, first_failure(proc.stdout) or f"exit {proc.returncode}", seconds
+
+
+def mutated_copy(mutant, work: Path) -> Path:
+    """A copy of the tree in ``work`` with ``mutant`` applied."""
+    tree = work / "tree"
+    shutil.copytree(ROOT, tree, ignore=NOT_COPIED)
+    if mutant is not None:
+        path = tree / mutant.path
+        path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
+    return tree
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", default="mutants.csv", help="CSV to write")
+    args = ap.parse_args(argv)
+
+    rows = []
+    for mutant in [None, *MUTANTS]:
+        with tempfile.TemporaryDirectory(prefix="qsci-mutant-") as work:
+            passed, failure, seconds = run_tier1(mutated_copy(mutant, Path(work)))
+        if mutant is None:
+            if not passed:
+                raise SystemExit(f"Tier-1 fails on the unedited tree: {failure}")
+            continue
+        rows.append({"mutant": mutant.name, "killed": int(not passed),
+                     "first_failure": failure, "seconds": f"{seconds:.1f}", "why": mutant.why})
+        print(f"{mutant.name}: {'killed by ' + failure if not passed else 'SURVIVED'}",
+              flush=True)
+    with open(args.out, "w", newline="", encoding="ascii") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -10,9 +11,10 @@ import pytest
 
 import qsci.autodiff as ad
 import reference_impl
+from qsci import network
 from qsci.autodiff import Tape, Tensor, backward
 from qsci.errors import NumericError, ShapeError
-from qsci.network import QConv3d
+from qsci.network import QConv3d, ShiftedAttention
 from qsci.quantize import ActQuantizer, fake_quant
 from qsci.sci import initial_estimate
 from qsci.training import mse_loss
@@ -84,6 +86,17 @@ def fd_check(make_loss, tensors, h=1e-2, rtol=1e-3, atol=2e-4, skip=None):
             assert abs(fd - an) <= atol + rtol * max(abs(fd), abs(an)), (
                 f"grad mismatch at {i}: fd={fd} analytic={an}"
             )
+
+
+def closure_arrays(fn):
+    """Every array that function ``fn`` closes over, also through the
+    functions it closes over."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, types.FunctionType):
+            yield from closure_arrays(value)
 
 
 def weighted(out, rng):
@@ -323,6 +336,54 @@ class TestTapeFootprint:
         out, held = self.held_after(lambda: ad.clamp(x, -0.5, 0.5))
         # a boolean mask would hold one byte per element
         assert held - out.data.nbytes < x.data.size
+
+    @staticmethod
+    def taped_network(net):
+        """(tape, array bytes still allocated) after a taped forward of
+        ``net``. Only numpy's array data is counted: a q4 tape has more
+        nodes, whose closures are not arrays."""
+        masks, _, meas = small_inputs()
+        stack = Tensor(np.concatenate([initial_estimate(m, masks) for m in meas]))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                net.forward_stack(stack)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        return tape, sum(trace.size for trace in arrays.traces)
+
+    def test_quantized_tape_adds_only_the_attention_quantizer_inputs(self):
+        _, fp32 = self.taped_network(calibrated_net("fp32"))
+        net = calibrated_net("q4_baseline")
+        inputs = []
+        attention = [q for _, m in net.named_modules() if isinstance(m, ShiftedAttention)
+                     for q in (m.qq, m.kq, m.pq)]
+        for q in attention:
+            q.on_next = lambda arr: inputs.append(arr.nbytes)
+        _, q4 = self.taped_network(net)
+        assert len(inputs) == len(attention) > 0
+        # every other fake_quant keeps the array its conv or linear keeps
+        # in fp32, and that layer keeps a rebuild of the dequantized copy
+        assert q4 <= fp32 + sum(inputs)
+
+    @pytest.mark.parametrize("variant", ["q4_baseline", "q4"])
+    def test_no_rule_closes_over_a_fake_quant_output(self, monkeypatch, variant):
+        outputs = []
+
+        def recording(x, q):
+            out = fake_quant(x, q)
+            if out is not x:
+                outputs.append(out.data)
+            return out
+
+        monkeypatch.setattr(network, "fake_quant", recording)
+        tape, _ = self.taped_network(calibrated_net(variant))
+        assert len(outputs) > 0
+        for node in tape.nodes:
+            for arr in closure_arrays(node.backward_fn):
+                assert not any(np.may_share_memory(arr, out) for out in outputs), node.name
 
     def test_fake_quant_keeps_no_array_of_its_own(self):
         rng = np.random.default_rng(22)
@@ -763,9 +824,18 @@ READ = {
     "conv3d": lambda x: ad.conv3d(x, _LEAVES["w"], _LEAVES["b"], padding=(1, 1, 1)),
     "matmul": lambda x: ad.matmul(x, _LEAVES["m"]),
     "gelu": ad.gelu,
-    "leaky_relu": ad.leaky_relu,
     "clamp": lambda x: ad.clamp(x, -0.5, 0.5),
     "fake_quant": lambda x: fake_quant(x, _QUANT),
+}
+# ops whose backward rules read their output, and nothing of the input
+OUTPUT_READ = {
+    "leaky_relu": ad.leaky_relu,
+    "softmax": lambda x: ad.softmax(x, 1.0),
+}
+# ops that read a fake_quant output, which they rebuild in backward
+REBUILT = {
+    "conv3d": READ["conv3d"],
+    "matmul": READ["matmul"],
 }
 
 
@@ -776,28 +846,44 @@ class TestGradientSinks:
     lives until ``backward``."""
 
     @staticmethod
-    def taped(op):
-        """(weak reference to the data of ``x``, loss) of a taped
-        ``sum_(op(x))``, where ``x`` is made on the tape, so that its sink is
-        its node. Nothing but the tape refers to ``x`` or ``op(x)``."""
+    def taped(op, reader=lambda y: y):
+        """(weak references to the data of ``x`` and of ``y = op(x)``, loss)
+        of a taped ``sum_(reader(y))``, where ``x`` is made on the tape, so
+        that its sink is its node. Nothing but the tape refers to ``x`` or
+        ``y``."""
         leaf = Tensor(_RNG.standard_normal(_SHAPE).astype(np.float32), requires_grad=True)
         with Tape():
             x = leaf + leaf
-            loss = reference_impl.sum_(op(x))
-        return weakref.ref(x.data), loss
+            y = op(x)
+            loss = reference_impl.sum_(reader(y))
+        return weakref.ref(x.data), weakref.ref(y.data), loss
 
     @pytest.mark.parametrize("name", list(UNREAD))
     def test_unread_input_is_freed_before_backward(self, no_gc, name):
-        ref, loss = self.taped(UNREAD[name])
+        ref, _, loss = self.taped(UNREAD[name])
         assert ref() is None
         backward(loss)
 
     @pytest.mark.parametrize("name", list(READ))
     def test_read_input_lives_until_backward(self, no_gc, name):
-        ref, loss = self.taped(READ[name])
+        ref, _, loss = self.taped(READ[name])
         assert ref() is not None
         backward(loss)
         assert ref() is None
+
+    @pytest.mark.parametrize("name", list(OUTPUT_READ))
+    def test_read_output_lives_until_backward_and_input_dies(self, no_gc, name):
+        x_ref, out_ref, loss = self.taped(OUTPUT_READ[name])
+        assert x_ref() is None and out_ref() is not None
+        backward(loss)
+        assert out_ref() is None
+
+    @pytest.mark.parametrize("name", list(REBUILT))
+    def test_fake_quant_output_dies_and_its_input_lives_until_backward(self, no_gc, name):
+        x_ref, fq_ref, loss = self.taped(lambda x: fake_quant(x, _QUANT), REBUILT[name])
+        assert fq_ref() is None and x_ref() is not None
+        backward(loss)
+        assert x_ref() is None
 
     @pytest.mark.parametrize("variant", ["fp32", "q4"])
     def test_network_nodes_hold_only_sinks(self, variant):
@@ -877,6 +963,58 @@ class TestNoGradientForAConstantInput:
         assert got.keys() == want.keys()
         for name in got:
             assert got[name] is not None and same_bits(got[name], want[name]), name
+
+
+class TestRebuiltOperands:
+    """``conv3d`` and ``matmul`` read an operand that ``fake_quant`` made on
+    the tape through its rebuild: every gradient has the bytes of the same
+    rule on plain Tensors that hold the same arrays."""
+
+    @staticmethod
+    def assert_same_gradients(op, x_arr, w_arr):
+        """The rule's gradients for operands that ``fake_quant`` makes from
+        ``x_arr`` and ``w_arr`` on a tape have the bytes of those for plain
+        Tensors that hold copies of the dequantized arrays."""
+        qx, qw = ActQuantizer(4), ActQuantizer(4, symmetric=True)
+        qx.calibrate(x_arr * 0.5)     # some inputs clip
+        qw.calibrate(w_arr * 0.5)
+        with Tape():
+            xq = fake_quant(Tensor(x_arr, requires_grad=True), qx)
+            wq = fake_quant(Tensor(w_arr, requires_grad=True), qw)
+            out = op(xq, wq)
+        assert xq.rebuild is not None and wq.rebuild is not None
+        with Tape():
+            plain = op(Tensor(xq.data.copy(), requires_grad=True),
+                       Tensor(wq.data.copy(), requires_grad=True))
+        assert plain.data.tobytes() == out.data.tobytes()
+        g = np.random.default_rng(35).standard_normal(out.shape).astype(np.float32)
+        got, want = out.node.backward_fn(g), plain.node.backward_fn(g)
+        assert len(got) == len(want)
+        for a, e in zip(got, want):
+            assert a.shape == e.shape and a.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("o,kshape,stride,padding", [
+        (4, (1, 1, 1), (1, 1, 1), (0, 0, 0)),   # channel GEMM
+        (3, (3, 3, 3), (1, 1, 1), (1, 1, 1)),   # input gradient as a conv
+        (6, (3, 3, 3), (1, 1, 1), (1, 1, 1)),   # scatter-add
+        (3, (1, 3, 3), (1, 2, 2), (0, 1, 1)),   # scatter-add, strided
+    ], ids=["k111", "as-conv", "scatter", "strided"])
+    def test_conv3d(self, o, kshape, stride, padding):
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((2, 4, 4, 6, 6)).astype(np.float32)
+        w = rng.standard_normal((o, 4) + kshape).astype(np.float32)
+        b = Tensor(rng.standard_normal(o).astype(np.float32), requires_grad=True)
+        self.assert_same_gradients(lambda t, k: ad.conv3d(t, k, b, stride, padding), x, w)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((3, 5, 4), (4, 6)),               # tokens times a weight, as QLinear
+        ((2, 2, 4, 4), (2, 2, 4, 3)),      # batched, as the attention core
+    ])
+    def test_matmul(self, a_shape, b_shape):
+        rng = np.random.default_rng(36)
+        a = rng.standard_normal(a_shape).astype(np.float32)
+        b = rng.standard_normal(b_shape).astype(np.float32)
+        self.assert_same_gradients(ad.matmul, a, b)
 
 
 class TestFiniteDifferences:

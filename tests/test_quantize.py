@@ -388,6 +388,39 @@ class TestMatchesMaskedFormula:
             assert np.array_equal(q.z.grad, ref_dz)
 
 
+class TestRebuild:
+    """Under a tape a fake_quant output carries a rebuild that recomputes its
+    array, bit for bit, from the input, scale and zero-point the node keeps;
+    off the tape it carries none."""
+
+    @pytest.mark.parametrize("bits", LOW_BITS)
+    @pytest.mark.parametrize("kind", ["act", "weight"])
+    def test_rebuilt_bytes_equal_the_forward(self, bits, kind):
+        rng = np.random.default_rng(100 + bits)
+        alpha, z = 0.375, (-0.625 if kind == "act" else 0.0)
+        q = make_act(bits, alpha, z) if kind == "act" else make_weight(bits, alpha)
+        ties = np.arange(-q.q_n - 3, q.q_p + 3, dtype=np.float32) + np.float32(0.5)
+        spread = rng.uniform(-3.0 * q.q_n, 3.0 * q.q_p, 500).astype(np.float32)
+        x_arr = np.float32(z) + np.float32(alpha) * np.concatenate([ties, spread])
+        v = (x_arr - np.float32(z)) / np.float32(alpha)
+        assert (v < -q.q_n).any() and (v > q.q_p).any()
+        in_range = (v >= -q.q_n) & (v <= q.q_p)
+        assert (in_range & (v - np.floor(v) == 0.5)).sum() >= q.q_p
+
+        x = Tensor(x_arr, requires_grad=True)
+        with Tape():
+            out = fake_quant(x, q)
+        rebuilt = out.rebuild()
+        assert rebuilt is not out.data
+        assert rebuilt.dtype == np.float32 and rebuilt.tobytes() == out.data.tobytes()
+
+    def test_no_rebuild_off_the_tape_or_at_32_bits(self):
+        x = Tensor(np.linspace(-2.0, 2.0, 9, dtype=np.float32), requires_grad=True)
+        assert fake_quant(x, make_act(4, 0.25)).rebuild is None
+        with Tape():
+            assert fake_quant(x, ActQuantizer(32)).rebuild is None
+
+
 class TestQLinear:
     """The code-domain identity of a quantized linear layer, through the
     integer kernel that runs it:

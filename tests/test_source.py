@@ -5,7 +5,8 @@ reads the process environment or holds an ``assert``, and a training step
 records every differentiable op the package defines: an op that training
 never records is a capability no command uses, and its gradient rule is
 code that never runs. The only data-movement ops are ``reshape``,
-``transpose`` and ``concat``."""
+``transpose`` and ``concat``. Each mutant of ``tests/mutants.py`` names a
+snippet that occurs once in its file."""
 
 import ast
 import re
@@ -198,3 +199,15 @@ def test_data_movement_ops_are_reshape_transpose_concat():
             if key == "_finish" and _literal(_arg(call, 4, "scan")) == (True, False):
                 movers.add(_literal(_arg(call, 3, "name"))[1])
     assert movers == {"reshape", "transpose", "concat"}
+
+
+def test_each_mutant_snippet_occurs_once():
+    """Every mutant of ``tests/mutants.py`` edits one snippet that occurs
+    exactly once in its file, so the runner mutates the line it names."""
+    import mutants
+
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(names) == len(set(names))
+    for m in mutants.MUTANTS:
+        assert m.snippet != m.replacement, m.name
+        assert (ROOT / m.path).read_text().count(m.snippet) == 1, m.name
