@@ -22,14 +22,15 @@ and its gain, and ``training.mse_loss`` the difference of its operands.
 (recomputing ``erf`` costs time); ``leaky_relu`` and ``clamp`` keep no mask
 and recompute it. ``quantize.fake_quant`` keeps its input, scale and
 zero-point, rebuilds the pre-clip value and the codes in backward, and gives
-its recorded output a :attr:`Tensor.rebuild` of its array. ``matmul`` and
-``conv3d`` keep each operand's rebuild if it has one, else its array
-(:func:`_reader`), so the tape keeps no dequantized operand; the attention
-core's transposed query and key operands have no rebuild and are kept.
-``conv3d`` rebuilds its im2col patch matrices in backward. It and
-``fake_quant`` skip ``x``'s gradient, and no other, when ``x`` does not
-require grad. No conv pads its input: a patch matrix holds zeros where a tap
-reads outside it (:func:`sample_patches`).
+its recorded output a :attr:`Tensor.rebuild` of its array. ``matmul``,
+``linear`` and ``conv3d`` keep each operand's rebuild if it has one, else
+its array (:func:`_reader`), so the tape keeps no dequantized operand; the
+attention core's transposed query and key operands have no rebuild and are
+kept. ``linear`` and ``conv3d`` record a value their caller computed (a
+layer's code-domain forward) and compute none; ``conv3d`` builds its im2col
+patch matrices in backward only, padding no input (:func:`sample_patches`).
+It and ``fake_quant`` skip ``x``'s gradient, and no other, when ``x`` does
+not require grad.
 
 Each array is scanned for NaN/Inf once. Every arithmetic op scans its
 output, raises :class:`~qsci.errors.NumericError` on a non-finite value and
@@ -366,15 +367,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"{b.shape[-2]} (second-to-last axis of b)"
         )
     read_a, read_b = _reader(a), _reader(b)
-    out = a.data @ b.data
 
     def bwd(g):
-        a_data, b_data = read_a(), read_b()
-        ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
-        gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
-        return ga, gb
+        return _matmul_grads(g, read_a(), read_b())
 
-    return _finish(out, (a, b), bwd, "matmul")
+    return _finish(a.data @ b.data, (a, b), bwd, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, bias: Tensor, out: np.ndarray) -> Tensor:
+    """The tape node of ``x @ w + bias``, whose value ``out`` the caller
+    computed; it computes no forward. Its backward runs the ops of
+    :func:`matmul`'s rule and :func:`add`'s, so its gradients have their
+    bits; the tape keeps ``x`` and ``w`` through :func:`_reader`."""
+    read_x, read_w = _reader(x), _reader(w)
+    bias_shape = bias.shape
+
+    def bwd(g):
+        return _matmul_grads(g, read_x(), read_w()) + (_unbroadcast(g, bias_shape),)
+
+    return _finish(out, (x, w, bias), bwd, "linear")
+
+
+def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The gradients of ``a @ b``'s operands for its output gradient ``g``."""
+    return (_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
+            _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
 
 
 def softmax(x: Tensor, scale: float) -> Tensor:
@@ -409,7 +426,7 @@ def _reduce_last(ufunc, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 3-D convolution (cross-correlation), im2col + GEMM
+# 3-D convolution (cross-correlation): geometry, patches and the tape node
 # ---------------------------------------------------------------------------
 
 def conv3d_output_shape(in_shape, w_shape, stride, padding):
@@ -478,21 +495,20 @@ def sample_patches(x: np.ndarray, kshape, stride, padding):
         yield flat
 
 
-def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
-    """Cross-correlation of [N,C,T,H,W] input with [O,C,kt,kh,kw] kernels,
-    plus a per-output-channel ``bias``.
+def conv3d(x: Tensor, w: Tensor, bias: Tensor, out: np.ndarray, stride, padding) -> Tensor:
+    """The tape node of a cross-correlation of [N,C,T,H,W] input with
+    [O,C,kt,kh,kw] kernels plus a per-output-channel ``bias``, whose value
+    ``out`` the caller computed; it computes no forward.
 
-    Each sample is one GEMM against its patch matrix (:func:`sample_patches`;
-    for an unpadded 1x1x1 unit-stride kernel, a view of the input). The tape
-    keeps only the input and weight, each through :func:`_reader`, so a
-    ``fake_quant`` operand is rebuilt in backward. The backward pass rebuilds
-    each sample's patch matrix the same way (the 1x1x1 view too, as a view
-    kept from the forward would keep its array) and sums the per-sample
-    weight gradients in sample order, so the result is bit for bit that of
-    one batched GEMM and an axis-0 sum. The input gradient scatter-adds the
-    transposed GEMM back into the input, tap by tap, or is itself a conv
-    (see below), one GEMM per sample. For an input that does not require
-    grad when the conv is recorded, it is ``None`` and neither is built.
+    The tape keeps only the input and weight, each through :func:`_reader`.
+    The backward pass builds each sample's patch matrix
+    (:func:`sample_patches`; for an unpadded 1x1x1 unit-stride kernel, a
+    view of the input) and sums the per-sample weight gradients in sample
+    order, so the result is bit for bit that of one batched GEMM and an
+    axis-0 sum. The input gradient scatter-adds the transposed GEMM back
+    into the input, tap by tap, or is itself a conv (see below), one GEMM
+    per sample; for an input that does not require grad when the conv is
+    recorded, it is ``None`` and neither is built.
     """
     stride = tuple(int(s) for s in stride)
     padding = tuple(int(p) for p in padding)
@@ -502,21 +518,10 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding=(0, 0, 
     k3 = kt * kh * kw
     p_count = to * ho * wo
     geometry = ((kt, kh, kw), stride, padding)
-
-    xd, wd = x.data, w.data
     read_x, read_w = _reader(x), _reader(w)
     need_dx = x.requires_grad
-    w2 = wd.reshape(o, c * k3)
     unit_stride = stride == (1, 1, 1)
     pointwise = unit_stride and k3 == 1 and not any(padding)
-    if pointwise:
-        out = w2 @ xd.reshape(n, c, p_count)   # the kernel sees each voxel once
-    else:
-        out = np.empty((n, o, p_count), dtype=np.float32)
-        for i, patches_i in enumerate(sample_patches(xd, *geometry)):
-            np.matmul(w2, patches_i, out=out[i])
-    out = out.reshape(n, o, to, ho, wo)
-    out += bias.data.reshape(1, o, 1, 1, 1)
 
     # the input gradient of a unit-stride conv is itself a conv of the
     # (re-padded) output gradient with the channel-transposed flipped kernel,

@@ -12,13 +12,11 @@ rearrangement, and clamps the output to [0, 1].
 
 Every weight-bearing layer in the body carries one activation quantizer and
 one weight quantizer at its assigned bit-width; a 32-bit quantizer is the
-identity. Under a tape, every layer runs fake-quant values through the float
-contraction of :func:`~qsci.autodiff.conv3d` or
-:func:`~qsci.autodiff.matmul`, which training differentiates; without one
-(evaluation, calibration, the efficiency count, a packed model) every
-layer, 32-bit ones included, runs the code-domain forward: an exact
+identity. Every layer, 32-bit ones included, runs one forward: an exact
 contraction of integer codes, or at 32 bits a float32 contraction of the
-float values (see :class:`QLayer`). A forward writes nothing to the modules:
+float values. Under a tape it records that value as one node on the
+fake-quant values of its input and weight, which training differentiates
+(see :class:`QLayer`). A forward writes nothing to the modules:
 calibration and :func:`~qsci.evaluation.count_efficiency` see the data
 reaching each quantizer through its one-shot ``on_next`` hook (see
 :meth:`QNet.forward_with_hooks` and :mod:`qsci.quantize`).
@@ -205,13 +203,17 @@ class Module:
 
     def load_state(self, state: dict, expect: Optional[dict] = None, required=None):
         """Set each parameter that ``state`` holds, once :func:`check_state`
-        finds that it fits ``expect`` (default: exactly this module's) and
-        every quantizer scale in it is > 0; one that is not (NaN included)
-        is a ConfigError naming its entry."""
+        finds that it fits ``expect`` (default: exactly this module's), every
+        quantizer scale in it is > 0 and every float entry is finite; an
+        entry that is not (a NaN scale included) is a ConfigError naming it,
+        and no parameter is set."""
         check_state(state, self.expected_state() if expect is None else expect, required)
-        for name in sorted(n for n in state if n.endswith(".alpha")):
-            if not state[name][0] > 0:
-                raise ConfigError(f"quantizer scale '{name}' is {state[name][0]}, not > 0")
+        for name in sorted(state):
+            arr = state[name]
+            if name.endswith(".alpha") and not arr[0] > 0:
+                raise ConfigError(f"quantizer scale '{name}' is {arr[0]}, not > 0")
+            if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+                raise ConfigError(f"state entry '{name}' holds a non-finite value")
         for name, p in self.named_params():
             if name in state:
                 p.data = np.ascontiguousarray(state[name])
@@ -246,16 +248,12 @@ class QLayer(Module):
     """What :class:`QConv3d` and :class:`QLinear` share: a weight with one
     weight quantizer, one input activation quantizer, a full-precision bias,
     all at ``bits`` (at 32 the quantizers are the identity), an optional
-    GELU on the output, and the code-domain forward.
-
-    Without a tape every layer runs in the code domain
-    (:meth:`code_forward`): on its installed integer kernel if it has one,
-    else on the codes of its float weight; a 32-bit layer's codes are its
-    float values. Under a tape it runs ``fake_quant`` on input and weight,
-    the float contraction and, with ``gelu`` set,
-    :func:`~qsci.autodiff.gelu`, which training differentiates. The two
-    forwards are equal in exact arithmetic and differ by float rounding
-    only.
+    GELU on the output, and one forward, in the code domain
+    (:meth:`code_forward`): on the layer's installed integer kernel if it
+    has one, else on the codes of its float weight; a 32-bit layer's codes
+    are its float values. Under a tape the layer records its pre-GELU value
+    (:meth:`pre_activation`) as one node on ``fake_quant`` of its input and
+    weight and on its bias, whose backward training differentiates.
     """
 
     def __init__(self, weight: np.ndarray, out_features: int, bits: int, gelu: bool = False):
@@ -267,25 +265,45 @@ class QLayer(Module):
         self.wq = ActQuantizer(bits, symmetric=True)
         self.int_kernel = None       # set by packed.install_packed; forward then runs it
 
-    def _untaped(self, x: Tensor) -> Optional[Tensor]:
-        """The forward in the code domain, or None under a tape, where the
-        fake-quant forward runs. A GELU layer's output is marked as scanned:
-        ``gelu`` scanned it, or the table it came from."""
+    def _forward(self, x: Tensor, node, **geometry) -> Tensor:
+        """The output for ``x``; under a tape, ``node`` (:func:`~qsci.autodiff.conv3d`
+        or :func:`~qsci.autodiff.linear`) records the pre-GELU value. A
+        tape-free GELU layer's output is marked as scanned: ``gelu`` scanned
+        it, or the table it came from."""
         if self.int_kernel is not None:
             out = Tensor(self.int_kernel(x))
         elif ad.active_tape() is None:
             out = Tensor(self.code_forward(x, act_quantize(self.weight.data, self.wq)))
         else:
-            return None
+            xq, wq = fake_quant(x, self.aq), fake_quant(self.weight, self.wq)
+            pre = self.pre_activation(x, act_quantize(self.weight.data, self.wq))
+            out = node(xq, wq, self.bias, pre, **geometry)
+            return ad.gelu(out) if self.gelu else out
         if self.gelu:
             out.mark_scanned()
         return out
 
     def code_forward(self, x, w_codes: np.ndarray) -> np.ndarray:
-        """``x`` (a Tensor or an array) through the layer from activation and
-        weight codes, float32. A Tensor that carries the scan mark is
-        quantized without a second scan, and one without it is marked (see
-        :mod:`qsci.quantize`).
+        """:meth:`pre_activation`, then, with ``gelu`` set,
+        :func:`~qsci.autodiff.gelu`. Where the accumulators are integers
+        (below 32 bits) and ``off`` is one value per channel (an unpadded
+        layer), the epilogue and GELU run once per accumulator value of a
+        per-channel table (:func:`_gelu_by_accumulator`), with the same bits
+        by construction; otherwise they run on every output.
+        """
+        acc, step, offset = self._accumulate(x, w_codes)
+        if self.gelu and self.bits < 32 and offset.size == self.out_features:
+            out = _gelu_by_accumulator(acc, step, offset)
+            if out is not None:
+                return out
+        out = _epilogue(acc, step, offset)
+        return ad.gelu(Tensor(out)).data if self.gelu else out
+
+    def pre_activation(self, x, w_codes: np.ndarray) -> np.ndarray:
+        """``x`` (a Tensor or an array) through the layer, before any GELU,
+        from activation and weight codes, float32. A Tensor that carries the
+        scan mark is quantized without a second scan, and one without it is
+        marked (see :mod:`qsci.quantize`).
 
         The codes are contracted exactly in the float type of
         :func:`~qsci.quantize.code_dtype`: every partial sum is an integer
@@ -298,37 +316,19 @@ class QLayer(Module):
         same steps on its float values with alpha = 1 and z = 0, so its
         output is the float32 contraction plus the bias; that contraction
         rounds, and its grouping decides the last bits.
-
-        A GELU layer then runs :func:`~qsci.autodiff.gelu` on that. Where
-        the accumulators are integers (below 32 bits) and ``off`` is one
-        value per channel (an unpadded layer), an output is a function of
-        its channel and its accumulator alone, so the epilogue and GELU run
-        once per accumulator value in each channel's [min, max] and every
-        output is gathered by its accumulator
-        (:func:`_gelu_by_accumulator`): the same bits, by construction. A
-        32-bit layer, a padded layer and a table that would hold more than a
-        quarter as many entries as the output (as at 8 bits) run the
-        epilogue and GELU on every output.
         """
+        return _epilogue(*self._accumulate(x, w_codes))
+
+    def _accumulate(self, x, w_codes):
+        """(acc, s, off) of :meth:`pre_activation`."""
         w_codes = w_codes.astype(self.code_dtype(), copy=False)
         x_codes = act_quantize(x, self.aq).astype(w_codes.dtype, copy=False)
         acc = self.contract(x_codes, w_codes)
-        step = self._code_step()
+        alpha_x, alpha_w = float(self.aq.alpha.data[0]), float(self.wq.alpha.data[0])
         offset = self.correction(x.shape, w_codes).astype(np.float32, copy=False)
-        offset *= np.float32(float(self.wq.alpha.data[0]) * float(self.aq.z.data[0]))
+        offset *= np.float32(alpha_w * float(self.aq.z.data[0]))
         offset += self.bias.data.reshape((-1,) + (1,) * (offset.ndim - 1))
-        if self.gelu and self.bits < 32 and offset.size == self.out_features:
-            out = _gelu_by_accumulator(acc, step, offset)
-            if out is not None:
-                return out
-        out = acc.astype(np.float32, copy=False)
-        out *= step
-        out += offset
-        return ad.gelu(Tensor(out)).data if self.gelu else out
-
-    def _code_step(self) -> np.float32:
-        """``alpha_x*alpha_w``: the value of one accumulator unit."""
-        return np.float32(float(self.aq.alpha.data[0]) * float(self.wq.alpha.data[0]))
+        return acc, np.float32(alpha_x * alpha_w), offset
 
     def code_dtype(self):
         """The float type in which this layer's code contraction is exact;
@@ -337,9 +337,7 @@ class QLayer(Module):
 
 
 class QConv3d(QLayer):
-    """3-D convolution with one input activation quantizer and one weight
-    quantizer; bias stays full precision. A 32-bit quantizer is the
-    identity."""
+    """3-D convolution of [N,C,T,H,W] input, a :class:`QLayer`."""
 
     def __init__(self, rng, in_ch, out_ch, kernel, stride=(1, 1, 1), padding=(0, 0, 0),
                  bits=32, zero_init=False, gelu=False):
@@ -357,13 +355,7 @@ class QConv3d(QLayer):
         super().__init__(w, out_ch, bits, gelu)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self._untaped(x)
-        if out is not None:
-            return out
-        xq = fake_quant(x, self.aq)
-        wq = fake_quant(self.weight, self.wq)
-        out = ad.conv3d(xq, wq, self.bias, self.stride, self.padding)
-        return ad.gelu(out) if self.gelu else out
+        return self._forward(x, ad.conv3d, stride=self.stride, padding=self.padding)
 
     def contract(self, x_codes, w_codes):
         """[N,C,T,H,W] x [O,C,kt,kh,kw] codes -> [N,O,To,Ho,Wo], by one of
@@ -471,6 +463,14 @@ def _valid_taps(n_in, n_out, k, stride, pad, dtype) -> np.ndarray:
     return valid
 
 
+def _epilogue(acc, step, offset) -> np.ndarray:
+    """``fl(fl(acc*step) + offset)``, float32, in place in a float32 ``acc``."""
+    out = acc.astype(np.float32, copy=False)
+    out *= step
+    out += offset
+    return out
+
+
 def _gelu_by_accumulator(acc, step, offset) -> Optional[np.ndarray]:
     """``gelu(fl(fl(acc*step) + offset))`` over integer accumulators ``acc``,
     float32, where ``offset`` broadcasts against the trailing axes of ``acc``
@@ -512,12 +512,7 @@ class QLinear(QLayer):
                          out_features, bits)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self._untaped(x)
-        if out is not None:
-            return out
-        xq = fake_quant(x, self.aq)
-        wq = fake_quant(self.weight, self.wq)
-        return ad.matmul(xq, wq) + self.bias
+        return self._forward(x, ad.linear)
 
     def contract(self, x_codes, w_codes):
         """[..., in] x [in, out] codes -> [..., out], one GEMM over every

@@ -16,8 +16,9 @@ fed from the unpacked words instead of from the codes of a float weight: an
 exact contraction of activation and weight codes on float BLAS, then a
 float32 epilogue that applies the scales, the zero-point correction and the
 bias. The weight codes are the same integers either way, so a packed model
-reconstructs the same frames, bit for bit, as the tape-free forward of the
-network it was packed from.
+reconstructs the same frames, bit for bit, as the network it was packed
+from, whose forward under a tape, which training differentiates, has the
+same value as its tape-free one.
 
 A weight layer's output activation is part of its forward: ``mlp_in``'s
 GELU runs inside its ``code_forward``, once per value of the layer's

@@ -175,7 +175,8 @@ def fake_quant(x: Tensor, q) -> Tensor:
     is ``None`` and is not computed. A recorded output's
     :attr:`~qsci.autodiff.Tensor.rebuild` runs the forward's float32 steps
     again on what the tape keeps, so it gives the output's bits, and a
-    ``conv3d`` or ``matmul`` that reads the output keeps that, not the array.
+    ``conv3d``, ``linear`` or ``matmul`` that reads the output keeps that,
+    not the array.
 
     LSQ (Esser et al., arXiv 1902.08153) also multiplies the scale gradient
     by 1/sqrt(N * q_p); that factor is omitted on purpose. Every scale is its

@@ -67,6 +67,31 @@ MUTANTS = (
     Mutant("conv_reads_quantizer_input", "src/qsci/quantize.py",
            "out.rebuild = dequant", "out.rebuild = lambda: xd",
            "conv3d and matmul differentiate with the dequantized operand"),
+    Mutant("code_dtype_bound_halved", "src/qsci/quantize.py",
+           "bound = k << (2 * bits - 2)", "bound = k << (2 * bits - 3)",
+           "a code contraction runs in a float type that holds its accumulators exactly"),
+    Mutant("repeated_entry_accepted", "src/qsci/containers.py",
+           "if name in state:", "if False:",
+           "a checkpoint that names an entry twice is a FormatError"),
+    Mutant("act_quantize_scan_skipped", "src/qsci/quantize.py",
+           "if not (tensor and x.scanned):", "if not tensor:",
+           "a Tensor that no op scanned is scanned before its codes clip an infinity"),
+    Mutant("truncation_unchecked", "src/qsci/containers.py",
+           "if n > fh.size - fh.tell():", "if False:",
+           "a truncated checkpoint or pack is a FormatError, not a traceback"),
+    Mutant("manifest_header_unchecked", "src/qsci/cli.py",
+           "if header != MANIFEST_HEADER:", "if False:",
+           "a data dir whose manifest lacks the header line is a DataError"),
+    Mutant("non_finite_data_accepted", "src/qsci/cli.py",
+           "if not np.isfinite(arr).all():", "if False:",
+           "a data file that holds a NaN or an infinity is a DataError naming it"),
+    Mutant("non_finite_entry_accepted", "src/qsci/network.py",
+           'if arr.dtype.kind == "f" and not np.isfinite(arr).all():', "if False:",
+           "a checkpoint or pack entry that holds a NaN or an infinity is a ConfigError"),
+    Mutant("layer_node_reads_quantizer_input", "src/qsci/network.py",
+           "out = node(xq, wq, self.bias, pre, **geometry)",
+           "out = node(x, wq, self.bias, pre, **geometry)",
+           "a layer's tape node differentiates with its fake-quant input"),
 )
 
 

@@ -16,6 +16,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,41 @@ class TestNonPositiveScale:
         (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),
                                          encoding="ascii")
         rc, err = run("--workdir", tmp_path, *argv)
+        assert rc == 2, err
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert f"'{entry}'" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "data", "q4.cfg"]
+
+
+LOADERS = [
+    (["eval", "--ckpt", "bad", "--data", "data", "--out", "out"], "q4.qsc"),
+    (["pack", "--ckpt", "bad", "--out", "out.pack"], "q4.qsc"),
+    (["infer-int", "--packed", "bad", "--data", "data", "--out", "out"], "q4.pack"),
+    (["train", "--config", "q4.cfg", "--init", "bad"], "q4.qsc"),
+]
+NON_FINITE = [("fem.conv_a.bias", np.inf), ("fem.conv_a.aq.z", np.inf),
+              ("vrm.conv_out.bias", np.nan), ("block0.cf0.conv.weight", -np.inf)]
+
+
+class TestNonFiniteEntry:
+    """A float entry of a checkpoint or pack that holds a NaN or an infinity
+    is refused where it is loaded: exit 2, one ``error:`` line that names the
+    entry, no traceback, no warning and nothing written. A pack holds a
+    quantized weight as integer codes, so it has no weight entry to spoil."""
+
+    @pytest.mark.parametrize("argv,source,entry,value", [
+        (argv, source, entry, value) for argv, source in LOADERS for entry, value in NON_FINITE
+        if not (source == "q4.pack" and entry.endswith(".weight"))])
+    def test_exits_2_writing_nothing(self, work, tmp_path, argv, source, entry, value):
+        fingerprint, state = load_checkpoint(work / source)
+        state[entry].reshape(-1)[0] = value
+        save_checkpoint(tmp_path / "bad", fingerprint, state)
+        (tmp_path / "data").symlink_to(work / "data")
+        (tmp_path / "q4.cfg").write_text(TRAIN_CFG.format(variant="q4", t=T, out="run"),
+                                         encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = run("--workdir", tmp_path, *argv)
         assert rc == 2, err
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
         assert f"'{entry}'" in err and "Traceback" not in err
@@ -573,39 +609,52 @@ class TestDataValidation:
                    "--data", "data", "--out", "out")[0] == 0
 
 
+def spoiled_nets(work, entry, index, value):
+    """The q4 network of ``work``'s checkpoint and that of its pack, each
+    loaded as the CLI loads it, then given ``value`` at element ``index`` of
+    parameter ``entry``: a NaN or an infinity that no loader lets in, but
+    that a forward must still stop. A packed net reads no float weight, so
+    a weight is spoiled in the first only."""
+    nets = [cli._load_net(work / "q4.qsc"), packed_net(read_packed(work / "q4.pack"))]
+    for net in nets[:1] if entry.endswith(".weight") else nets:
+        p = dict(net.named_params())[entry]
+        data = p.data.copy()
+        data.reshape(-1)[index] = value
+        p.data = data
+        yield net
+
+
+def first_clip(work):
+    """(masks, measurement) of the first clip of ``work``'s data dir."""
+    masks, entries = cli._load_data_dir(work / "data", T)
+    return masks, entries[0][2]
+
+
 class TestNonFiniteParameters:
-    def test_nan_mlp_bias_exits_4_from_gelu(self, work, tmp_path):
+    def test_nan_mlp_bias_raises_from_gelu(self, work):
         # the first op to see the NaN is the GELU after mlp_in, whose table
         # route must hand a non-finite input to the direct formula's check
-        fingerprint, state = load_checkpoint(work / "q4.qsc")
-        bias = state["block0.cf0.mlp_in.bias"].copy()
-        bias[1] = np.nan
-        state["block0.cf0.mlp_in.bias"] = bias
-        save_checkpoint(tmp_path / "nan.qsc", fingerprint, state)
-        data = work / "data"
-        rc, err = run("--workdir", tmp_path, "eval", "--ckpt", "nan.qsc", "--data", data,
-                      "--out", "eval")
-        assert rc == 4 and "op 'gelu'" in err
-        assert run("--workdir", tmp_path, "pack", "--ckpt", "nan.qsc", "--out", "nan.pack")[0] == 0
-        rc, err = run("--workdir", tmp_path, "infer-int", "--packed", "nan.pack", "--data", data,
-                      "--out", "int")
-        assert rc == 4 and "op 'gelu'" in err
+        masks, meas = first_clip(work)
+        for net in spoiled_nets(work, "block0.cf0.mlp_in.bias", 1, np.nan):
+            with pytest.raises(NumericError, match="op 'gelu'"):
+                net.reconstruct(meas, masks)
 
 
 class TestNonFiniteScannedOnce:
-    """A NaN or +inf ends in NumericError, exit 4 at the CLI, without a
-    RuntimeWarning (Tier-1 turns warnings into errors) wherever it enters:
-    the input stack, a conv weight, ``fuse.bias`` (its code-domain output
-    feeds ``mlp_in`` directly) and ``out_proj.bias`` (which reaches ``fuse``
-    through a transpose and a concat). Each array is scanned once, so these
-    are the inputs no op scanned before a quantizer clips them. A data dir
-    refuses a non-finite measurement first, so the input stack is given to
-    ``QNet.reconstruct`` directly."""
+    """A NaN or +inf ends in NumericError, without a RuntimeWarning (Tier-1
+    turns warnings into errors), wherever it enters: the input stack, a conv
+    weight, ``fuse.bias`` (its code-domain output feeds ``mlp_in`` directly)
+    and ``out_proj.bias`` (which reaches ``fuse`` through a transpose and a
+    concat). Each array is scanned once, so these are the inputs no op
+    scanned before a quantizer clips them. A data dir refuses a non-finite
+    measurement first, so the input stack is given to ``QNet.reconstruct``
+    directly; a loader refuses a non-finite parameter first
+    (:class:`TestNonFiniteEntry`), so it is set on a loaded network."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_input_stack(self, work, bad):
-        masks, entries = cli._load_data_dir(work / "data", T)
-        y = entries[0][2].y.copy()
+        masks, meas = first_clip(work)
+        y = meas.y.copy()
         y[3, 5] = bad
         for net in (cli._load_net(work / "q4.qsc"), packed_net(read_packed(work / "q4.pack"))):
             with pytest.raises(NumericError, match="non-finite"):
@@ -614,24 +663,16 @@ class TestNonFiniteScannedOnce:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("entry", ["block0.cf0.conv.weight", "block0.cf0.fuse.bias",
                                        "block0.cf0.attn.out_proj.bias"])
-    def test_parameter(self, work, tmp_path, entry, bad):
-        fingerprint, state = load_checkpoint(work / "q4.qsc")
-        value = state[entry].copy()
-        value.reshape(-1)[1] = bad
-        state[entry] = value
-        save_checkpoint(tmp_path / "bad.qsc", fingerprint, state)
-        data = work / "data"
-        rc, err = run("--workdir", tmp_path, "eval", "--ckpt", "bad.qsc", "--data", data,
-                      "--out", "eval")
-        assert rc == 4 and "non-finite" in err, err
-        rc, err = run("--workdir", tmp_path, "pack", "--ckpt", "bad.qsc", "--out", "bad.pack")
+    def test_parameter(self, work, entry, bad):
+        masks, meas = first_clip(work)
+        nets = list(spoiled_nets(work, entry, 1, bad))
+        assert len(nets) == (1 if entry.endswith(".weight") else 2)
+        for net in nets:
+            with pytest.raises(NumericError, match="non-finite"):
+                net.reconstruct(meas, masks)
         if entry.endswith(".weight"):
-            assert rc == 4 and "non-finite" in err, err     # its codes cannot be packed
-            return
-        assert rc == 0, err
-        rc, err = run("--workdir", tmp_path, "infer-int", "--packed", "bad.pack", "--data", data,
-                      "--out", "int")
-        assert rc == 4 and "non-finite" in err, err
+            with pytest.raises(NumericError, match="non-finite"):
+                pack_model(nets[0])     # its codes cannot be packed
 
 
 def run_python(*argv, flags=()):
@@ -644,19 +685,24 @@ def run_python(*argv, flags=()):
 
 
 class TestNonFiniteGelu:
-    def test_minus_inf_mlp_bias_exits_4_without_warning(self, work, tmp_path):
+    def test_minus_inf_mlp_bias_raises_from_gelu(self, work):
         # gelu(-inf) is -inf * Phi(-inf) = -inf * 0: a NaN that must raise as
-        # op 'gelu' with no RuntimeWarning printed before it
-        fingerprint, state = load_checkpoint(work / "q4.qsc")
-        bias = state["block0.cf0.mlp_in.bias"].copy()
-        bias[1] = -np.inf
-        state["block0.cf0.mlp_in.bias"] = bias
-        save_checkpoint(tmp_path / "inf.qsc", fingerprint, state)
-        assert run("--workdir", tmp_path, "pack", "--ckpt", "inf.qsc", "--out", "inf.pack")[0] == 0
-        for argv in (["eval", "--ckpt", "inf.qsc"], ["infer-int", "--packed", "inf.pack"]):
-            rc, err = run_python("--workdir", tmp_path, *argv, "--data", work / "data",
+        # op 'gelu' with no RuntimeWarning (Tier-1 turns warnings into errors)
+        masks, meas = first_clip(work)
+        for net in spoiled_nets(work, "block0.cf0.mlp_in.bias", 1, -np.inf):
+            with pytest.raises(NumericError, match="op 'gelu'"):
+                net.reconstruct(meas, masks)
+
+    def test_minus_inf_mlp_bias_file_exits_2_without_warning(self, work, tmp_path):
+        # a numpy warning would be printed in a fresh interpreter with -W default
+        for source, argv in (("q4.qsc", ["eval", "--ckpt"]),
+                             ("q4.pack", ["infer-int", "--packed"])):
+            fingerprint, state = load_checkpoint(work / source)
+            state["block0.cf0.mlp_in.bias"][1] = -np.inf
+            save_checkpoint(tmp_path / "inf", fingerprint, state)
+            rc, err = run_python("--workdir", tmp_path, *argv, "inf", "--data", work / "data",
                                  "--out", "out", flags=["-W", "default"])
-            assert rc == 4 and "op 'gelu'" in err, err
+            assert rc == 2 and "'block0.cf0.mlp_in.bias'" in err, err
             assert "Warning" not in err, err
 
 

@@ -16,7 +16,9 @@ numpy's bundled OpenBLAS, ``unknown`` where that cannot be read;
 CPU).
 
 A change that moves outputs by design rewrites the manifest by running this
-module as a script::
+module as a script, which then prints each path that moved against the
+manifest it replaced, one line each, as ``changed``, ``added`` or
+``missing``::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -141,11 +143,21 @@ def read_manifest():
 
 
 def write_manifest():
+    """Rewrite the manifest, then print each path whose digest changed, was
+    added or went missing against the manifest it replaced."""
+    old = read_manifest()[1] if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_script(Path(tmp).resolve())
     lines = [f"# {k} {v}" for k, v in environment().items()]
     lines += [f"{path} {digests[path]}" for path in sorted(digests)]
     MANIFEST.write_text("\n".join(lines) + "\n", encoding="ascii")
+    for path in sorted(old.keys() | digests.keys()):
+        if path not in digests:
+            print(f"missing {path}")
+        elif path not in old:
+            print(f"added {path}")
+        elif old[path] != digests[path]:
+            print(f"changed {path}")
 
 
 def test_outputs_match_manifest(tmp_path):
@@ -161,6 +173,19 @@ def test_outputs_match_manifest(tmp_path):
     new = sorted(digests.keys() - pinned.keys())
     assert not (changed or missing or new), (
         f"{len(changed)} outputs changed: {changed}; missing: {missing}; new: {new}")
+
+
+def test_rewrite_prints_what_moved(tmp_path, monkeypatch, capsys):
+    """Rewriting the manifest lists each path that changed, was added or
+    went missing against the manifest it replaced, and no other."""
+    manifest = tmp_path / "golden_sha256.txt"
+    manifest.write_text("# numpy 0\nkept aa\nmoved bb\ngone cc\n", encoding="ascii")
+    monkeypatch.setattr(sys.modules[__name__], "MANIFEST", manifest)
+    monkeypatch.setattr(sys.modules[__name__], "run_script",
+                        lambda workdir: {"kept": "aa", "moved": "dd", "new": "ee"})
+    write_manifest()
+    assert capsys.readouterr().out.splitlines() == ["missing gone", "changed moved", "added new"]
+    assert read_manifest() == (environment(), {"kept": "aa", "moved": "dd", "new": "ee"})
 
 
 def test_another_kernel_fails_naming_both():

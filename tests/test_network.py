@@ -524,12 +524,8 @@ def erf_sizes(monkeypatch):
 
 
 def without_gelu(layer, x):
-    """``layer``'s tape-free code-domain output before its GELU."""
-    layer.gelu = False
-    try:
-        return layer.code_forward(x, act_quantize(layer.weight, layer.wq))
-    finally:
-        layer.gelu = True
+    """``layer``'s code-domain output before its GELU."""
+    return layer.pre_activation(x, act_quantize(layer.weight, layer.wq))
 
 
 def same_bits(a, b):
@@ -558,11 +554,7 @@ class TestGeluByAccumulator:
         net.reconstruct(meas[0], masks)
         monkeypatch.undo()
         [x], [got] = seen_in, seen_out
-        if variant == "fp32":
-            pre = ad.conv3d(Tensor(x), mlp_in.weight, mlp_in.bias).data
-        else:
-            pre = without_gelu(mlp_in, x)
-        assert same_bits(got, ad.gelu(Tensor(pre)).data)
+        assert same_bits(got, ad.gelu(Tensor(without_gelu(mlp_in, x))).data)
         assert len(sizes) == 1
         assert (sizes[0] < got.size) == tabled
 
@@ -583,8 +575,9 @@ class TestGeluByAccumulator:
         assert len(sizes) == 1 and 0 < sizes[0] <= out_size // 4    # a table's erf
 
     def test_no_table_under_a_tape(self, monkeypatch):
-        # the taped mlp_in is ad.gelu after ad.conv3d: the same value and
-        # gradient bytes, with erf run on every output
+        # the taped mlp_in is ad.gelu after the ad.conv3d node of its
+        # pre-GELU value: the same value and gradient bytes, with erf run on
+        # every output
         net = calibrated_net("q4", hw=16)
         mlp_in = dict(net.named_modules())["block0.cf0.mlp_in"]
         x_arr = np.random.default_rng(5).standard_normal((1, 8, 4, 8, 8)).astype(np.float32)
@@ -598,7 +591,8 @@ class TestGeluByAccumulator:
             with Tape():
                 if composed:
                     out = ad.gelu(ad.conv3d(fake_quant(x, mlp_in.aq),
-                                            fake_quant(mlp_in.weight, mlp_in.wq), mlp_in.bias))
+                                            fake_quant(mlp_in.weight, mlp_in.wq), mlp_in.bias,
+                                            without_gelu(mlp_in, x), (1, 1, 1), (0, 0, 0)))
                 else:
                     out = mlp_in.forward(x)
                 loss = ref.sum_(out, g)
@@ -646,10 +640,11 @@ def gamma(m):
 
 class TestFloat32CodeForward:
     """A 32-bit layer runs the same code-domain forward as a quantized one,
-    with its float values as codes. Tape-free and taped, each output is a
-    float32 sum of the layer's n = C*k3 (or in_features) products and its
-    bias, in each route's own order, so the two differ by at most
-    2*gamma_{n+1} * (sum |w||x| + |b|), elementwise."""
+    with its float values as codes, with or without a tape: taped and
+    tape-free outputs are equal, bit for bit. Each output is a float32 sum
+    of the layer's n = C*k3 (or in_features) products and its bias, in each
+    route's own order, so it is within 2*gamma_{n+1} * (sum |w||x| + |b|) of
+    the float64 reference, elementwise."""
 
     @pytest.mark.parametrize("geometry", [
         dict(in_ch=16, out_ch=32, kernel=(1, 1, 1)),
@@ -663,27 +658,94 @@ class TestFloat32CodeForward:
         layer = QConv3d(rng, **geometry)
         layer.bias.data[:] = rng.standard_normal(layer.out_ch)
         x = rng.standard_normal((2, layer.in_ch, 4, 8, 8)).astype(np.float32)
-        mass = ref.conv3d(np.abs(x), np.abs(layer.weight.data), np.abs(layer.bias.data),
-                          layer.stride, layer.padding)
-        self.check(layer, x, mass)
+        w, b = layer.weight.data, layer.bias.data
+        exact = ref.conv3d(x, w, b, layer.stride, layer.padding)
+        mass = ref.conv3d(np.abs(x), np.abs(w), np.abs(b), layer.stride, layer.padding)
+        self.check(layer, x, exact, mass)
 
     def test_linear_within_float32_summation_error(self):
         rng = np.random.default_rng(9)
         layer = QLinear(rng, 16, 24)
         layer.bias.data[:] = rng.standard_normal(24)
         x = rng.standard_normal((6, 4, 16)).astype(np.float32)
-        mass = (np.abs(x).astype(np.float64) @ np.abs(layer.weight.data)
-                + np.abs(layer.bias.data))
-        self.check(layer, x, mass)
+        w, b = layer.weight.data.astype(np.float64), layer.bias.data
+        exact = x.astype(np.float64) @ w + b
+        mass = np.abs(x).astype(np.float64) @ np.abs(w) + np.abs(b)
+        self.check(layer, x, exact, mass)
 
     @staticmethod
-    def check(layer, x, mass):
+    def check(layer, x, exact, mass):
         free = layer.forward(Tensor(x)).data
         with Tape():
             taped = layer.forward(Tensor(x)).data
         n = layer.weight.size // layer.out_features
-        assert free.shape == taped.shape == mass.shape
-        assert np.all(np.abs(free.astype(np.float64) - taped) <= 2 * gamma(n + 1) * mass)
+        assert free.shape == taped.shape == exact.shape
+        assert free.tobytes() == taped.tobytes()
+        assert np.all(np.abs(free - exact) <= 2 * gamma(n + 1) * mass)
+
+
+class TestOneForward:
+    """A forward has one value, with or without a tape: under a tape a
+    layer records its code-domain value as one node on its fake-quant
+    operands and its bias, and that node's gradients have the bytes of the
+    rule the layer ran before: ``ad.conv3d``'s, or ``ad.matmul``'s then
+    ``ad.add``'s, on the same operands."""
+
+    @pytest.mark.parametrize("variant", network.VARIANT_NAMES)
+    def test_taped_forward_stack_equals_tape_free(self, variant):
+        net = calibrated_net(variant)
+        masks, _, meas = small_inputs()
+        stack = np.concatenate([initial_estimate(m, masks) for m in meas])
+        free = net.forward_stack(Tensor(stack)).data
+        with Tape():
+            taped = net.forward_stack(Tensor(stack)).data
+        assert free.tobytes() == taped.tobytes()
+
+    ROUTES = {
+        "k333-padded": lambda rng, bits: QConv3d(rng, 8, 8, (3, 3, 3), padding=(1, 1, 1),
+                                                 bits=bits),
+        "k333-strided": lambda rng, bits: QConv3d(rng, 8, 8, (3, 3, 3), stride=(1, 2, 2),
+                                                  padding=(1, 1, 1), bits=bits),
+        "k133": lambda rng, bits: QConv3d(rng, 8, 32, (1, 3, 3), padding=(0, 1, 1), bits=bits),
+        "k111": lambda rng, bits: QConv3d(rng, 16, 32, (1, 1, 1), bits=bits),
+        "channels-first-conv_out": lambda rng, bits: QConv3d(rng, 16, 1, (1, 3, 3),
+                                                             padding=(0, 1, 1), bits=bits),
+        "linear": lambda rng, bits: QLinear(rng, 16, 24, bits=bits),
+    }
+
+    @pytest.mark.parametrize("bits", (2, 3, 4, 8, 32))
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_node_gradients_have_the_bytes_of_the_float_rule(self, route, bits):
+        rng = np.random.default_rng(bits)
+        layer = self.ROUTES[route](rng, bits)
+        layer.bias.data[:] = rng.standard_normal(layer.out_features)
+        linear = isinstance(layer, QLinear)
+        shape = (6, 4, layer.in_features) if linear else (2, layer.in_ch, 4, 8, 8)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        layer.aq.calibrate(x.data * 0.5)     # some values clip
+        layer.wq.calibrate(layer.weight.data * 0.5)
+        with Tape():
+            out = layer.forward(x)
+        assert out.node.name == ("linear" if linear else "conv3d")
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        got = out.node.backward_fn(g)
+        # the rule's operands: copies of the fake-quant values, as plain leaves
+        xq = Tensor(fake_quant(Tensor(x.data), layer.aq).data.copy(), requires_grad=True)
+        wq = Tensor(fake_quant(Tensor(layer.weight.data), layer.wq).data.copy(),
+                    requires_grad=True)
+        bias = Tensor(layer.bias.data.copy(), requires_grad=True)
+        with Tape():
+            if linear:
+                product = ad.matmul(xq, wq)
+                total = product + bias
+                g_product, g_bias = total.node.backward_fn(g)
+                want = product.node.backward_fn(np.asarray(g_product, np.float32)) + (g_bias,)
+            else:
+                conv = ad.conv3d(xq, wq, bias, out.data, layer.stride, layer.padding)
+                want = conv.node.backward_fn(g)
+        assert len(got) == len(want) == 3
+        for a, e in zip(got, want):
+            assert a.shape == e.shape and a.tobytes() == e.tobytes()
 
 
 class TestOneTapeFreeRoute:
@@ -838,6 +900,24 @@ class TestCheckpointInit:
                      lambda m: m.init_from_backbone(state, m.cfg.backbone_geometry())):
             other = QNet(make_variant("q4", **TINY), seed=5)
             with pytest.raises(ConfigError, match="'block0.cf0.attn.kq.alpha' is .*, not > 0"):
+                load(other)
+            for (_, p), (_, q) in zip(other.named_params(), before.named_params()):
+                np.testing.assert_array_equal(p.data, q.data)
+
+    @pytest.mark.parametrize("entry,value", [
+        ("fem.conv_a.bias", np.inf), ("fem.conv_a.aq.z", np.inf), ("vrm.conv_out.bias", np.nan),
+        ("block0.cf0.conv.weight", -np.inf), ("block0.cf0.attn.beta_q", np.nan),
+    ], ids=["bias-inf", "zero-point-inf", "bias-nan", "weight-minus-inf", "shift-nan"])
+    def test_non_finite_entry_is_config_error(self, entry, value):
+        """Every loader refuses it before it sets any parameter."""
+        net = QNet(make_variant("q4", **TINY), seed=4)
+        state = net.state_dict()
+        state[entry].reshape(-1)[-1] = value
+        before = QNet(make_variant("q4", **TINY), seed=5)
+        for load in (lambda m: m.load_state(state),
+                     lambda m: m.init_from_backbone(state, m.cfg.backbone_geometry())):
+            other = QNet(make_variant("q4", **TINY), seed=5)
+            with pytest.raises(ConfigError, match=f"'{re.escape(entry)}' holds a non-finite"):
                 load(other)
             for (_, p), (_, q) in zip(other.named_params(), before.named_params()):
                 np.testing.assert_array_equal(p.data, q.data)
