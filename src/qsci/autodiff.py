@@ -19,18 +19,26 @@ data-movement ops and ``add`` keep no array; ``softmax`` and ``leaky_relu``
 keep their outputs, ``layer_norm`` its centred input, each row's deviation
 and its gain, and ``training.mse_loss`` the difference of its operands.
 ``gelu`` and ``clamp`` keep their input arrays, ``gelu`` its ``Phi(x)`` too
-(recomputing ``erf`` costs time); ``leaky_relu`` and ``clamp`` keep no mask
-and recompute it. ``quantize.fake_quant`` keeps its input, scale and
-zero-point, rebuilds the pre-clip value and the codes in backward, and gives
-its recorded output a :attr:`Tensor.rebuild` of its array. ``matmul``,
-``linear`` and ``conv3d`` keep each operand's rebuild if it has one, else
+(recomputing ``erf`` costs time), but a ``gelu`` computed once per key of a
+table (a quantized layer's accumulators) keeps only its looked-up
+derivative; ``leaky_relu`` and ``clamp`` keep no mask and recompute it.
+``quantize.fake_quant``, whose nodes remain only in the attention core,
+keeps its input, scale and zero-point, rebuilds the pre-clip value and the
+codes in backward, and gives its recorded output a :attr:`Tensor.rebuild`
+of its array. ``matmul`` keeps each operand's rebuild if it has one, else
 its array (:func:`_reader`), so the tape keeps no dequantized operand; the
 attention core's transposed query and key operands have no rebuild and are
 kept. ``linear`` and ``conv3d`` record a value their caller computed (a
-layer's code-domain forward) and compute none; ``conv3d`` builds its im2col
-patch matrices in backward only, padding no input (:func:`sample_patches`).
-It and ``fake_quant`` skip ``x``'s gradient, and no other, when ``x`` does
-not require grad.
+layer's code-domain forward) and compute none. Each of their operands is a
+Tensor, kept as ``matmul`` keeps one, or a quantized operand
+(:class:`~qsci.quantize.Operand`), part of the same node, which keeps its
+input array, scale and zero-point: the backward computes the operand's
+pre-clip value and codes once, and from them its dequantized array and its
+straight-through gradients. ``conv3d`` builds its im2col patch matrices in
+backward only, padding no input (:func:`sample_patches`). It and
+``fake_quant`` skip ``x``'s gradient, and no other, when ``x`` does not
+require grad; a quantized operand's array still gets its gradient, which
+its scale and zero-point need.
 
 Each array is scanned for NaN/Inf once. Every arithmetic op scans its
 output, raises :class:`~qsci.errors.NumericError` on a non-finite value and
@@ -201,6 +209,19 @@ def _reader(t: Tensor):
     return lambda: data
 
 
+def _operand(t):
+    """(tensors, read) of an operand of :func:`linear` or :func:`conv3d`:
+    the Tensors whose gradients the node gives for it, and a zero-argument
+    function that gives, in backward, the operand's array and the map from
+    that array's gradient to theirs. A Tensor is its own only tensor, read
+    through :func:`_reader`, and its gradient is passed on; a quantized
+    operand (:class:`~qsci.quantize.Operand`) gives its own."""
+    if isinstance(t, Tensor):
+        read = _reader(t)
+        return (t,), lambda: (read(), lambda g: (g,))
+    return t.tensors, t.read
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
     if g.shape == shape:
@@ -246,18 +267,36 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
 
-def gelu(x: Tensor) -> Tensor:
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU's derivative ``Phi(x) + x * phi(x)``, where ``cdf`` is ``Phi(x)``."""
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return cdf + x * pdf
+
+
+def gelu(x: Tensor, table=None) -> Tensor:
     """``x * Phi(x)`` in the exact erf form; derivative ``Phi(x) + x * phi(x)``.
     A non-finite input raises NumericError and warns nothing, although
-    ``-inf * Phi(-inf)`` is ``-inf * 0``."""
-    xd = x.data
-    with np.errstate(invalid="ignore"):
-        cdf = _gelu_cdf(xd)
-        out = xd * cdf
+    ``-inf * Phi(-inf)`` is ``-inf * 0``. The tape keeps ``x`` and ``Phi(x)``.
 
-    def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * xd * xd)
-        return (g * (cdf + xd * pdf),)
+    ``table``, if given, is ``(keys, slots)`` with ``keys.take(slots)``
+    equal to ``x``'s array, bit for bit: one key per accumulator value of a
+    quantized layer, say. The value and the derivative are then computed
+    once per key, by the same float32 elementwise ops, and looked up, so
+    both keep their bits, and the tape keeps only the looked-up derivative.
+    """
+    keys = x.data if table is None else table[0]
+    with np.errstate(invalid="ignore"):
+        cdf = _gelu_cdf(keys)
+        out = keys * cdf
+        if table is None:
+            def bwd(g):
+                return (g * _gelu_slope(keys, cdf),)
+        else:
+            slope = _gelu_slope(keys, cdf).take(table[1])
+            out = out.take(table[1])
+
+            def bwd(g):
+                return (g * slope,)
 
     return _finish(out, (x,), bwd, "gelu")
 
@@ -374,18 +413,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(a.data @ b.data, (a, b), bwd, "matmul")
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor, out: np.ndarray) -> Tensor:
+def linear(x, w, bias: Tensor, out: np.ndarray) -> Tensor:
     """The tape node of ``x @ w + bias``, whose value ``out`` the caller
     computed; it computes no forward. Its backward runs the ops of
     :func:`matmul`'s rule and :func:`add`'s, so its gradients have their
-    bits; the tape keeps ``x`` and ``w`` through :func:`_reader`."""
-    read_x, read_w = _reader(x), _reader(w)
+    bits. ``x`` and ``w`` are Tensors or quantized operands
+    (:func:`_operand`); the node's inputs are their tensors, then
+    ``bias``."""
+    (x_in, read_x), (w_in, read_w) = _operand(x), _operand(w)
     bias_shape = bias.shape
 
     def bwd(g):
-        return _matmul_grads(g, read_x(), read_w()) + (_unbroadcast(g, bias_shape),)
+        (xd, x_grads), (wd, w_grads) = read_x(), read_w()
+        dx, dw = _matmul_grads(g, xd, wd)
+        return x_grads(dx) + w_grads(dw) + (_unbroadcast(g, bias_shape),)
 
-    return _finish(out, (x, w, bias), bwd, "linear")
+    return _finish(out, x_in + w_in + (bias,), bwd, "linear")
 
 
 def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -495,13 +538,14 @@ def sample_patches(x: np.ndarray, kshape, stride, padding):
         yield flat
 
 
-def conv3d(x: Tensor, w: Tensor, bias: Tensor, out: np.ndarray, stride, padding) -> Tensor:
+def conv3d(x, w, bias: Tensor, out: np.ndarray, stride, padding) -> Tensor:
     """The tape node of a cross-correlation of [N,C,T,H,W] input with
     [O,C,kt,kh,kw] kernels plus a per-output-channel ``bias``, whose value
     ``out`` the caller computed; it computes no forward.
 
-    The tape keeps only the input and weight, each through :func:`_reader`.
-    The backward pass builds each sample's patch matrix
+    ``x`` and ``w`` are Tensors or quantized operands (:func:`_operand`),
+    and the node's inputs are their tensors, then ``bias``; the tape keeps
+    only what they keep. The backward pass builds each sample's patch matrix
     (:func:`sample_patches`; for an unpadded 1x1x1 unit-stride kernel, a
     view of the input) and sums the per-sample weight gradients in sample
     order, so the result is bit for bit that of one batched GEMM and an
@@ -518,7 +562,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, out: np.ndarray, stride, padding)
     k3 = kt * kh * kw
     p_count = to * ho * wo
     geometry = ((kt, kh, kw), stride, padding)
-    read_x, read_w = _reader(x), _reader(w)
+    (x_in, read_x), (w_in, read_w) = _operand(x), _operand(w)
     need_dx = x.requires_grad
     unit_stride = stride == (1, 1, 1)
     pointwise = unit_stride and k3 == 1 and not any(padding)
@@ -530,7 +574,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, out: np.ndarray, stride, padding)
                   and pt <= kt - 1 and ph <= kh - 1 and pw <= kw - 1)
 
     def bwd(g):
-        xd, wd = read_x(), read_w()
+        (xd, x_grads), (wd, w_grads) = read_x(), read_w()
         w2 = wd.reshape(o, c * k3)
         gm = g.reshape(n, o, p_count)
         each = xd.reshape(n, c, p_count) if pointwise else sample_patches(xd, *geometry)
@@ -556,9 +600,9 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, out: np.ndarray, stride, padding)
             for k, dst, src in tap_windows(xd.shape[2:], (kt, kh, kw), stride, padding,
                                             (to, ho, wo)):
                 dx[(...,) + src] += dpatch[:, :, k][(...,) + dst]
-        return dx, dw, g.sum(axis=(0, 2, 3, 4))
+        return x_grads(dx) + w_grads(dw) + (g.sum(axis=(0, 2, 3, 4)),)
 
-    return _finish(out, (x, w, bias), bwd, "conv3d")
+    return _finish(out, x_in + w_in + (bias,), bwd, "conv3d")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ Every weight-bearing layer in the body carries one activation quantizer and
 one weight quantizer at its assigned bit-width; a 32-bit quantizer is the
 identity. Every layer, 32-bit ones included, runs one forward: an exact
 contraction of integer codes, or at 32 bits a float32 contraction of the
-float values. Under a tape it records that value as one node on the
-fake-quant values of its input and weight, which training differentiates
+float values. Under a tape it records that value as one node on its input
+and weight, each through its quantizer, which training differentiates
 (see :class:`QLayer`). A forward writes nothing to the modules:
 calibration and :func:`~qsci.evaluation.count_efficiency` see the data
 reaching each quantizer through its one-shot ``on_next`` hook (see
@@ -252,8 +252,10 @@ class QLayer(Module):
     (:meth:`code_forward`): on the layer's installed integer kernel if it
     has one, else on the codes of its float weight; a 32-bit layer's codes
     are its float values. Under a tape the layer records its pre-GELU value
-    (:meth:`pre_activation`) as one node on ``fake_quant`` of its input and
-    weight and on its bias, whose backward training differentiates.
+    as one node on its input and weight, each through its quantizer, and on
+    its bias; the node's backward dequantizes each operand and runs the
+    straight-through rule in one pass per operand, and training
+    differentiates it (see :meth:`_forward`).
     """
 
     def __init__(self, weight: np.ndarray, out_features: int, bits: int, gelu: bool = False):
@@ -266,44 +268,60 @@ class QLayer(Module):
         self.int_kernel = None       # set by packed.install_packed; forward then runs it
 
     def _forward(self, x: Tensor, node, **geometry) -> Tensor:
-        """The output for ``x``; under a tape, ``node`` (:func:`~qsci.autodiff.conv3d`
-        or :func:`~qsci.autodiff.linear`) records the pre-GELU value. A
-        tape-free GELU layer's output is marked as scanned: ``gelu`` scanned
-        it, or the table it came from."""
+        """The output for ``x``. Under a tape, ``node``
+        (:func:`~qsci.autodiff.conv3d` or :func:`~qsci.autodiff.linear`)
+        records the pre-GELU value as one node on ``x`` and the weight, each
+        through its quantizer (:meth:`~qsci.quantize.ActQuantizer.operand`),
+        and on the bias; a GELU layer's ``gelu`` node follows, which takes
+        its value and derivative from the :func:`_gelu_by_accumulator`
+        table where one applies. Either way the input is quantized once, by
+        :meth:`_accumulate`, whose :func:`~qsci.quantize.act_quantize` runs
+        the quantizer's hook and scan. A tape-free GELU layer's output is
+        marked as scanned: ``gelu`` scanned it, or the table it came from."""
         if self.int_kernel is not None:
             out = Tensor(self.int_kernel(x))
         elif ad.active_tape() is None:
             out = Tensor(self.code_forward(x, act_quantize(self.weight.data, self.wq)))
         else:
-            xq, wq = fake_quant(x, self.aq), fake_quant(self.weight, self.wq)
-            pre = self.pre_activation(x, act_quantize(self.weight.data, self.wq))
-            out = node(xq, wq, self.bias, pre, **geometry)
-            return ad.gelu(out) if self.gelu else out
+            acc, step, offset = self._accumulate(x, act_quantize(self.weight.data, self.wq))
+            table = self._gelu_table(acc, step, offset)
+            out = node(self.aq.operand(x), self.wq.operand(self.weight), self.bias,
+                       _epilogue(acc, step, offset), **geometry)
+            return ad.gelu(out, table) if self.gelu else out
         if self.gelu:
             out.mark_scanned()
         return out
 
     def code_forward(self, x, w_codes: np.ndarray) -> np.ndarray:
-        """:meth:`pre_activation`, then, with ``gelu`` set,
-        :func:`~qsci.autodiff.gelu`. Where the accumulators are integers
-        (below 32 bits) and ``off`` is one value per channel (an unpadded
-        layer), the epilogue and GELU run once per accumulator value of a
-        per-channel table (:func:`_gelu_by_accumulator`), with the same bits
-        by construction; otherwise they run on every output.
+        """The pre-GELU value (see :meth:`_accumulate`), then, with ``gelu``
+        set, :func:`~qsci.autodiff.gelu`. Where :meth:`_gelu_table` gives a
+        table, the epilogue and GELU run once per accumulator value of each
+        channel, with the same bits by construction; otherwise they run on
+        every output.
         """
         acc, step, offset = self._accumulate(x, w_codes)
-        if self.gelu and self.bits < 32 and offset.size == self.out_features:
-            out = _gelu_by_accumulator(acc, step, offset)
-            if out is not None:
-                return out
+        table = self._gelu_table(acc, step, offset)
+        if table is not None:
+            keys, slots = table
+            return ad.gelu(Tensor(keys)).data.take(slots)
         out = _epilogue(acc, step, offset)
         return ad.gelu(Tensor(out)).data if self.gelu else out
 
-    def pre_activation(self, x, w_codes: np.ndarray) -> np.ndarray:
-        """``x`` (a Tensor or an array) through the layer, before any GELU,
-        from activation and weight codes, float32. A Tensor that carries the
-        scan mark is quantized without a second scan, and one without it is
-        marked (see :mod:`qsci.quantize`).
+    def _gelu_table(self, acc, step, offset):
+        """The :func:`_gelu_by_accumulator` table of a GELU layer whose
+        accumulators are integers (below 32 bits) and whose ``offset`` is
+        one value per channel (an unpadded layer); None for any other
+        layer, or where that table is too large."""
+        if self.gelu and self.bits < 32 and offset.size == self.out_features:
+            return _gelu_by_accumulator(acc, step, offset)
+        return None
+
+    def _accumulate(self, x, w_codes):
+        """(acc, s, off) of ``x`` (a Tensor or an array) from activation and
+        weight codes: the layer's pre-GELU value, float32, is
+        :func:`_epilogue` of them. A Tensor that carries the scan mark is
+        quantized without a second scan, and one without it is marked (see
+        :mod:`qsci.quantize`).
 
         The codes are contracted exactly in the float type of
         :func:`~qsci.quantize.code_dtype`: every partial sum is an integer
@@ -317,10 +335,6 @@ class QLayer(Module):
         output is the float32 contraction plus the bias; that contraction
         rounds, and its grouping decides the last bits.
         """
-        return _epilogue(*self._accumulate(x, w_codes))
-
-    def _accumulate(self, x, w_codes):
-        """(acc, s, off) of :meth:`pre_activation`."""
         w_codes = w_codes.astype(self.code_dtype(), copy=False)
         x_codes = act_quantize(x, self.aq).astype(w_codes.dtype, copy=False)
         acc = self.contract(x_codes, w_codes)
@@ -471,17 +485,21 @@ def _epilogue(acc, step, offset) -> np.ndarray:
     return out
 
 
-def _gelu_by_accumulator(acc, step, offset) -> Optional[np.ndarray]:
-    """``gelu(fl(fl(acc*step) + offset))`` over integer accumulators ``acc``,
-    float32, where ``offset`` broadcasts against the trailing axes of ``acc``
-    and holds one value per channel along its first axis; None where the
-    table below would hold more than a quarter as many entries as ``acc``.
+def _gelu_by_accumulator(acc, step, offset) -> Optional[tuple]:
+    """The table ``(keys, slots)`` of ``gelu(fl(fl(acc*step) + offset))``
+    over integer accumulators ``acc``, where ``offset`` broadcasts against
+    the trailing axes of ``acc`` and holds one value per channel along its
+    first axis: ``keys.take(slots)`` is the pre-GELU value
+    ``fl(fl(acc*step) + offset)``, bit for bit, so GELU and its derivative
+    can run once per key (:func:`~qsci.autodiff.gelu`), on both the
+    tape-free and the taped path. None where the table would hold more than
+    a quarter as many entries as ``acc``.
 
-    The table has one entry per accumulator value in each channel's
-    [min, max], computed with the epilogue's own float32 ops, and each output
-    is its channel's entry at its accumulator: the bits of the direct
-    formula. An accumulator of -0.0 takes the entry of 0, which differs
-    only where the offset is -0.0; such a layer runs the direct formula.
+    The keys are one entry per accumulator value in each channel's
+    [min, max], computed with the epilogue's own float32 ops, and each
+    output's slot is its channel's entry at its accumulator. An accumulator
+    of -0.0 takes the entry of 0, which differs only where the offset is
+    -0.0; such a layer runs the direct formula.
     """
     axis = acc.ndim - offset.ndim
     reduced = tuple(a for a in range(acc.ndim) if a != axis)
@@ -496,10 +514,9 @@ def _gelu_by_accumulator(acc, step, offset) -> Optional[np.ndarray]:
     keys = (np.arange(chan.size) - first[chan] + lo[chan]).astype(np.float32)
     keys *= step
     keys += offset.reshape(-1)[chan]
-    table = ad.gelu(Tensor(keys)).data
     slots = acc.astype(np.intp)
     slots -= (lo - first).reshape((-1,) + (1,) * (acc.ndim - axis - 1))
-    return table.take(slots)
+    return keys, slots
 
 
 class QLinear(QLayer):

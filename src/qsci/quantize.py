@@ -5,13 +5,17 @@ quantization (scale ``alpha`` plus real-valued zero-point ``z``) and, with
 ``symmetric`` set, symmetric weight quantization, whose ``z`` stays pinned
 at 0 and is neither learned nor saved. Codes are produced by scale/shift,
 clip to the signed b-bit range, then round half to even; dequantization
-maps codes back to real values. ``fake_quant`` is the tape-recorded
-quantize-then-dequantize used during training: its input gradient passes
-through where the pre-clip value lies inside the clip range and is zero
-outside, and the scale/zero-point gradients treat the rounding as identity
-(clipped elements contribute the saturated code instead). A 32-bit
-quantizer is the identity: both ``fake_quant`` and ``act_quantize`` return
-their input.
+maps codes back to real values. Training differentiates through them by
+the straight-through rule (:func:`_straight_through`): the input gradient
+passes through where the pre-clip value lies inside the clip range and is
+zero outside, and the scale/zero-point gradients treat the rounding as
+identity (clipped elements contribute the saturated code instead). A
+layer's quantizers are part of its own tape node (:class:`Operand`), whose
+forward value the layer computes from the codes of :func:`act_quantize`;
+``fake_quant``, the tape-recorded quantize-then-dequantize, serves the
+attention core's query, key and probabilities. A 32-bit quantizer is the
+identity: ``fake_quant``, ``act_quantize`` and ``ActQuantizer.operand``
+return their input.
 
 Each quantizer can carry a one-shot hook, ``on_next``: the next
 ``fake_quant`` or ``act_quantize`` through it clears the hook and calls it
@@ -86,6 +90,12 @@ class ActQuantizer:
         self.z.data[0] = 0.5 * (hi + lo)
         self.alpha.data[0] = max(0.5 * (hi - lo) / self.q_p, ALPHA_FLOOR)
 
+    def operand(self, t: Tensor):
+        """``t`` through this quantizer as an operand of a layer's tape node
+        (an :class:`Operand`); at 32 bits, where the quantizer is the
+        identity, ``t`` itself."""
+        return t if self.bits == 32 else Operand(t, self)
+
 
 def _check_input(x: np.ndarray, what: str):
     if not np.isfinite(x).all():
@@ -156,16 +166,57 @@ def code_dtype(k: int, bits: int):
                       f"not exact in float64")
 
 
-def fake_quant(x: Tensor, q) -> Tensor:
-    """Quantize-then-dequantize with straight-through gradients.
+def _dequantize(codes: np.ndarray, alpha: float, z: float) -> np.ndarray:
+    """codes * alpha + z, float32, in place in ``codes``."""
+    codes *= np.float32(alpha)
+    codes += np.float32(z)
+    return codes
+
+
+def _straight_through(x: np.ndarray, alpha: float, z: float, q: ActQuantizer):
+    """The straight-through rule of fake-quantizing ``x`` with scale
+    ``alpha`` and zero-point ``z``, from one pre-clip pass: (the
+    dequantized ``x``, ``grads``), where ``grads(g, need_dx)`` maps the
+    gradient ``g`` of the dequantized ``x`` to ``(dx, dalpha, dz)``; ``dx``
+    is ``None`` unless ``need_dx``, and ``dz`` for a symmetric ``q``.
 
     Input gradient: pass-through where the pre-clip value (x - z)/alpha lies
     in [-q_n, q_p] (inclusive), zero where clipped. Scale gradient: rounding
     residual (code - pre-clip value) in range, saturated code (+q_p / -q_n)
-    where clipped. Zero-point gradient: 1 where clipped, 0 in range. A 32-bit
-    quantizer returns the input unchanged. A hook set in ``q.on_next`` is
-    cleared, then called with the input array, before anything else; then
-    an input without the scan mark is scanned.
+    where clipped. Zero-point gradient: 1 where clipped, 0 in range. The
+    dequantized array takes :func:`fake_quant`'s forward steps, so it has
+    their bits. ``grads`` allocates nothing input-sized: ``dz`` reuses the
+    dequantized array's buffer, so it is called after the last read of that
+    array, and ``dx`` that of the scale gradient's field.
+    """
+    v = _pre_clip(x, alpha, z)
+    codes = _codes(v, q)
+    clipped = v < -q.q_n
+    clipped |= v > q.q_p
+    mid = ~clipped
+    # codes - v in range; where clipped, the code itself (q_p or -q_n)
+    field = np.multiply(v, mid, out=v)
+    np.subtract(codes, field, out=field)
+    deq = _dequantize(codes, alpha, z)
+
+    def grads(g, need_dx):
+        dalpha = np.array([np.multiply(g, field, out=field).sum()], dtype=np.float32)
+        dz = None if q.symmetric else np.array([np.multiply(g, clipped, out=deq).sum()],
+                                               dtype=np.float32)
+        dx = np.multiply(g, mid, out=field) if need_dx else None    # dalpha has read field
+        return dx, dalpha, dz
+
+    return deq, grads
+
+
+def fake_quant(x: Tensor, q) -> Tensor:
+    """Quantize-then-dequantize with straight-through gradients
+    (:func:`_straight_through`), as one tape node on ``x``, ``q.alpha`` and
+    ``q.z``. A 32-bit quantizer returns the input unchanged. A hook set in
+    ``q.on_next`` is cleared, then called with the input array, before
+    anything else; then an input without the scan mark is scanned. Only the
+    attention's query, key and probability quantizers use it: a layer's
+    quantizers are part of its own node (:class:`Operand`).
 
     The forward dequantizes the codes, made as :func:`act_quantize` makes
     them, in place. The tape keeps only the input array, the scale and the
@@ -175,8 +226,7 @@ def fake_quant(x: Tensor, q) -> Tensor:
     is ``None`` and is not computed. A recorded output's
     :attr:`~qsci.autodiff.Tensor.rebuild` runs the forward's float32 steps
     again on what the tape keeps, so it gives the output's bits, and a
-    ``conv3d``, ``linear`` or ``matmul`` that reads the output keeps that,
-    not the array.
+    ``matmul`` that reads the output keeps that, not the array.
 
     LSQ (Esser et al., arXiv 1902.08153) also multiplies the scale gradient
     by 1/sqrt(N * q_p); that factor is omitted on purpose. Every scale is its
@@ -193,30 +243,42 @@ def fake_quant(x: Tensor, q) -> Tensor:
     need_dx = x.requires_grad
     alpha = float(q.alpha.data[0])
     z = float(q.z.data[0])
-    q_n, q_p = q.q_n, q.q_p
 
     def dequant():
-        out = _pre_clip(xd, alpha, z)
-        _codes(out, q, out=out)
-        out *= np.float32(alpha)
-        out += np.float32(z)
-        return out
+        v = _pre_clip(xd, alpha, z)
+        return _dequantize(_codes(v, q, out=v), alpha, z)
 
     def bwd(g):
-        v = _pre_clip(xd, alpha, z)
-        codes = _codes(v, q)
-        clipped = v < -q_n
-        clipped |= v > q_p
-        mid = ~clipped
-        dx = g * mid if need_dx else None
-        # codes - v in range; where clipped, the code itself (q_p or -q_n)
-        field = np.multiply(v, mid, out=v)
-        np.subtract(codes, field, out=field)
-        dalpha = np.array([np.multiply(g, field, out=field).sum()], dtype=np.float32)
-        dz = np.array([np.multiply(g, clipped, out=codes).sum()], dtype=np.float32)
-        return dx, dalpha, dz
+        return _straight_through(xd, alpha, z, q)[1](g, need_dx)
 
     out = ad._finish(dequant(), (x, q.alpha, q.z), bwd, "fake_quant")
     if out.node is not None:
         out.rebuild = dequant
     return out
+
+
+class Operand:
+    """``t`` through quantizer ``q`` as an operand of a layer's tape node
+    (:func:`~qsci.autodiff.conv3d`, :func:`~qsci.autodiff.linear`), which
+    takes ``tensors`` (``t``, the scale, and the zero-point if ``q`` is
+    asymmetric) as inputs. In backward, ``read()`` gives the dequantized
+    array and the map from its gradient to theirs, both from one
+    :func:`_straight_through` pass over the forward's array, scale and
+    zero-point. The scale needs that gradient, so ``requires_grad`` is set
+    even where ``t`` requires none; ``t``'s own gradient is then ``None``.
+    No hook runs and nothing is scanned: the layer's :func:`act_quantize`
+    of ``t`` did both."""
+
+    requires_grad = True
+
+    def __init__(self, t: Tensor, q: ActQuantizer):
+        self.shape = t.shape
+        self.tensors = (t, q.alpha) if q.symmetric else (t, q.alpha, q.z)
+        data, need_dx, count = t.data, t.requires_grad, len(self.tensors)
+        alpha, z = float(q.alpha.data[0]), float(q.z.data[0])
+
+        def read():
+            deq, grads = _straight_through(data, alpha, z, q)
+            return deq, lambda g: grads(g, need_dx)[:count]
+
+        self.read = read

@@ -89,9 +89,15 @@ MUTANTS = (
            'if arr.dtype.kind == "f" and not np.isfinite(arr).all():', "if False:",
            "a checkpoint or pack entry that holds a NaN or an infinity is a ConfigError"),
     Mutant("layer_node_reads_quantizer_input", "src/qsci/network.py",
-           "out = node(xq, wq, self.bias, pre, **geometry)",
-           "out = node(x, wq, self.bias, pre, **geometry)",
+           "out = node(self.aq.operand(x),", "out = node(x,",
            "a layer's tape node differentiates with its fake-quant input"),
+    Mutant("straight_through_dx_unmasked", "src/qsci/quantize.py",
+           "np.multiply(g, mid, out=field)", "np.multiply(g, 1, out=field)",
+           "the input gradient is zero where the pre-clip value is clipped"),
+    Mutant("gelu_slope_from_output_table", "src/qsci/autodiff.py",
+           "slope = _gelu_slope(keys, cdf).take(table[1])",
+           "slope = _gelu_slope(out, cdf).take(table[1])",
+           "the taped GELU table's derivative is taken at the pre-GELU keys"),
 )
 
 

@@ -851,8 +851,9 @@ class TestGradientSinks:
 
 class TestNoGradientForAConstantInput:
     """An input that does not require grad when it is recorded gets no
-    gradient: ``conv3d`` builds no ``dx`` on any of its routes and
-    ``fake_quant`` no ``g * mid``, and every other gradient keeps its bits."""
+    gradient: ``conv3d`` builds no ``dx`` on any of its routes,
+    ``fake_quant`` and a quantized layer's node no ``g * mid``, and every
+    other gradient keeps its bits."""
 
     @staticmethod
     def grads(op, x_arr, requires_grad):
@@ -890,6 +891,22 @@ class TestNoGradientForAConstantInput:
         want = self.grads(lambda t: fake_quant(t, q), x, True)
         assert dx is None and want[0] is not None
         assert same_bits(dalpha, want[1]) and same_bits(dz, want[2])
+
+    @pytest.mark.parametrize("bits", [4, 32])
+    def test_layer_node(self, bits):
+        # a quantized layer's node still computes its input operand's
+        # gradient, which the input scale and zero-point need, and sends it
+        # nowhere
+        rng = np.random.default_rng(37)
+        layer = QConv3d(rng, 4, 6, (3, 3, 3), padding=(1, 1, 1), bits=bits)
+        x = rng.standard_normal((2, 4, 4, 6, 6)).astype(np.float32)
+        layer.aq.calibrate(x * 0.5)     # some inputs clip
+        layer.wq.calibrate(layer.weight.data * 0.5)
+        got = self.grads(layer.forward, x, False)
+        want = self.grads(layer.forward, x, True)
+        assert got[0] is None and want[0] is not None
+        assert len(got) == len(want) == (6 if bits < 32 else 3)
+        assert all(same_bits(a, e) for a, e in zip(got[1:], want[1:]))
 
     @pytest.mark.parametrize("variant", ["fp32", "q4"])
     def test_training_step_parameter_gradients_keep_their_bits(self, variant):

@@ -10,7 +10,7 @@ import pytest
 
 import qsci.autodiff as ad
 import reference_impl as ref
-from qsci import cli, network
+from qsci import cli, network, quantize
 from qsci.autodiff import Tape, Tensor
 from qsci.errors import ConfigError, FormatError, NumericError, ShapeError
 from qsci.evaluation import count_efficiency
@@ -525,7 +525,7 @@ def erf_sizes(monkeypatch):
 
 def without_gelu(layer, x):
     """``layer``'s code-domain output before its GELU."""
-    return layer.pre_activation(x, act_quantize(layer.weight, layer.wq))
+    return network._epilogue(*layer._accumulate(x, act_quantize(layer.weight, layer.wq)))
 
 
 def same_bits(a, b):
@@ -574,10 +574,11 @@ class TestGeluByAccumulator:
         out_size = seen_in[0].size // mlp_in.in_ch * mlp_in.out_ch
         assert len(sizes) == 1 and 0 < sizes[0] <= out_size // 4    # a table's erf
 
-    def test_no_table_under_a_tape(self, monkeypatch):
-        # the taped mlp_in is ad.gelu after the ad.conv3d node of its
-        # pre-GELU value: the same value and gradient bytes, with erf run on
-        # every output
+    def test_taped_table_has_the_bytes_of_the_composition(self, monkeypatch):
+        # the taped mlp_in takes its value and its GELU derivative from the
+        # accumulator table, with erf run on at most a quarter of the
+        # outputs: the value and gradient bytes of ad.gelu after fake_quant
+        # -> ad.conv3d, which runs erf on every output
         net = calibrated_net("q4", hw=16)
         mlp_in = dict(net.named_modules())["block0.cf0.mlp_in"]
         x_arr = np.random.default_rng(5).standard_normal((1, 8, 4, 8, 8)).astype(np.float32)
@@ -597,7 +598,10 @@ class TestGeluByAccumulator:
                     out = mlp_in.forward(x)
                 loss = ref.sum_(out, g)
             ad.backward(loss)
-            assert sizes == [out.size]
+            if composed:
+                assert sizes == [out.size]
+            else:
+                assert len(sizes) == 1 and 0 < sizes[0] <= out.size // 4, sizes
             results.append([out.data, x.grad] + [p.grad for p in mlp_in.params()])
             monkeypatch.undo()
         for a, b in zip(*results):
@@ -622,11 +626,13 @@ class TestGeluByAccumulator:
         # differ from it only where the offset is -0.0
         acc = np.float32([-0.0, 0.0, 1.0, 2.0] * 8).reshape(1, 2, 4, 2, 2)
         offset = np.float32([zero, 0.5]).reshape(2, 1, 1, 1)
-        got = _gelu_by_accumulator(acc, np.float32(0.25), offset)
-        assert (got is not None) == tabled
+        table = _gelu_by_accumulator(acc, np.float32(0.25), offset)
+        assert (table is not None) == tabled
         if tabled:
+            keys, slots = table
             direct = acc * np.float32(0.25) + offset
-            assert same_bits(got, ad.gelu(Tensor(direct)).data)
+            assert same_bits(keys.take(slots), direct)
+            assert same_bits(ad.gelu(Tensor(keys)).data.take(slots), ad.gelu(Tensor(direct)).data)
 
 
 U32 = 2.0 ** -24     # unit roundoff of float32
@@ -686,10 +692,11 @@ class TestFloat32CodeForward:
 
 class TestOneForward:
     """A forward has one value, with or without a tape: under a tape a
-    layer records its code-domain value as one node on its fake-quant
-    operands and its bias, and that node's gradients have the bytes of the
-    rule the layer ran before: ``ad.conv3d``'s, or ``ad.matmul``'s then
-    ``ad.add``'s, on the same operands."""
+    layer records its code-domain value as one node on its input, weight,
+    quantizer parameters and bias, and that node's gradients have the bytes
+    of the composition the layer recorded before: ``fake_quant`` of the
+    input and of the weight, then ``ad.conv3d``'s or ``ad.linear``'s rule
+    on their outputs."""
 
     @pytest.mark.parametrize("variant", network.VARIANT_NAMES)
     def test_taped_forward_stack_equals_tape_free(self, variant):
@@ -727,25 +734,72 @@ class TestOneForward:
         with Tape():
             out = layer.forward(x)
         assert out.node.name == ("linear" if linear else "conv3d")
+        quantizers = (layer.aq.alpha, layer.aq.z) if bits < 32 else ()
+        weight_scale = (layer.wq.alpha,) if bits < 32 else ()
+        inputs = (x,) + quantizers + (layer.weight,) + weight_scale + (layer.bias,)
+        assert len(out.node.inputs) == len(inputs)
+        assert all(sink is t for sink, t in zip(out.node.inputs, inputs))
         g = rng.standard_normal(out.shape).astype(np.float32)
         got = out.node.backward_fn(g)
-        # the rule's operands: copies of the fake-quant values, as plain leaves
-        xq = Tensor(fake_quant(Tensor(x.data), layer.aq).data.copy(), requires_grad=True)
-        wq = Tensor(fake_quant(Tensor(layer.weight.data), layer.wq).data.copy(),
-                    requires_grad=True)
-        bias = Tensor(layer.bias.data.copy(), requires_grad=True)
+        # the composition on fresh leaves that hold the same arrays
+        x_leaf = Tensor(x.data, requires_grad=True)
+        w_leaf = Tensor(layer.weight.data, requires_grad=True)
         with Tape():
+            xq, wq = fake_quant(x_leaf, layer.aq), fake_quant(w_leaf, layer.wq)
             if linear:
-                product = ad.matmul(xq, wq)
-                total = product + bias
-                g_product, g_bias = total.node.backward_fn(g)
-                want = product.node.backward_fn(np.asarray(g_product, np.float32)) + (g_bias,)
+                rule = ad.linear(xq, wq, layer.bias, out.data)
             else:
-                conv = ad.conv3d(xq, wq, bias, out.data, layer.stride, layer.padding)
-                want = conv.node.backward_fn(g)
-        assert len(got) == len(want) == 3
+                rule = ad.conv3d(xq, wq, layer.bias, out.data, layer.stride, layer.padding)
+        g_xq, g_wq, g_bias = rule.node.backward_fn(g)
+        if bits < 32:
+            dx, dalpha_x, dz_x = xq.node.backward_fn(g_xq)
+            dw, dalpha_w, _ = wq.node.backward_fn(g_wq)
+            want = (dx, dalpha_x, dz_x, dw, dalpha_w, g_bias)
+        else:
+            want = (g_xq, g_wq, g_bias)
+        assert len(got) == len(want)
         for a, e in zip(got, want):
             assert a.shape == e.shape and a.tobytes() == e.tobytes()
+
+
+class TestOneQuantizePerOperand:
+    """One taped q4 step computes the pre-clip value (x - z)/alpha of each
+    quantized layer operand, its input and its weight, once in the forward
+    (its codes) and once in the backward (its dequantized value and the
+    straight-through rule). The attention's query, key and probability
+    quantizers are ``fake_quant`` nodes: each computes it once in the
+    forward and once in its backward rule, and the probabilities' ``matmul``
+    once more to rebuild its operand (the query and key reach theirs
+    through a transpose, which the tape keeps)."""
+
+    def test_pre_clip_calls_of_one_taped_step(self, monkeypatch):
+        net = calibrated_net("q4")
+        masks, clips, meas = small_inputs()
+        stack = np.concatenate([initial_estimate(m, masks) for m in meas])
+        layers = [layer for _, layer in net.quant_layers()]
+        assert all(layer.bits < 32 for layer in layers)
+        inputs = []
+        for layer in layers:
+            layer.aq.on_next = inputs.append
+        calls = []
+        real = quantize._pre_clip
+        monkeypatch.setattr(quantize, "_pre_clip",
+                            lambda x, alpha, z: (calls.append(x), real(x, alpha, z))[1])
+        with Tape():
+            loss = mse_loss(net.forward_stack(Tensor(stack)), np.stack([c.frames for c in clips]))
+        forward = calls[:]
+        calls.clear()
+        ad.backward(loss)
+        operands = inputs + [layer.weight.data for layer in layers]
+        assert len(inputs) == len(layers)
+        attention = sum(isinstance(m, ShiftedAttention) for _, m in net.named_modules())
+        assert attention > 0
+        for phase, per_attention in ((forward, 3), (calls, 4)):
+            for arr in operands:
+                assert sum(a is arr for a in phase) == sum(o is arr for o in operands)
+            rest = [a for a in phase if not any(a is o for o in operands)]
+            assert len(rest) == per_attention * attention
+            assert len(phase) == 2 * len(layers) + per_attention * attention
 
 
 class TestOneTapeFreeRoute:
@@ -1017,6 +1071,36 @@ class TestQuantizerHooks:
         assert {id(p) for p in net.alpha_params()} == {
             id(p) for n, p in net.named_params() if n.endswith(".alpha")}
         assert QNet(make_variant("fp32", **TINY), seed=0).alpha_params() == []
+
+    @pytest.mark.parametrize("variant", ["fp32", "q4"])
+    def test_taped_forward_calls_each_layer_hook_once(self, variant):
+        # each hook re-arms itself, so a second call would be seen
+        net = QNet(make_variant(variant, **TINY), seed=0)
+        net.calibrate_quantizers(self.stack())
+        layers = net.quant_layers()
+
+        def seen(taped):
+            calls = {name: [] for name, _ in layers}
+            for name, layer in layers:
+                def hook(arr, name=name, q=layer.aq):
+                    calls[name].append(arr.copy())
+                    q.on_next = hook
+                layer.aq.on_next = hook
+            try:
+                if taped:
+                    with Tape():
+                        net.forward_stack(Tensor(self.stack()))
+                else:
+                    net.forward_stack(Tensor(self.stack()))
+            finally:
+                for _, layer in layers:
+                    layer.aq.on_next = None
+            return calls
+
+        free, taped = seen(False), seen(True)
+        for name, _ in layers:
+            assert len(free[name]) == len(taped[name]) == 1, name
+            assert taped[name][0].tobytes() == free[name][0].tobytes(), name
 
     @pytest.mark.parametrize("variant", ["fp32", "q4"])
     def test_forward_sets_no_attribute(self, variant):
