@@ -1,7 +1,7 @@
 """Mutation check of Tier-1: a registry of mutants, each one edit of one
 source snippet, and a runner that reports which of them Tier-1 kills.
 
-    python tests/mutants.py [--out mutants.csv]
+    python tests/mutants.py [--out mutants.csv] [--only NAME[,NAME]]
 
 The runner first runs Tier-1 on an unedited copy of the tree, and stops if
 that fails. Then, for each mutant in turn, it copies the tree to a temporary
@@ -9,7 +9,9 @@ directory, replaces the snippet there and runs Tier-1 there with ``-x``; the
 checkout itself is never edited. A mutant is killed when that run fails, or
 when it runs longer than ``TIMEOUT`` seconds. The CSV gets one row per
 mutant: its name, whether it was killed, the first failing test, the run's
-wall time and what a test that kills it pins.
+wall time and what a test that kills it pins. ``--only`` runs the unedited
+copy and then only the named mutants, so a change that adds mutants can run
+just those.
 
 This is a script, not a pytest module, so it is not part of Tier-1; it uses
 the standard library only. ``tests/test_source.py`` checks that each snippet
@@ -98,6 +100,28 @@ MUTANTS = (
            "slope = _gelu_slope(keys, cdf).take(table[1])",
            "slope = _gelu_slope(out, cdf).take(table[1])",
            "the taped GELU table's derivative is taken at the pre-GELU keys"),
+    Mutant("allocator_pin_dropped", "src/qsci/cli.py",
+           "mallopt(param, 1 << 30)", "pass",
+           "a command pins glibc's thresholds, so a freed array's pages are reused"),
+    Mutant("query_through_key_quantizer", "src/qsci/network.py",
+           "fake_quant(q, self.qq)", "fake_quant(q, self.kq)",
+           "the attention quantizes its queries with the query quantizer"),
+    Mutant("key_shift_by_query_beta", "src/qsci/network.py",
+           "k = k + self.beta_k", "k = k + self.beta_q",
+           "the query/key shift adds beta_k to the keys"),
+    Mutant("straight_through_dz_sign_flipped", "src/qsci/quantize.py",
+           "[np.multiply(g, clipped, out=deq).sum()]", "[-np.multiply(g, clipped, out=deq).sum()]",
+           "the zero-point gradient is +g summed where clipped"),
+    Mutant("alpha_grad_residual_where_clipped", "src/qsci/quantize.py",
+           "field = np.multiply(v, mid, out=v)", "field = v",
+           "the scale gradient takes the saturated code, not the residual, where clipped"),
+    Mutant("short_b_reads_pre_activation", "src/qsci/network.py",
+           "h1 = ad.leaky_relu(h1)\n        h2 = self.conv_b.forward(h1)",
+           "a1 = ad.leaky_relu(h1)\n        h2 = self.conv_b.forward(a1)",
+           "FEM's second shortcut reads the activated first stage"),
+    Mutant("short_out_reads_activation_twice", "src/qsci/network.py",
+           "self.short_out.forward(u)", "self.short_out.forward(ad.leaky_relu(u))",
+           "VRM's output shortcut reads the same activated features as conv_out"),
 )
 
 
@@ -136,13 +160,29 @@ def mutated_copy(mutant, work: Path) -> Path:
     return tree
 
 
+def selected(only: str):
+    """The registry's mutants named in the comma-separated ``only``, in
+    registry order; every mutant when ``only`` is empty."""
+    names = set(filter(None, only.split(",")))
+    unknown = names - {m.name for m in MUTANTS}
+    if unknown:
+        raise ValueError(f"no mutant named {', '.join(sorted(unknown))}")
+    return [m for m in MUTANTS if not names or m.name in names]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", default="mutants.csv", help="CSV to write")
+    ap.add_argument("--only", default="", metavar="NAME[,NAME]",
+                    help="run only these mutants (after the unedited copy)")
     args = ap.parse_args(argv)
+    try:
+        chosen = selected(args.only)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     rows = []
-    for mutant in [None, *MUTANTS]:
+    for mutant in [None, *chosen]:
         with tempfile.TemporaryDirectory(prefix="qsci-mutant-") as work:
             passed, failure, seconds = run_tier1(mutated_copy(mutant, Path(work)))
         if mutant is None:

@@ -6,13 +6,15 @@ records every differentiable op the package defines: an op that training
 never records is a capability no command uses, and its gradient rule is
 code that never runs. The only data-movement ops are ``reshape``,
 ``transpose`` and ``concat``. Each mutant of ``tests/mutants.py`` names a
-snippet that occurs once in its file."""
+snippet that occurs once in its file, and its ``--only`` picks mutants by
+name."""
 
 import ast
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qsci.autodiff import Tape, Tensor
 from qsci.sci import initial_estimate
@@ -211,3 +213,15 @@ def test_each_mutant_snippet_occurs_once():
     for m in mutants.MUTANTS:
         assert m.snippet != m.replacement, m.name
         assert (ROOT / m.path).read_text().count(m.snippet) == 1, m.name
+
+
+def test_only_selects_named_mutants_in_registry_order():
+    """``tests/mutants.py --only`` runs the named mutants, in registry
+    order, and refuses a name the registry lacks."""
+    import mutants
+
+    first, last = mutants.MUTANTS[0], mutants.MUTANTS[-1]
+    assert mutants.selected(f"{last.name},{first.name}") == [first, last]
+    assert mutants.selected("") == list(mutants.MUTANTS)
+    with pytest.raises(ValueError, match="no_such_mutant"):
+        mutants.selected(f"{first.name},no_such_mutant")
