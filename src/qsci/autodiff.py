@@ -62,6 +62,7 @@ from .errors import NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0).astype(np.float32)
 _INV_SQRT2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
+_SMALLEST_NORMAL = np.finfo(np.float32).tiny     # 2**-126
 
 
 class Node:
@@ -273,6 +274,13 @@ def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return cdf + x * pdf
 
 
+def _flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """``a`` with every entry of magnitude below 2**-126, the smallest
+    normal float32 (a subnormal), set to +0, in place."""
+    np.copyto(a, 0, where=np.abs(a) < _SMALLEST_NORMAL)
+    return a
+
+
 def gelu(x: Tensor, table=None) -> Tensor:
     """``x * Phi(x)`` in the exact erf form; derivative ``Phi(x) + x * phi(x)``.
     A non-finite input raises NumericError and warns nothing, although
@@ -283,6 +291,16 @@ def gelu(x: Tensor, table=None) -> Tensor:
     quantized layer, say. The value and the derivative are then computed
     once per key, by the same float32 elementwise ops, and looked up, so
     both keep their bits, and the tape keeps only the looked-up derivative.
+
+    The input gradient ``g * slope`` is flushed, on both routes: an entry
+    of magnitude below 2**-126 (a float32 subnormal, as a far-negative
+    input's tiny slope gives) is set to +0, and every other entry keeps its
+    bits. Subnormal operands run many times slower through the next conv's
+    backward GEMMs. This is the one backward step that is not exact by
+    construction: a later sum loses the flushed entries' share, which is
+    below 2**-126 times the count and the magnitude of the weights that
+    scale them, so it can move the bits only of a sum below about 2**24
+    times that share, and a sum of flushed entries alone becomes 0.
     """
     keys = x.data if table is None else table[0]
     with np.errstate(invalid="ignore"):
@@ -290,13 +308,13 @@ def gelu(x: Tensor, table=None) -> Tensor:
         out = keys * cdf
         if table is None:
             def bwd(g):
-                return (g * _gelu_slope(keys, cdf),)
+                return (_flush_subnormals(g * _gelu_slope(keys, cdf)),)
         else:
             slope = _gelu_slope(keys, cdf).take(table[1])
             out = out.take(table[1])
 
             def bwd(g):
-                return (g * slope,)
+                return (_flush_subnormals(g * slope),)
 
     return _finish(out, (x,), bwd, "gelu")
 
@@ -408,33 +426,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     read_a, read_b = _reader(a), _reader(b)
 
     def bwd(g):
-        return _matmul_grads(g, read_a(), read_b())
+        a_arr, b_arr = read_a(), read_b()
+        return (_unbroadcast(g @ np.swapaxes(b_arr, -1, -2), a_arr.shape),
+                _unbroadcast(np.swapaxes(a_arr, -1, -2) @ g, b_arr.shape))
 
     return _finish(a.data @ b.data, (a, b), bwd, "matmul")
 
 
 def linear(x, w, bias: Tensor, out: np.ndarray) -> Tensor:
-    """The tape node of ``x @ w + bias``, whose value ``out`` the caller
-    computed; it computes no forward. Its backward runs the ops of
-    :func:`matmul`'s rule and :func:`add`'s, so its gradients have their
-    bits. ``x`` and ``w`` are Tensors or quantized operands
-    (:func:`_operand`); the node's inputs are their tensors, then
-    ``bias``."""
+    """The tape node of ``x @ w + bias`` for [..., in] ``x`` and [in, out]
+    ``w``, whose value ``out`` the caller computed; it computes no forward.
+    ``x`` and ``w`` are Tensors or quantized operands (:func:`_operand`);
+    the node's inputs are their tensors, then ``bias``.
+
+    The input gradient is one GEMM over every row of ``g``, in place of
+    :func:`matmul`'s one small GEMM per leading index: each element has the
+    same products in the same order, so the same bits under the pinned BLAS
+    kernel (``tests/test_autodiff.py`` checks each layer geometry). The
+    weight and bias gradients run :func:`matmul`'s and :func:`add`'s ops,
+    the batched GEMM and its axis-0 sum, so they keep their bits."""
     (x_in, read_x), (w_in, read_w) = _operand(x), _operand(w)
     bias_shape = bias.shape
 
     def bwd(g):
         (xd, x_grads), (wd, w_grads) = read_x(), read_w()
-        dx, dw = _matmul_grads(g, xd, wd)
+        dx = (g.reshape(-1, g.shape[-1]) @ wd.T).reshape(xd.shape)
+        dw = _unbroadcast(np.swapaxes(xd, -1, -2) @ g, wd.shape)
         return x_grads(dx) + w_grads(dw) + (_unbroadcast(g, bias_shape),)
 
     return _finish(out, x_in + w_in + (bias,), bwd, "linear")
-
-
-def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """The gradients of ``a @ b``'s operands for its output gradient ``g``."""
-    return (_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
-            _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
 
 
 def softmax(x: Tensor, scale: float) -> Tensor:
@@ -547,12 +567,17 @@ def conv3d(x, w, bias: Tensor, out: np.ndarray, stride, padding) -> Tensor:
     and the node's inputs are their tensors, then ``bias``; the tape keeps
     only what they keep. The backward pass builds each sample's patch matrix
     (:func:`sample_patches`; for an unpadded 1x1x1 unit-stride kernel, a
-    view of the input) and sums the per-sample weight gradients in sample
-    order, so the result is bit for bit that of one batched GEMM and an
-    axis-0 sum. The input gradient scatter-adds the transposed GEMM back
-    into the input, tap by tap, or is itself a conv (see below), one GEMM
-    per sample; for an input that does not require grad when the conv is
-    recorded, it is ``None`` and neither is built.
+    view of the input), computes each sample's weight gradient as
+    ``patches @ g.T`` ([C*k3, P] @ [P, O]; with only O output rows, the
+    swapped ``g @ patches.T`` runs at about half speed), sums them in
+    sample order and transposes the sum once to [O, C*k3]. Each element
+    has the products and the order of one batched ``g @ patches.T`` and an
+    axis-0 sum, and the pinned BLAS kernel gives it their bits
+    (``tests/test_autodiff.py`` checks each layer geometry); a regrouping
+    of the sum over P would not. The input gradient scatter-adds the
+    transposed GEMM back into the input, tap by tap, or is itself a conv
+    (see below), one GEMM per sample; for an input that does not require
+    grad when the conv is recorded, it is ``None`` and neither is built.
     """
     stride = tuple(int(s) for s in stride)
     padding = tuple(int(p) for p in padding)
@@ -578,11 +603,11 @@ def conv3d(x, w, bias: Tensor, out: np.ndarray, stride, padding) -> Tensor:
         w2 = wd.reshape(o, c * k3)
         gm = g.reshape(n, o, p_count)
         each = xd.reshape(n, c, p_count) if pointwise else sample_patches(xd, *geometry)
-        terms = (gi @ pi.T for gi, pi in zip(gm, each))
-        dw = next(terms)
+        terms = (pi @ gi.T for gi, pi in zip(gm, each))
+        dw_t = next(terms)
         for term in terms:
-            dw += term
-        dw = dw.reshape(wd.shape)
+            dw_t += term
+        dw = dw_t.T.reshape(wd.shape)
         if not need_dx:
             dx = None
         elif pointwise:

@@ -175,19 +175,21 @@ def _dequantize(codes: np.ndarray, alpha: float, z: float) -> np.ndarray:
 
 def _straight_through(x: np.ndarray, alpha: float, z: float, q: ActQuantizer):
     """The straight-through rule of fake-quantizing ``x`` with scale
-    ``alpha`` and zero-point ``z``, from one pre-clip pass: (the
-    dequantized ``x``, ``grads``), where ``grads(g, need_dx)`` maps the
-    gradient ``g`` of the dequantized ``x`` to ``(dx, dalpha, dz)``; ``dx``
-    is ``None`` unless ``need_dx``, and ``dz`` for a symmetric ``q``.
+    ``alpha`` and zero-point ``z``, from one pre-clip pass: (the codes of
+    ``x``, ``grads``), where ``grads(g, need_dx)`` maps the gradient ``g``
+    of the dequantized ``x`` to ``(dx, dalpha, dz)``; ``dx`` is ``None``
+    unless ``need_dx``, and ``dz`` for a symmetric ``q``.
 
     Input gradient: pass-through where the pre-clip value (x - z)/alpha lies
     in [-q_n, q_p] (inclusive), zero where clipped. Scale gradient: rounding
     residual (code - pre-clip value) in range, saturated code (+q_p / -q_n)
     where clipped. Zero-point gradient: 1 where clipped, 0 in range. The
-    dequantized array takes :func:`fake_quant`'s forward steps, so it has
-    their bits. ``grads`` allocates nothing input-sized: ``dz`` reuses the
-    dequantized array's buffer, so it is called after the last read of that
-    array, and ``dx`` that of the scale gradient's field.
+    codes are :func:`fake_quant`'s, and a caller that needs the dequantized
+    array makes it from them in place (:func:`_dequantize`), so it has the
+    forward's bits. ``grads`` allocates nothing input-sized: ``dz`` reuses
+    the codes' buffer, so it is called after the last read of the codes or
+    of the array dequantized from them, and ``dx`` that of the scale
+    gradient's field.
     """
     v = _pre_clip(x, alpha, z)
     codes = _codes(v, q)
@@ -197,16 +199,15 @@ def _straight_through(x: np.ndarray, alpha: float, z: float, q: ActQuantizer):
     # codes - v in range; where clipped, the code itself (q_p or -q_n)
     field = np.multiply(v, mid, out=v)
     np.subtract(codes, field, out=field)
-    deq = _dequantize(codes, alpha, z)
 
     def grads(g, need_dx):
         dalpha = np.array([np.multiply(g, field, out=field).sum()], dtype=np.float32)
-        dz = None if q.symmetric else np.array([np.multiply(g, clipped, out=deq).sum()],
+        dz = None if q.symmetric else np.array([np.multiply(g, clipped, out=codes).sum()],
                                                dtype=np.float32)
         dx = np.multiply(g, mid, out=field) if need_dx else None    # dalpha has read field
         return dx, dalpha, dz
 
-    return deq, grads
+    return codes, grads
 
 
 def fake_quant(x: Tensor, q) -> Tensor:
@@ -221,7 +222,8 @@ def fake_quant(x: Tensor, q) -> Tensor:
     The forward dequantizes the codes, made as :func:`act_quantize` makes
     them, in place. The tape keeps only the input array, the scale and the
     zero-point: the backward recomputes the pre-clip value from the input,
-    with the forward's scale and zero-point, and the codes from that. For an
+    with the forward's scale and zero-point, and the codes from that, and
+    dequantizes nothing, as its rule reads no dequantized array. For an
     input that does not require grad when it is recorded, the input gradient
     is ``None`` and is not computed. A recorded output's
     :attr:`~qsci.autodiff.Tensor.rebuild` runs the forward's float32 steps
@@ -264,8 +266,9 @@ class Operand:
     asymmetric) as inputs. In backward, ``read()`` gives the dequantized
     array and the map from its gradient to theirs, both from one
     :func:`_straight_through` pass over the forward's array, scale and
-    zero-point. The scale needs that gradient, so ``requires_grad`` is set
-    even where ``t`` requires none; ``t``'s own gradient is then ``None``.
+    zero-point, whose codes it dequantizes in place. The scale needs that
+    gradient, so ``requires_grad`` is set even where ``t`` requires none;
+    ``t``'s own gradient is then ``None``.
     No hook runs and nothing is scanned: the layer's :func:`act_quantize`
     of ``t`` did both."""
 
@@ -278,7 +281,7 @@ class Operand:
         alpha, z = float(q.alpha.data[0]), float(q.z.data[0])
 
         def read():
-            deq, grads = _straight_through(data, alpha, z, q)
-            return deq, lambda g: grads(g, need_dx)[:count]
+            codes, grads = _straight_through(data, alpha, z, q)
+            return _dequantize(codes, alpha, z), lambda g: grads(g, need_dx)[:count]
 
         self.read = read

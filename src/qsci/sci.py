@@ -135,11 +135,11 @@ class MovingShape:
     aspect: float = 1.0        # rect height/width ratio
 
 
-def _coverage(shape: MovingShape, t: int, h: int, w: int) -> np.ndarray:
-    """Anti-aliased coverage in [0,1] for one shape at frame t."""
+def _coverage(shape: MovingShape, t: int, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Anti-aliased coverage in [0,1] for one shape at frame t, over the
+    float32 pixel grid ``yy`` (row indices) and ``xx`` (column indices)."""
     cx = shape.center[0] + shape.velocity[0] * t
     cy = shape.center[1] + shape.velocity[1] * t
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float32)
     if shape.kind == "disk":
         d = np.sqrt((xx - cx) ** 2 + (yy - cy) ** 2) - shape.size
     elif shape.kind == "rect":
@@ -172,10 +172,11 @@ def _smooth_background(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
 def render_clip(shapes: list, t: int, h: int, w: int, background: np.ndarray) -> VideoClip:
     """Composite shapes over an [h, w] background for t frames, alpha-blended."""
     frames = np.empty((t, h, w), dtype=np.float32)
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float32)     # one pixel grid for every frame and shape
     for ti in range(t):
         frame = background.copy()
         for shape in shapes:
-            cov = _coverage(shape, ti, h, w)
+            cov = _coverage(shape, ti, yy, xx)
             frame = frame * (1.0 - cov) + shape.intensity * cov
         frames[ti] = np.clip(frame, 0.0, 1.0)
     return VideoClip(frames=frames)

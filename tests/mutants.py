@@ -6,12 +6,17 @@ source snippet, and a runner that reports which of them Tier-1 kills.
 The runner first runs Tier-1 on an unedited copy of the tree, and stops if
 that fails. Then, for each mutant in turn, it copies the tree to a temporary
 directory, replaces the snippet there and runs Tier-1 there with ``-x``; the
-checkout itself is never edited. A mutant is killed when that run fails, or
-when it runs longer than ``TIMEOUT`` seconds. The CSV gets one row per
-mutant: its name, whether it was killed, the first failing test, the run's
-wall time and what a test that kills it pins. ``--only`` runs the unedited
-copy and then only the named mutants, so a change that adds mutants can run
-just those.
+checkout itself is never edited. Tier-1 runs in pytest's file order except
+that ``tests/test_golden.py`` runs last (:func:`tier1_paths`): it fails on
+any moved byte, so run earlier it would be the first failure of every
+mutant that moves one, and name the hash rather than the rule that broke.
+A mutated copy skips one test, ``REGISTRY_CHECK``, which every mutant fails
+by construction: its snippet no longer occurs. A mutant is killed when
+that run fails, or when it runs longer than
+``TIMEOUT`` seconds. The CSV gets one row per mutant: its name, whether it
+was killed, the first failing test, the run's wall time and what a test
+that kills it pins. ``--only`` runs the unedited copy and then only the
+named mutants, so a change that adds mutants can run just those.
 
 This is a script, not a pytest module, so it is not part of Tier-1; it uses
 the standard library only. ``tests/test_source.py`` checks that each snippet
@@ -35,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT = 900.0     # seconds per Tier-1 run; a hanging mutant counts as killed
 TIER1 = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+GOLDEN = "tests/test_golden.py"
+REGISTRY_CHECK = "tests/test_source.py::test_each_mutant_snippet_occurs_once"
 NOT_COPIED = shutil.ignore_patterns(".git", ".perfbench", "__pycache__", ".pytest_cache",
                                     ".hypothesis", ".benchmarks", "mutants.csv")
 
@@ -110,7 +117,8 @@ MUTANTS = (
            "k = k + self.beta_k", "k = k + self.beta_q",
            "the query/key shift adds beta_k to the keys"),
     Mutant("straight_through_dz_sign_flipped", "src/qsci/quantize.py",
-           "[np.multiply(g, clipped, out=deq).sum()]", "[-np.multiply(g, clipped, out=deq).sum()]",
+           "[np.multiply(g, clipped, out=codes).sum()]",
+           "[-np.multiply(g, clipped, out=codes).sum()]",
            "the zero-point gradient is +g summed where clipped"),
     Mutant("alpha_grad_residual_where_clipped", "src/qsci/quantize.py",
            "field = np.multiply(v, mid, out=v)", "field = v",
@@ -122,6 +130,15 @@ MUTANTS = (
     Mutant("short_out_reads_activation_twice", "src/qsci/network.py",
            "self.short_out.forward(u)", "self.short_out.forward(ad.leaky_relu(u))",
            "VRM's output shortcut reads the same activated features as conv_out"),
+    Mutant("gelu_flush_takes_smallest_normal", "src/qsci/autodiff.py",
+           "np.abs(a) < _SMALLEST_NORMAL", "np.abs(a) <= _SMALLEST_NORMAL",
+           "GELU's gradient flush zeroes subnormals only, and keeps 2**-126"),
+    Mutant("linear_dx_untransposed_weight", "src/qsci/autodiff.py",
+           "@ wd.T).reshape(xd.shape)", "@ wd).reshape(xd.shape)",
+           "a linear's input gradient is g @ w.T"),
+    Mutant("conv_dw_not_transposed_back", "src/qsci/autodiff.py",
+           "dw = dw_t.T.reshape(wd.shape)", "dw = dw_t.reshape(wd.shape)",
+           "conv3d's patch-major weight gradient is transposed back to [O, C*k3]"),
 )
 
 
@@ -134,14 +151,24 @@ def first_failure(stdout: str) -> str:
     return ""
 
 
-def run_tier1(tree: Path):
-    """(passed, first failing test, seconds) of Tier-1 with ``-x`` in ``tree``."""
+def tier1_paths(tree: Path) -> list:
+    """Tier-1's test paths (pyproject's ``testpaths``), relative to ``tree``,
+    in pytest's order: the files of ``tests`` sorted, then
+    ``perfbench/tests``; but with ``GOLDEN`` moved last."""
+    tests = sorted(p.relative_to(tree).as_posix() for p in (tree / "tests").glob("test_*.py"))
+    return [p for p in tests if p != GOLDEN] + ["perfbench/tests", GOLDEN]
+
+
+def run_tier1(tree: Path, mutated: bool):
+    """(passed, first failing test, seconds) of Tier-1 with ``-x`` in
+    ``tree``, without ``REGISTRY_CHECK`` if the tree is ``mutated``."""
+    skip = ["--deselect", REGISTRY_CHECK] if mutated else []
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     start = time.perf_counter()
     try:
-        proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, timeout=TIMEOUT,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, *TIER1, *skip, *tier1_paths(tree)], cwd=tree,
+                              env=env, timeout=TIMEOUT, capture_output=True, text=True)
     except subprocess.TimeoutExpired:
         return False, "timeout", time.perf_counter() - start
     seconds = time.perf_counter() - start
@@ -184,7 +211,8 @@ def main(argv=None) -> int:
     rows = []
     for mutant in [None, *chosen]:
         with tempfile.TemporaryDirectory(prefix="qsci-mutant-") as work:
-            passed, failure, seconds = run_tier1(mutated_copy(mutant, Path(work)))
+            passed, failure, seconds = run_tier1(mutated_copy(mutant, Path(work)),
+                                                 mutant is not None)
         if mutant is None:
             if not passed:
                 raise SystemExit(f"Tier-1 fails on the unedited tree: {failure}")

@@ -358,6 +358,18 @@ def conv3d_dx_as_conv(w, g, in_shape, padding=(0, 0, 0)):
     return (wflip.reshape(c, -1) @ buf.reshape(n, o * len(taps), -1)).reshape(in_shape)
 
 
+def conv3d_dw_per_sample(x, g, kshape, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """Weight gradient of a float32 conv as ``sum_i g_i @ p_i.T``: one
+    [O, P] @ [P, C*k3] GEMM per sample, on its :func:`padded_patches`
+    matrix, added in sample order."""
+    patches = padded_patches(x, kshape, stride, padding)
+    gm = g.reshape(g.shape[0], g.shape[1], -1)
+    dw = gm[0] @ patches[0].T
+    for gi, pi in zip(gm[1:], patches[1:]):
+        dw += gi @ pi.T
+    return dw.reshape((g.shape[1], x.shape[1]) + tuple(kshape))
+
+
 def padded_patches(x, kshape, stride=(1, 1, 1), padding=(0, 0, 0)):
     """[N, C*k3, P] patch matrices of a conv: zero-pad the input with
     ``np.pad``, then copy one strided slab per kernel tap, row-major over

@@ -171,6 +171,116 @@ class TestSampleRoute:
             assert np.array_equal(got, want)
 
 
+# Every conv and linear node of the q4 net (shortcuts and shift on) at the
+# train_q4 workload's geometry (B=8, crop 32, C=16, two blocks of two
+# CFormers, T=4) and at the golden script's (B=2, crop 12, C=8, one block of
+# two CFormers, T=2): (net overrides, batch, crop, convs as (input shape,
+# weight shape, stride, padding), linears as (input shape, weight shape)).
+Q4_NODES = {
+    "train_q4": (dict(resdnet_blocks=2, cformer_per_block=2), 8, 32, [
+        ((8, 2, 4, 32, 32), (16, 2, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((8, 2, 4, 32, 32), (16, 2, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ((8, 16, 4, 32, 32), (16, 16, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+        ((8, 16, 4, 16, 16), (16, 16, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((8, 16, 4, 16, 16), (16, 16, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ((8, 16, 4, 16, 16), (32, 16, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((8, 16, 4, 16, 16), (64, 16, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((8, 16, 4, 16, 16), (64, 16, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
+        ((8, 32, 4, 16, 16), (16, 32, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((8, 64, 4, 16, 16), (16, 64, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((8, 16, 4, 32, 32), (1, 16, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((8, 16, 4, 32, 32), (1, 16, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
+    ], [((2048, 4, 16), (16, 16))]),
+    "golden": (dict(base_channels=8, resdnet_blocks=1, cformer_per_block=2, cr=2), 2, 12, [
+        ((2, 2, 2, 12, 12), (8, 2, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((2, 2, 2, 12, 12), (8, 2, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ((2, 8, 2, 12, 12), (8, 8, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+        ((2, 8, 2, 6, 6), (8, 8, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((2, 8, 2, 6, 6), (8, 8, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ((2, 8, 2, 6, 6), (16, 8, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((2, 8, 2, 6, 6), (32, 8, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((2, 8, 2, 6, 6), (32, 8, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
+        ((2, 16, 2, 6, 6), (8, 16, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((2, 32, 2, 6, 6), (8, 32, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((2, 8, 2, 12, 12), (1, 8, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        ((2, 8, 2, 12, 12), (1, 8, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
+    ], [((72, 2, 8), (8, 8))]),
+}
+
+
+def node_cases(kind):
+    """pytest params of every ``Q4_NODES`` conv (``kind`` "conv") or linear
+    ("linear"), each with an id that names its geometry and shapes."""
+    def dims(shape):
+        return "x".join(map(str, shape))
+    index = 3 if kind == "conv" else 4
+    return [pytest.param(*node, id=f"{name}-" + "-".join(dims(part) for part in node))
+            for name, entry in Q4_NODES.items() for node in entry[index]]
+
+
+class TestBackwardForms:
+    """At every conv and linear geometry of the q4 net (``Q4_NODES``),
+    ``conv3d``'s weight gradient (``patches @ g.T`` per sample, summed in
+    sample order, transposed once) has the bits of ``sum_i g_i @ p_i.T``
+    (:func:`reference_impl.conv3d_dw_per_sample`), and ``linear``'s input
+    gradient (one GEMM over every token row) those of the per-token
+    broadcast ``g @ w.T``. Like ``test_golden.py``, these hold under the
+    pinned BLAS kernel: a kernel whose sum order depends on the GEMM's
+    orientation or row count fails here, naming the shape."""
+
+    @pytest.mark.parametrize("name", list(Q4_NODES))
+    def test_geometries_are_every_node_of_the_q4_net(self, monkeypatch, name):
+        overrides, batch, crop, convs, linears = Q4_NODES[name]
+        cfg = network.make_variant("q4", **overrides)
+        seen = {ad.conv3d: set(), ad.linear: set()}
+
+        def recorder(op):
+            def record(x, w, bias, out, **geometry):
+                seen[op].add((x.shape, w.shape) + tuple(map(tuple, geometry.values())))
+                return op(x, w, bias, out, **geometry)
+            return record
+
+        monkeypatch.setattr(ad, "conv3d", recorder(ad.conv3d))
+        monkeypatch.setattr(ad, "linear", recorder(ad.linear))
+        stack = np.random.default_rng(0).random((batch, 2, cfg.cr, crop, crop)).astype(np.float32)
+        with Tape():
+            network.QNet(cfg, seed=0).forward_stack(Tensor(stack))
+        conv_seen, linear_seen = seen.values()
+        assert conv_seen == set(convs) and len(convs) == len(conv_seen)
+        assert linear_seen == set(linears) and len(linears) == len(linear_seen)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", node_cases("conv"))
+    def test_conv3d_weight_gradient(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(37)
+        x_arr = rng.standard_normal(x_shape).astype(np.float32)
+        w = Tensor(rng.standard_normal(w_shape).astype(np.float32), requires_grad=True)
+        out_shape = ad.conv3d_output_shape(x_shape, w_shape, stride, padding)
+        g = rng.standard_normal(out_shape).astype(np.float32)
+        with Tape():
+            out = ad.conv3d(Tensor(x_arr), w, zero_bias(w), np.zeros(out_shape, np.float32),
+                            stride, padding)
+            loss = reference_impl.sum_(out, g)
+        backward(loss)
+        want = reference_impl.conv3d_dw_per_sample(x_arr, g, w_shape[2:], stride, padding)
+        assert w.grad.shape == want.shape and np.array_equal(w.grad, want)
+
+    @pytest.mark.parametrize("x_shape,w_shape", node_cases("linear"))
+    def test_linear_input_gradient(self, x_shape, w_shape):
+        rng = np.random.default_rng(38)
+        x_arr = rng.standard_normal(x_shape).astype(np.float32)
+        w_arr = rng.standard_normal(w_shape).astype(np.float32)
+        x, w = Tensor(x_arr, requires_grad=True), Tensor(w_arr, requires_grad=True)
+        b = Tensor(np.zeros(w_shape[1], np.float32), requires_grad=True)
+        g = rng.standard_normal(x_shape[:-1] + w_shape[1:]).astype(np.float32)
+        with Tape():
+            out = ad.linear(x, w, b, np.zeros(g.shape, np.float32))
+            loss = reference_impl.sum_(out, g)
+        backward(loss)
+        assert np.array_equal(x.grad, g @ w_arr.T)
+        # the weight gradient stays matmul's batched GEMM and its axis-0 sum
+        assert np.array_equal(w.grad, (np.swapaxes(x_arr, -1, -2) @ g).sum(axis=0))
+
+
 class TestSamplePatches:
     """``sample_patches`` pads nothing: each tap copies the window it reads
     inside the input into a zeroed buffer. Its matrices must equal those
@@ -502,6 +612,32 @@ class TestElementwise:
     def test_non_finite_raises(self):
         with pytest.raises(NumericError):
             ad.add(Tensor([np.inf]), Tensor([1.0]))
+
+
+class TestGeluFlush:
+    """GELU's input gradient, on both routes, is 0 exactly where the product
+    ``g * slope`` is a float32 subnormal (below 2**-126), which far-negative
+    inputs give, and has that product's bits elsewhere; a product equal to
+    the smallest normal is kept."""
+
+    @pytest.mark.parametrize("route", ["direct", "table"])
+    def test_zero_where_the_product_is_subnormal(self, route):
+        smallest_normal = np.finfo(np.float32).tiny
+        keys = np.append(np.linspace(-14, -12, 2001, dtype=np.float32), np.float32(0))
+        g = np.full(keys.shape, 1e-7, np.float32)
+        g[-1] = 2.0 ** -125         # GELU's slope at 0 is 0.5: the product is 2**-126
+        product = g * ad._gelu_slope(keys, ad._gelu_cdf(keys))
+        assert product[-1] == smallest_normal
+        subnormal = np.abs(product) < smallest_normal
+        assert 10 < subnormal.sum() < keys.size - 10       # both kinds occur
+        # the table route looks every entry up from keys held in reverse order
+        table = None if route == "direct" else (keys[::-1].copy(), np.arange(keys.size)[::-1])
+        x = Tensor(keys, requires_grad=True)
+        with Tape():
+            loss = reference_impl.sum_(ad.gelu(x, table), g)
+        backward(loss)
+        assert (x.grad[subnormal] == 0).all() and not np.signbit(x.grad[subnormal]).any()
+        assert x.grad[~subnormal].tobytes() == product[~subnormal].tobytes()
 
 
 def same_bits(a, b):

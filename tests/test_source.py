@@ -6,8 +6,9 @@ records every differentiable op the package defines: an op that training
 never records is a capability no command uses, and its gradient rule is
 code that never runs. The only data-movement ops are ``reshape``,
 ``transpose`` and ``concat``. Each mutant of ``tests/mutants.py`` names a
-snippet that occurs once in its file, and its ``--only`` picks mutants by
-name."""
+snippet that occurs once in its file, its ``--only`` picks mutants by
+name, and its Tier-1 runs cover pytest's ``testpaths`` with the golden
+test last."""
 
 import ast
 import re
@@ -225,3 +226,25 @@ def test_only_selects_named_mutants_in_registry_order():
     assert mutants.selected("") == list(mutants.MUTANTS)
     with pytest.raises(ValueError, match="no_such_mutant"):
         mutants.selected(f"{first.name},no_such_mutant")
+
+
+def test_mutant_runs_cover_tier1_with_the_golden_test_last(pytestconfig):
+    """``tests/mutants.py`` runs every test file under pyproject's
+    ``testpaths`` once, in pytest's order but for ``tests/test_golden.py``,
+    which runs last, and skips in a mutated copy only the check that each
+    snippet occurs once, which that copy fails by construction."""
+    import mutants
+
+    def files(path):
+        path = ROOT / path
+        return sorted(path.rglob("test_*.py")) if path.is_dir() else [path]
+
+    ordered = [f for p in pytestconfig.getini("testpaths") for f in files(p)]
+    paths = mutants.tier1_paths(ROOT)
+    got = [f for p in paths for f in files(p)]
+    golden = ROOT / mutants.GOLDEN
+    assert paths[-1] == mutants.GOLDEN and got[-1] == golden
+    assert got[:-1] == [f for f in ordered if f != golden]
+    # the one test a mutated copy skips is the registry's own snippet check
+    check = test_each_mutant_snippet_occurs_once.__name__
+    assert mutants.REGISTRY_CHECK == f"tests/test_source.py::{check}"
